@@ -24,7 +24,7 @@ from .diagram import (
     simplify_greedy,
     smooth_crossing,
 )
-from .errors import BandConditionViolated, NonPlanarTrace
+from .errors import BandConditionViolated, InternalInconsistency, NonPlanarTrace
 from .khovanov import khr_ranks, state_sum_det
 from .linalg import AbelianGroup, cokernel_group, det_bareiss
 
@@ -186,7 +186,7 @@ def rank_inequality_check(d: Diagram, max_crossings: int | None = None) -> RankI
     dg = link_det(d)
     ds = state_sum_det(d, max_crossings=max_crossings)
     if dg != ds:
-        raise ArithmeticError(f"det oracles disagree: goeritz {dg}, state sum {ds}")
+        raise InternalInconsistency(f"det oracles disagree: goeritz {dg}, state sum {ds}")
     rk = sum(khr_ranks(mirror(d), max_crossings=max_crossings).values())
     return RankInequalityReport(dg, ds, rk, dg <= rk, dg == rk)
 

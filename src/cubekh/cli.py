@@ -1,8 +1,9 @@
 """Command line interface with stable JSON input and output.
 
 One job per invocation; the same job always produces byte-identical output
-(keys sorted, deterministic basis orders, thread count irrelevant).
-Exit codes: 0 success, 2 validation error, 3 size budget exceeded.
+(keys sorted, deterministic basis orders).
+Exit codes: 0 success, 1 internal inconsistency, 2 validation error, 3 size
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ import sys
 
 from .branched import h1_sigma, link_det, qa_certify, rank_inequality_check
 from .complexes import homology_ranks
-from .diagram import ArcMarking, parse_pd
-from .errors import SizeBudgetExceeded, ValidationError
+from .diagram import ArcMarking, parse_pd, strict_int
+from .errors import (
+    IncompatibleMarking,
+    InternalInconsistency,
+    SizeBudgetExceeded,
+    ValidationError,
+)
 from .khovanov import (
     grading_tables,
     hd_homology,
     kh_ranks,
     khr_ranks,
-    set_thread_count,
     state_sum_det,
     twisted_total_ranks,
     weight_ss,
@@ -53,7 +58,7 @@ def _diagram_from(payload: dict):
     if not isinstance(pd, list) or any(not isinstance(c, list) or len(c) != 4
                                        for c in pd):
         raise JobError("'pd' must be a list of 4-element lists")
-    return parse_pd(pd, free_loops=int(payload.get("free_loops", 0)),
+    return parse_pd(pd, free_loops=payload.get("free_loops", 0),
                     orientation=payload.get("orientation"))
 
 
@@ -64,7 +69,8 @@ def _marking_from(payload: dict, d) -> ArcMarking:
     arcs = marking.get("arcs") if isinstance(marking, dict) else None
     if not isinstance(arcs, list):
         raise JobError("'marking' must be {\"arcs\": [0/1, ...]}")
-    return ArcMarking(tuple(int(x) for x in arcs))
+    return ArcMarking(tuple(strict_int(x, "marking bit", IncompatibleMarking)
+                            for x in arcs))
 
 
 def _presentation_from(payload: dict) -> FramedLinkPresentation:
@@ -137,14 +143,15 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
         ds = state_sum_det(d, max_crossings=max_crossings)
         dg = link_det(d)
         if ds != dg:
-            raise ArithmeticError(f"det oracles disagree: {dg} vs {ds}")
+            raise InternalInconsistency(f"det oracles disagree: {dg} vs {ds}")
         return {"det": ds, "oracles": {"state_sum": ds, "goeritz": dg}}
     if command == "h1":
         d = _diagram_from(payload)
         return {"h1": _group_json(h1_sigma(d))}
     if command == "qa":
         d = _diagram_from(payload)
-        cert = qa_certify(d, budget=int(payload.get("budget", 20000)),
+        budget = strict_int(payload.get("budget", 20000), "budget", JobError)
+        cert = qa_certify(d, budget=budget,
                           max_crossings=max_crossings)
         if cert is None:
             return {"verdict": "unknown"}
@@ -200,13 +207,10 @@ def main(argv=None) -> int:
     ap.add_argument("--command", required=True, choices=COMMANDS)
     ap.add_argument("--input", default="-",
                     help="JSON payload file, or - for stdin (default)")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--max-crossings", type=int, default=None)
     ap.add_argument("--basepoint", type=int, default=1)
     ap.add_argument("--json-indent", type=int, default=None)
     args = ap.parse_args(argv)
-
-    set_thread_count(args.threads)
 
     def emit(obj) -> None:
         print(json.dumps(obj, sort_keys=True, indent=args.json_indent))
@@ -238,6 +242,9 @@ def main(argv=None) -> int:
     except SizeBudgetExceeded as e:
         emit({"error": {"kind": "budget", "detail": str(e)}})
         return 3
+    except InternalInconsistency as e:
+        emit({"error": {"kind": "internal", "detail": str(e)}})
+        return 1
     except (ValidationError, OSError, ValueError, TypeError, KeyError) as e:
         emit({"error": {"kind": type(e).__name__, "detail": str(e)}})
         return 2

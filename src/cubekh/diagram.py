@@ -284,9 +284,22 @@ class ArcMarking:
         return sum(self.bits) % 2 == 0
 
 
+def strict_int(x, what: str, error: type = MalformedPD) -> int:
+    """x itself when it is an int; floats, booleans and strings raise
+    `error` instead of being coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise error(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def parse_pd(text, free_loops: int = 0,
              orientation: Sequence[int] | None = None) -> Diagram:
-    """Parse a PD code given as a JSON-style string or a list of 4-tuples."""
+    """Parse a PD code given as a JSON-style string or a list of 4-tuples.
+
+    Input arriving here is checked strictly: every label, flag and the free
+    loop count must be an integer, and the code must be planar (raises
+    NonPlanarTrace otherwise).
+    """
     if isinstance(text, str):
         try:
             data = json.loads(text)
@@ -296,7 +309,18 @@ def parse_pd(text, free_loops: int = 0,
         data = text
     if not isinstance(data, (list, tuple)):
         raise MalformedPD("PD code must be a list of 4-tuples")
-    return Diagram(data, free_loops=free_loops, orientation=orientation)
+    for c in data:
+        if not isinstance(c, (list, tuple)):
+            raise MalformedPD(f"crossing {c!r} is not a 4-tuple")
+        for a in c:
+            strict_int(a, "arc label")
+    strict_int(free_loops, "free_loops")
+    if orientation is not None:
+        for x in orientation:
+            strict_int(x, "orientation flag")
+    d = Diagram(data, free_loops=free_loops, orientation=orientation)
+    planar_map(d)
+    return d
 
 
 def resolve(d: Diagram, index: Sequence[int], basepoint: int | None = None) -> ResolvedState:
@@ -312,17 +336,35 @@ def resolve(d: Diagram, index: Sequence[int], basepoint: int | None = None) -> R
         raise LengthMismatch(f"expected {d.n} bits, got {len(index)}")
     if any(b not in (0, 1) for b in index):
         raise LengthMismatch("resolution bits must be 0 or 1")
-    uf = _UnionFind(range(1, d.arc_count + 1))
-    for ci, bit in enumerate(index):
-        c = d.crossings[ci]
-        for s, t in (RES0_PAIRS if bit == 0 else RES1_PAIRS):
-            uf.union(c[s], c[t])
-    circles = uf.classes() if d.arc_count else []
-    circles.extend(() for _ in range(d.free_loops))
+    # union-find on a flat parent list; the smaller root wins, so every root
+    # is the minimum arc of its class
+    parent = list(range(d.arc_count + 1))
+    for bit, c in zip(index, d.crossings):
+        for s, t in (RES1_PAIRS if bit else RES0_PAIRS):
+            a, b = c[s], c[t]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    # every parent is smaller than its child, so in ascending order each arc
+    # meets its parent's circle already numbered, and circles come out
+    # ordered by their minimum arc
+    circles: list = []
     arc_to_circle = {}
-    for idx, circ in enumerate(circles):
-        for a in circ:
-            arc_to_circle[a] = idx
+    for a in range(1, d.arc_count + 1):
+        p = parent[a]
+        if p == a:
+            arc_to_circle[a] = len(circles)
+            circles.append([a])
+        else:
+            i = arc_to_circle[a] = arc_to_circle[p]
+            circles[i].append(a)
+    circles = [tuple(c) for c in circles]
+    circles.extend(() for _ in range(d.free_loops))
     marked = None
     if basepoint is not None:
         if d.arc_count:

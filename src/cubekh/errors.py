@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-Validation errors (bad input data) are kept separate from budget errors so
-the CLI can map them to distinct exit codes.
+Validation errors (bad input data), budget errors and internal
+inconsistencies are kept separate so the CLI can map them to distinct exit
+codes.
 """
 
 
@@ -59,6 +60,12 @@ class FiltrationViolation(ValidationError):
 
 class BadCircleMap(ValidationError):
     """Circle correspondence data for an edge map is inconsistent."""
+
+
+class InternalInconsistency(CubekhError):
+    """Two independent constructions of the same quantity disagree, or an
+    internal invariant failed.  Indicates an implementation bug, never bad
+    input."""
 
 
 class SizeBudgetExceeded(CubekhError):

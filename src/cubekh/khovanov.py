@@ -28,20 +28,15 @@ from .complexes import (
     total_complex,
 )
 from .diagram import ArcMarking, Diagram, ResolvedState, induce_marking, resolve
-from .errors import BadCircleMap, IncompatibleMarking, SizeBudgetExceeded
+from .errors import (
+    BadCircleMap,
+    IncompatibleMarking,
+    InternalInconsistency,
+    SizeBudgetExceeded,
+)
 from .linalg import MatF2, f2_rank, f2_row_space
 
 DEFAULT_MAX_CROSSINGS = 14
-
-_thread_count = 1
-
-
-def set_thread_count(n: int):
-    """Cap worker threads for cube construction (1 disables pooling).
-    Output is identical for every thread count; vertices are joined in
-    index order."""
-    global _thread_count
-    _thread_count = max(1, int(n))
 
 
 def crossing_budget(override: int | None = None) -> int:
@@ -84,59 +79,46 @@ class CubeComplex:
         n = d.n
         indices = [tuple((bits >> t) & 1 for t in range(n))
                    for bits in range(1 << n)]
-        if _thread_count > 1 and len(indices) > 64:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=_thread_count) as pool:
-                resolved = list(pool.map(
-                    lambda ix: resolve(d, ix, basepoint=self.basepoint), indices))
-        else:
-            resolved = [resolve(d, ix, basepoint=self.basepoint) for ix in indices]
-        self.states: dict[tuple, ResolvedState] = dict(zip(indices, resolved))
-        self.vertices = sorted(self.states, key=lambda ix: (sum(ix), ix))
+        self.states: dict[tuple, ResolvedState] = {
+            ix: resolve(d, ix, basepoint=self.basepoint) for ix in indices}
+        order = sorted(range(1 << n),
+                       key=lambda bits: (bits.bit_count(), indices[bits]))
+        self.vertices = [indices[bits] for bits in order]
         self.edges: list[CubeEdge] = []
-        for index in self.vertices:
+        for bits in order:
             for t in range(n):
-                if index[t] == 0:
-                    target = index[:t] + (1,) + index[t + 1:]
-                    self.edges.append(self._classify(index, target, t))
+                if not (bits >> t) & 1:
+                    self.edges.append(
+                        self._classify(indices[bits], indices[bits | (1 << t)], t))
 
     def _classify(self, si, ti, crossing) -> CubeEdge:
+        """Each source circle is carried by any one of its arcs; merge or
+        split is read off the changed crossing, whose 0-resolution joins
+        slots (0,1) and (2,3): slots 0 and 2 on different source circles
+        merge, and otherwise their circle splits into the target circles
+        through slots 0 and 1."""
         s, t = self.states[si], self.states[ti]
-        corr: dict[int, int] = {}
-        for ci, circ in enumerate(s.circles):
-            if not circ:
-                continue
-            images = {t.arc_to_circle[a] for a in circ}
-            if len(images) == 1:
-                corr[ci] = images.pop()
-            elif len(images) == 2:
-                corr[ci] = tuple(sorted(images))
-            else:
-                raise BadCircleMap("circle maps onto more than two circles")
+        src_of, tgt_of = s.arc_to_circle, t.arc_to_circle
+        corr = {ci: tgt_of[circ[0]] for ci, circ in enumerate(s.circles) if circ}
         # free loop circles correspond positionally
-        pd_s = sum(1 for c in s.circles if c)
-        pd_t = sum(1 for c in t.circles if c)
-        for fl in range(self.diagram.free_loops):
+        loops = self.diagram.free_loops
+        pd_s, pd_t = s.n_circles - loops, t.n_circles - loops
+        for fl in range(loops):
             corr[pd_s + fl] = pd_t + fl
+        c = self.diagram.crossings[crossing]
+        a, b = src_of[c[0]], src_of[c[2]]
         delta = t.n_circles - s.n_circles
-        if delta == -1:
-            merged: dict[int, list[int]] = {}
-            for c_src, c_tgt in corr.items():
-                if isinstance(c_tgt, tuple):
-                    raise BadCircleMap("merge edge with a splitting circle")
-                merged.setdefault(c_tgt, []).append(c_src)
-            pair = [v for v in merged.values() if len(v) == 2]
-            if len(pair) != 1:
+        if delta != (-1 if a != b else 1):
+            raise BadCircleMap(f"edge changes circle count by {delta}")
+        if a != b:
+            if corr[a] != corr[b]:
                 raise BadCircleMap("merge edge must fuse exactly one pair")
-            return CubeEdge(si, ti, crossing, "merge", tuple(sorted(pair[0])), corr)
-        if delta == 1:
-            splits = [(c, v) for c, v in corr.items() if isinstance(v, tuple)]
-            if len(splits) != 1:
-                raise BadCircleMap("split edge must divide exactly one circle")
-            c, pieces = splits[0]
-            clean = {k: v for k, v in corr.items() if not isinstance(v, tuple)}
-            return CubeEdge(si, ti, crossing, "split", (c, pieces), clean)
-        raise BadCircleMap(f"edge changes circle count by {delta}")
+            return CubeEdge(si, ti, crossing, "merge", (min(a, b), max(a, b)), corr)
+        p1, p2 = tgt_of[c[0]], tgt_of[c[1]]
+        if p1 == p2:
+            raise BadCircleMap("split edge must divide exactly one circle")
+        del corr[a]
+        return CubeEdge(si, ti, crossing, "split", (a, (min(p1, p2), max(p1, p2))), corr)
 
     def state(self, index) -> ResolvedState:
         return self.states[tuple(index)]
@@ -147,64 +129,79 @@ def build_cube(d: Diagram, basepoint: int | None = 1,
     return CubeComplex(d, basepoint=basepoint, max_crossings=max_crossings)
 
 
-def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState) -> MatF2:
-    """Matrix of the merge or split map on full exterior-algebra bases."""
-    ks, kt = src.n_circles, tgt.n_circles
-    rows = [0] * (1 << kt)
-    if edge.kind == "merge":
-        for mask in range(1 << ks):
-            out = 0
-            dead = False
-            for c in range(ks):
-                if (mask >> c) & 1:
-                    c_t = edge.correspondence[c]
-                    if (out >> c_t) & 1:
-                        dead = True
-                        break
-                    out |= 1 << c_t
-            if not dead:
-                rows[out] ^= 1 << mask
-    else:
+def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
+             reduced: bool = False) -> MatF2:
+    """Matrix of the merge or split map on the full exterior-algebra bases,
+    or with reduced=True on the subsets containing each state's marked
+    circle (the order of `_reduced_masks`).
+
+    The image of each source subset is the image of the subset without its
+    highest circle plus that circle's image, so the work grows with the
+    basis size.  In the reduced basis the subset m of a state with marked
+    circle b sits at ((m >> (b + 1)) << b) | (m & ((1 << b) - 1)).
+    """
+    corr = edge.correspondence
+    split = edge.kind == "split"
+    if split:
         c_split, (c1, c2) = edge.circles
-        rep = min(c1, c2)
-        other = max(c1, c2)
-        for mask in range(1 << ks):
-            out = 0
-            for c in range(ks):
-                if (mask >> c) & 1:
-                    c_t = edge.correspondence[c] if c != c_split else rep
-                    out |= 1 << c_t
-            if (mask >> c_split) & 1:
-                # split circle present: only the other-piece term survives
-                rows[out | (1 << other)] ^= 1 << mask
-            else:
-                rows[out | (1 << rep)] ^= 1 << mask
-                rows[out | (1 << other)] ^= 1 << mask
-    return MatF2(1 << kt, 1 << ks, tuple(rows))
+        rep, other = 1 << min(c1, c2), 1 << max(c1, c2)
+        image = [rep if c == c_split else 1 << corr[c] for c in range(src.n_circles)]
+        has_split = 1 << c_split
+    else:
+        image = [1 << corr[c] for c in range(src.n_circles)]
+    base = 0
+    if reduced:
+        ms, mt = src.marked_circle, tgt.marked_circle
+        if ms is None or mt is None:
+            raise BadCircleMap("state has no marked circle")
+        keep = 1 << mt
+        base = image.pop(ms)
+        if split and c_split == ms:
+            if keep not in (rep, other):
+                raise BadCircleMap("split of the marked circle misses the marked circle")
+            has_split = 0
+        elif base != keep:
+            raise BadCircleMap("edge does not carry the marked circle to its image")
+        elif split:
+            has_split = 1 << (c_split - (c_split > ms))
+    out = [base]
+    for img in image:
+        if split:
+            out += [o | img for o in out]
+        else:
+            # -1 marks a subset whose image repeats a target circle (zero in
+            # the exterior algebra); -1 & img is nonzero, so it stays -1
+            out += [o | img if not o & img else -1 for o in out]
+    if reduced:
+        def drop_marked(x):
+            return ((x >> (mt + 1)) << mt) | (x & (keep - 1)) if x >= 0 else x
+
+        out = [drop_marked(o) for o in out]
+        if split:
+            rep, other = drop_marked(rep), drop_marked(other)
+    rows = [0] * (1 << (tgt.n_circles - 1) if reduced else 1 << tgt.n_circles)
+    if split:
+        for m, o in enumerate(out):
+            # with the split circle present only the other-piece term survives
+            if has_split and not m & has_split:
+                rows[o | rep] ^= 1 << m
+            rows[o | other] ^= 1 << m
+    else:
+        for m, o in enumerate(out):
+            if o >= 0:
+                rows[o] ^= 1 << m
+    return MatF2(len(rows), len(out), tuple(rows))
 
 
-def _reduced_indexer(state: ResolvedState):
-    """Masks of subsets containing the marked circle, ascending, plus lookup."""
-    if state.marked_circle is None:
-        raise BadCircleMap("state has no marked circle")
-    bit = 1 << state.marked_circle
-    masks = [m for m in range(1 << state.n_circles) if m & bit]
-    pos = {m: i for i, m in enumerate(masks)}
-    return masks, pos
-
-
-def _restrict_reduced(m: MatF2, src: ResolvedState, tgt: ResolvedState) -> MatF2:
-    src_masks, _ = _reduced_indexer(src)
-    tgt_masks, _ = _reduced_indexer(tgt)
-    rows = []
-    for tm in tgt_masks:
-        row = m.rows[tm]
-        out = 0
-        for i, sm in enumerate(src_masks):
-            if (row >> sm) & 1:
-                out |= 1 << i
-        rows.append(out)
-    return MatF2(len(tgt_masks), len(src_masks), tuple(rows))
+def _reduced_masks(state: ResolvedState) -> list[int]:
+    """Circle subsets containing the marked circle, ascending (none when the
+    state has no marked circle)."""
+    b = state.marked_circle
+    if b is None:
+        return []
+    bit = 1 << b
+    return [((j >> b) << (b + 1)) | bit | (j & (bit - 1))
+            for j in range(1 << (state.n_circles - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -224,48 +221,32 @@ def khr_complex(d: Diagram, basepoint: int = 1,
     return _assemble(cube, reduced=True)
 
 
-def _vertex_basis(cube: CubeComplex, index: tuple, reduced: bool) -> list[int]:
-    state = cube.states[index]
-    if reduced:
-        if state.marked_circle is None:
-            return []
-        return _reduced_indexer(state)[0]
-    return list(range(1 << state.n_circles))
-
-
 def _assemble(cube: CubeComplex, reduced: bool) -> GradedComplexF2:
-    n = cube.diagram.n
-    by_weight: dict[int, list[tuple]] = {}
-    for index in cube.vertices:
-        by_weight.setdefault(sum(index), []).append(index)
     offsets: dict[tuple, int] = {}
-    dims = {}
-    labels = {}
-    for w, idxs in by_weight.items():
-        off = 0
-        lab = []
-        for index in idxs:
-            offsets[index] = off
-            basis = _vertex_basis(cube, index, reduced)
-            off += len(basis)
-            lab.extend((index, m) for m in basis)
-        dims[w] = off
-        labels[w] = lab
+    dims: dict[int, int] = {}
+    labels: dict[int, list] = {}
+    for index in cube.vertices:
+        state = cube.states[index]
+        basis = (_reduced_masks(state) if reduced
+                 else range(1 << state.n_circles))
+        w = sum(index)
+        offsets[index] = dims.get(w, 0)
+        dims[w] = offsets[index] + len(basis)
+        labels.setdefault(w, []).extend((index, m) for m in basis)
+    by_weight: dict[int, list[CubeEdge]] = {}
+    for edge in cube.edges:
+        by_weight.setdefault(sum(edge.source), []).append(edge)
     diffs = {}
-    for w in range(n):
-        src_dim, tgt_dim = dims.get(w, 0), dims.get(w + 1, 0)
-        rows = [0] * tgt_dim
-        for edge in cube.edges:
-            if sum(edge.source) != w:
-                continue
-            s, t = cube.states[edge.source], cube.states[edge.target]
-            m = edge_map(edge, s, t)
-            if reduced:
-                m = _restrict_reduced(m, s, t)
-            so, to = offsets[edge.source], offsets[edge.target]
-            for i, row in enumerate(m.rows):
-                rows[to + i] ^= row << so
-        diffs[w] = MatF2(tgt_dim, src_dim, tuple(rows))
+    for w in range(cube.diagram.n):
+        rows = [0] * dims.get(w + 1, 0)
+        for edge in by_weight.get(w, ()):
+            m = edge_map(edge, cube.states[edge.source], cube.states[edge.target],
+                         reduced)
+            so = offsets[edge.source]
+            for i, row in enumerate(m.rows, offsets[edge.target]):
+                if row:
+                    rows[i] ^= row << so
+        diffs[w] = MatF2(len(rows), dims.get(w, 0), tuple(rows))
     return GradedComplexF2(dims, diffs, labels=labels)
 
 
@@ -314,23 +295,31 @@ def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     differentials shift by exactly one).
     """
     cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
+    return _twisted(cube, marking)
+
+
+def _twisted(cube: CubeComplex, marking: ArcMarking) -> DoubleComplexF2:
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
 
-    def vdeg(index: tuple, mask: int) -> int:
-        k = cube.states[index].n_circles
-        value = 2 * int.bit_count(mask) - sum(index) - k + par
-        assert value % 2 == 0
-        return value // 2
-
     cells: dict[tuple, list] = {}
-    pos: dict[tuple, tuple] = {}
+    # vertex -> (cell, position in cell) of each reduced basis element
+    place: dict[tuple, list] = {}
     for index in cube.vertices:
-        for mask in _vertex_basis(cube, index, reduced=True):
-            cell = (sum(index), vdeg(index, mask))
-            lst = cells.setdefault(cell, [])
-            pos[(index, mask)] = (cell, len(lst))
-            lst.append((index, mask))
+        state = cube.states[index]
+        if state.marked_circle is None:
+            continue
+        w, k = sum(index), state.n_circles
+        slots = place[index] = []
+        for mask in _reduced_masks(state):
+            value = 2 * mask.bit_count() - w - k + par
+            if value % 2:
+                raise InternalInconsistency(
+                    f"odd vertical degree {value}/2 at vertex {index}")
+            cell = (w, value // 2)
+            gens = cells.setdefault(cell, [])
+            slots.append((cell, len(gens)))
+            gens.append((index, mask))
 
     dims = {cell: len(gens) for cell, gens in cells.items()}
     d_h: dict[tuple, list] = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0)
@@ -342,37 +331,39 @@ def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
         s, t = cube.states[edge.source], cube.states[edge.target]
         if s.marked_circle is None:
             continue
-        m = _restrict_reduced(edge_map(edge, s, t), s, t)
-        src_masks, _ = _reduced_indexer(s)
-        tgt_masks, _ = _reduced_indexer(t)
-        for j, sm in enumerate(src_masks):
-            cell, col = pos[(edge.source, sm)]
-            for i, row in enumerate(m.rows):
-                if (row >> j) & 1:
-                    tcell, trow = pos[(edge.target, tgt_masks[i])]
-                    assert tcell == (cell[0] + 1, cell[1]), "d_h must preserve v"
-                    d_h[cell][trow] |= 1 << col
+        m = edge_map(edge, s, t, reduced=True)
+        src, tgt = place[edge.source], place[edge.target]
+        for i, row in enumerate(m.rows):
+            if not row:
+                continue
+            tcell, trow = tgt[i]
+            while row:
+                low = row & -row
+                row ^= low
+                cell, col = src[low.bit_length() - 1]
+                if tcell != (cell[0] + 1, cell[1]):
+                    raise InternalInconsistency("d_h must preserve the vertical degree")
+                d_h[cell][trow] |= 1 << col
 
-    for index in cube.vertices:
-        state = cube.states[index]
-        if state.marked_circle is None:
-            continue
-        odd = [c for c, p in enumerate(parities[index]) if p]
-        src_masks, _ = _reduced_indexer(state)
-        for j, sm in enumerate(src_masks):
-            cell, col = pos[(index, sm)]
-            for c in odd:
-                if not (sm >> c) & 1:
-                    tcell, trow = pos[(index, sm | (1 << c))]
-                    assert tcell == (cell[0], cell[1] + 1)
+    for index, slots in place.items():
+        mc = cube.states[index].marked_circle
+        # wedging an odd circle c sets its bit in the reduced position
+        wedges = [1 << (c - (c > mc)) for c, p in enumerate(parities[index])
+                  if p and c != mc]
+        for j, (cell, col) in enumerate(slots):
+            for g in wedges:
+                if not j & g:
+                    tcell, trow = slots[j | g]
+                    if tcell != (cell[0], cell[1] + 1):
+                        raise InternalInconsistency(
+                            "d_v must raise the vertical degree by one")
                     d_v[cell][trow] |= 1 << col
 
-    labels = {cell: list(gens) for cell, gens in cells.items()}
     dh_mats = {cell: MatF2(dims.get((cell[0] + 1, cell[1]), 0), dims[cell],
                            tuple(rows)) for cell, rows in d_h.items()}
     dv_mats = {cell: MatF2(dims.get((cell[0], cell[1] + 1), 0), dims[cell],
                            tuple(rows)) for cell, rows in d_v.items()}
-    return DoubleComplexF2(dims, dh_mats, dv_mats, labels=labels)
+    return DoubleComplexF2(dims, dh_mats, dv_mats, labels=cells)
 
 
 def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
@@ -450,52 +441,63 @@ def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                        max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology via the all-even-vertex subcomplex."""
     cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
+    return _hd_even(cube, marking)
+
+
+def _hd_even(cube: CubeComplex, marking: ArcMarking) -> dict[tuple, int]:
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
-    even = {index for index in cube.vertices if not any(parities[index])}
+    even = [index for index in cube.vertices if not any(parities[index])]
 
-    def vdeg(index, mask):
-        k = cube.states[index].n_circles
-        return (2 * int.bit_count(mask) - sum(index) - k + par) // 2
+    # per even vertex: (vertical degree, position among that degree's
+    # elements) of each reduced basis element, and the count per degree
+    slots: dict[tuple, list] = {}
+    sizes: dict[tuple, dict] = {}
+    for index in even:
+        w, k = sum(index), cube.states[index].n_circles
+        size = sizes[index] = {}
+        sl = slots[index] = []
+        for mask in _reduced_masks(cube.states[index]):
+            v = (2 * mask.bit_count() - w - k + par) // 2
+            sl.append((v, size.get(v, 0)))
+            size[v] = size.get(v, 0) + 1
+
+    # one complex per vertical degree v, graded by cube weight
+    dims: dict[int, dict] = {}
+    offsets: dict[int, dict] = {}
+    for index in even:
+        w = sum(index)
+        for v, n_v in sizes[index].items():
+            dv = dims.setdefault(v, {})
+            offsets.setdefault(v, {})[index] = dv.get(w, 0)
+            dv[w] = dv.get(w, 0) + n_v
+    rows = {v: {w: [0] * dv.get(w + 1, 0) for w in dv} for v, dv in dims.items()}
+
+    even_set = set(even)
+    for edge in cube.edges:
+        if edge.source not in even_set or edge.target not in even_set:
+            continue
+        s, t = cube.states[edge.source], cube.states[edge.target]
+        m = edge_map(edge, s, t, reduced=True)
+        src, tgt = slots[edge.source], slots[edge.target]
+        w = sum(edge.source)
+        for i, row in enumerate(m.rows):
+            v, ii = tgt[i]
+            while row:
+                low = row & -row
+                row ^= low
+                vs, jj = src[low.bit_length() - 1]
+                if vs == v:
+                    so = offsets[v][edge.source]
+                    to = offsets[v][edge.target]
+                    rows[v][w][to + ii] ^= 1 << (so + jj)
 
     out: dict[tuple, int] = {}
-    vs = set()
-    for index in even:
-        for mask in _vertex_basis(cube, index, reduced=True):
-            vs.add(vdeg(index, mask))
-    for v in sorted(vs):
-        dims: dict[int, int] = {}
-        offsets: dict[tuple, int] = {}
-        for index in sorted(even, key=lambda ix: (sum(ix), ix)):
-            basis = [m for m in _vertex_basis(cube, index, reduced=True)
-                     if vdeg(index, m) == v]
-            if not basis:
-                continue
-            w = sum(index)
-            offsets[index] = dims.get(w, 0)
-            dims[w] = dims.get(w, 0) + len(basis)
-        diffs_rows = {w: [0] * dims.get(w + 1, 0) for w in dims}
-        for edge in cube.edges:
-            if edge.source not in offsets or edge.target not in offsets:
-                continue
-            s, t = cube.states[edge.source], cube.states[edge.target]
-            m = _restrict_reduced(edge_map(edge, s, t), s, t)
-            src_masks, _ = _reduced_indexer(s)
-            tgt_masks, _ = _reduced_indexer(t)
-            src_sel = [j for j, sm in enumerate(src_masks)
-                       if vdeg(edge.source, sm) == v]
-            tgt_sel = [i for i, tm in enumerate(tgt_masks)
-                       if vdeg(edge.target, tm) == v]
-            so, to = offsets[edge.source], offsets[edge.target]
-            w = sum(edge.source)
-            for jj, j in enumerate(src_sel):
-                for ii, i in enumerate(tgt_sel):
-                    if (m.rows[i] >> j) & 1:
-                        diffs_rows[w][to + ii] ^= 1 << (so + jj)
-        diffs = {w: MatF2(dims.get(w + 1, 0), dims[w], tuple(rows))
-                 for w, rows in diffs_rows.items()}
-        cx = GradedComplexF2(dims, diffs)
-        for w, b in homology_ranks(cx).items():
+    for v in sorted(dims):
+        dv = dims[v]
+        diffs = {w: MatF2(dv.get(w + 1, 0), dv[w], tuple(r))
+                 for w, r in rows[v].items()}
+        for w, b in homology_ranks(GradedComplexF2(dv, diffs)).items():
             out[(w, v)] = b
     return out
 
@@ -505,15 +507,20 @@ def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     """Dotted-diagram homology ranks keyed by (cube weight, vertical degree).
 
     Computed two ways (double-complex page and even-vertex subcomplex) and
-    cross-checked; raises BadCircleMap if the constructions disagree.
+    cross-checked; raises InternalInconsistency if the constructions
+    disagree.
     """
-    dc = twisted_complex(d, marking, basepoint=basepoint,
-                         max_crossings=max_crossings)
+    cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
+    return _hd_homology(cube, _twisted(cube, marking), marking)
+
+
+def _hd_homology(cube: CubeComplex, dc: DoubleComplexF2,
+                 marking: ArcMarking) -> dict[tuple, int]:
     a = vertical_then_horizontal_ranks(dc)
-    b = hd_even_subcomplex(d, marking, basepoint=basepoint,
-                           max_crossings=max_crossings)
+    b = _hd_even(cube, marking)
     if a != b:
-        raise BadCircleMap(f"dotted homology constructions disagree: {a} vs {b}")
+        raise InternalInconsistency(
+            f"dotted homology constructions disagree: {a} vs {b}")
     return a
 
 
@@ -532,9 +539,12 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     """Spectral sequence of the cube-weight filtration of the twisted total
     complex.  E^1 equals vertical homology, E^2 the dotted-diagram homology,
     and the E^infinity total matches the homology of the total complex; all
-    three identities are asserted."""
-    dc = twisted_complex(d, marking, basepoint=basepoint,
-                         max_crossings=max_crossings)
+    three identities are checked, raising InternalInconsistency."""
+    cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
+    dc = _twisted(cube, marking)
+    hd = _hd_homology(cube, dc, marking)
+    # the page computation is the memory peak; it needs no cube
+    del cube
     total, _ = total_complex(dc)
     # labels of the total complex are (index, mask) pairs grouped by cell
     levels = {}
@@ -548,21 +558,20 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     for (p, v), rank in _vertical_homology_ranks(dc).items():
         e1_expected[(p, p + v)] = e1_expected.get((p, p + v), 0) + rank
     if pages.page(1) != e1_expected:
-        raise BadCircleMap("E^1 page does not match vertical homology")
+        raise InternalInconsistency("E^1 page does not match vertical homology")
     # E^2 = dotted diagram homology
-    hd = hd_homology(d, marking, basepoint=basepoint, max_crossings=max_crossings)
     e2_expected: dict[tuple, int] = {}
     for (p, v), rank in hd.items():
         e2_expected[(p, p + v)] = e2_expected.get((p, p + v), 0) + rank
     if pages.page(2) != e2_expected:
-        raise BadCircleMap("E^2 page does not match dotted-diagram homology")
+        raise InternalInconsistency("E^2 page does not match dotted-diagram homology")
     # E^infinity total = homology of the total complex
     beta = homology_ranks(total)
     einf_tot: dict[int, int] = {}
     for (p, t), rank in pages.e_infinity.items():
         einf_tot[t] = einf_tot.get(t, 0) + rank
     if einf_tot != beta:
-        raise BadCircleMap("E^infinity does not match total homology")
+        raise InternalInconsistency("E^infinity does not match total homology")
     return pages
 
 
@@ -600,12 +609,6 @@ class ThetaModuleModel:
     def gen_for_circle(self) -> dict:
         return {c: g for g, c in enumerate(self.circle_for_gen)}
 
-    def act(self, xi_mask: int, theta_mask: int) -> int | None:
-        """Wedge action; None encodes zero (repeated factor)."""
-        if xi_mask & theta_mask:
-            return None
-        return xi_mask | theta_mask
-
 
 def psi_identification(state: ResolvedState) -> tuple[ThetaModuleModel, dict]:
     """Model for a resolved state plus the basis bijection of the reduced
@@ -617,7 +620,7 @@ def psi_identification(state: ResolvedState) -> tuple[ThetaModuleModel, dict]:
     model = ThetaModuleModel(len(others), tuple(others))
     gen_of = model.gen_for_circle()
     psi = {}
-    for mask in _reduced_indexer(state)[0]:
+    for mask in _reduced_masks(state):
         out = 0
         for c in others:
             if (mask >> c) & 1:
@@ -701,16 +704,15 @@ def check_psi_naturality(cube: CubeComplex) -> bool:
         s, t = cube.states[edge.source], cube.states[edge.target]
         if s.marked_circle is None or t.marked_circle is None:
             continue
-        kh_side = _restrict_reduced(edge_map(edge, s, t), s, t)
+        kh_side = edge_map(edge, s, t, reduced=True)
         model_side = model_edge_map(edge, s, t)
-        _, psi_s = psi_identification(s)
-        _, psi_t = psi_identification(t)
-        src_masks, _ = _reduced_indexer(s)
-        tgt_masks, _ = _reduced_indexer(t)
         # aligned bases: psi is the identity permutation on sorted masks
-        perm_s = [psi_s[m] for m in src_masks]
-        perm_t = [psi_t[m] for m in tgt_masks]
-        assert perm_s == sorted(perm_s) and perm_t == sorted(perm_t)
+        for state in (s, t):
+            _, psi = psi_identification(state)
+            perm = [psi[m] for m in _reduced_masks(state)]
+            if perm != sorted(perm):
+                raise InternalInconsistency(
+                    "psi does not keep the order of the reduced basis")
         if kh_side.rows != model_side.rows:
             return False
     return True
@@ -774,11 +776,11 @@ def state_sum_det(d: Diagram, max_crossings: int | None = None) -> int:
     norm = _zeta8_mul(z, conj)
     if norm[1] or norm[2] or norm[3]:
         if norm[2] or norm[1] != -norm[3]:
-            raise ArithmeticError(f"norm not real: {norm}")
+            raise InternalInconsistency(f"norm not real: {norm}")
         if norm[1]:
-            raise ArithmeticError(f"norm not an integer: {norm}")
+            raise InternalInconsistency(f"norm not an integer: {norm}")
     det_sq = norm[0]
     root = math.isqrt(det_sq)
     if root * root != det_sq:
-        raise ArithmeticError(f"|det|^2 = {det_sq} is not a perfect square")
+        raise InternalInconsistency(f"|det|^2 = {det_sq} is not a perfect square")
     return root

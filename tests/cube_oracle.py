@@ -1,0 +1,127 @@
+"""Reference versions of the cube layer, kept as oracles for the one-pass
+implementations in `cubekh.diagram` and `cubekh.khovanov`.
+
+Each one is the straightforward form the fast code replaced: circles by a
+dict-based union-find, edges classified by mapping every arc of every
+source circle, edge maps built mask by mask on the full exterior-algebra
+basis, and the reduced map obtained by restricting the full one to the
+subsets that contain the marked circle.
+"""
+
+from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
+from cubekh.errors import BadCircleMap
+from cubekh.khovanov import CubeEdge
+from cubekh.linalg import MatF2
+
+
+def resolve_circles(d, index):
+    """(circles, arc_to_circle) for one state, by a dict-based union-find
+    with the smaller root kept; circles ordered by their minimum arc."""
+    parent = {a: a for a in range(1, d.arc_count + 1)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ci, bit in enumerate(index):
+        c = d.crossings[ci]
+        for s, t in (RES1_PAIRS if bit else RES0_PAIRS):
+            ra, rb = find(c[s]), find(c[t])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for a in parent:
+        groups.setdefault(find(a), []).append(a)
+    circles = [tuple(sorted(g)) for g in sorted(groups.values(), key=min)]
+    circles.extend(() for _ in range(d.free_loops))
+    arc_to_circle = {a: i for i, circ in enumerate(circles) for a in circ}
+    return tuple(circles), arc_to_circle
+
+
+def classify(d, s, t, si, ti, crossing) -> CubeEdge:
+    """Edge classification from the images of every arc of every circle."""
+    corr = {}
+    for ci, circ in enumerate(s.circles):
+        if not circ:
+            continue
+        images = {t.arc_to_circle[a] for a in circ}
+        if len(images) == 1:
+            corr[ci] = images.pop()
+        elif len(images) == 2:
+            corr[ci] = tuple(sorted(images))
+        else:
+            raise BadCircleMap("circle maps onto more than two circles")
+    pd_s = sum(1 for c in s.circles if c)
+    pd_t = sum(1 for c in t.circles if c)
+    for fl in range(d.free_loops):
+        corr[pd_s + fl] = pd_t + fl
+    delta = t.n_circles - s.n_circles
+    if delta == -1:
+        merged = {}
+        for c_src, c_tgt in corr.items():
+            if isinstance(c_tgt, tuple):
+                raise BadCircleMap("merge edge with a splitting circle")
+            merged.setdefault(c_tgt, []).append(c_src)
+        pair = [v for v in merged.values() if len(v) == 2]
+        if len(pair) != 1:
+            raise BadCircleMap("merge edge must fuse exactly one pair")
+        return CubeEdge(si, ti, crossing, "merge", tuple(sorted(pair[0])), corr)
+    if delta == 1:
+        splits = [(c, v) for c, v in corr.items() if isinstance(v, tuple)]
+        if len(splits) != 1:
+            raise BadCircleMap("split edge must divide exactly one circle")
+        c, pieces = splits[0]
+        clean = {k: v for k, v in corr.items() if not isinstance(v, tuple)}
+        return CubeEdge(si, ti, crossing, "split", (c, pieces), clean)
+    raise BadCircleMap(f"edge changes circle count by {delta}")
+
+
+def full_edge_map(edge, src, tgt) -> MatF2:
+    """Merge or split map on the full bases, one mask and one circle at a
+    time."""
+    ks, kt = src.n_circles, tgt.n_circles
+    rows = [0] * (1 << kt)
+    if edge.kind == "merge":
+        for mask in range(1 << ks):
+            out = 0
+            dead = False
+            for c in range(ks):
+                if (mask >> c) & 1:
+                    c_t = edge.correspondence[c]
+                    if (out >> c_t) & 1:
+                        dead = True
+                        break
+                    out |= 1 << c_t
+            if not dead:
+                rows[out] ^= 1 << mask
+    else:
+        c_split, (c1, c2) = edge.circles
+        rep, other = min(c1, c2), max(c1, c2)
+        for mask in range(1 << ks):
+            out = 0
+            for c in range(ks):
+                if (mask >> c) & 1:
+                    out |= 1 << (edge.correspondence[c] if c != c_split else rep)
+            if (mask >> c_split) & 1:
+                rows[out | (1 << other)] ^= 1 << mask
+            else:
+                rows[out | (1 << rep)] ^= 1 << mask
+                rows[out | (1 << other)] ^= 1 << mask
+    return MatF2(1 << kt, 1 << ks, tuple(rows))
+
+
+def restrict_reduced(m: MatF2, src, tgt) -> MatF2:
+    """Rows and columns of a full map on the subsets containing the marked
+    circle of each state, in ascending order."""
+    def masks(state):
+        bit = 1 << state.marked_circle
+        return [x for x in range(1 << state.n_circles) if x & bit]
+
+    src_masks, tgt_masks = masks(src), masks(tgt)
+    rows = []
+    for tm in tgt_masks:
+        row = m.rows[tm]
+        rows.append(sum(1 << i for i, sm in enumerate(src_masks) if (row >> sm) & 1))
+    return MatF2(len(tgt_masks), len(src_masks), tuple(rows))

@@ -95,15 +95,12 @@ def test_env_budget(capsys, monkeypatch):
     assert code == 3
 
 
-def test_determinism_across_runs_and_threads(capsys, monkeypatch):
+def test_determinism_across_runs(capsys, monkeypatch):
     outputs = set()
-    for threads in ("1", "4"):
-        for _ in range(2):
-            code, out = run_cli(capsys, monkeypatch,
-                                ["--command", "khr", "--threads", threads],
-                                TREFOIL)
-            assert code == 0
-            outputs.add(out)
+    for _ in range(4):
+        code, out = run_cli(capsys, monkeypatch, ["--command", "khr"], TREFOIL)
+        assert code == 0
+        outputs.add(out)
     assert len(outputs) == 1
 
 
@@ -140,3 +137,93 @@ def test_malformed_inputs_fuzz(capsys, monkeypatch):
 def test_run_job_twisted_matches_khr_total():
     out = run_job("twisted", TREFOIL)
     assert out["total"] == 3
+
+
+# --- internal inconsistencies and input hardening ------------------------------
+
+def test_internal_inconsistency_is_not_validation():
+    from cubekh.errors import InternalInconsistency, ValidationError
+    assert not issubclass(InternalInconsistency, ValidationError)
+
+
+def test_disagreeing_hd_constructions_exit_internal(capsys, monkeypatch):
+    import cubekh.khovanov as kh
+    monkeypatch.setattr(kh, "_hd_even", lambda cube, marking: {})
+    for cmd in ("hd", "ss"):
+        code, out = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
+        assert code == 1, cmd
+        err = json.loads(out)["error"]
+        assert err["kind"] == "internal" and "disagree" in err["detail"]
+
+
+def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
+    import cubekh.cli as cli
+    monkeypatch.setattr(cli, "link_det", lambda d: 5)
+    code, out = run_cli(capsys, monkeypatch, ["--command", "det"], TREFOIL)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "internal", "detail": "det oracles disagree: 5 vs 3"}
+
+
+def test_internal_checks_survive_optimize_flag():
+    # the invariant checks in twisted_complex and check_psi_naturality are
+    # explicit raises, so `python -O` keeps them
+    import os
+    import subprocess
+    import sys
+    script = """
+import cubekh.khovanov as kh
+from cubekh.corpus import small_knot
+from cubekh.diagram import ArcMarking
+from cubekh.errors import InternalInconsistency
+d = small_knot("3_1")
+real_offset = kh._vertical_degree_offset
+kh._vertical_degree_offset = lambda cube: 1 - real_offset(cube)
+try:
+    kh.twisted_complex(d, ArcMarking.zero(d))
+except InternalInconsistency:
+    print("twisted")
+kh._vertical_degree_offset = real_offset
+real_psi = kh.psi_identification
+def reversed_psi(state):
+    model, psi = real_psi(state)
+    return model, dict(zip(psi, reversed(list(psi.values()))))
+kh.psi_identification = reversed_psi
+try:
+    kh.check_psi_naturality(kh.build_cube(d))
+except InternalInconsistency:
+    print("psi")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["twisted", "psi"]
+
+
+@pytest.mark.parametrize("cmd", ["kh", "khr", "twisted", "hd", "ss", "det",
+                                 "h1", "qa", "rankcheck"])
+def test_nonplanar_pd_rejected_by_every_command(capsys, monkeypatch, cmd):
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd],
+                        {"pd": [[1, 2, 1, 2]]})
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "NonPlanarTrace"
+
+
+@pytest.mark.parametrize("cmd, payload", [
+    ("khr", {"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3.5]]}),
+    ("khr", {"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, True]]}),
+    ("khr", dict(TREFOIL, orientation=[1.0])),
+    ("khr", dict(TREFOIL, orientation=[True])),
+    ("kh", dict(TREFOIL, free_loops=1.5)),
+    ("kh", dict(TREFOIL, free_loops=True)),
+    ("twisted", dict(TREFOIL, marking={"arcs": [1.0, 1, 0, 0, 0, 0]})),
+    ("twisted", dict(TREFOIL, marking={"arcs": [True, 1, 0, 0, 0, 0]})),
+    ("qa", dict(TREFOIL, budget=100.5)),
+    ("qa", dict(TREFOIL, budget=True)),
+])
+def test_non_integer_inputs_rejected(capsys, monkeypatch, cmd, payload):
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
+    assert code == 2
+    assert "must be an integer" in json.loads(out)["error"]["detail"]

@@ -114,9 +114,24 @@ def test_parse_rejects_inconsistent_under_directions():
 
 def test_planar_map_rejects_virtual_code():
     # two circles crossing exactly once cannot be planar
-    d = parse_pd([[1, 2, 1, 2]])
     with pytest.raises(NonPlanarTrace):
-        planar_map(d)
+        parse_pd([[1, 2, 1, 2]])
+    with pytest.raises(NonPlanarTrace):
+        planar_map(Diagram([[1, 2, 1, 2]]))
+
+
+@pytest.mark.parametrize("pd, free_loops, orientation", [
+    ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3.0]], 0, None),
+    ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, True]], 0, None),
+    ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, "3"]], 0, None),
+    ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], 1.5, None),
+    ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], True, None),
+    ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], 0, [1.0]),
+    ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], 0, [True]),
+])
+def test_parse_rejects_non_integers(pd, free_loops, orientation):
+    with pytest.raises(MalformedPD, match="must be an integer"):
+        parse_pd(pd, free_loops=free_loops, orientation=orientation)
 
 
 def test_trefoil_signs_all_positive():

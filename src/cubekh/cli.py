@@ -73,12 +73,36 @@ def _marking_from(payload: dict, d) -> ArcMarking:
                             for x in arcs))
 
 
+def _ints(x, what: str) -> list:
+    """x as a list of integers; JobError for anything else, so floats,
+    booleans and strings are refused rather than coerced."""
+    if not isinstance(x, list):
+        raise JobError(f"{what} must be a list of integers")
+    return [strict_int(e, f"{what} entry", JobError) for e in x]
+
+
+def _int_rows(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise JobError(f"{what} must be a list of integer lists")
+    return [_ints(row, f"{what} row") for row in x]
+
+
 def _presentation_from(payload: dict) -> FramedLinkPresentation:
-    linking = _require(payload, "linking")
+    linking = _int_rows(_require(payload, "linking"), "'linking'")
     frames = payload.get("frames")
     if frames is not None:
-        return FramedLinkPresentation.from_linking_and_frames(linking, frames)
+        return FramedLinkPresentation.from_linking_and_frames(
+            linking, _ints(frames, "'frames'"))
     return FramedLinkPresentation.from_lists(linking)
+
+
+def _framing_from(payload: dict) -> list:
+    """The multi-framing: integers, or strings naming infinity."""
+    v = _require(payload, "v")
+    if not isinstance(v, list):
+        raise JobError("'v' must be a list of framings")
+    return [x if isinstance(x, str) else strict_int(x, "'v' entry", JobError)
+            for x in v]
 
 
 def _group_json(g) -> dict:
@@ -163,7 +187,7 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
                 "holds": rep.holds, "equality": rep.equality}
     if command == "surgery":
         pres = _presentation_from(payload)
-        v = _require(payload, "v")
+        v = _framing_from(payload)
         g = surgered_h1(pres, v)
         return {"h1": _group_json(g), "euler": euler_char_si(pres, v)}
     if command == "plumbing":
@@ -173,9 +197,9 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
             return _plumbing_job(payload)
         if "large_surgery" in payload:
             spec = payload["large_surgery"]
-            verdict = large_surgery_family(int(_require(spec, "p")),
-                                           int(_require(spec, "q")),
-                                           int(_require(spec, "n")))
+            p, q, n = (strict_int(_require(spec, k), repr(k), JobError)
+                       for k in ("p", "q", "n"))
+            verdict = large_surgery_family(p, q, n)
             return _verdict_json(verdict)
         raise JobError("lspace payload needs 'plumbing' or 'large_surgery'")
     raise JobError(f"unknown command {command!r}")
@@ -183,7 +207,8 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
 
 def _plumbing_job(payload: dict) -> dict:
     spec = _require(payload, "plumbing")
-    g = PlumbingGraph.from_lists(_require(spec, "mult"), spec.get("edges", []))
+    g = PlumbingGraph.from_lists(_ints(_require(spec, "mult"), "'mult'"),
+                                 _int_rows(spec.get("edges", []), "'edges'"))
     verdict = plumbing_lspace_check(g)
     out = _verdict_json(verdict)
     out["h1"] = verdict.h1_order

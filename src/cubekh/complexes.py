@@ -3,8 +3,9 @@ mapping cones, and the spectral sequence of a filtered complex.
 
 The internal homological degree convention is that differentials raise
 degree by one (cube weight in the Khovanov application).  Spectral sequence
-pages are computed from explicit nested subspaces Z^r / B^r, so every rank
-reported is exact and testable.
+pages are read off the persistence pairing of the filtered differential:
+one column reduction per degree gives every page and every d^r rank
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     NotBicomplex,
     NotChainMap,
 )
-from .linalg import MatF2, f2_kernel_basis, f2_rank
+from .linalg import MatF2, _pivots, f2_rank
 
 
 def block_matrix(blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> MatF2:
@@ -253,14 +254,17 @@ class FilteredComplexF2:
                 raise FiltrationViolation("filtration levels must be non-negative")
         for k, m in complex_.differentials.items():
             src_lv = self.levels[k]
-            tgt_lv = self.levels.get(k + 1, ())
-            for j in range(m.ncols):
-                col_mask = 1 << j
-                for i, row in enumerate(m.rows):
-                    if row & col_mask and tgt_lv[i] < src_lv[j]:
-                        raise FiltrationViolation(
-                            f"d lowers filtration from level {src_lv[j]} to "
-                            f"{tgt_lv[i]} at degree {k}")
+            tgt_lv = self.levels[k + 1]
+            # above[p]: the columns whose level exceeds p, as a row mask
+            above = {p: int("".join("1" if x > p else "0" for x in reversed(src_lv)), 2)
+                     for p in set(tgt_lv)}
+            for i, row in enumerate(m.rows):
+                bad = row & above[tgt_lv[i]]
+                if bad:
+                    j = (bad & -bad).bit_length() - 1
+                    raise FiltrationViolation(
+                        f"d lowers filtration from level {src_lv[j]} to "
+                        f"{tgt_lv[i]} at degree {k}")
         self.max_level = max((max(lv) for lv in self.levels.values() if lv), default=0)
 
 
@@ -281,103 +285,77 @@ class SpectralPages:
 
 
 def spectral_pages(fc: FilteredComplexF2, max_r: int | None = None) -> SpectralPages:
-    """Spectral sequence of a filtered complex via explicit subquotients.
+    """Spectral sequence of a filtered complex from its persistence pairing.
 
-    E^r_{p,t} = Z^r_{p,t} / (Z^{r-1}_{p+1,t} + d Z^{r-1}_{p-r+1,t-1}) with
-    Z^r_{p,t} = F_p C_t  intersect  d^{-1}(F_{p+r} C_{t+1}).  Pages stop
-    changing once r exceeds the filtration length.
+    Each d_t is reduced once.  Its columns are written with the rows in
+    ascending level, so a column's lowest set bit is its lowest-level entry,
+    and they are eliminated on that bit in descending level order: a column
+    is only ever reduced by columns of equal or higher level.  Each pivot
+    pairs a generator x of level p in degree t with the generator y of
+    level p' >= p that its reduced column ends on, in degree t + 1.
+
+    Over a field, a filtered complex has a basis compatible with the
+    filtration that is made of pairs x, y with dx = y and of single
+    generators that are cycles and not boundaries (Barannikov's canonical
+    form).  In that basis and in the reduction alike, the number of pairs
+    with p >= a and p' < b is the rank of F_a C_t -> C_{t+1} / F_b C_{t+1},
+    so the reduction finds the canonical form's count per (p, p', t),
+    whatever the order of generators within a level.
+
+    The spectral sequence of a direct sum is the sum of theirs, and each
+    piece is exact to read: a pair has d^r = 0 for r < p' - p and d^(p'-p)
+    an isomorphism, so it is on pages E^0 ... E^(p'-p) at (p, t) and at
+    (p', t + 1), and adds 1 to d_ranks[p'-p][(p, t)] (d_ranks[0] is left
+    empty).  A single generator is on every page.  No pair is longer than
+    max_level, so page max_level + 1 is E^infinity; pages run to that, or
+    to max_r when it is larger.
     """
     c = fc.complex
-    pmax = fc.max_level
-    r_end = pmax + 1
+    r_end = fc.max_level + 1
     if max_r is not None:
         r_end = max(r_end, max_r)
-    degrees = c.degrees()
 
-    # column form of each differential: image of a vector is an XOR of columns
-    dcols: dict[int, list[int]] = {}
-    for t in degrees:
-        m = c.d(t)
+    # unpaired generators per (level, degree); pairs per (p, t, p')
+    free: dict[tuple, int] = {}
+    for t in c.degrees():
+        for p in fc.levels[t]:
+            free[(p, t)] = free.get((p, t), 0) + 1
+    bars: dict[tuple, int] = {}
+    for t, m in c.differentials.items():
+        order = sorted(range(m.nrows), key=fc.levels[t + 1].__getitem__)
+        row_lv = sorted(fc.levels[t + 1])
         cols = [0] * m.ncols
-        for i, row in enumerate(m.rows):
+        for b, i in enumerate(order):
+            row, bit = m.rows[i], 1 << b
             while row:
                 low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
+                cols[low.bit_length() - 1] |= bit
                 row ^= low
-        dcols[t] = cols
-
-    def apply_d(t: int, v: int) -> int:
-        cols = dcols.get(t)
-        if cols is None:
-            return 0
-        out = 0
-        while v:
-            low = v & -v
-            out ^= cols[low.bit_length() - 1]
-            v ^= low
-        return out
-
-    def z_space(r: int, p: int, t: int) -> MatF2:
-        # basis (rows) of {x in F_p C_t : d x in F_{p+r} C_{t+1}}
-        n = c.dim(t)
-        if n == 0:
-            return MatF2.zero(0, 0)
-        lv = fc.levels[t]
-        constraint_rows = []
-        for j in range(n):
-            if lv[j] < max(p, 0):
-                constraint_rows.append(1 << j)
-        d_t = c.d(t)
-        tgt_lv = fc.levels.get(t + 1, ())
-        cutoff = p + r
-        for i, row in enumerate(d_t.rows):
-            if tgt_lv[i] < cutoff:
-                constraint_rows.append(row)
-        m = MatF2(len(constraint_rows), n, tuple(constraint_rows))
-        return f2_kernel_basis(m)
-
-    cache: dict = {}
-
-    def z(r: int, p: int, t: int) -> MatF2:
-        key = (r, p, t)
-        if key not in cache:
-            cache[key] = z_space(r, p, t)
-        return cache[key]
-
-    def image_under_d(basis: MatF2, t: int) -> MatF2:
-        if c.dim(t + 1) == 0 or basis.nrows == 0:
-            return MatF2.zero(0, c.dim(t + 1))
-        return MatF2(basis.nrows, c.dim(t + 1),
-                     tuple(apply_d(t, v) for v in basis.rows))
+        by_level: dict[int, list] = {}
+        for j, p in enumerate(fc.levels[t]):
+            by_level.setdefault(p, []).append(cols[j])
+        pivots: dict[int, int] = {}
+        born: list[int] = []    # level of the column behind each pivot, in pivot order
+        for p in sorted(by_level, reverse=True):
+            _pivots(by_level[p], pivots)
+            born.extend([p] * (len(pivots) - len(born)))
+        for p, low in zip(born, pivots):
+            p_end = row_lv[low.bit_length() - 1]
+            bars[(p, t, p_end)] = bars.get((p, t, p_end), 0) + 1
+            free[(p, t)] -= 1
+            free[(p_end, t + 1)] -= 1
 
     pages = []
     d_ranks = []
     for r in range(r_end + 1):
-        table: dict = {}
+        table = {key: n for key, n in free.items() if n}
         dr_table: dict = {}
-        for t in degrees:
-            for p in range(pmax + 1):
-                zn = z(r, p, t)
-                if zn.nrows == 0:
-                    continue
-                if r == 0:
-                    den = z(0, p + 1, t)
-                else:
-                    den = z(r - 1, p + 1, t).stack(
-                        image_under_d(z(r - 1, p - r + 1, t - 1), t - 1))
-                den_rank = f2_rank(den)
-                rank = f2_rank(zn) - den_rank
-                if rank:
-                    table[(p, t)] = rank
-                # induced d^r rank out of this cell
-                if r and rank:
-                    img = image_under_d(zn, t)
-                    tgt_p = p + r
-                    tden = z(r - 1, tgt_p + 1, t + 1).stack(
-                        image_under_d(z(r - 1, tgt_p - r + 1, t), t))
-                    dr = f2_rank(img.stack(tden)) - f2_rank(tden)
-                    if dr:
-                        dr_table[(p, t)] = dr
+        for (p, t, p_end), n in bars.items():
+            if p_end - p >= r:
+                table[(p, t)] = table.get((p, t), 0) + n
+                table[(p_end, t + 1)] = table.get((p_end, t + 1), 0) + n
+            if r and p_end - p == r:
+                dr_table[(p, t)] = dr_table.get((p, t), 0) + n
         pages.append(table)
         d_ranks.append(dr_table)
 

@@ -379,9 +379,8 @@ def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
         p, q = cell
         dv_out = dc.dv(cell)
         kernel = __kernel_rows(dv_out, dc.dim(cell))
-        below = dc.dv((p, q - 1))
-        b_rows = [below.apply(1 << j) for j in range(below.ncols)] if below.ncols else []
-        b_space = f2_row_space(MatF2(len(b_rows), dc.dim(cell), tuple(b_rows)))
+        # rows of the transpose are the images of the basis vectors below
+        b_space = f2_row_space(dc.dv((p, q - 1)).transpose())
         boundaries[cell] = b_space
         comp = []
         pivots = {(b & -b): b for b in b_space.rows}
@@ -430,10 +429,10 @@ def _induced_rank(dc: DoubleComplexF2, reps, boundaries, cell) -> int:
     tgt = (p + 1, q)
     if tgt not in dc.dims or cell not in reps or reps[cell].nrows == 0:
         return 0
-    dh = dc.dh(cell)
-    images = [dh.apply(v) for v in reps[cell].rows]
+    # each image is the XOR of the columns of d_h a representative picks
+    images = reps[cell] @ dc.dh(cell).transpose()
     tgt_b = boundaries.get(tgt, MatF2.zero(0, dc.dim(tgt)))
-    stacked = MatF2(len(images), dc.dim(tgt), tuple(images)).stack(tgt_b)
+    stacked = images.stack(tgt_b)
     return f2_rank(stacked) - f2_rank(tgt_b)
 
 

@@ -118,9 +118,14 @@ class MatF2:
         return MatF2(self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
 
-def _pivots(rows) -> dict[int, int]:
-    """Echelon pivots keyed by lowest set bit; values are reduced rows."""
-    pivots: dict[int, int] = {}
+def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
+    """Echelon pivots keyed by lowest set bit; values are reduced rows.
+
+    Given `pivots`, the elimination continues into it, so rows can be fed
+    in batches and the pivots each batch adds are the dict's newest keys.
+    """
+    if pivots is None:
+        pivots = {}
     for r in rows:
         while r:
             low = r & -r
@@ -164,71 +169,6 @@ def f2_kernel_basis(m: MatF2) -> MatF2:
         else:
             kernel.append(r >> m.nrows)
     return MatF2(len(kernel), m.ncols, tuple(kernel))
-
-
-def f2_solve(m: MatF2, b: int) -> int | None:
-    """One solution v of m @ v = b, or None if inconsistent."""
-    at = m.transpose()
-    lead_mask = (1 << m.nrows) - 1
-    pivots: dict[int, int] = {}
-    for i in range(m.ncols):
-        r = at.rows[i] | (1 << (m.nrows + i))
-        while r & lead_mask:
-            low = (r & lead_mask) & -(r & lead_mask)
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = r
-                break
-            r ^= p
-    acc = b
-    sol = 0
-    for low in sorted(pivots):
-        if acc & low:
-            row = pivots[low]
-            acc ^= row & lead_mask
-            sol ^= row >> m.nrows
-    return sol if acc == 0 else None
-
-
-def f2_in_row_space(v: int, m: MatF2) -> bool:
-    pivots = _pivots(m.rows)
-    while v:
-        low = v & -v
-        p = pivots.get(low)
-        if p is None:
-            return False
-        v ^= p
-    return True
-
-
-def f2_subspace_sum(a: MatF2, b: MatF2) -> MatF2:
-    """Echelon basis of rowspace(a) + rowspace(b)."""
-    return f2_row_space(a.stack(b))
-
-
-def f2_subspace_intersection(a: MatF2, b: MatF2) -> MatF2:
-    """Basis of rowspace(a) ∩ rowspace(b) via the Zassenhaus trick."""
-    if a.ncols != b.ncols:
-        raise DimensionMismatch("ambient mismatch")
-    n = a.ncols
-    # Rows [x | x] for x in a, [y | 0] for y in b; intersection appears in
-    # the right block of rows whose left block reduced to zero.
-    aug = [r | (r << n) for r in a.rows] + list(b.rows)
-    left = (1 << n) - 1
-    pivots: dict[int, int] = {}
-    inter: list[int] = []
-    for row in aug:
-        while row & left:
-            low = (row & left) & -(row & left)
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = row
-                break
-            row ^= p
-        else:
-            if row:
-                inter.append(row >> n)
-    return f2_row_space(MatF2(len(inter), n, tuple(inter)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +399,3 @@ def cokernel_group(a: Sequence[Sequence[int]]) -> AbelianGroup:
     factors = tuple(x for x in diag if x > 1)
     nonzero = sum(1 for x in diag if x != 0)
     return AbelianGroup(factors, m - nonzero)
-
-
-def mat_mul_z(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    n, k = _check_rect(a)
-    k2, m = _check_rect(b)
-    if k != k2:
-        raise DimensionMismatch("inner dimensions disagree")
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    return abs(det_bareiss(a)) == 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DimensionMismatch, InvalidRange
+from .errors import DimensionMismatch, InternalInconsistency, InvalidRange
 from .linalg import AbelianGroup, cokernel_group, det_bareiss
 
 INF = "inf"
@@ -293,7 +293,7 @@ def _certify_tree(g: PlumbingGraph, steps: list) -> int:
     r1 = _certify_tree(g1, steps)
     r2 = _certify_tree(g2, steps)
     if o1 != r1 or o2 != r2 or o != o1 + o2:
-        raise ArithmeticError("plumbing derivation became inconsistent")
+        raise InternalInconsistency("plumbing derivation became inconsistent")
     return o
 
 
@@ -318,7 +318,7 @@ def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
                                     (order, *part_orders)))
     verdict = LSpaceVerdict("certified", order, tuple(steps))
     if not verdict.reverify():
-        raise ArithmeticError("derivation chain failed re-verification")
+        raise InternalInconsistency("derivation chain failed re-verification")
     return verdict
 
 
@@ -342,5 +342,5 @@ def large_surgery_family(p: int, q: int, n: int) -> LSpaceVerdict:
             (m, m - 1, 1)))
     verdict = LSpaceVerdict("certified", n, tuple(steps))
     if not verdict.reverify():
-        raise ArithmeticError("large surgery chain failed re-verification")
+        raise InternalInconsistency("large surgery chain failed re-verification")
     return verdict

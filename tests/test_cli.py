@@ -222,8 +222,36 @@ def test_nonplanar_pd_rejected_by_every_command(capsys, monkeypatch, cmd):
     ("twisted", dict(TREFOIL, marking={"arcs": [True, 1, 0, 0, 0, 0]})),
     ("qa", dict(TREFOIL, budget=100.5)),
     ("qa", dict(TREFOIL, budget=True)),
+    ("lspace", {"large_surgery": {"p": 2.7, "q": 3, "n": True}}),
+    ("lspace", {"large_surgery": {"p": 2, "q": 3.0, "n": 6}}),
+    ("lspace", {"large_surgery": {"p": 2, "q": 3, "n": 6.0}}),
+    ("surgery", {"linking": [[0.5]], "frames": [7], "v": [0]}),
+    ("surgery", {"linking": [[0]], "frames": [True], "v": [0]}),
+    ("surgery", {"linking": [[0]], "frames": [7], "v": [1.0]}),
+    ("plumbing", {"plumbing": {"mult": [2, 2.0], "edges": [[0, 1]]}}),
+    ("lspace", {"plumbing": {"mult": [2, 2], "edges": [[0, True]]}}),
 ])
 def test_non_integer_inputs_rejected(capsys, monkeypatch, cmd, payload):
     code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 2
     assert "must be an integer" in json.loads(out)["error"]["detail"]
+
+
+@pytest.mark.parametrize("cmd, payload, target, fake, detail", [
+    # every order is 5, so the lens seed (order 2) contradicts its triad
+    ("plumbing", {"plumbing": {"mult": [2, 2], "edges": [[0, 1]]}},
+     "cubekh.surgery.plumbing_h1_order", lambda g: 5,
+     "plumbing derivation became inconsistent"),
+    ("plumbing", {"plumbing": {"mult": [2, 2], "edges": [[0, 1]]}},
+     "cubekh.surgery.LSpaceVerdict.reverify", lambda self: False,
+     "derivation chain failed re-verification"),
+    ("lspace", {"large_surgery": {"p": 2, "q": 3, "n": 6}},
+     "cubekh.surgery.LSpaceVerdict.reverify", lambda self: False,
+     "large surgery chain failed re-verification"),
+], ids=["certify_tree", "plumbing_reverify", "large_surgery_reverify"])
+def test_failed_surgery_cross_checks_exit_internal(capsys, monkeypatch, cmd,
+                                                   payload, target, fake, detail):
+    monkeypatch.setattr(target, fake)
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "internal", "detail": detail}

@@ -24,6 +24,7 @@ from cubekh.errors import (
     NotChainMap,
 )
 from cubekh.linalg import MatF2, f2_rank, f2_row_space
+from linalg_helpers import f2_solve
 
 
 def rand_mat(rng, nr, nc):
@@ -131,7 +132,6 @@ def test_cone_long_exact_sequence_bookkeeping():
             sol_rows = []
             dk = src.d(k - 1)
             for i in range(exp[0]):
-                from cubekh.linalg import f2_solve
                 x = f2_solve(dk.transpose(), want.rows[i])
                 if x is None:
                     ok = False

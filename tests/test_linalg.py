@@ -12,16 +12,18 @@ from cubekh.linalg import (
     MatF2,
     cokernel_group,
     det_bareiss,
-    f2_in_row_space,
     f2_kernel_basis,
     f2_rank,
     f2_row_space,
+    smith_normal_form,
+)
+from linalg_helpers import (
+    f2_in_row_space,
     f2_solve,
     f2_subspace_intersection,
     f2_subspace_sum,
     is_unimodular,
     mat_mul_z,
-    smith_normal_form,
 )
 
 

@@ -89,7 +89,6 @@ from .surgery import (
     FramedLinkPresentation,
     LSpaceVerdict,
     PlumbingGraph,
-    euler_char_si,
     large_surgery_family,
     plumbing_linking_matrix,
     plumbing_lspace_check,

@@ -45,7 +45,7 @@ from .rgraded import (
 from .surgery import (
     FramedLinkPresentation,
     PlumbingGraph,
-    euler_char_si,
+    h1_order,
     large_surgery_family,
     plumbing_lspace_check,
     surgered_h1,
@@ -193,11 +193,11 @@ def criterion_7_surgery_arithmetic():
         det = abs(det_bareiss(pres.filled_matrix(v)))
         if (g.order() or 0) != det:
             return False, f"order/determinant mismatch on {a}, {v}"
-        if (euler_char_si(pres, v) == 0) != (g.free_rank > 0):
+        if (h1_order(pres, v) == 0) != (g.free_rank > 0):
             return False, f"chi bookkeeping wrong on {a}, {v}"
     for p in range(1, 51):
         pres = FramedLinkPresentation.from_lists([[p]])
-        if euler_char_si(pres, [0]) != p:
+        if h1_order(pres, [0]) != p:
             return False, f"lens space order {p} wrong"
     return True, "1000 presentations + lens spaces p <= 50"
 

@@ -33,7 +33,7 @@ from .khovanov import (
 from .surgery import (
     FramedLinkPresentation,
     PlumbingGraph,
-    euler_char_si,
+    h1_order,
     large_surgery_family,
     plumbing_lspace_check,
     surgered_h1,
@@ -189,7 +189,7 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
         pres = _presentation_from(payload)
         v = _framing_from(payload)
         g = surgered_h1(pres, v)
-        return {"h1": _group_json(g), "euler": euler_char_si(pres, v)}
+        return {"h1": _group_json(g), "euler": h1_order(pres, v)}
     if command == "plumbing":
         return _plumbing_job(payload)
     if command == "lspace":

@@ -27,7 +27,15 @@ from .complexes import (
     spectral_pages,
     total_complex,
 )
-from .diagram import ArcMarking, Diagram, ResolvedState, induce_marking, resolve
+from .diagram import (
+    RES0_PAIRS,
+    RES1_PAIRS,
+    ArcMarking,
+    Diagram,
+    ResolvedState,
+    induce_marking,
+    resolve,
+)
 from .errors import (
     BadCircleMap,
     IncompatibleMarking,
@@ -46,11 +54,13 @@ def crossing_budget(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_MAX_CROSSINGS
 
 
-def _check_budget(d: Diagram, max_crossings: int | None):
+def _check_budget(d: Diagram, max_crossings: int | None, loops: int = 0):
+    """The crossings, plus `loops` free loops where each one doubles the
+    basis, against the cube budget."""
     cap = crossing_budget(max_crossings)
-    if d.n > cap:
-        raise SizeBudgetExceeded(
-            f"{d.n} crossings exceeds the cube budget of {cap}")
+    if d.n + loops > cap:
+        size = f"{d.n} crossings" + (f" and {loops} free loops" if loops else "")
+        raise SizeBudgetExceeded(f"{size} exceeds the cube budget of {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +83,7 @@ class CubeComplex:
 
     def __init__(self, d: Diagram, basepoint: int | None = 1,
                  max_crossings: int | None = None):
-        _check_budget(d, max_crossings)
+        _check_budget(d, max_crossings, d.free_loops)
         self.diagram = d
         self.basepoint = basepoint if (d.arc_count or d.free_loops) else None
         n = d.n
@@ -397,6 +407,7 @@ def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
         reps[cell] = MatF2(len(comp), dc.dim(cell), tuple(comp))
 
     out: dict[tuple, int] = {}
+    induced: dict[tuple, int] = {}
     by_q: dict[int, list] = {}
     for (p, q) in dc.dims:
         by_q.setdefault(q, []).append(p)
@@ -406,9 +417,11 @@ def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
             h_dim = reps[cell].nrows
             if h_dim == 0:
                 continue
-            rank_out = _induced_rank(dc, reps, boundaries, cell)
-            rank_in = _induced_rank(dc, reps, boundaries, (p - 1, q))
-            b = h_dim - rank_out - rank_in
+            # the map out of (p - 1, q) is the map into (p, q): rank it once
+            for c in (cell, (p - 1, q)):
+                if c not in induced:
+                    induced[c] = _induced_rank(dc, reps, boundaries, c)
+            b = h_dim - induced[cell] - induced[(p - 1, q)]
             if b:
                 out[cell] = b
     return out
@@ -739,38 +752,79 @@ def _zeta8_mul(a, b):
     return out
 
 
+def _zeta8_bracket(d: Diagram) -> tuple:
+    """The single-circle state sum at A = zeta8 as the coefficients of 1, x,
+    x^2, x^3 in Z[x]/(x^4+1), by the frontier dynamic program described in
+    `state_sum_det` (at least one crossing, no free loops)."""
+    frontier: list[int] = []
+    keys = {(): (1, 0, 0, 0)}
+    last = d.n - 1
+    for t, c in enumerate(d.crossings):
+        # positions: the frontier in order, then the arcs first met here
+        pos = {a: i for i, a in enumerate(frontier)}
+        fresh = [a for a in dict.fromkeys(c) if a not in pos]
+        pos.update((a, len(frontier) + j) for j, a in enumerate(fresh))
+        tail = tuple(range(len(frontier), len(pos)))
+        frontier = ([a for a in frontier if a not in c]
+                    + [a for a in fresh if c.count(a) == 1])
+        kept = [pos[a] for a in frontier]
+        smoothings = [([(pos[c[i]], pos[c[j]]) for i, j in pairs], shift)
+                      for pairs, shift in ((RES0_PAIRS, 1), (RES1_PAIRS, -1))]
+        out: dict[tuple, tuple] = {}
+        for key, z in keys.items():
+            for joins, shift in smoothings:
+                lab = list(key + tail)
+                for i, j in joins:
+                    a, b = lab[i], lab[j]
+                    if a != b:
+                        lab = [a if x == b else x for x in lab]
+                if t == last:
+                    if len(set(lab)) != 1:
+                        continue
+                elif not set(lab) <= {lab[i] for i in kept}:
+                    continue        # a closed circle: weight delta(zeta8) = 0
+                canon: dict[int, int] = {}
+                new = tuple(canon.setdefault(lab[i], len(canon)) for i in kept)
+                z0, z1, z2, z3 = z
+                w = (-z3, z0, z1, z2) if shift == 1 else (z1, z2, z3, -z0)
+                old = out.get(new)
+                out[new] = w if old is None else tuple(map(sum, zip(old, w)))
+        keys = out
+    return keys.get((), (0, 0, 0, 0))
+
+
 def state_sum_det(d: Diagram, max_crossings: int | None = None) -> int:
-    """|det| via the Kauffman bracket evaluated at a primitive 8th root of
-    unity, where the circle variable vanishes and only single-circle states
-    contribute.  Exact integer arithmetic in Z[x]/(x^4+1)."""
+    """|det| via the Kauffman bracket evaluated at A = zeta8, a primitive 8th
+    root of unity, exact in Z[x]/(x^4+1).
+
+    The circle weight delta = -A^2 - A^-2 vanishes at zeta8, so only the
+    states that close into a single circle contribute, each with weight
+    A^(#0-smoothings - #1-smoothings).  The sum runs as a dynamic program
+    over the crossings in PD order.  The frontier is the set of arcs met
+    exactly once so far; every partial state is summarized by its key, the
+    connectivity labelling of the frontier arcs with labels in order of
+    first occurrence, and the key's value is the summed weight of its
+    partial states.  Each crossing extends every key by its 0-smoothing,
+    which joins slots (0,1) and (2,3) with weight A, and by its
+    1-smoothing, which joins (0,3) and (1,2) with weight A^-1.  A key whose
+    component leaves the frontier before the last crossing carries a closed
+    circle; the crossings still to come make another one, so every
+    completion has delta = 0 as a factor and the key is dropped.  At the
+    last crossing only the one-component key is kept.
+
+    Every key comes from at least one partial state, so after t crossings
+    there are at most 2^t keys, the count of the 2^n-state sum.  Each
+    frontier component is a path with its two ends on the frontier, so
+    there are also at most (f-1)!! keys for f frontier arcs; on the braid,
+    rational and torus closures the frontier holds a few arcs.
+    """
     _check_budget(d, max_crossings)
     n = d.n
     if n == 0:
         return 1 if d.free_loops == 1 else (0 if d.free_loops else 1)
     if d.free_loops:
         return 0
-    from .diagram import _UnionFind
-    z = [0, 0, 0, 0]
-    for bits in range(1 << n):
-        uf = _UnionFind(range(1, d.arc_count + 1))
-        zeros = 0
-        for t in range(n):
-            c = d.crossings[t]
-            if (bits >> t) & 1:
-                uf.union(c[0], c[3])
-                uf.union(c[1], c[2])
-            else:
-                zeros += 1
-                uf.union(c[0], c[1])
-                uf.union(c[2], c[3])
-        roots = {uf.find(a) for a in range(1, d.arc_count + 1)}
-        if len(roots) != 1:
-            continue
-        e = (zeros - (n - zeros)) % 8
-        if e >= 4:
-            z[e - 4] -= 1
-        else:
-            z[e] += 1
+    z = _zeta8_bracket(d)
     conj = [z[0], -z[3], -z[2], -z[1]]
     norm = _zeta8_mul(z, conj)
     if norm[1] or norm[2] or norm[3]:

@@ -90,11 +90,6 @@ def h1_order(p: FramedLinkPresentation, v: Sequence) -> int:
     return abs(det_bareiss(p.filled_matrix(v)))
 
 
-def euler_char_si(p: FramedLinkPresentation, v: Sequence) -> int:
-    """|H1| for rational homology spheres, and 0 when b1 > 0."""
-    return h1_order(p, v)
-
-
 @dataclass(frozen=True)
 class TriadReport:
     orders: tuple            # |H1| for the infinity-, 0-, 1-fillings

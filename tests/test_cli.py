@@ -255,3 +255,26 @@ def test_failed_surgery_cross_checks_exit_internal(capsys, monkeypatch, cmd,
     code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 1
     assert json.loads(out)["error"] == {"kind": "internal", "detail": detail}
+
+
+def test_free_loops_reach_cube_budget_before_allocating(capsys, monkeypatch):
+    # a million free loops would mean a kh basis of 2^1000000 per state: the
+    # budget check stops the job before any state is resolved
+    import tracemalloc
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("resolved a state past the budget")
+
+    monkeypatch.setattr("cubekh.khovanov.resolve", no_resolve)
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, monkeypatch, ["--command", "kh"],
+                            {"pd": [], "free_loops": 1000000})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "budget"
+    assert "1000000 free loops exceeds the cube budget" in err["detail"]
+    assert peak < 1 << 20

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import cubekh.khovanov as kh
 from cubekh.complexes import homology_ranks, total_complex
 from cubekh.corpus import (
     random_braid_diagram,
@@ -204,6 +205,15 @@ def test_size_budget():
         build_cube(d, max_crossings=2)
 
 
+def test_free_loops_count_against_cube_budget():
+    # each free loop doubles the basis, so it counts like a crossing
+    build_cube(parse_pd(TREFOIL, free_loops=1), max_crossings=4)
+    with pytest.raises(SizeBudgetExceeded, match="3 crossings and 2 free loops"):
+        build_cube(parse_pd(TREFOIL, free_loops=2), max_crossings=4)
+    # the state sum returns 0 on free loops without allocating anything
+    assert state_sum_det(parse_pd(TREFOIL, free_loops=2), max_crossings=3) == 0
+
+
 # --- homology against the oracle ------------------------------------------------
 
 def test_unknot_ranks():
@@ -306,6 +316,39 @@ def test_hd_constructions_agree_random():
         m = random_compatible_marking(d, rng)
         dc = twisted_complex(d, m)
         assert vertical_then_horizontal_ranks(dc) == hd_even_subcomplex(d, m)
+
+
+def test_induced_horizontal_rank_once_per_cell(monkeypatch):
+    # the map out of (p - 1, q) is the map into (p, q); it is ranked once,
+    # and the ranks equal the ones from ranking each map at both ends
+    rng = random.Random(13)
+    original = kh._induced_rank
+    for _ in range(10):
+        d = random_braid_diagram(rng, max_crossings=6)
+        dc = twisted_complex(d, random_compatible_marking(d, rng))
+        calls = []
+
+        def counted(dc, reps, boundaries, cell):
+            calls.append((cell, reps, boundaries))
+            return original(dc, reps, boundaries, cell)
+
+        monkeypatch.setattr(kh, "_induced_rank", counted)
+        ranks = vertical_then_horizontal_ranks(dc)
+        monkeypatch.setattr(kh, "_induced_rank", original)
+        cells = [cell for cell, _, _ in calls]
+        assert len(cells) == len(set(cells))
+        if not calls:
+            assert ranks == {}
+            continue
+        _, reps, boundaries = calls[0]
+        expected = {}
+        for (p, q) in dc.dims:
+            h_dim = reps[(p, q)].nrows
+            b = (h_dim - original(dc, reps, boundaries, (p, q))
+                 - original(dc, reps, boundaries, (p - 1, q))) if h_dim else 0
+            if b:
+                expected[(p, q)] = b
+        assert ranks == expected
 
 
 def test_weight_ss_trefoil_trivial_marking():

@@ -10,7 +10,6 @@ from cubekh.linalg import det_bareiss
 from cubekh.surgery import (
     FramedLinkPresentation,
     PlumbingGraph,
-    euler_char_si,
     framing_weight,
     h1_order,
     large_surgery_family,
@@ -50,7 +49,7 @@ def test_zero_framed_unknot():
     pres = FramedLinkPresentation.from_lists([[0]])
     g = surgered_h1(pres, [0])
     assert g.free_rank == 1
-    assert euler_char_si(pres, [0]) == 0
+    assert h1_order(pres, [0]) == 0
 
 
 def test_framing_validation():
@@ -89,7 +88,7 @@ def test_euler_zero_iff_smith_zero():
         pres = random_presentation(rng, max_m=4, bound=4)
         v = [0] * pres.components
         g = surgered_h1(pres, v)
-        chi = euler_char_si(pres, v)
+        chi = h1_order(pres, v)
         assert (chi == 0) == (g.free_rank > 0)
 
 
@@ -108,10 +107,10 @@ def test_connected_sum_multiplicativity():
                 block[na + i][na + j] = b.linking_matrix[i][j]
         pres = FramedLinkPresentation.from_lists(block)
         v = [0] * (na + nb)
-        ca = euler_char_si(a, [0] * na)
-        cb = euler_char_si(b, [0] * nb)
+        ca = h1_order(a, [0] * na)
+        cb = h1_order(b, [0] * nb)
         if ca and cb:
-            assert euler_char_si(pres, v) == ca * cb
+            assert h1_order(pres, v) == ca * cb
 
 
 # --- triads ----------------------------------------------------------------------

@@ -69,7 +69,8 @@ class InternalInconsistency(CubekhError):
 
 
 class SizeBudgetExceeded(CubekhError):
-    """Crossing count exceeds the configured cube-size budget."""
+    """Input exceeds a size budget: crossings and free loops against the
+    cube budget, or the length of a large-surgery derivation."""
 
 
 class OverflowGuard(CubekhError):

@@ -42,7 +42,7 @@ from .errors import (
     InternalInconsistency,
     SizeBudgetExceeded,
 )
-from .linalg import MatF2, f2_rank, f2_row_space
+from .linalg import MatF2, f2_rank
 
 DEFAULT_MAX_CROSSINGS = 14
 
@@ -376,77 +376,26 @@ def _twisted(cube: CubeComplex, marking: ArcMarking) -> DoubleComplexF2:
     return DoubleComplexF2(dims, dh_mats, dv_mats, labels=cells)
 
 
+def _filtered_by_p(dc: DoubleComplexF2) -> FilteredComplexF2:
+    """The total complex of dc filtered by the horizontal degree p of each
+    generator's cell (p >= 0, as cube weight is)."""
+    total, positions = total_complex(dc)
+    levels = {t: [0] * n for t, n in total.dims.items()}
+    for (p, q), off in positions.items():
+        n = dc.dim((p, q))
+        levels[p + q][off:off + n] = [p] * n
+    return FilteredComplexF2(total, levels)
+
+
 def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
-    """Homology of vertical homology: generic double-complex computation.
+    """Homology of vertical homology, H(H(C, d_v), d_h), keyed by (p, q).
 
-    Vertical homology at each cell is a subquotient; the induced horizontal
-    differential is computed by lifting class representatives, applying d_h
-    and reducing modulo vertical boundaries.
+    Filtering the total complex by p gives E^0 = C with d_0 = d_v, and E^1 =
+    H(C, d_v) with d_1 the induced d_h, so this is the E^2 page, whose keys
+    (p, p + q) are moved back to (p, q).
     """
-    reps: dict[tuple, MatF2] = {}
-    boundaries: dict[tuple, MatF2] = {}
-    for cell in dc.dims:
-        p, q = cell
-        dv_out = dc.dv(cell)
-        kernel = __kernel_rows(dv_out, dc.dim(cell))
-        # rows of the transpose are the images of the basis vectors below
-        b_space = f2_row_space(dc.dv((p, q - 1)).transpose())
-        boundaries[cell] = b_space
-        comp = []
-        pivots = {(b & -b): b for b in b_space.rows}
-        for v in kernel.rows:
-            red = v
-            while red:
-                low = red & -red
-                piv = pivots.get(low)
-                if piv is None:
-                    pivots[low] = red
-                    comp.append(v)
-                    break
-                red ^= piv
-        reps[cell] = MatF2(len(comp), dc.dim(cell), tuple(comp))
-
-    out: dict[tuple, int] = {}
-    induced: dict[tuple, int] = {}
-    by_q: dict[int, list] = {}
-    for (p, q) in dc.dims:
-        by_q.setdefault(q, []).append(p)
-    for q, ps in by_q.items():
-        for p in ps:
-            cell = (p, q)
-            h_dim = reps[cell].nrows
-            if h_dim == 0:
-                continue
-            # the map out of (p - 1, q) is the map into (p, q): rank it once
-            for c in (cell, (p - 1, q)):
-                if c not in induced:
-                    induced[c] = _induced_rank(dc, reps, boundaries, c)
-            b = h_dim - induced[cell] - induced[(p - 1, q)]
-            if b:
-                out[cell] = b
-    return out
-
-
-def __kernel_rows(m: MatF2, ambient: int) -> MatF2:
-    from .linalg import f2_kernel_basis
-    if m.nrows == 0:
-        return MatF2.identity(ambient) if ambient else MatF2.zero(0, 0)
-    return f2_kernel_basis(m)
-
-
-def _induced_rank(dc: DoubleComplexF2, reps, boundaries, cell) -> int:
-    """Rank of the induced horizontal map H(cell) -> H(cell + (1,0))."""
-    if cell not in dc.dims:
-        return 0
-    p, q = cell
-    tgt = (p + 1, q)
-    if tgt not in dc.dims or cell not in reps or reps[cell].nrows == 0:
-        return 0
-    # each image is the XOR of the columns of d_h a representative picks
-    images = reps[cell] @ dc.dh(cell).transpose()
-    tgt_b = boundaries.get(tgt, MatF2.zero(0, dc.dim(tgt)))
-    stacked = images.stack(tgt_b)
-    return f2_rank(stacked) - f2_rank(tgt_b)
+    pages = spectral_pages(_filtered_by_p(dc))
+    return {(p, t - p): rank for (p, t), rank in pages.page(2).items()}
 
 
 def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
@@ -518,17 +467,13 @@ def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                 max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology ranks keyed by (cube weight, vertical degree).
 
-    Computed two ways (double-complex page and even-vertex subcomplex) and
-    cross-checked; raises InternalInconsistency if the constructions
-    disagree.
+    Read off the E^2 page of the twisted complex filtered by cube weight
+    (`vertical_then_horizontal_ranks`) and cross-checked against the
+    homology of the all-even-vertex subcomplex; raises InternalInconsistency
+    if the two disagree.
     """
     cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
-    return _hd_homology(cube, _twisted(cube, marking), marking)
-
-
-def _hd_homology(cube: CubeComplex, dc: DoubleComplexF2,
-                 marking: ArcMarking) -> dict[tuple, int]:
-    a = vertical_then_horizontal_ranks(dc)
+    a = vertical_then_horizontal_ranks(_twisted(cube, marking))
     b = _hd_even(cube, marking)
     if a != b:
         raise InternalInconsistency(
@@ -549,20 +494,16 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
               max_r: int | None = None,
               max_crossings: int | None = None) -> SpectralPages:
     """Spectral sequence of the cube-weight filtration of the twisted total
-    complex.  E^1 equals vertical homology, E^2 the dotted-diagram homology,
-    and the E^infinity total matches the homology of the total complex; all
-    three identities are checked, raising InternalInconsistency."""
+    complex.  E^1 equals vertical homology, E^2 the dotted-diagram homology
+    of the all-even-vertex subcomplex, and the E^infinity total matches the
+    homology of the total complex; all three identities are checked,
+    raising InternalInconsistency."""
     cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
     dc = _twisted(cube, marking)
-    hd = _hd_homology(cube, dc, marking)
+    hd = _hd_even(cube, marking)
     # the page computation is the memory peak; it needs no cube
     del cube
-    total, _ = total_complex(dc)
-    # labels of the total complex are (index, mask) pairs grouped by cell
-    levels = {}
-    for t in total.degrees():
-        levels[t] = [sum(lab[0]) for lab in total.labels[t]]
-    fc = FilteredComplexF2(total, levels)
+    fc = _filtered_by_p(dc)
     pages = spectral_pages(fc, max_r=max_r)
 
     # E^1 = vertical homology
@@ -576,9 +517,10 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     for (p, v), rank in hd.items():
         e2_expected[(p, p + v)] = e2_expected.get((p, p + v), 0) + rank
     if pages.page(2) != e2_expected:
-        raise InternalInconsistency("E^2 page does not match dotted-diagram homology")
+        raise InternalInconsistency(
+            "E^2 page and even-vertex dotted homology disagree")
     # E^infinity total = homology of the total complex
-    beta = homology_ranks(total)
+    beta = homology_ranks(fc.complex)
     einf_tot: dict[int, int] = {}
     for (p, t), rank in pages.e_infinity.items():
         einf_tot[t] = einf_tot.get(t, 0) + rank

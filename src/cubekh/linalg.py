@@ -41,10 +41,6 @@ class MatF2:
                 raise DimensionMismatch("row has bits beyond ncols")
 
     @staticmethod
-    def from_rows(rows: Sequence[int], ncols: int) -> "MatF2":
-        return MatF2(len(rows), ncols, tuple(rows))
-
-    @staticmethod
     def from_lists(rows: Sequence[Sequence[int]]) -> "MatF2":
         ncols = len(rows[0]) if rows else 0
         packed = []
@@ -142,32 +138,13 @@ def f2_rank(m: MatF2) -> int:
     return len(_pivots(m.rows))
 
 
-def f2_row_space(m: MatF2) -> MatF2:
-    """Echelon basis of the row space, ordered by pivot position."""
-    pivots = _pivots(m.rows)
-    basis = [pivots[k] for k in sorted(pivots)]
-    return MatF2(len(basis), m.ncols, tuple(basis))
-
-
 def f2_kernel_basis(m: MatF2) -> MatF2:
     """Rows form a basis of {v : m @ v = 0}; row count = ncols - rank."""
-    # Reduce the transpose augmented with identity: rows of [A^T | I] that
-    # reduce to zero on the A^T side carry kernel vectors on the I side.
-    at = m.transpose()
-    lead_mask = (1 << m.nrows) - 1
-    pivots: dict[int, int] = {}
-    kernel: list[int] = []
-    for i in range(m.ncols):
-        r = at.rows[i] | (1 << (m.nrows + i))
-        while r & lead_mask:
-            low = (r & lead_mask) & -(r & lead_mask)
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = r
-                break
-            r ^= p
-        else:
-            kernel.append(r >> m.nrows)
+    # Reduce the rows of [A^T | I]: a pivot whose lowest bit lies in the I
+    # block has a zero A^T side, so its I side is a kernel vector.
+    n = m.nrows
+    aug = (r | (1 << (n + i)) for i, r in enumerate(m.transpose().rows))
+    kernel = [r >> n for low, r in _pivots(aug).items() if low >> n]
     return MatF2(len(kernel), m.ncols, tuple(kernel))
 
 

@@ -13,10 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DimensionMismatch, InternalInconsistency, InvalidRange
+from .diagram import _UnionFind
+from .errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    InvalidRange,
+    SizeBudgetExceeded,
+)
 from .linalg import AbelianGroup, cokernel_group, det_bareiss
 
 INF = "inf"
+# triad steps in one large-surgery derivation; each is an object in the
+# verdict and an entry of the lspace job's output
+MAX_LARGE_SURGERY_STEPS = 10_000
 
 
 def _norm_framing(v) -> int | str:
@@ -153,36 +162,19 @@ class PlumbingGraph:
         return sum(1 for a, b in self.edges if v in (a, b))
 
     def is_forest(self) -> bool:
-        parent = list(range(self.vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = _UnionFind(range(self.vertices))
         for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            if uf.find(a) == uf.find(b):
                 return False
-            parent[ra] = rb
+            uf.union(a, b)
         return True
 
     def component_vertices(self) -> list[list[int]]:
-        parent = list(range(self.vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        """Components in order of their least vertex, each ascending."""
+        uf = _UnionFind(range(self.vertices))
         for a, b in self.edges:
-            parent[find(a)] = find(b)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.vertices):
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values())
+            uf.union(a, b)
+        return [list(c) for c in uf.classes()]
 
     def remove_vertex(self, v: int) -> "PlumbingGraph":
         keep = [u for u in range(self.vertices) if u != v]
@@ -328,6 +320,10 @@ def large_surgery_family(p: int, q: int, n: int) -> LSpaceVerdict:
     seed = p * q - 1
     if n < seed:
         return LSpaceVerdict("unknown", abs(n))
+    if n - seed > MAX_LARGE_SURGERY_STEPS:
+        raise SizeBudgetExceeded(
+            f"large surgery n = {n} needs {n - seed} triad steps, over the "
+            f"budget of {MAX_LARGE_SURGERY_STEPS}")
     steps = [DerivationStep("lens-seed",
                             f"(pq-1)-surgery on the ({p},{q}) torus knot is the "
                             f"lens space written L({p},{q}), order {seed}", (seed,))]

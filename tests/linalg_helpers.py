@@ -1,11 +1,19 @@
-"""GF(2) and integer matrix helpers that only tests use: solving, row-space
-membership, subspace sum and intersection, and the integer product and
-unimodularity test that check a Smith normal form."""
+"""GF(2) and integer matrix helpers that only tests use: echelon row
+spaces, solving, row-space membership, subspace sum and intersection, and
+the integer product and unimodularity test that check a Smith normal
+form."""
 
 from typing import Sequence
 
 from cubekh.errors import DimensionMismatch
-from cubekh.linalg import MatF2, _check_rect, _pivots, det_bareiss, f2_row_space
+from cubekh.linalg import MatF2, _check_rect, _pivots, det_bareiss
+
+
+def f2_row_space(m: MatF2) -> MatF2:
+    """Echelon basis of the row space, ordered by pivot position."""
+    pivots = _pivots(m.rows)
+    basis = [pivots[k] for k in sorted(pivots)]
+    return MatF2(len(basis), m.ncols, tuple(basis))
 
 
 def f2_solve(m: MatF2, b: int) -> int | None:

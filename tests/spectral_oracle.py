@@ -4,11 +4,14 @@ persistence-pairing implementation in `cubekh.complexes`.
 `spectral_pages` builds every page from explicit nested subspaces: one
 kernel per (r, p, t) for Z^r, and each E^r as a subquotient of ranks.
 `filtration_violation` checks the filtration entry by entry, column by
-column.
+column.  `vertical_then_horizontal_ranks` computes the homology of vertical
+homology of a double complex from class representatives and induced ranks,
+where `cubekh.khovanov` reads it off the E^2 page.
 """
 
 from cubekh.complexes import SpectralPages
 from cubekh.linalg import MatF2, f2_kernel_basis, f2_rank
+from linalg_helpers import f2_row_space
 
 
 def filtration_violation(complex_, levels):
@@ -134,3 +137,75 @@ def spectral_pages(fc, max_r=None) -> SpectralPages:
             stab = r
             break
     return SpectralPages(tuple(pages), tuple(d_ranks), stab)
+
+
+def vertical_then_horizontal_ranks(dc) -> dict[tuple, int]:
+    """Homology of vertical homology: generic double-complex computation.
+
+    Vertical homology at each cell is a subquotient; the induced horizontal
+    differential is computed by lifting class representatives, applying d_h
+    and reducing modulo vertical boundaries.
+    """
+    reps: dict[tuple, MatF2] = {}
+    boundaries: dict[tuple, MatF2] = {}
+    for cell in dc.dims:
+        p, q = cell
+        dv_out = dc.dv(cell)
+        kernel = _kernel_rows(dv_out, dc.dim(cell))
+        # rows of the transpose are the images of the basis vectors below
+        b_space = f2_row_space(dc.dv((p, q - 1)).transpose())
+        boundaries[cell] = b_space
+        comp = []
+        pivots = {(b & -b): b for b in b_space.rows}
+        for v in kernel.rows:
+            red = v
+            while red:
+                low = red & -red
+                piv = pivots.get(low)
+                if piv is None:
+                    pivots[low] = red
+                    comp.append(v)
+                    break
+                red ^= piv
+        reps[cell] = MatF2(len(comp), dc.dim(cell), tuple(comp))
+
+    out: dict[tuple, int] = {}
+    induced: dict[tuple, int] = {}
+    by_q: dict[int, list] = {}
+    for (p, q) in dc.dims:
+        by_q.setdefault(q, []).append(p)
+    for q, ps in by_q.items():
+        for p in ps:
+            cell = (p, q)
+            h_dim = reps[cell].nrows
+            if h_dim == 0:
+                continue
+            # the map out of (p - 1, q) is the map into (p, q): rank it once
+            for c in (cell, (p - 1, q)):
+                if c not in induced:
+                    induced[c] = _induced_rank(dc, reps, boundaries, c)
+            b = h_dim - induced[cell] - induced[(p - 1, q)]
+            if b:
+                out[cell] = b
+    return out
+
+
+def _kernel_rows(m: MatF2, ambient: int) -> MatF2:
+    if m.nrows == 0:
+        return MatF2.identity(ambient) if ambient else MatF2.zero(0, 0)
+    return f2_kernel_basis(m)
+
+
+def _induced_rank(dc, reps, boundaries, cell) -> int:
+    """Rank of the induced horizontal map H(cell) -> H(cell + (1,0))."""
+    if cell not in dc.dims:
+        return 0
+    p, q = cell
+    tgt = (p + 1, q)
+    if tgt not in dc.dims or cell not in reps or reps[cell].nrows == 0:
+        return 0
+    # each image is the XOR of the columns of d_h a representative picks
+    images = reps[cell] @ dc.dh(cell).transpose()
+    tgt_b = boundaries.get(tgt, MatF2.zero(0, dc.dim(tgt)))
+    stacked = images.stack(tgt_b)
+    return f2_rank(stacked) - f2_rank(tgt_b)

@@ -278,3 +278,22 @@ def test_free_loops_reach_cube_budget_before_allocating(capsys, monkeypatch):
     assert err["kind"] == "budget"
     assert "1000000 free loops exceeds the cube budget" in err["detail"]
     assert peak < 1 << 20
+
+
+def test_large_surgery_chain_reaches_budget_before_allocating(capsys,
+                                                             monkeypatch):
+    # n = 10^12 would mean 10^12 derivation steps: the budget check stops
+    # the job before the first one is built
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, monkeypatch, ["--command", "lspace"],
+                            {"large_surgery": {"p": 2, "q": 3, "n": 10**12}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "budget"
+    assert "999999999995 triad steps" in err["detail"]
+    assert peak < 1 << 20

@@ -23,8 +23,8 @@ from cubekh.errors import (
     NotBicomplex,
     NotChainMap,
 )
-from cubekh.linalg import MatF2, f2_rank, f2_row_space
-from linalg_helpers import f2_solve
+from cubekh.linalg import MatF2, f2_rank
+from linalg_helpers import f2_row_space, f2_solve
 
 
 def rand_mat(rng, nr, nc):

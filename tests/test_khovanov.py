@@ -10,7 +10,7 @@ import random
 import pytest
 
 import cubekh.khovanov as kh
-from cubekh.complexes import homology_ranks, total_complex
+import spectral_oracle
 from cubekh.corpus import (
     random_braid_diagram,
     random_compatible_marking,
@@ -295,18 +295,26 @@ def test_odd_total_marking_rejected():
 
 
 def test_single_vertex_vertical_homology():
-    # one marked component on the Hopf link: every vertex carries odd circles
-    d = parse_pd(HOPF)
-    m = ArcMarking((1, 0, 0, 1))
-    dc = twisted_complex(d, m)
-    # vertical homology must vanish wherever some circle parity is odd
+    # wedging with a nonzero odd class is exact, so vertical homology lives
+    # on the all-even vertices, where d_v = 0: per cube weight its ranks sum
+    # to 2^(k - 1) over the all-even vertices of that weight (k circles)
     from cubekh.diagram import induce_marking
-    cube = build_cube(d)
-    for ix in cube.vertices:
-        pars = induce_marking(d, m, cube.states[ix])
-        tot = homology_ranks  # namespacing only
-    hd = hd_homology(d, m)
-    assert all(r >= 0 for r in hd.values())
+    rng = random.Random(19)
+    cases = [(parse_pd(HOPF), ArcMarking((1, 0, 0, 1)))]
+    for _ in range(40):
+        d = random_braid_diagram(rng, max_crossings=6)
+        cases.append((d, random_compatible_marking(d, rng)))
+    for d, m in cases:
+        expected = {}
+        for ix, state in build_cube(d).states.items():
+            if not any(induce_marking(d, m, state)):
+                w = sum(ix)
+                expected[w] = expected.get(w, 0) + 2 ** (state.n_circles - 1)
+        vertical = kh._vertical_homology_ranks(twisted_complex(d, m))
+        sums = {}
+        for (p, _), r in vertical.items():
+            sums[p] = sums.get(p, 0) + r
+        assert sums == expected
 
 
 def test_hd_constructions_agree_random():
@@ -322,7 +330,7 @@ def test_induced_horizontal_rank_once_per_cell(monkeypatch):
     # the map out of (p - 1, q) is the map into (p, q); it is ranked once,
     # and the ranks equal the ones from ranking each map at both ends
     rng = random.Random(13)
-    original = kh._induced_rank
+    original = spectral_oracle._induced_rank
     for _ in range(10):
         d = random_braid_diagram(rng, max_crossings=6)
         dc = twisted_complex(d, random_compatible_marking(d, rng))
@@ -332,9 +340,9 @@ def test_induced_horizontal_rank_once_per_cell(monkeypatch):
             calls.append((cell, reps, boundaries))
             return original(dc, reps, boundaries, cell)
 
-        monkeypatch.setattr(kh, "_induced_rank", counted)
-        ranks = vertical_then_horizontal_ranks(dc)
-        monkeypatch.setattr(kh, "_induced_rank", original)
+        monkeypatch.setattr(spectral_oracle, "_induced_rank", counted)
+        ranks = spectral_oracle.vertical_then_horizontal_ranks(dc)
+        monkeypatch.setattr(spectral_oracle, "_induced_rank", original)
         cells = [cell for cell, _, _ in calls]
         assert len(cells) == len(set(cells))
         if not calls:

@@ -14,11 +14,11 @@ from cubekh.linalg import (
     det_bareiss,
     f2_kernel_basis,
     f2_rank,
-    f2_row_space,
     smith_normal_form,
 )
 from linalg_helpers import (
     f2_in_row_space,
+    f2_row_space,
     f2_solve,
     f2_subspace_intersection,
     f2_subspace_sum,
@@ -125,7 +125,10 @@ def test_rank_transpose_and_nullity(nr, nc, seed):
     m = random_f2(rng, nr, nc)
     r = f2_rank(m)
     assert r == f2_rank(m.transpose())
-    assert r + f2_kernel_basis(m).nrows == nc
+    k = f2_kernel_basis(m)
+    assert r + k.nrows == nc
+    assert all(m.apply(row) == 0 for row in k.rows)
+    assert f2_rank(k) == k.nrows
 
 
 def test_solve_and_membership():

@@ -1,20 +1,33 @@
 """Spectral pages from the persistence pairing against the subquotient
-oracle in spectral_oracle, and the mask-based filtration check against the
-entry-by-entry one: on random filtered complexes, on random level
-assignments, and on the cube-weight filtered complexes of the first
-acceptance-corpus diagrams."""
+oracle in spectral_oracle, the mask-based filtration check against the
+entry-by-entry one, and dotted homology read off the E^2 page against the
+class-representative computation: on random filtered complexes, on random
+level assignments, on the twisted complexes of the first acceptance-corpus
+diagrams, and on random braid closures."""
 
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_oracle as oracle
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
-from cubekh.complexes import FilteredComplexF2, spectral_pages, total_complex
-from cubekh.corpus import diagram_corpus, random_compatible_marking
+from cubekh.complexes import (
+    DoubleComplexF2,
+    FilteredComplexF2,
+    spectral_pages,
+    total_complex,
+)
+from cubekh.corpus import (
+    diagram_corpus,
+    random_braid_diagram,
+    random_compatible_marking,
+)
+from cubekh.diagram import ArcMarking
 from cubekh.errors import FiltrationViolation
-from cubekh.khovanov import twisted_complex
+from cubekh.khovanov import twisted_complex, vertical_then_horizontal_ranks
 from test_complexes import random_filtered, random_three_term
 
 
@@ -63,3 +76,24 @@ def test_corpus_weight_filtration_pages_match_oracle(i):
     levels = {t: [sum(lab[0]) for lab in total.labels[t]]
               for t in total.degrees()}
     check_pages(FilteredComplexF2(total, levels))
+
+
+def check_dotted(d, rng):
+    for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
+        dc = twisted_complex(d, m)
+        # the E^2 route takes the levels from the cells, not the labels
+        bare = DoubleComplexF2(dc.dims, dc.d_h, dc.d_v, check=False)
+        assert (vertical_then_horizontal_ranks(bare)
+                == oracle.vertical_then_horizontal_ranks(dc))
+
+
+@pytest.mark.parametrize("i", range(len(CORPUS_HEAD)))
+def test_corpus_dotted_homology_matches_oracle(i):
+    check_dotted(CORPUS_HEAD[i], random.Random(CORPUS_SEED + i))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_braid_dotted_homology_matches_oracle(seed):
+    rng = random.Random(seed)
+    check_dotted(random_braid_diagram(rng, max_crossings=7), rng)

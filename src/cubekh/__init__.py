@@ -21,7 +21,6 @@ from .complexes import (
     GradedComplexF2,
     SpectralPages,
     homology_ranks,
-    is_quasi_isomorphism,
     mapping_cone,
     spectral_pages,
     total_complex,
@@ -52,9 +51,7 @@ from .diagram import (
 )
 from .khovanov import (
     CubeComplex,
-    ThetaModuleModel,
     build_cube,
-    check_psi_naturality,
     edge_map,
     grading_tables,
     hd_homology,
@@ -62,8 +59,6 @@ from .khovanov import (
     kh_ranks,
     khr_complex,
     khr_ranks,
-    model_edge_map,
-    psi_identification,
     state_sum_det,
     twisted_complex,
     twisted_total_ranks,

@@ -27,12 +27,12 @@ from .corpus import (
 )
 from .diagram import ArcMarking, parse_pd
 from .khovanov import (
+    _assemble,
+    _hd_even,
+    _twisted,
     build_cube,
-    hd_even_subcomplex,
-    kh_complex,
     khr_ranks,
     state_sum_det,
-    twisted_complex,
     vertical_then_horizontal_ranks,
     weight_ss,
 )
@@ -49,6 +49,7 @@ from .surgery import (
     large_surgery_family,
     plumbing_lspace_check,
     surgered_h1,
+    triad_additivity_check,
 )
 
 CORPUS_SEED = 20240
@@ -66,11 +67,10 @@ def corpus():
     return _corpus_cache
 
 
-def _basepoint_classes(d) -> list[int]:
+def _basepoint_classes(cube) -> list[int]:
     """One representative arc per circle-signature class."""
-    cube = build_cube(d)
     seen = {}
-    for arc in range(1, d.arc_count + 1):
+    for arc in range(1, cube.diagram.arc_count + 1):
         sig = tuple(cube.states[ix].arc_to_circle[arc] for ix in cube.vertices)
         seen.setdefault(sig, arc)
     return sorted(seen.values())
@@ -101,11 +101,12 @@ def criterion_2_complex_validity():
     rng = random.Random(CORPUS_SEED + 2)
     t0 = time.time()
     for d in corpus():
-        kh_complex(d)                      # validates d^2 = 0 at construction
+        cube = build_cube(d)               # serves kh, twisted and every Khr
+        _assemble(cube, None)              # kh; validates d^2 = 0 at construction
         m = random_compatible_marking(d, rng)
-        twisted_complex(d, m)              # validates squares and commutation
-        tables = {tuple(sorted(khr_ranks(d, basepoint=arc).items()))
-                  for arc in _basepoint_classes(d)}
+        _twisted(cube, m, 1)               # validates squares and commutation
+        tables = {tuple(sorted(homology_ranks(_assemble(cube, arc)).items()))
+                  for arc in _basepoint_classes(cube)}
         if len(tables) != 1:
             return False, f"basepoint dependence on {d!r}"
     elapsed = time.time() - t0
@@ -118,15 +119,16 @@ def criterion_3_twisted_consistency():
     """Trivial marking gives Khr; the two dotted constructions agree."""
     rng = random.Random(CORPUS_SEED + 3)
     for d in corpus():
-        hd0 = vertical_then_horizontal_ranks(twisted_complex(d, ArcMarking.zero(d)))
+        cube = build_cube(d)
+        hd0 = vertical_then_horizontal_ranks(_twisted(cube, ArcMarking.zero(d), 1))
         collapsed: dict[int, int] = {}
         for (p, v), r in hd0.items():
             collapsed[p] = collapsed.get(p, 0) + r
-        if collapsed != khr_ranks(d):
+        if collapsed != homology_ranks(_assemble(cube, 1)):
             return False, f"trivial marking mismatch on {d!r}"
         m = random_compatible_marking(d, rng)
-        dc = twisted_complex(d, m)
-        if vertical_then_horizontal_ranks(dc) != hd_even_subcomplex(d, m):
+        dc = _twisted(cube, m, 1)
+        if vertical_then_horizontal_ranks(dc) != _hd_even(cube, m, 1):
             return False, f"dotted constructions disagree on {d!r}"
     return True, f"{len(corpus())} diagrams, trivial + random markings"
 
@@ -179,7 +181,8 @@ def criterion_6_qa_certifier():
 
 
 def criterion_7_surgery_arithmetic():
-    """|H1| vs determinant on 1000 presentations; lens row; chi bookkeeping."""
+    """|H1| vs determinant on 1000 presentations; lens row; chi bookkeeping;
+    the exact triangle's |H1| triad is additive at every component."""
     rng = random.Random(CORPUS_SEED + 7)
     for _ in range(1000):
         mdim = rng.randint(1, 5)
@@ -195,11 +198,16 @@ def criterion_7_surgery_arithmetic():
             return False, f"order/determinant mismatch on {a}, {v}"
         if (h1_order(pres, v) == 0) != (g.free_rank > 0):
             return False, f"chi bookkeeping wrong on {a}, {v}"
+        # the filled determinant is affine in the diagonal entry, so the
+        # 1-filling's is the sum of the 0- and infinity-fillings' up to sign
+        for k in range(mdim):
+            if not triad_additivity_check(pres, k).additive:
+                return False, f"triad not additive on {a}, component {k}"
     for p in range(1, 51):
         pres = FramedLinkPresentation.from_lists([[p]])
         if h1_order(pres, [0]) != p:
             return False, f"lens space order {p} wrong"
-    return True, "1000 presentations + lens spaces p <= 50"
+    return True, "1000 presentations with additive triads + lens spaces p <= 50"
 
 
 def criterion_8_plumbing():

@@ -143,10 +143,6 @@ def mapping_cone(f: ChainMap) -> GradedComplexF2:
     return GradedComplexF2(dims, diffs)
 
 
-def is_quasi_isomorphism(f: ChainMap) -> bool:
-    return not homology_ranks(mapping_cone(f))
-
-
 class DoubleComplexF2:
     """Bigraded complex with d_h : (p,q) -> (p+1,q), d_v : (p,q) -> (p,q+1).
 

@@ -133,15 +133,6 @@ def rational_link(coeffs: Sequence[int], hand: int = 1) -> Diagram:
     return t.numerator_closure()
 
 
-def continued_fraction_numerator(coeffs: Sequence[int]) -> int:
-    """p for the fraction [a1, a2, ...] = a1 + 1/(a2 + 1/(...))."""
-    from fractions import Fraction
-    val = Fraction(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        val = a + 1 / val
-    return abs(val.numerator)
-
-
 _NAMED = {
     "unknot": ([], None),
     "hopf": ([2], None),

@@ -229,7 +229,6 @@ class ResolvedState:
     index: tuple[int, ...]
     circles: tuple[tuple[int, ...], ...]
     arc_to_circle: dict
-    marked_circle: int | None = None
 
     @property
     def n_circles(self) -> int:
@@ -323,13 +322,14 @@ def parse_pd(text, free_loops: int = 0,
     return d
 
 
-def resolve(d: Diagram, index: Sequence[int], basepoint: int | None = None) -> ResolvedState:
+def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
     """Resolve every crossing of d according to the bit-vector index.
 
     Circles are computed by union-find over the arc identifications each
-    local resolution induces; free loops count as extra circles.  When a
-    basepoint arc is given, the circle containing it is marked; for the
-    empty diagram with free loops the first free loop is marked.
+    local resolution induces; free loops count as extra circles.  No circle
+    is marked here: the reduced theory reads its marked circle out of
+    `arc_to_circle` only when it reduces, so one resolution serves the
+    unreduced theory and every choice of marked arc.
     """
     index = tuple(int(b) for b in index)
     if len(index) != d.n:
@@ -365,15 +365,7 @@ def resolve(d: Diagram, index: Sequence[int], basepoint: int | None = None) -> R
             circles[i].append(a)
     circles = [tuple(c) for c in circles]
     circles.extend(() for _ in range(d.free_loops))
-    marked = None
-    if basepoint is not None:
-        if d.arc_count:
-            if basepoint not in arc_to_circle:
-                raise MalformedPD(f"basepoint arc {basepoint} does not exist")
-            marked = arc_to_circle[basepoint]
-        elif d.free_loops:
-            marked = 0
-    return ResolvedState(index, tuple(circles), arc_to_circle, marked)
+    return ResolvedState(index, tuple(circles), arc_to_circle)
 
 
 def mirror(d: Diagram) -> Diagram:

@@ -1,7 +1,6 @@
 """Cube of resolutions and the four GF(2) homology theories built on it:
 unreduced, reduced, twisted (by an arc marking) and dotted-diagram homology,
-plus the cube-weight spectral sequence and the free-module identification of
-reduced vertex spaces.
+plus the cube-weight spectral sequence.
 
 Vertex spaces are exterior algebras on the circle set of each resolved
 state; the basis is circle subsets encoded as bitmasks in ascending order,
@@ -10,6 +9,10 @@ quotient identifying the two circles; a split edge wedges the representative
 lift (split circle mapped to its lower-indexed piece) with the sum of the
 two pieces.  The internal homological grading is cube weight; callers can
 translate with `grading_tables`.
+
+The cube is basepoint-free, so one cube serves kh and Khr at every
+basepoint: the basepoint only selects each state's marked circle,
+`arc_to_circle[basepoint]`, when a complex is reduced (`_marked_circles`).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import (
     BadCircleMap,
     IncompatibleMarking,
     InternalInconsistency,
+    MalformedPD,
     SizeBudgetExceeded,
 )
 from .linalg import MatF2, f2_rank
@@ -81,16 +85,14 @@ class CubeEdge:
 class CubeComplex:
     """All 2^n resolved states of a diagram plus classified edges."""
 
-    def __init__(self, d: Diagram, basepoint: int | None = 1,
-                 max_crossings: int | None = None):
+    def __init__(self, d: Diagram, max_crossings: int | None = None):
         _check_budget(d, max_crossings, d.free_loops)
         self.diagram = d
-        self.basepoint = basepoint if (d.arc_count or d.free_loops) else None
         n = d.n
         indices = [tuple((bits >> t) & 1 for t in range(n))
                    for bits in range(1 << n)]
         self.states: dict[tuple, ResolvedState] = {
-            ix: resolve(d, ix, basepoint=self.basepoint) for ix in indices}
+            ix: resolve(d, ix) for ix in indices}
         order = sorted(range(1 << n),
                        key=lambda bits: (bits.bit_count(), indices[bits]))
         self.vertices = [indices[bits] for bits in order]
@@ -130,50 +132,61 @@ class CubeComplex:
         del corr[a]
         return CubeEdge(si, ti, crossing, "split", (a, (min(p1, p2), max(p1, p2))), corr)
 
-    def state(self, index) -> ResolvedState:
-        return self.states[tuple(index)]
+
+def build_cube(d: Diagram, max_crossings: int | None = None) -> CubeComplex:
+    return CubeComplex(d, max_crossings=max_crossings)
 
 
-def build_cube(d: Diagram, basepoint: int | None = 1,
-               max_crossings: int | None = None) -> CubeComplex:
-    return CubeComplex(d, basepoint=basepoint, max_crossings=max_crossings)
+def _marked_circles(d: Diagram, basepoint: int | None):
+    """state -> its marked circle, the one through the basepoint arc (circle
+    0 in a diagram without arcs); None for the unreduced theory.
+    A bad basepoint raises MalformedPD from d alone, so the entry points
+    call this before `build_cube` and reject it without resolving a state."""
+    if basepoint is None:
+        return None
+    if d.arc_count and basepoint not in range(1, d.arc_count + 1):
+        raise MalformedPD(f"basepoint arc {basepoint} does not exist")
+    return lambda state: state.arc_to_circle.get(basepoint, 0)
 
 
 def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
-             reduced: bool = False) -> MatF2:
+             marked: tuple[int, int] | None = None) -> MatF2:
     """Matrix of the merge or split map on the full exterior-algebra bases,
-    or with reduced=True on the subsets containing each state's marked
-    circle (the order of `_reduced_masks`).
+    or, given the marked circles (of src, of tgt), on the subsets containing
+    each state's marked circle (the order of `_reduced_masks`).
 
     The image of each source subset is the image of the subset without its
     highest circle plus that circle's image, so the work grows with the
-    basis size.  In the reduced basis the subset m of a state with marked
-    circle b sits at ((m >> (b + 1)) << b) | (m & ((1 << b) - 1)).
+    basis size.  Images are built in the reduced positions directly: the
+    marked circle b is in every subset and has no bit, so the subset m sits
+    at ((m >> (b + 1)) << b) | (m & ((1 << b) - 1)).
     """
     corr = edge.correspondence
     split = edge.kind == "split"
+    # on the full bases nothing is marked: inf lies above every circle
+    ms, mt = marked or (math.inf, math.inf)
+
+    def bit(c):
+        return 0 if c == mt else 1 << (c - (c > mt))
+
+    base = 0
     if split:
         c_split, (c1, c2) = edge.circles
-        rep, other = 1 << min(c1, c2), 1 << max(c1, c2)
-        image = [rep if c == c_split else 1 << corr[c] for c in range(src.n_circles)]
-        has_split = 1 << c_split
-    else:
-        image = [1 << corr[c] for c in range(src.n_circles)]
-    base = 0
-    if reduced:
-        ms, mt = src.marked_circle, tgt.marked_circle
-        if ms is None or mt is None:
-            raise BadCircleMap("state has no marked circle")
-        keep = 1 << mt
-        base = image.pop(ms)
-        if split and c_split == ms:
-            if keep not in (rep, other):
+        rep, other = bit(min(c1, c2)), bit(max(c1, c2))
+        image = [rep if c == c_split else bit(corr[c])
+                 for c in range(src.n_circles) if c != ms]
+        if c_split == ms:
+            if mt not in (c1, c2):
                 raise BadCircleMap("split of the marked circle misses the marked circle")
-            has_split = 0
-        elif base != keep:
-            raise BadCircleMap("edge does not carry the marked circle to its image")
-        elif split:
+            # the marked circle is always present, so it always splits
+            base, has_split = rep, 0
+        else:
             has_split = 1 << (c_split - (c_split > ms))
+    else:
+        # a circle merged into the marked one meets it in every subset: zero
+        image = [bit(corr[c]) or -1 for c in range(src.n_circles) if c != ms]
+    if ms in corr and corr[ms] != mt:
+        raise BadCircleMap("edge does not carry the marked circle to its image")
     out = [base]
     for img in image:
         if split:
@@ -182,14 +195,7 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
             # -1 marks a subset whose image repeats a target circle (zero in
             # the exterior algebra); -1 & img is nonzero, so it stays -1
             out += [o | img if not o & img else -1 for o in out]
-    if reduced:
-        def drop_marked(x):
-            return ((x >> (mt + 1)) << mt) | (x & (keep - 1)) if x >= 0 else x
-
-        out = [drop_marked(o) for o in out]
-        if split:
-            rep, other = drop_marked(rep), drop_marked(other)
-    rows = [0] * (1 << (tgt.n_circles - 1) if reduced else 1 << tgt.n_circles)
+    rows = [0] * (1 << (tgt.n_circles - (marked is not None)))
     if split:
         for m, o in enumerate(out):
             # with the split circle present only the other-piece term survives
@@ -203,15 +209,12 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
     return MatF2(len(rows), len(out), tuple(rows))
 
 
-def _reduced_masks(state: ResolvedState) -> list[int]:
+def _reduced_masks(state: ResolvedState, marked: int) -> list[int]:
     """Circle subsets containing the marked circle, ascending (none when the
-    state has no marked circle)."""
-    b = state.marked_circle
-    if b is None:
-        return []
-    bit = 1 << b
-    return [((j >> b) << (b + 1)) | bit | (j & (bit - 1))
-            for j in range(1 << (state.n_circles - 1))]
+    state has no circle)."""
+    bit = 1 << marked
+    return [((j >> marked) << (marked + 1)) | bit | (j & (bit - 1))
+            for j in range((1 << state.n_circles) >> 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +223,26 @@ def _reduced_masks(state: ResolvedState) -> list[int]:
 
 def kh_complex(d: Diagram, max_crossings: int | None = None) -> GradedComplexF2:
     """Unreduced cube complex; homological degree is cube weight."""
-    cube = build_cube(d, basepoint=None, max_crossings=max_crossings)
-    return _assemble(cube, reduced=False)
+    return _assemble(build_cube(d, max_crossings=max_crossings), None)
 
 
 def khr_complex(d: Diagram, basepoint: int = 1,
                 max_crossings: int | None = None) -> GradedComplexF2:
     """Reduced cube complex with respect to a basepoint arc."""
-    cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
-    return _assemble(cube, reduced=True)
+    _marked_circles(d, basepoint)
+    return _assemble(build_cube(d, max_crossings=max_crossings), basepoint)
 
 
-def _assemble(cube: CubeComplex, reduced: bool) -> GradedComplexF2:
+def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
+    """The cube complex, reduced unless basepoint is None."""
+    mark = _marked_circles(cube.diagram, basepoint)
     offsets: dict[tuple, int] = {}
     dims: dict[int, int] = {}
     labels: dict[int, list] = {}
     for index in cube.vertices:
         state = cube.states[index]
-        basis = (_reduced_masks(state) if reduced
-                 else range(1 << state.n_circles))
+        basis = (range(1 << state.n_circles) if mark is None
+                 else _reduced_masks(state, mark(state)))
         w = sum(index)
         offsets[index] = dims.get(w, 0)
         dims[w] = offsets[index] + len(basis)
@@ -250,8 +254,8 @@ def _assemble(cube: CubeComplex, reduced: bool) -> GradedComplexF2:
     for w in range(cube.diagram.n):
         rows = [0] * dims.get(w + 1, 0)
         for edge in by_weight.get(w, ()):
-            m = edge_map(edge, cube.states[edge.source], cube.states[edge.target],
-                         reduced)
+            s, t = cube.states[edge.source], cube.states[edge.target]
+            m = edge_map(edge, s, t, None if mark is None else (mark(s), mark(t)))
             so = offsets[edge.source]
             for i, row in enumerate(m.rows, offsets[edge.target]):
                 if row:
@@ -304,11 +308,12 @@ def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     The bigrading is (cube weight, exterior degree normalized so both
     differentials shift by exactly one).
     """
-    cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
-    return _twisted(cube, marking)
+    _marked_circles(d, basepoint)
+    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
 
 
-def _twisted(cube: CubeComplex, marking: ArcMarking) -> DoubleComplexF2:
+def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> DoubleComplexF2:
+    mark = _marked_circles(cube.diagram, basepoint)
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
 
@@ -317,11 +322,9 @@ def _twisted(cube: CubeComplex, marking: ArcMarking) -> DoubleComplexF2:
     place: dict[tuple, list] = {}
     for index in cube.vertices:
         state = cube.states[index]
-        if state.marked_circle is None:
-            continue
         w, k = sum(index), state.n_circles
         slots = place[index] = []
-        for mask in _reduced_masks(state):
+        for mask in _reduced_masks(state, mark(state)):
             value = 2 * mask.bit_count() - w - k + par
             if value % 2:
                 raise InternalInconsistency(
@@ -339,9 +342,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking) -> DoubleComplexF2:
 
     for edge in cube.edges:
         s, t = cube.states[edge.source], cube.states[edge.target]
-        if s.marked_circle is None:
-            continue
-        m = edge_map(edge, s, t, reduced=True)
+        m = edge_map(edge, s, t, (mark(s), mark(t)))
         src, tgt = place[edge.source], place[edge.target]
         for i, row in enumerate(m.rows):
             if not row:
@@ -356,7 +357,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking) -> DoubleComplexF2:
                 d_h[cell][trow] |= 1 << col
 
     for index, slots in place.items():
-        mc = cube.states[index].marked_circle
+        mc = mark(cube.states[index])
         # wedging an odd circle c sets its bit in the reduced position
         wedges = [1 << (c - (c > mc)) for c, p in enumerate(parities[index])
                   if p and c != mc]
@@ -401,11 +402,12 @@ def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
 def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                        max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology via the all-even-vertex subcomplex."""
-    cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
-    return _hd_even(cube, marking)
+    _marked_circles(d, basepoint)
+    return _hd_even(build_cube(d, max_crossings=max_crossings), marking, basepoint)
 
 
-def _hd_even(cube: CubeComplex, marking: ArcMarking) -> dict[tuple, int]:
+def _hd_even(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> dict[tuple, int]:
+    mark = _marked_circles(cube.diagram, basepoint)
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
     even = [index for index in cube.vertices if not any(parities[index])]
@@ -418,7 +420,7 @@ def _hd_even(cube: CubeComplex, marking: ArcMarking) -> dict[tuple, int]:
         w, k = sum(index), cube.states[index].n_circles
         size = sizes[index] = {}
         sl = slots[index] = []
-        for mask in _reduced_masks(cube.states[index]):
+        for mask in _reduced_masks(cube.states[index], mark(cube.states[index])):
             v = (2 * mask.bit_count() - w - k + par) // 2
             sl.append((v, size.get(v, 0)))
             size[v] = size.get(v, 0) + 1
@@ -439,7 +441,7 @@ def _hd_even(cube: CubeComplex, marking: ArcMarking) -> dict[tuple, int]:
         if edge.source not in even_set or edge.target not in even_set:
             continue
         s, t = cube.states[edge.source], cube.states[edge.target]
-        m = edge_map(edge, s, t, reduced=True)
+        m = edge_map(edge, s, t, (mark(s), mark(t)))
         src, tgt = slots[edge.source], slots[edge.target]
         w = sum(edge.source)
         for i, row in enumerate(m.rows):
@@ -472,9 +474,10 @@ def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     homology of the all-even-vertex subcomplex; raises InternalInconsistency
     if the two disagree.
     """
-    cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
-    a = vertical_then_horizontal_ranks(_twisted(cube, marking))
-    b = _hd_even(cube, marking)
+    _marked_circles(d, basepoint)
+    cube = build_cube(d, max_crossings=max_crossings)
+    a = vertical_then_horizontal_ranks(_twisted(cube, marking, basepoint))
+    b = _hd_even(cube, marking, basepoint)
     if a != b:
         raise InternalInconsistency(
             f"dotted homology constructions disagree: {a} vs {b}")
@@ -498,9 +501,10 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     of the all-even-vertex subcomplex, and the E^infinity total matches the
     homology of the total complex; all three identities are checked,
     raising InternalInconsistency."""
-    cube = build_cube(d, basepoint=basepoint, max_crossings=max_crossings)
-    dc = _twisted(cube, marking)
-    hd = _hd_even(cube, marking)
+    _marked_circles(d, basepoint)
+    cube = build_cube(d, max_crossings=max_crossings)
+    dc = _twisted(cube, marking, basepoint)
+    hd = _hd_even(cube, marking, basepoint)
     # the page computation is the memory peak; it needs no cube
     del cube
     fc = _filtered_by_p(dc)
@@ -541,135 +545,6 @@ def _vertical_homology_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
         if b:
             out[cell] = b
     return out
-
-
-# ---------------------------------------------------------------------------
-# Free-module model of reduced vertex spaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThetaModuleModel:
-    """Rank-one free module model: tensor powers of a two-element space,
-    acted on by the exterior algebra on one generator per unmarked circle.
-
-    Basis elements are subsets of generator positions (bitmasks); the
-    identification sends the reduced monomial marked_circle ^ S_{c1} ^ ...
-    to the generator subset for those circles.
-    """
-
-    k: int
-    circle_for_gen: tuple
-
-    def gen_for_circle(self) -> dict:
-        return {c: g for g, c in enumerate(self.circle_for_gen)}
-
-
-def psi_identification(state: ResolvedState) -> tuple[ThetaModuleModel, dict]:
-    """Model for a resolved state plus the basis bijection of the reduced
-    vertex space onto it.  Returns (model, psi) with psi mapping each reduced
-    basis mask to a generator-subset mask."""
-    if state.marked_circle is None:
-        raise BadCircleMap("state has no marked circle")
-    others = [c for c in range(state.n_circles) if c != state.marked_circle]
-    model = ThetaModuleModel(len(others), tuple(others))
-    gen_of = model.gen_for_circle()
-    psi = {}
-    for mask in _reduced_masks(state):
-        out = 0
-        for c in others:
-            if (mask >> c) & 1:
-                out |= 1 << gen_of[c]
-        psi[mask] = out
-    return model, psi
-
-
-def model_edge_map(edge: CubeEdge, src: ResolvedState,
-                   tgt: ResolvedState) -> MatF2:
-    """Edge map computed purely inside the module models.
-
-    A merge is the quotient of the exterior action killing the class of the
-    surgery circle (pairs of generators identified, or one generator killed
-    when the marked circle participates); a split wedges with the class of
-    the new piece(s).  Matrices are in the theta-subset bases, aligned with
-    the reduced bases through psi_identification.
-    """
-    m_src, _ = psi_identification(src)
-    m_tgt, _ = psi_identification(tgt)
-    gen_s = m_src.gen_for_circle()
-    gen_t = m_tgt.gen_for_circle()
-    rows = [0] * (1 << m_tgt.k)
-    if edge.kind == "merge":
-        i, j = edge.circles
-        marked_involved = src.marked_circle in (i, j)
-        gen_image: dict[int, int | None] = {}
-        for c in m_src.circle_for_gen:
-            if c in (i, j):
-                if marked_involved:
-                    gen_image[gen_s[c]] = None      # class dies: X_0 = 0
-                else:
-                    gen_image[gen_s[c]] = gen_t[edge.correspondence[c]]
-            else:
-                gen_image[gen_s[c]] = gen_t[edge.correspondence[c]]
-        for mask in range(1 << m_src.k):
-            out = 0
-            dead = False
-            for g in range(m_src.k):
-                if (mask >> g) & 1:
-                    img = gen_image[g]
-                    if img is None or (out >> img) & 1:
-                        dead = True
-                        break
-                    out |= 1 << img
-            if not dead:
-                rows[out] ^= 1 << mask
-    else:
-        c_split, (c1, c2) = edge.circles
-        split_marked = c_split == src.marked_circle
-        if split_marked:
-            new_piece = c1 if c1 != tgt.marked_circle else c2
-            kw = 1 << gen_t[new_piece]
-            iota = {gen_s[c]: gen_t[edge.correspondence[c]]
-                    for c in m_src.circle_for_gen}
-        else:
-            rep = min(c1, c2)
-            kw = (1 << gen_t[c1]) | (1 << gen_t[c2])
-            iota = {}
-            for c in m_src.circle_for_gen:
-                iota[gen_s[c]] = gen_t[edge.correspondence[c] if c != c_split else rep]
-        for mask in range(1 << m_src.k):
-            out = 0
-            for g in range(m_src.k):
-                if (mask >> g) & 1:
-                    out |= 1 << iota[g]
-            # wedge with the kernel class: sum over its generator bits
-            kww = kw
-            while kww:
-                low = kww & -kww
-                kww ^= low
-                if not out & low:
-                    rows[out | low] ^= 1 << mask
-    return MatF2(1 << m_tgt.k, 1 << m_src.k, tuple(rows))
-
-
-def check_psi_naturality(cube: CubeComplex) -> bool:
-    """Every cube edge: reduced Khovanov map equals the model map through
-    the psi identifications."""
-    for edge in cube.edges:
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        if s.marked_circle is None or t.marked_circle is None:
-            continue
-        kh_side = edge_map(edge, s, t, reduced=True)
-        model_side = model_edge_map(edge, s, t)
-        # aligned bases: psi is the identity permutation on sorted masks
-        for state in (s, t):
-            _, psi = psi_identification(state)
-            perm = [psi[m] for m in _reduced_masks(state)]
-            if perm != sorted(perm):
-                raise InternalInconsistency(
-                    "psi does not keep the order of the reduced basis")
-        if kh_side.rows != model_side.rows:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

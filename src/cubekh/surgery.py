@@ -37,11 +37,6 @@ def _norm_framing(v) -> int | str:
     raise DimensionMismatch(f"framing entry {v!r} not in {{0, 1, inf}}")
 
 
-def framing_weight(v: Sequence) -> int:
-    """Number of entries differing from 0 (infinity counts as weight 1)."""
-    return sum(1 for x in v if _norm_framing(x) != 0)
-
-
 @dataclass(frozen=True)
 class FramedLinkPresentation:
     """Symmetric linking matrix with framings on the diagonal."""

@@ -5,7 +5,7 @@ Each one is the straightforward form the fast code replaced: circles by a
 dict-based union-find, edges classified by mapping every arc of every
 source circle, edge maps built mask by mask on the full exterior-algebra
 basis, and the reduced map obtained by restricting the full one to the
-subsets that contain the marked circle.
+subsets that contain the marked circle, read off `arc_to_circle`.
 """
 
 from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
@@ -112,11 +112,12 @@ def full_edge_map(edge, src, tgt) -> MatF2:
     return MatF2(1 << kt, 1 << ks, tuple(rows))
 
 
-def restrict_reduced(m: MatF2, src, tgt) -> MatF2:
+def restrict_reduced(m: MatF2, src, tgt, basepoint) -> MatF2:
     """Rows and columns of a full map on the subsets containing the marked
-    circle of each state, in ascending order."""
+    circle of each state, the circle through the basepoint arc, in
+    ascending order."""
     def masks(state):
-        bit = 1 << state.marked_circle
+        bit = 1 << state.arc_to_circle[basepoint]
         return [x for x in range(1 << state.n_circles) if x & bit]
 
     src_masks, tgt_masks = masks(src), masks(tgt)

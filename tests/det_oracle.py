@@ -4,10 +4,12 @@ frontier dynamic program in `cubekh.khovanov.state_sum_det`.
 It is the straightforward form the dynamic program replaced: all 2^n states,
 each resolved by a fresh dict union-find over the arcs, and every state that
 closes into a single circle added with weight A^(#0-smoothings - #1-smoothings)
-at A = zeta8, in Z[x]/(x^4+1).
+at A = zeta8, in Z[x]/(x^4+1).  `continued_fraction_numerator` gives the
+determinant of a rational link from its continued fraction.
 """
 
 import math
+from fractions import Fraction
 
 from cubekh.diagram import _UnionFind
 from cubekh.errors import InternalInconsistency
@@ -63,3 +65,11 @@ def state_sum_det(d):
     if root * root != det_sq:
         raise InternalInconsistency(f"|det|^2 = {det_sq} is not a perfect square")
     return root
+
+
+def continued_fraction_numerator(coeffs):
+    """p for the fraction [a1, a2, ...] = a1 + 1/(a2 + 1/(...))."""
+    val = Fraction(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        val = a + 1 / val
+    return abs(val.numerator)

@@ -1,12 +1,15 @@
 """GF(2) and integer matrix helpers that only tests use: echelon row
-spaces, solving, row-space membership, subspace sum and intersection, and
-the integer product and unimodularity test that check a Smith normal
-form."""
+spaces, solving, row-space membership, subspace sum and intersection, the
+integer product and unimodularity test that check a Smith normal form, the
+quasi-isomorphism test by mapping cone, and the weight of a multi-framing
+of a filled linking matrix."""
 
 from typing import Sequence
 
+from cubekh.complexes import ChainMap, homology_ranks, mapping_cone
 from cubekh.errors import DimensionMismatch
 from cubekh.linalg import MatF2, _check_rect, _pivots, det_bareiss
+from cubekh.surgery import _norm_framing
 
 
 def f2_row_space(m: MatF2) -> MatF2:
@@ -92,3 +95,12 @@ def mat_mul_z(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return abs(det_bareiss(a)) == 1
+
+
+def is_quasi_isomorphism(f: ChainMap) -> bool:
+    return not homology_ranks(mapping_cone(f))
+
+
+def framing_weight(v: Sequence) -> int:
+    """Number of entries differing from 0 (infinity counts as weight 1)."""
+    return sum(1 for x in v if _norm_framing(x) != 0)

@@ -18,3 +18,25 @@ def test_criterion(number, name, fn, capsys):
         status = "PASS" if passed else "FAIL"
         print(f"\n[{status}] criterion {number}: {name} ({detail})", flush=True)
     assert passed, f"criterion {number}: {name} ({detail})"
+
+
+@pytest.mark.parametrize("criterion", ["criterion_2_complex_validity",
+                                       "criterion_3_twisted_consistency"])
+def test_one_cube_per_corpus_diagram(criterion, monkeypatch):
+    # kh, the twisted complexes, every basepoint class's Khr and the
+    # even-vertex dotted homology all come from one basepoint-free cube
+    import cubekh.acceptance as acceptance
+    import cubekh.khovanov as kh
+    head = acceptance.corpus()[:5]
+    monkeypatch.setattr(acceptance, "corpus", lambda: head)
+    built = []
+    real_init = kh.CubeComplex.__init__
+
+    def counting_init(self, d, *args, **kwargs):
+        built.append(d)
+        real_init(self, d, *args, **kwargs)
+
+    monkeypatch.setattr(kh.CubeComplex, "__init__", counting_init)
+    passed, detail = getattr(acceptance, criterion)()
+    assert passed, detail
+    assert built == head

@@ -148,7 +148,7 @@ def test_internal_inconsistency_is_not_validation():
 
 def test_disagreeing_hd_constructions_exit_internal(capsys, monkeypatch):
     import cubekh.khovanov as kh
-    monkeypatch.setattr(kh, "_hd_even", lambda cube, marking: {})
+    monkeypatch.setattr(kh, "_hd_even", lambda cube, marking, basepoint: {})
     for cmd in ("hd", "ss"):
         code, out = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
         assert code == 1, cmd
@@ -166,8 +166,8 @@ def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
 
 
 def test_internal_checks_survive_optimize_flag():
-    # the invariant checks in twisted_complex and check_psi_naturality are
-    # explicit raises, so `python -O` keeps them
+    # the invariant checks in twisted_complex and in the psi oracle's
+    # check_psi_naturality are explicit raises, so `python -O` keeps them
     import os
     import subprocess
     import sys
@@ -184,22 +184,56 @@ try:
 except InternalInconsistency:
     print("twisted")
 kh._vertical_degree_offset = real_offset
-real_psi = kh.psi_identification
-def reversed_psi(state):
-    model, psi = real_psi(state)
+import psi_oracle
+real_psi = psi_oracle.psi_identification
+def reversed_psi(state, marked):
+    model, psi = real_psi(state, marked)
     return model, dict(zip(psi, reversed(list(psi.values()))))
-kh.psi_identification = reversed_psi
+psi_oracle.psi_identification = reversed_psi
 try:
-    kh.check_psi_naturality(kh.build_cube(d))
+    psi_oracle.check_psi_naturality(kh.build_cube(d))
 except InternalInconsistency:
     print("psi")
 """
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["twisted", "psi"]
+
+
+def test_bad_basepoint_rejected_before_resolving(capsys, monkeypatch):
+    import cubekh.khovanov as kh
+    resolved = []
+    real_resolve = kh.resolve
+
+    def counting_resolve(*args, **kwargs):
+        resolved.append(args[1])
+        return real_resolve(*args, **kwargs)
+
+    monkeypatch.setattr(kh, "resolve", counting_resolve)
+    for cmd in ("khr", "twisted", "hd", "ss"):
+        code, out = run_cli(capsys, monkeypatch,
+                            ["--command", cmd, "--basepoint", "99"], TREFOIL)
+        assert code == 2, cmd
+        assert json.loads(out)["error"] == {
+            "kind": "MalformedPD", "detail": "basepoint arc 99 does not exist"}
+        assert resolved == [], cmd
+    # kh has no basepoint and ignores the flag
+    code, out = run_cli(capsys, monkeypatch,
+                        ["--command", "kh", "--basepoint", "99"], TREFOIL)
+    assert code == 0 and json.loads(out)["total"] == 6
+    # a diagram of free loops only marks its first loop whatever the
+    # basepoint; the empty diagram marks nothing, so its Khr is zero
+    for arc in ("1", "99", "-3"):
+        code, out = run_cli(capsys, monkeypatch,
+                            ["--command", "khr", "--basepoint", arc],
+                            {"pd": [], "free_loops": 1})
+        assert code == 0 and json.loads(out)["total"] == 1, arc
+    code, out = run_cli(capsys, monkeypatch, ["--command", "khr"], {"pd": []})
+    assert code == 0 and json.loads(out)["total"] == 0
 
 
 @pytest.mark.parametrize("cmd", ["kh", "khr", "twisted", "hd", "ss", "det",

@@ -12,7 +12,6 @@ from cubekh.complexes import (
     GradedComplexF2,
     block_matrix,
     homology_ranks,
-    is_quasi_isomorphism,
     mapping_cone,
     spectral_pages,
     total_complex,
@@ -24,7 +23,7 @@ from cubekh.errors import (
     NotChainMap,
 )
 from cubekh.linalg import MatF2, f2_rank
-from linalg_helpers import f2_row_space, f2_solve
+from linalg_helpers import f2_row_space, f2_solve, is_quasi_isomorphism
 
 
 def rand_mat(rng, nr, nc):

@@ -6,7 +6,6 @@ import pytest
 
 from cubekh.corpus import (
     braid_closure,
-    continued_fraction_numerator,
     diagram_corpus,
     random_braid_diagram,
     random_compatible_marking,
@@ -15,6 +14,7 @@ from cubekh.corpus import (
 )
 from cubekh.errors import MalformedPD
 from cubekh.khovanov import state_sum_det
+from det_oracle import continued_fraction_numerator
 
 
 def test_braid_closure_basic():

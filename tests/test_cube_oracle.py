@@ -1,7 +1,7 @@
 """The one-pass cube layer against the reference versions in cube_oracle:
-resolution, edge classification, and edge maps on the full and the reduced
-basis, on the first acceptance-corpus diagrams and on random braid
-closures."""
+resolution, edge classification, and edge maps on the full basis and on
+the reduced basis of every basepoint class, all from one cube per diagram,
+on the first acceptance-corpus diagrams and on random braid closures."""
 
 import random
 
@@ -10,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cube_oracle as oracle
-from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
+from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
 from cubekh.corpus import diagram_corpus, random_braid_diagram
 from cubekh.diagram import Diagram
 from cubekh.errors import BadCircleMap
-from cubekh.khovanov import build_cube, edge_map
+from cubekh.khovanov import _marked_circles, build_cube, edge_map
 
 
-def check_cube_against_oracle(d, basepoint):
-    cube = build_cube(d, basepoint=basepoint)
+def check_cube_against_oracle(d):
+    cube = build_cube(d)
+    marks = {arc: _marked_circles(d, arc) for arc in _basepoint_classes(cube)}
     for index, state in cube.states.items():
         assert (state.circles, state.arc_to_circle) == oracle.resolve_circles(d, index)
     for edge in cube.edges:
@@ -27,8 +28,9 @@ def check_cube_against_oracle(d, basepoint):
                                        edge.crossing)
         full = oracle.full_edge_map(edge, s, t)
         assert edge_map(edge, s, t) == full
-        assert (edge_map(edge, s, t, reduced=True)
-                == oracle.restrict_reduced(full, s, t))
+        for arc, mark in marks.items():
+            assert (edge_map(edge, s, t, (mark(s), mark(t)))
+                    == oracle.restrict_reduced(full, s, t, arc))
 
 
 CORPUS_HEAD = diagram_corpus(CORPUS_SEED, 40, CORPUS_MAX_CROSSINGS)
@@ -36,8 +38,7 @@ CORPUS_HEAD = diagram_corpus(CORPUS_SEED, 40, CORPUS_MAX_CROSSINGS)
 
 @pytest.mark.parametrize("d", CORPUS_HEAD, ids=range(len(CORPUS_HEAD)))
 def test_corpus_cube_matches_oracle(d):
-    for basepoint in sorted({1, d.arc_count}):
-        check_cube_against_oracle(d, basepoint)
+    check_cube_against_oracle(d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -45,8 +46,8 @@ def test_corpus_cube_matches_oracle(d):
 def test_random_braid_cube_matches_oracle(seed, free_loops):
     rng = random.Random(seed)
     d = random_braid_diagram(rng, max_crossings=7)
-    d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
-    check_cube_against_oracle(d, rng.randint(1, d.arc_count))
+    check_cube_against_oracle(Diagram(d.crossings,
+                                      free_loops=d.free_loops + free_loops))
 
 
 def test_nonplanar_edge_still_rejected():

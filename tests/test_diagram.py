@@ -173,9 +173,16 @@ def test_resolve_length_mismatch():
 
 
 def test_resolve_marks_basepoint_circle():
+    # states carry no marked circle; the reduced theory reads it off
+    # arc_to_circle, and a bad basepoint is refused before resolving
+    from cubekh.khovanov import _marked_circles
     d = parse_pd(TREFOIL)
-    s = resolve(d, (0, 0, 0), basepoint=1)
-    assert s.marked_circle == s.arc_to_circle[1]
+    s = resolve(d, (0, 0, 0))
+    assert not hasattr(s, "marked_circle")
+    assert _marked_circles(d, 1)(s) == s.arc_to_circle[1]
+    assert _marked_circles(d, None) is None
+    with pytest.raises(MalformedPD, match="basepoint arc 7 does not exist"):
+        _marked_circles(d, 7)
 
 
 def test_resolve_against_oracle_random():

@@ -11,6 +11,7 @@ import pytest
 
 import cubekh.khovanov as kh
 import spectral_oracle
+from det_oracle import continued_fraction_numerator
 from cubekh.corpus import (
     random_braid_diagram,
     random_compatible_marking,
@@ -21,7 +22,6 @@ from cubekh.diagram import ArcMarking, mirror, parse_pd, resolve
 from cubekh.errors import IncompatibleMarking, NotAComplex, SizeBudgetExceeded
 from cubekh.khovanov import (
     build_cube,
-    check_psi_naturality,
     edge_map,
     grading_tables,
     hd_even_subcomplex,
@@ -30,14 +30,13 @@ from cubekh.khovanov import (
     kh_ranks,
     khr_complex,
     khr_ranks,
-    model_edge_map,
-    psi_identification,
     state_sum_det,
     twisted_complex,
     twisted_total_ranks,
     vertical_then_horizontal_ranks,
     weight_ss,
 )
+from psi_oracle import check_psi_naturality, model_edge_map, psi_identification
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF = [[1, 3, 2, 4], [3, 1, 4, 2]]
@@ -397,8 +396,8 @@ def test_weight_ss_random_markings():
 
 def test_psi_identity_on_single_circle():
     d = parse_pd([], free_loops=1)
-    s = resolve(d, (), basepoint=1)
-    model, psi = psi_identification(s)
+    s = resolve(d, ())
+    model, psi = psi_identification(s, 0)
     assert model.k == 0
     assert psi == {1: 0}
 
@@ -420,7 +419,7 @@ def test_model_edge_dimensions():
     cube = build_cube(parse_pd(TREFOIL))
     for e in cube.edges:
         s, t = cube.states[e.source], cube.states[e.target]
-        m = model_edge_map(e, s, t)
+        m = model_edge_map(e, s, t, (s.arc_to_circle[1], t.arc_to_circle[1]))
         assert (m.nrows, m.ncols) == (1 << (t.n_circles - 1), 1 << (s.n_circles - 1))
 
 
@@ -441,7 +440,6 @@ def test_state_sum_split_diagram_zero():
 
 
 def test_two_bridge_determinants():
-    from cubekh.corpus import continued_fraction_numerator
     for coeffs in ([3], [2, 2], [5], [3, 2], [4, 2], [3, 1, 2], [2, 1, 1, 2], [7]):
         assert (state_sum_det(rational_link(coeffs))
                 == continued_fraction_numerator(coeffs))

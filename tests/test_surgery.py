@@ -10,7 +10,6 @@ from cubekh.linalg import det_bareiss
 from cubekh.surgery import (
     FramedLinkPresentation,
     PlumbingGraph,
-    framing_weight,
     h1_order,
     large_surgery_family,
     plumbing_h1_order,
@@ -19,6 +18,7 @@ from cubekh.surgery import (
     surgered_h1,
     triad_additivity_check,
 )
+from linalg_helpers import framing_weight
 
 
 def random_presentation(rng, max_m=5, bound=9):

@@ -10,12 +10,13 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import (
+    RES0_PAIRS,
+    RES1_PAIRS,
     Diagram,
     PlanarMap,
-    _UnionFind,
     canonical_key,
     mirror,
     normalize_under_slots,
@@ -27,8 +28,6 @@ from .diagram import (
 from .errors import BandConditionViolated, InternalInconsistency, NonPlanarTrace
 from .khovanov import khr_ranks, state_sum_det
 from .linalg import AbelianGroup, cokernel_group, det_bareiss
-
-RES_PAIRS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +366,7 @@ def oriented_resolution_filling(d: Diagram) -> FillingReport:
     bands = []
     for t in range(d.n):
         c = d.crossings[t]
-        pairs = RES_PAIRS[ori[t]]
+        pairs = RES1_PAIRS if ori[t] else RES0_PAIRS
         x = state.arc_to_circle[c[pairs[0][0]]]
         y = state.arc_to_circle[c[pairs[1][0]]]
         bands.append((x, y))

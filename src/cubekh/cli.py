@@ -2,8 +2,8 @@
 
 One job per invocation; the same job always produces byte-identical output
 (keys sorted, deterministic basis orders).
-Exit codes: 0 success, 1 internal inconsistency, 2 validation error, 3 size
-budget exceeded.
+Exit codes: 0 success, 1 internal inconsistency (including a failed check on
+a complex the library built), 2 validation error, 3 size budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,11 +13,14 @@ import json
 import sys
 
 from .branched import h1_sigma, link_det, qa_certify, rank_inequality_check
-from .complexes import homology_ranks
 from .diagram import ArcMarking, parse_pd, strict_int
 from .errors import (
+    BadCircleMap,
+    FiltrationViolation,
     IncompatibleMarking,
     InternalInconsistency,
+    NotAComplex,
+    NotBicomplex,
     SizeBudgetExceeded,
     ValidationError,
 )
@@ -38,6 +41,10 @@ from .surgery import (
     plumbing_lspace_check,
     surgered_h1,
 )
+
+# checks on the complexes the library builds itself: from a valid diagram
+# they can only fail through a bug, so they exit 1 like InternalInconsistency
+INTERNAL_CHECKS = (NotAComplex, NotBicomplex, FiltrationViolation, BadCircleMap)
 
 COMMANDS = ("kh", "khr", "twisted", "hd", "ss", "det", "h1", "qa",
             "rankcheck", "surgery", "plumbing", "lspace", "selftest")
@@ -269,6 +276,9 @@ def main(argv=None) -> int:
         return 3
     except InternalInconsistency as e:
         emit({"error": {"kind": "internal", "detail": str(e)}})
+        return 1
+    except INTERNAL_CHECKS as e:
+        emit({"error": {"kind": "internal", "detail": f"{type(e).__name__}: {e}"}})
         return 1
     except (ValidationError, OSError, ValueError, TypeError, KeyError) as e:
         emit({"error": {"kind": type(e).__name__, "detail": str(e)}})

@@ -2,15 +2,16 @@
 mapping cones, and the spectral sequence of a filtered complex.
 
 The internal homological degree convention is that differentials raise
-degree by one (cube weight in the Khovanov application).  Spectral sequence
-pages are read off the persistence pairing of the filtered differential:
-one column reduction per degree gives every page and every d^r rank
-exactly.
+degree by one (cube weight in the Khovanov application).  Every complex is
+checked when it is built: d^2 = 0, and for a double complex that d_h and
+d_v commute.  Spectral sequence pages are read off the persistence pairing
+of the filtered differential: one column reduction per degree gives every
+page and every d^r rank exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -49,8 +50,7 @@ class GradedComplexF2:
     of d_k : C_k -> C_{k+1}.  d*d = 0 is checked at construction.
     """
 
-    def __init__(self, dims: Mapping[int, int], differentials: Mapping[int, MatF2],
-                 labels: Mapping[int, list] | None = None, check: bool = True):
+    def __init__(self, dims: Mapping[int, int], differentials: Mapping[int, MatF2]):
         self.dims = {k: int(v) for k, v in dims.items() if v}
         self.differentials = {}
         for k, m in differentials.items():
@@ -61,12 +61,10 @@ class GradedComplexF2:
                     f"d_{k} is {m.nrows}x{m.ncols}, expected {tgt}x{src}")
             if src and tgt:
                 self.differentials[k] = m
-        self.labels = dict(labels) if labels else {}
-        if check:
-            for k, m in self.differentials.items():
-                nxt = self.differentials.get(k + 1)
-                if nxt is not None and not (nxt @ m).is_zero():
-                    raise NotAComplex(f"d_{k+1} d_{k} != 0")
+        for k, m in self.differentials.items():
+            nxt = self.differentials.get(k + 1)
+            if nxt is not None and not (nxt @ m).is_zero():
+                raise NotAComplex(f"d_{k+1} d_{k} != 0")
 
     def degrees(self) -> list[int]:
         return sorted(self.dims)
@@ -79,9 +77,6 @@ class GradedComplexF2:
         if m is None:
             return MatF2.zero(self.dim(k + 1), self.dim(k))
         return m
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
 
 
 def homology_ranks(c: GradedComplexF2) -> dict[int, int]:
@@ -151,13 +146,12 @@ class DoubleComplexF2:
     """
 
     def __init__(self, dims: Mapping[tuple, int], d_h: Mapping[tuple, MatF2],
-                 d_v: Mapping[tuple, MatF2], labels=None, check: bool = True):
+                 d_v: Mapping[tuple, MatF2]):
         self.dims = {pq: int(v) for pq, v in dims.items() if v}
         self.d_h = {pq: m for pq, m in d_h.items()
                     if self.dims.get(pq) and self.dims.get((pq[0] + 1, pq[1]))}
         self.d_v = {pq: m for pq, m in d_v.items()
                     if self.dims.get(pq) and self.dims.get((pq[0], pq[1] + 1))}
-        self.labels = dict(labels) if labels else {}
         for pq, m in self.d_h.items():
             exp = (self.dim((pq[0] + 1, pq[1])), self.dim(pq))
             if (m.nrows, m.ncols) != exp:
@@ -166,16 +160,15 @@ class DoubleComplexF2:
             exp = (self.dim((pq[0], pq[1] + 1)), self.dim(pq))
             if (m.nrows, m.ncols) != exp:
                 raise DimensionMismatch(f"d_v at {pq} has shape {(m.nrows, m.ncols)}")
-        if check:
-            for p, q in self.dims:
-                if not (self.dh((p + 1, q)) @ self.dh((p, q))).is_zero():
-                    raise NotBicomplex(f"d_h^2 != 0 at {(p, q)}")
-                if not (self.dv((p, q + 1)) @ self.dv((p, q))).is_zero():
-                    raise NotBicomplex(f"d_v^2 != 0 at {(p, q)}")
-                lhs = self.dv((p + 1, q)) @ self.dh((p, q))
-                rhs = self.dh((p, q + 1)) @ self.dv((p, q))
-                if lhs.rows != rhs.rows:
-                    raise NotBicomplex(f"d_h d_v != d_v d_h at {(p, q)}")
+        for p, q in self.dims:
+            if not (self.dh((p + 1, q)) @ self.dh((p, q))).is_zero():
+                raise NotBicomplex(f"d_h^2 != 0 at {(p, q)}")
+            if not (self.dv((p, q + 1)) @ self.dv((p, q))).is_zero():
+                raise NotBicomplex(f"d_v^2 != 0 at {(p, q)}")
+            lhs = self.dv((p + 1, q)) @ self.dh((p, q))
+            rhs = self.dh((p, q + 1)) @ self.dv((p, q))
+            if lhs.rows != rhs.rows:
+                raise NotBicomplex(f"d_h d_v != d_v d_h at {(p, q)}")
 
     def dim(self, pq) -> int:
         return self.dims.get(tuple(pq), 0)
@@ -210,13 +203,7 @@ def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
             positions[pq] = off
             off += dc.dim(pq)
     diffs = {}
-    labels = {}
     for t, cells in sorted(by_total.items()):
-        if dc.labels:
-            lab = []
-            for pq in cells:
-                lab.extend(dc.labels.get(pq, [f"{pq}:{i}" for i in range(dc.dim(pq))]))
-            labels[t] = lab
         tgt_cells = by_total.get(t + 1, [])
         if not tgt_cells:
             continue
@@ -230,7 +217,7 @@ def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
                     blocks[(i, j)] = dc.dv(pq)
         diffs[t] = block_matrix(blocks, [dc.dim(pq) for pq in tgt_cells],
                                 [dc.dim(pq) for pq in cells])
-    return GradedComplexF2(dims, diffs, labels=labels), positions
+    return GradedComplexF2(dims, diffs), positions
 
 
 class FilteredComplexF2:
@@ -280,7 +267,7 @@ class SpectralPages:
         return self.pages[min(r, len(self.pages) - 1)]
 
 
-def spectral_pages(fc: FilteredComplexF2, max_r: int | None = None) -> SpectralPages:
+def spectral_pages(fc: FilteredComplexF2) -> SpectralPages:
     """Spectral sequence of a filtered complex from its persistence pairing.
 
     Each d_t is reduced once.  Its columns are written with the rows in
@@ -303,13 +290,10 @@ def spectral_pages(fc: FilteredComplexF2, max_r: int | None = None) -> SpectralP
     an isomorphism, so it is on pages E^0 ... E^(p'-p) at (p, t) and at
     (p', t + 1), and adds 1 to d_ranks[p'-p][(p, t)] (d_ranks[0] is left
     empty).  A single generator is on every page.  No pair is longer than
-    max_level, so page max_level + 1 is E^infinity; pages run to that, or
-    to max_r when it is larger.
+    max_level, so page max_level + 1 is E^infinity, the last page.
     """
     c = fc.complex
     r_end = fc.max_level + 1
-    if max_r is not None:
-        r_end = max(r_end, max_r)
 
     # unpaired generators per (level, degree); pairs per (p, t, p')
     free: dict[tuple, int] = {}

@@ -184,12 +184,6 @@ class Diagram:
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
 
-    def component_of(self, arc: int) -> int:
-        for i, comp in enumerate(self.components):
-            if arc in comp:
-                return i
-        raise MalformedPD(f"no such arc {arc}")
-
     def is_pd_connected(self) -> bool:
         """True when the underlying 4-valent graph is connected."""
         if self.n <= 1:
@@ -617,7 +611,7 @@ class PlanarMap:
         return (self.face_of[(ci, s)], self.face_of[(ci, (s + 1) % 4)])
 
 
-def planar_map(d: Diagram, require_planar: bool = True) -> PlanarMap:
+def planar_map(d: Diagram) -> PlanarMap:
     """Trace faces of the diagram's combinatorial map.
 
     Raises NonPlanarTrace when the face count violates the Euler formula for
@@ -643,7 +637,7 @@ def planar_map(d: Diagram, require_planar: bool = True) -> PlanarMap:
             if x == start:
                 break
         faces.append(tuple(orbit))
-    if require_planar and d.n:
+    if d.n:
         # each connected piece of the projection is traced on its own sphere
         expected = d.n + 2 * len(d.pd_components())
         if len(faces) != expected:

@@ -73,10 +73,6 @@ class SizeBudgetExceeded(CubekhError):
     cube budget, or the length of a large-surgery derivation."""
 
 
-class OverflowGuard(CubekhError):
-    """An integer elimination exceeded the configured precision budget."""
-
-
 class BandConditionViolated(CubekhError):
     """A band in the oriented-resolution filling joins two circles with the
     same fill status.  Indicates an implementation bug, never valid input."""

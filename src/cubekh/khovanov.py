@@ -18,7 +18,6 @@ basepoint: the basepoint only selects each state's marked circle,
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .complexes import (
@@ -51,17 +50,10 @@ from .linalg import MatF2, f2_rank
 DEFAULT_MAX_CROSSINGS = 14
 
 
-def crossing_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("CUBEKH_MAX_CROSSINGS")
-    return int(env) if env else DEFAULT_MAX_CROSSINGS
-
-
 def _check_budget(d: Diagram, max_crossings: int | None, loops: int = 0):
     """The crossings, plus `loops` free loops where each one doubles the
-    basis, against the cube budget."""
-    cap = crossing_budget(max_crossings)
+    basis, against the cube budget (DEFAULT_MAX_CROSSINGS unless given)."""
+    cap = DEFAULT_MAX_CROSSINGS if max_crossings is None else max_crossings
     if d.n + loops > cap:
         size = f"{d.n} crossings" + (f" and {loops} free loops" if loops else "")
         raise SizeBudgetExceeded(f"{size} exceeds the cube budget of {cap}")
@@ -238,15 +230,13 @@ def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
     mark = _marked_circles(cube.diagram, basepoint)
     offsets: dict[tuple, int] = {}
     dims: dict[int, int] = {}
-    labels: dict[int, list] = {}
     for index in cube.vertices:
         state = cube.states[index]
-        basis = (range(1 << state.n_circles) if mark is None
-                 else _reduced_masks(state, mark(state)))
+        # reduced: the half of the subsets that contain the marked circle
+        size = (1 << state.n_circles) >> (mark is not None)
         w = sum(index)
         offsets[index] = dims.get(w, 0)
-        dims[w] = offsets[index] + len(basis)
-        labels.setdefault(w, []).extend((index, m) for m in basis)
+        dims[w] = offsets[index] + size
     by_weight: dict[int, list[CubeEdge]] = {}
     for edge in cube.edges:
         by_weight.setdefault(sum(edge.source), []).append(edge)
@@ -261,7 +251,7 @@ def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
                 if row:
                     rows[i] ^= row << so
         diffs[w] = MatF2(len(rows), dims.get(w, 0), tuple(rows))
-    return GradedComplexF2(dims, diffs, labels=labels)
+    return GradedComplexF2(dims, diffs)
 
 
 def kh_ranks(d: Diagram, max_crossings: int | None = None) -> dict[int, int]:
@@ -317,7 +307,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> DoubleCo
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
 
-    cells: dict[tuple, list] = {}
+    dims: dict[tuple, int] = {}
     # vertex -> (cell, position in cell) of each reduced basis element
     place: dict[tuple, list] = {}
     for index in cube.vertices:
@@ -330,15 +320,13 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> DoubleCo
                 raise InternalInconsistency(
                     f"odd vertical degree {value}/2 at vertex {index}")
             cell = (w, value // 2)
-            gens = cells.setdefault(cell, [])
-            slots.append((cell, len(gens)))
-            gens.append((index, mask))
+            slots.append((cell, dims.get(cell, 0)))
+            dims[cell] = slots[-1][1] + 1
 
-    dims = {cell: len(gens) for cell, gens in cells.items()}
     d_h: dict[tuple, list] = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0)
-                              for cell in cells}
+                              for cell in dims}
     d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)
-                              for cell in cells}
+                              for cell in dims}
 
     for edge in cube.edges:
         s, t = cube.states[edge.source], cube.states[edge.target]
@@ -374,7 +362,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> DoubleCo
                            tuple(rows)) for cell, rows in d_h.items()}
     dv_mats = {cell: MatF2(dims.get((cell[0], cell[1] + 1), 0), dims[cell],
                            tuple(rows)) for cell, rows in d_v.items()}
-    return DoubleComplexF2(dims, dh_mats, dv_mats, labels=cells)
+    return DoubleComplexF2(dims, dh_mats, dv_mats)
 
 
 def _filtered_by_p(dc: DoubleComplexF2) -> FilteredComplexF2:
@@ -494,7 +482,6 @@ def twisted_total_ranks(d: Diagram, marking: ArcMarking, basepoint: int = 1,
 
 
 def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
-              max_r: int | None = None,
               max_crossings: int | None = None) -> SpectralPages:
     """Spectral sequence of the cube-weight filtration of the twisted total
     complex.  E^1 equals vertical homology, E^2 the dotted-diagram homology
@@ -508,7 +495,7 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     # the page computation is the memory peak; it needs no cube
     del cube
     fc = _filtered_by_p(dc)
-    pages = spectral_pages(fc, max_r=max_r)
+    pages = spectral_pages(fc)
 
     # E^1 = vertical homology
     e1_expected: dict[tuple, int] = {}
@@ -534,40 +521,19 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
 
 
 def _vertical_homology_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
+    """Betti numbers of (C, d_v) per cell, ranking each nonzero d_v once."""
+    ranks = {cell: f2_rank(m) for cell, m in dc.d_v.items() if not m.is_zero()}
     out = {}
-    for cell in dc.dims:
-        p, q = cell
-        dv_out = dc.dv(cell)
-        dv_in = dc.dv((p, q - 1))
-        rank_out = f2_rank(dv_out) if dv_out.nrows else 0
-        rank_in = f2_rank(dv_in) if dv_in.nrows else 0
-        b = dc.dim(cell) - rank_out - rank_in
+    for (p, q), n in dc.dims.items():
+        b = n - ranks.get((p, q), 0) - ranks.get((p, q - 1), 0)
         if b:
-            out[cell] = b
+            out[(p, q)] = b
     return out
 
 
 # ---------------------------------------------------------------------------
 # Determinant by Kauffman state sum
 # ---------------------------------------------------------------------------
-
-def _zeta8_mul(a, b):
-    out = [0, 0, 0, 0]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            e = i + j
-            if e >= 8:
-                e -= 8
-            if e >= 4:
-                out[e - 4] -= ai * bj
-            else:
-                out[e] += ai * bj
-    return out
-
 
 def _zeta8_bracket(d: Diagram) -> tuple:
     """The single-circle state sum at A = zeta8 as the coefficients of 1, x,
@@ -614,6 +580,11 @@ def state_sum_det(d: Diagram, max_crossings: int | None = None) -> int:
     """|det| via the Kauffman bracket evaluated at A = zeta8, a primitive 8th
     root of unity, exact in Z[x]/(x^4+1).
 
+    The bracket at zeta8 is (-A^3)^w V_L(-1) with w the writhe, and V_L(-1)
+    is +-det or +-i det, so it is +-x^k det: |det| is its one nonzero
+    coefficient, or 0 when it is zero.  Two nonzero coefficients raise
+    InternalInconsistency.
+
     The circle weight delta = -A^2 - A^-2 vanishes at zeta8, so only the
     states that close into a single circle contribute, each with weight
     A^(#0-smoothings - #1-smoothings).  The sum runs as a dynamic program
@@ -641,16 +612,8 @@ def state_sum_det(d: Diagram, max_crossings: int | None = None) -> int:
         return 1 if d.free_loops == 1 else (0 if d.free_loops else 1)
     if d.free_loops:
         return 0
-    z = _zeta8_bracket(d)
-    conj = [z[0], -z[3], -z[2], -z[1]]
-    norm = _zeta8_mul(z, conj)
-    if norm[1] or norm[2] or norm[3]:
-        if norm[2] or norm[1] != -norm[3]:
-            raise InternalInconsistency(f"norm not real: {norm}")
-        if norm[1]:
-            raise InternalInconsistency(f"norm not an integer: {norm}")
-    det_sq = norm[0]
-    root = math.isqrt(det_sq)
-    if root * root != det_sq:
-        raise InternalInconsistency(f"|det|^2 = {det_sq} is not a perfect square")
-    return root
+    nonzero = [abs(c) for c in _zeta8_bracket(d) if c]
+    if len(nonzero) > 1:
+        raise InternalInconsistency(
+            f"zeta8 bracket has {len(nonzero)} nonzero coefficients, not one")
+    return nonzero[0] if nonzero else 0

@@ -3,17 +3,15 @@
 GF(2) matrices store each row as a Python int bitmask (bit j = column j), so
 row operations are single XORs regardless of width.  Integer matrices are
 plain lists of lists of ints; Python's arbitrary precision removes any real
-overflow concern, but an optional bit budget is enforced for callers that
-want to detect coefficient explosion.
+overflow concern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DimensionMismatch, OverflowGuard
+from .errors import DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +236,18 @@ def _gcdext(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def smith_normal_form(a: Sequence[Sequence[int]], bit_budget: int | None = None):
+def smith_normal_form(a: Sequence[Sequence[int]]):
     """Smith normal form over the integers.
 
     Returns (d, u, v) with u @ a @ v = d, u and v unimodular, d diagonal with
     d[0] | d[1] | ... and non-negative diagonal.  Entries are cleared with
     extended-gcd 2x2 unimodular transforms, which keeps coefficient growth
-    tame; if bit_budget is set, OverflowGuard is raised when any intermediate
-    entry exceeds that many bits.
+    tame.
     """
     n, m = _check_rect(a)
     d = [list(map(int, row)) for row in a]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def guard():
-        if bit_budget is None:
-            return
-        for row in d:
-            for e in row:
-                if abs(e).bit_length() > bit_budget:
-                    raise OverflowGuard(f"entry exceeds {bit_budget} bits")
 
     def swap_rows(i, j):
         if i != j:
@@ -335,7 +324,6 @@ def smith_normal_form(a: Sequence[Sequence[int]], bit_budget: int | None = None)
                 break
             for j in range(t + 1, m):
                 col_gcd_transform(t, j)
-            guard()
             if all(d[i][t] == 0 for i in range(t + 1, n)):
                 break
         # force divisibility of the remaining block by the pivot

@@ -13,7 +13,25 @@ from fractions import Fraction
 
 from cubekh.diagram import _UnionFind
 from cubekh.errors import InternalInconsistency
-from cubekh.khovanov import _zeta8_mul
+
+
+def _zeta8_mul(a, b):
+    """Product in Z[x]/(x^4+1), coefficients of 1, x, x^2, x^3."""
+    out = [0, 0, 0, 0]
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            e = i + j
+            if e >= 8:
+                e -= 8
+            if e >= 4:
+                out[e - 4] -= ai * bj
+            else:
+                out[e] += ai * bj
+    return out
 
 
 def zeta8_bracket(d):
@@ -45,8 +63,8 @@ def zeta8_bracket(d):
 
 
 def state_sum_det(d):
-    """|det| from the bracket at zeta8, with the norm checks of the
-    library function."""
+    """|det| from the bracket at zeta8 as the square root of its norm
+    z * conj(z), which must be a non-negative integer square."""
     n = d.n
     if n == 0:
         return 1 if d.free_loops == 1 else (0 if d.free_loops else 1)

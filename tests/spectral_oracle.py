@@ -29,7 +29,7 @@ def filtration_violation(complex_, levels):
     return None
 
 
-def spectral_pages(fc, max_r=None) -> SpectralPages:
+def spectral_pages(fc) -> SpectralPages:
     """Spectral sequence of a filtered complex via explicit subquotients.
 
     E^r_{p,t} = Z^r_{p,t} / (Z^{r-1}_{p+1,t} + d Z^{r-1}_{p-r+1,t-1}) with
@@ -39,8 +39,6 @@ def spectral_pages(fc, max_r=None) -> SpectralPages:
     c = fc.complex
     pmax = fc.max_level
     r_end = pmax + 1
-    if max_r is not None:
-        r_end = max(r_end, max_r)
     degrees = c.degrees()
 
     # column form of each differential: image of a vector is an XOR of columns

@@ -90,9 +90,11 @@ def test_budget_exit_code(capsys, monkeypatch):
 
 
 def test_env_budget(capsys, monkeypatch):
+    # the cube budget is set by --max-crossings alone; the environment
+    # variable of that name is not read
     monkeypatch.setenv("CUBEKH_MAX_CROSSINGS", "2")
     code, out = run_cli(capsys, monkeypatch, ["--command", "kh"], TREFOIL)
-    assert code == 3
+    assert code == 0 and json.loads(out)["total"] == 6
 
 
 def test_determinism_across_runs(capsys, monkeypatch):
@@ -163,6 +165,42 @@ def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["error"] == {
         "kind": "internal", "detail": "det oracles disagree: 5 vs 3"}
+
+
+def test_two_coefficient_bracket_exits_internal(capsys, monkeypatch):
+    # the bracket at zeta8 is +-x^k det; 3 + 4x^2 has norm 25, a perfect
+    # square, but two nonzero coefficients
+    import cubekh.khovanov as kh
+    monkeypatch.setattr(kh, "_zeta8_bracket", lambda d: (3, 0, 4, 0))
+    code, out = run_cli(capsys, monkeypatch, ["--command", "det"], TREFOIL)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "internal",
+        "detail": "zeta8 bracket has 2 nonzero coefficients, not one"}
+
+
+@pytest.mark.parametrize("cmd, check", [
+    ("kh", "NotAComplex"), ("khr", "NotAComplex"), ("twisted", "NotBicomplex"),
+    ("hd", "NotBicomplex"), ("ss", "NotBicomplex")])
+def test_failed_complex_checks_exit_internal(capsys, monkeypatch, cmd, check):
+    # zeroing one edge map of the trefoil's cube breaks a face of the cube;
+    # the diagram is valid, so this is a bug and not bad input
+    import cubekh.khovanov as kh
+    from cubekh.linalg import MatF2
+    real_edge_map = kh.edge_map
+
+    def broken_edge_map(edge, src, tgt, marked=None):
+        m = real_edge_map(edge, src, tgt, marked)
+        if edge.source == (0, 0, 0) and edge.crossing == 0:
+            return MatF2.zero(m.nrows, m.ncols)
+        return m
+
+    monkeypatch.setattr(kh, "edge_map", broken_edge_map)
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "internal"
+    assert err["detail"].startswith(check + ": ")
 
 
 def test_internal_checks_survive_optimize_flag():

@@ -316,6 +316,34 @@ def test_single_vertex_vertical_homology():
         assert sums == expected
 
 
+def test_vertical_rank_once_per_cell(monkeypatch):
+    # the d_v out of (p, q - 1) is the d_v into (p, q); each nonzero one is
+    # ranked once, zero ones not at all, and the Betti numbers equal the
+    # ones from ranking each map at both ends
+    from cubekh.linalg import f2_rank
+    rng = random.Random(17)
+    for _ in range(10):
+        d = random_braid_diagram(rng, max_crossings=6)
+        dc = twisted_complex(d, random_compatible_marking(d, rng))
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return f2_rank(m)
+
+        monkeypatch.setattr(kh, "f2_rank", counted)
+        ranks = kh._vertical_homology_ranks(dc)
+        monkeypatch.setattr(kh, "f2_rank", f2_rank)
+        assert len(calls) == sum(1 for m in dc.d_v.values() if not m.is_zero())
+        expected = {}
+        for (p, q) in dc.dims:
+            b = (dc.dim((p, q)) - f2_rank(dc.dv((p, q)))
+                 - f2_rank(dc.dv((p, q - 1))))
+            if b:
+                expected[(p, q)] = b
+        assert ranks == expected
+
+
 def test_hd_constructions_agree_random():
     rng = random.Random(11)
     for _ in range(20):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import spectral_oracle as oracle
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.complexes import (
-    DoubleComplexF2,
     FilteredComplexF2,
     spectral_pages,
     total_complex,
@@ -32,8 +31,7 @@ from test_complexes import random_filtered, random_three_term
 
 
 def check_pages(fc):
-    for max_r in (None, 1, fc.max_level + 3):
-        assert spectral_pages(fc, max_r) == oracle.spectral_pages(fc, max_r)
+    assert spectral_pages(fc) == oracle.spectral_pages(fc)
 
 
 @pytest.mark.parametrize("max_dim,levels", [(2, 1), (4, 3), (6, 5), (8, 4)])
@@ -72,18 +70,19 @@ CORPUS_HEAD = diagram_corpus(CORPUS_SEED, 40, CORPUS_MAX_CROSSINGS)
 def test_corpus_weight_filtration_pages_match_oracle(i):
     d = CORPUS_HEAD[i]
     m = random_compatible_marking(d, random.Random(CORPUS_SEED + i))
-    total, _ = total_complex(twisted_complex(d, m))
-    levels = {t: [sum(lab[0]) for lab in total.labels[t]]
-              for t in total.degrees()}
+    dc = twisted_complex(d, m)
+    total, positions = total_complex(dc)
+    # filtered by cube weight: cell (p, q) sits at its offset in degree p + q
+    levels = {t: [None] * n for t, n in total.dims.items()}
+    for (p, q), off in positions.items():
+        levels[p + q][off:off + dc.dim((p, q))] = [p] * dc.dim((p, q))
     check_pages(FilteredComplexF2(total, levels))
 
 
 def check_dotted(d, rng):
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
         dc = twisted_complex(d, m)
-        # the E^2 route takes the levels from the cells, not the labels
-        bare = DoubleComplexF2(dc.dims, dc.d_h, dc.d_v, check=False)
-        assert (vertical_then_horizontal_ranks(bare)
+        assert (vertical_then_horizontal_ranks(dc)
                 == oracle.vertical_then_horizontal_ranks(dc))
 
 

@@ -120,15 +120,15 @@ def criterion_3_twisted_consistency():
     rng = random.Random(CORPUS_SEED + 3)
     for d in corpus():
         cube = build_cube(d)
-        hd0 = vertical_then_horizontal_ranks(_twisted(cube, ArcMarking.zero(d), 1))
+        hd0 = vertical_then_horizontal_ranks(_twisted(cube, ArcMarking.zero(d), 1)[0])
         collapsed: dict[int, int] = {}
         for (p, v), r in hd0.items():
             collapsed[p] = collapsed.get(p, 0) + r
         if collapsed != homology_ranks(_assemble(cube, 1)):
             return False, f"trivial marking mismatch on {d!r}"
         m = random_compatible_marking(d, rng)
-        dc = _twisted(cube, m, 1)
-        if vertical_then_horizontal_ranks(dc) != _hd_even(cube, m, 1):
+        dc, even = _twisted(cube, m, 1)
+        if vertical_then_horizontal_ranks(dc) != _hd_even(dc, even):
             return False, f"dotted constructions disagree on {d!r}"
     return True, f"{len(corpus())} diagrams, trivial + random markings"
 

@@ -299,20 +299,27 @@ def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     differentials shift by exactly one).
     """
     _marked_circles(d, basepoint)
-    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
+    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)[0]
 
 
-def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> DoubleComplexF2:
+def _twisted(cube: CubeComplex, marking: ArcMarking,
+             basepoint: int) -> tuple[DoubleComplexF2, dict[tuple, int]]:
+    """The twisted double complex, and per cell the number of generators at
+    all-even vertices (no odd circle, so d_v is zero there); they take the
+    first positions of their cell."""
     mark = _marked_circles(cube.diagram, basepoint)
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
 
     dims: dict[tuple, int] = {}
-    # vertex -> (cell, position in cell) of each reduced basis element
+    even: dict[tuple, int] = {}
+    # vertex -> (cell, position in cell) of each reduced basis element,
+    # placed all-even vertices first
     place: dict[tuple, list] = {}
-    for index in cube.vertices:
+    for index in sorted(cube.vertices, key=lambda ix: any(parities[ix])):
         state = cube.states[index]
         w, k = sum(index), state.n_circles
+        is_even = not any(parities[index])
         slots = place[index] = []
         for mask in _reduced_masks(state, mark(state)):
             value = 2 * mask.bit_count() - w - k + par
@@ -322,6 +329,8 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> DoubleCo
             cell = (w, value // 2)
             slots.append((cell, dims.get(cell, 0)))
             dims[cell] = slots[-1][1] + 1
+            if is_even:
+                even[cell] = dims[cell]
 
     d_h: dict[tuple, list] = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0)
                               for cell in dims}
@@ -362,7 +371,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> DoubleCo
                            tuple(rows)) for cell, rows in d_h.items()}
     dv_mats = {cell: MatF2(dims.get((cell[0], cell[1] + 1), 0), dims[cell],
                            tuple(rows)) for cell, rows in d_v.items()}
-    return DoubleComplexF2(dims, dh_mats, dv_mats)
+    return DoubleComplexF2(dims, dh_mats, dv_mats), even
 
 
 def _filtered_by_p(dc: DoubleComplexF2) -> FilteredComplexF2:
@@ -391,64 +400,22 @@ def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                        max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology via the all-even-vertex subcomplex."""
     _marked_circles(d, basepoint)
-    return _hd_even(build_cube(d, max_crossings=max_crossings), marking, basepoint)
+    return _hd_even(*_twisted(build_cube(d, max_crossings=max_crossings),
+                              marking, basepoint))
 
 
-def _hd_even(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> dict[tuple, int]:
-    mark = _marked_circles(cube.diagram, basepoint)
-    parities = _marking_parities(cube, marking)
-    par = _vertical_degree_offset(cube)
-    even = [index for index in cube.vertices if not any(parities[index])]
-
-    # per even vertex: (vertical degree, position among that degree's
-    # elements) of each reduced basis element, and the count per degree
-    slots: dict[tuple, list] = {}
-    sizes: dict[tuple, dict] = {}
-    for index in even:
-        w, k = sum(index), cube.states[index].n_circles
-        size = sizes[index] = {}
-        sl = slots[index] = []
-        for mask in _reduced_masks(cube.states[index], mark(cube.states[index])):
-            v = (2 * mask.bit_count() - w - k + par) // 2
-            sl.append((v, size.get(v, 0)))
-            size[v] = size.get(v, 0) + 1
-
-    # one complex per vertical degree v, graded by cube weight
-    dims: dict[int, dict] = {}
-    offsets: dict[int, dict] = {}
-    for index in even:
-        w = sum(index)
-        for v, n_v in sizes[index].items():
-            dv = dims.setdefault(v, {})
-            offsets.setdefault(v, {})[index] = dv.get(w, 0)
-            dv[w] = dv.get(w, 0) + n_v
-    rows = {v: {w: [0] * dv.get(w + 1, 0) for w in dv} for v, dv in dims.items()}
-
-    even_set = set(even)
-    for edge in cube.edges:
-        if edge.source not in even_set or edge.target not in even_set:
-            continue
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        m = edge_map(edge, s, t, (mark(s), mark(t)))
-        src, tgt = slots[edge.source], slots[edge.target]
-        w = sum(edge.source)
-        for i, row in enumerate(m.rows):
-            v, ii = tgt[i]
-            while row:
-                low = row & -row
-                row ^= low
-                vs, jj = src[low.bit_length() - 1]
-                if vs == v:
-                    so = offsets[v][edge.source]
-                    to = offsets[v][edge.target]
-                    rows[v][w][to + ii] ^= 1 << (so + jj)
-
+def _hd_even(dc: DoubleComplexF2, even: dict[tuple, int]) -> dict[tuple, int]:
+    """Homology of d_h restricted to the generators of all-even vertices,
+    the first even[cell] positions of each cell (see `_twisted`), one complex
+    per vertical degree v graded by cube weight, keyed by (w, v)."""
     out: dict[tuple, int] = {}
-    for v in sorted(dims):
-        dv = dims[v]
-        diffs = {w: MatF2(dv.get(w + 1, 0), dv[w], tuple(r))
-                 for w, r in rows[v].items()}
-        for w, b in homology_ranks(GradedComplexF2(dv, diffs)).items():
+    for v in sorted({v for _, v in even}):
+        dims = {w: n for (w, u), n in even.items() if u == v}
+        diffs = {}
+        for w, n in dims.items():
+            rows = dc.dh((w, v)).rows[:dims.get(w + 1, 0)]
+            diffs[w] = MatF2(len(rows), n, tuple(r & ((1 << n) - 1) for r in rows))
+        for w, b in homology_ranks(GradedComplexF2(dims, diffs)).items():
             out[(w, v)] = b
     return out
 
@@ -459,13 +426,17 @@ def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
 
     Read off the E^2 page of the twisted complex filtered by cube weight
     (`vertical_then_horizontal_ranks`) and cross-checked against the
-    homology of the all-even-vertex subcomplex; raises InternalInconsistency
-    if the two disagree.
+    homology of the all-even-vertex subcomplex, the twisted d_h restricted
+    to the vertices without an odd circle; raises InternalInconsistency if
+    the two disagree.  Both come from one twisted complex, but only the E^2
+    side reads d_v and goes through the persistence pairing.  They agree
+    because wedging with a nonzero odd class is exact: E^1 = H(C, d_v) is
+    the even-vertex part of C, and d_1 is d_h restricted to it.
     """
     _marked_circles(d, basepoint)
-    cube = build_cube(d, max_crossings=max_crossings)
-    a = vertical_then_horizontal_ranks(_twisted(cube, marking, basepoint))
-    b = _hd_even(cube, marking, basepoint)
+    dc, even = _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
+    a = vertical_then_horizontal_ranks(dc)
+    b = _hd_even(dc, even)
     if a != b:
         raise InternalInconsistency(
             f"dotted homology constructions disagree: {a} vs {b}")
@@ -485,15 +456,14 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
               max_crossings: int | None = None) -> SpectralPages:
     """Spectral sequence of the cube-weight filtration of the twisted total
     complex.  E^1 equals vertical homology, E^2 the dotted-diagram homology
-    of the all-even-vertex subcomplex, and the E^infinity total matches the
-    homology of the total complex; all three identities are checked,
-    raising InternalInconsistency."""
+    of the all-even-vertex subcomplex (the twisted d_h restricted to the
+    vertices where d_v is zero, see `hd_homology`), and the E^infinity total
+    matches the homology of the total complex; all three identities are
+    checked, raising InternalInconsistency."""
     _marked_circles(d, basepoint)
-    cube = build_cube(d, max_crossings=max_crossings)
-    dc = _twisted(cube, marking, basepoint)
-    hd = _hd_even(cube, marking, basepoint)
-    # the page computation is the memory peak; it needs no cube
-    del cube
+    # the page computation is the memory peak; it needs no cube, so none is kept
+    dc, even = _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
+    hd = _hd_even(dc, even)
     fc = _filtered_by_p(dc)
     pages = spectral_pages(fc)
 

@@ -133,16 +133,6 @@ class RGradedMap:
             out[k] = MatF2(m.nrows, m.ncols, tuple(rows))
         return RGradedMap(self.source, self.target, out, self.hdeg)
 
-    def is_chain_map(self) -> bool:
-        if self.hdeg != 0:
-            raise NotChainMap("chain map check requires degree 0")
-        try:
-            ChainMap(self.source, self.target,
-                     {k: self.block(k) for k in self.source.degrees()})
-        except NotChainMap:
-            return False
-        return True
-
 
 def is_nullhomotopy(h: RGradedMap, f: RGradedMap, g: RGradedMap) -> bool:
     """h : E0 -> E2 of degree -1 with d h + h d = g o f."""
@@ -165,10 +155,10 @@ class DoubleConeVerdict:
     quasi_isomorphism: bool | None
 
 
-def _cone_map_to_target(f: RGradedMap, g: RGradedMap, h: RGradedMap) -> ChainMap:
+def _cone_map_to_target(f: ChainMap, g: RGradedMap, h: RGradedMap) -> ChainMap:
     """(h, g) : Cone(f) -> E2 as a plain GF(2) chain map."""
     e0, e1, e2 = f.source, f.target, g.target
-    cone = mapping_cone(ChainMap(e0, e1, {k: f.block(k) for k in f.source.degrees()}))
+    cone = mapping_cone(f)
     blocks = {}
     for k in cone.degrees():
         m = block_matrix(
@@ -194,8 +184,15 @@ def check_double_mapping_cone(e0: RGradedComplex, e1: RGradedComplex,
     leading_f = Interval(Fraction(0), eps)
     zero_only = Interval(Fraction(0), Fraction(0), hi_closed=True)
 
-    if not f.is_chain_map() or not g.is_chain_map():
-        return DoubleConeVerdict("chain-maps", None)
+    chain_maps = []
+    for m in (f, g):
+        if m.hdeg != 0:
+            raise NotChainMap("chain map check requires degree 0")
+        try:
+            chain_maps.append(ChainMap(m.source, m.target,
+                                       {k: m.block(k) for k in m.source.degrees()}))
+        except NotChainMap:
+            return DoubleConeVerdict("chain-maps", None)
     if not is_nullhomotopy(h, f, g):
         return DoubleConeVerdict("nullhomotopy", None)
 
@@ -222,7 +219,7 @@ def check_double_mapping_cone(e0: RGradedComplex, e1: RGradedComplex,
         if not (mg @ mf).is_zero() or rf + f2_rank(mg) != e1.dim(k):
             return DoubleConeVerdict("(3) exactness (middle)", None)
 
-    phi = _cone_map_to_target(f, g, h)
+    phi = _cone_map_to_target(chain_maps[0], g, h)
     qi = not homology_ranks(mapping_cone(phi))
     return DoubleConeVerdict(None, qi)
 

@@ -26,6 +26,10 @@ INF = "inf"
 # triad steps in one large-surgery derivation; each is an object in the
 # verdict and an entry of the lspace job's output
 MAX_LARGE_SURGERY_STEPS = 10_000
+# multiplicity sum of one plumbing component: every level of the leaf
+# induction lowers it by at least one, so it bounds the recursion depth,
+# and the budget keeps that depth well inside Python's recursion limit
+MAX_PLUMBING_DEPTH = 500
 
 
 def _norm_framing(v) -> int | str:
@@ -286,6 +290,11 @@ def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
     if not _plumbing_hypotheses_hold(g):
         return LSpaceVerdict("not-applicable", order)
     comps = g.component_vertices()
+    depth = max((sum(g.multiplicities[u] for u in comp) for comp in comps), default=0)
+    if depth > MAX_PLUMBING_DEPTH:
+        raise SizeBudgetExceeded(
+            f"plumbing component multiplicity sum {depth} exceeds the "
+            f"leaf-induction depth budget of {MAX_PLUMBING_DEPTH}")
     steps: list[DerivationStep] = []
     part_orders = []
     for comp in comps:

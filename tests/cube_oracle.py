@@ -4,13 +4,22 @@ implementations in `cubekh.diagram` and `cubekh.khovanov`.
 Each one is the straightforward form the fast code replaced: circles by a
 dict-based union-find, edges classified by mapping every arc of every
 source circle, edge maps built mask by mask on the full exterior-algebra
-basis, and the reduced map obtained by restricting the full one to the
-subsets that contain the marked circle, read off `arc_to_circle`.
+basis, the reduced map obtained by restricting the full one to the
+subsets that contain the marked circle, read off `arc_to_circle`, and
+dotted-diagram homology from the edge maps between all-even vertices.
 """
 
+from cubekh.complexes import GradedComplexF2, homology_ranks
 from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
 from cubekh.errors import BadCircleMap
-from cubekh.khovanov import CubeEdge
+from cubekh.khovanov import (
+    CubeEdge,
+    _marked_circles,
+    _marking_parities,
+    _reduced_masks,
+    _vertical_degree_offset,
+    edge_map,
+)
 from cubekh.linalg import MatF2
 
 
@@ -126,3 +135,67 @@ def restrict_reduced(m: MatF2, src, tgt, basepoint) -> MatF2:
         row = m.rows[tm]
         rows.append(sum(1 << i for i, sm in enumerate(src_masks) if (row >> sm) & 1))
     return MatF2(len(tgt_masks), len(src_masks), tuple(rows))
+
+
+def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
+    """Dotted-diagram homology from its own pass over the cube: marking
+    parities, placement of the all-even vertices' reduced generators by
+    vertical degree, and the reduced edge maps between even vertices, one
+    complex per vertical degree v graded by cube weight, keyed by (w, v).
+    Entries of an edge map that change the vertical degree are dropped."""
+    mark = _marked_circles(cube.diagram, basepoint)
+    parities = _marking_parities(cube, marking)
+    par = _vertical_degree_offset(cube)
+    even = [index for index in cube.vertices if not any(parities[index])]
+
+    # per even vertex: (vertical degree, position among that degree's
+    # elements) of each reduced basis element, and the count per degree
+    slots: dict[tuple, list] = {}
+    sizes: dict[tuple, dict] = {}
+    for index in even:
+        w, k = sum(index), cube.states[index].n_circles
+        size = sizes[index] = {}
+        sl = slots[index] = []
+        for mask in _reduced_masks(cube.states[index], mark(cube.states[index])):
+            v = (2 * mask.bit_count() - w - k + par) // 2
+            sl.append((v, size.get(v, 0)))
+            size[v] = size.get(v, 0) + 1
+
+    # one complex per vertical degree v, graded by cube weight
+    dims: dict[int, dict] = {}
+    offsets: dict[int, dict] = {}
+    for index in even:
+        w = sum(index)
+        for v, n_v in sizes[index].items():
+            dv = dims.setdefault(v, {})
+            offsets.setdefault(v, {})[index] = dv.get(w, 0)
+            dv[w] = dv.get(w, 0) + n_v
+    rows = {v: {w: [0] * dv.get(w + 1, 0) for w in dv} for v, dv in dims.items()}
+
+    even_set = set(even)
+    for edge in cube.edges:
+        if edge.source not in even_set or edge.target not in even_set:
+            continue
+        s, t = cube.states[edge.source], cube.states[edge.target]
+        m = edge_map(edge, s, t, (mark(s), mark(t)))
+        src, tgt = slots[edge.source], slots[edge.target]
+        w = sum(edge.source)
+        for i, row in enumerate(m.rows):
+            v, ii = tgt[i]
+            while row:
+                low = row & -row
+                row ^= low
+                vs, jj = src[low.bit_length() - 1]
+                if vs == v:
+                    so = offsets[v][edge.source]
+                    to = offsets[v][edge.target]
+                    rows[v][w][to + ii] ^= 1 << (so + jj)
+
+    out: dict[tuple, int] = {}
+    for v in sorted(dims):
+        dv = dims[v]
+        diffs = {w: MatF2(dv.get(w + 1, 0), dv[w], tuple(r))
+                 for w, r in rows[v].items()}
+        for w, b in homology_ranks(GradedComplexF2(dv, diffs)).items():
+            out[(w, v)] = b
+    return out

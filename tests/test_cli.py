@@ -150,12 +150,40 @@ def test_internal_inconsistency_is_not_validation():
 
 def test_disagreeing_hd_constructions_exit_internal(capsys, monkeypatch):
     import cubekh.khovanov as kh
-    monkeypatch.setattr(kh, "_hd_even", lambda cube, marking, basepoint: {})
+    monkeypatch.setattr(kh, "_hd_even", lambda dc, even: {})
     for cmd in ("hd", "ss"):
         code, out = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
         assert code == 1, cmd
         err = json.loads(out)["error"]
         assert err["kind"] == "internal" and "disagree" in err["detail"]
+
+
+def _braid6_marked():
+    from cubekh.corpus import braid_closure, random_compatible_marking
+    d = braid_closure([1, -2, 1, -2, 1, -2], 3)
+    m = random_compatible_marking(d, random.Random(6))
+    return {"pd": [list(c) for c in d.crossings], "marking": {"arcs": list(m.bits)}}
+
+
+@pytest.mark.parametrize("cmd", ["hd", "ss"])
+@pytest.mark.parametrize("payload", [TREFOIL, _braid6_marked()],
+                         ids=["trefoil", "braid6_marked"])
+def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
+    # the E^2 page and the even-vertex subcomplex come from one twisted
+    # complex, so each cube edge's map is built once
+    import cubekh.khovanov as kh
+    from cubekh.diagram import parse_pd
+    real_edge_map = kh.edge_map
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real_edge_map(*args, **kwargs)
+
+    monkeypatch.setattr(kh, "edge_map", counted)
+    code, _ = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
+    assert code == 0
+    assert len(calls) == len(kh.build_cube(parse_pd(payload["pd"])).edges)
 
 
 def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
@@ -350,6 +378,31 @@ def test_free_loops_reach_cube_budget_before_allocating(capsys, monkeypatch):
     assert err["kind"] == "budget"
     assert "1000000 free loops exceeds the cube budget" in err["detail"]
     assert peak < 1 << 20
+
+
+def test_plumbing_reaches_depth_budget_before_recursing(capsys, monkeypatch):
+    # a leaf of multiplicity 5000 would take the leaf induction 5000 levels
+    # deep, past Python's recursion limit: the budget stops the job first,
+    # while a component at the budget still certifies
+    import tracemalloc
+    from cubekh.surgery import MAX_PLUMBING_DEPTH
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, monkeypatch, ["--command", "plumbing"],
+                            {"plumbing": {"mult": [5000, 2], "edges": [[0, 1]]}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "budget"
+    assert "multiplicity sum 5002 exceeds" in err["detail"]
+    assert peak < 1 << 20
+    code, out = run_cli(capsys, monkeypatch, ["--command", "plumbing"],
+                        {"plumbing": {"mult": [MAX_PLUMBING_DEPTH - 2, 2],
+                                      "edges": [[0, 1]]}})
+    assert code == 0
+    assert json.loads(out)["verdict"] == "certified"
 
 
 def test_large_surgery_chain_reaches_budget_before_allocating(capsys,

@@ -1,7 +1,9 @@
 """The one-pass cube layer against the reference versions in cube_oracle:
 resolution, edge classification, and edge maps on the full basis and on
 the reduced basis of every basepoint class, all from one cube per diagram,
-on the first acceptance-corpus diagrams and on random braid closures."""
+and the even-vertex dotted homology read off the twisted complex against
+its own pass over the cube, on the first acceptance-corpus diagrams and
+on random braid closures."""
 
 import random
 
@@ -11,10 +13,10 @@ from hypothesis import strategies as st
 
 import cube_oracle as oracle
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
-from cubekh.corpus import diagram_corpus, random_braid_diagram
-from cubekh.diagram import Diagram
+from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatible_marking
+from cubekh.diagram import ArcMarking, Diagram
 from cubekh.errors import BadCircleMap
-from cubekh.khovanov import _marked_circles, build_cube, edge_map
+from cubekh.khovanov import _hd_even, _marked_circles, _twisted, build_cube, edge_map
 
 
 def check_cube_against_oracle(d):
@@ -48,6 +50,29 @@ def test_random_braid_cube_matches_oracle(seed, free_loops):
     d = random_braid_diagram(rng, max_crossings=7)
     check_cube_against_oracle(Diagram(d.crossings,
                                       free_loops=d.free_loops + free_loops))
+
+
+def check_hd_even_against_oracle(d, rng):
+    cube = build_cube(d)
+    for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
+        assert _hd_even(*_twisted(cube, m, 1)) == oracle.hd_even_oracle(cube, m, 1)
+
+
+HD_CORPUS_HEAD = diagram_corpus(CORPUS_SEED, 100, CORPUS_MAX_CROSSINGS)
+
+
+@pytest.mark.parametrize("i", range(len(HD_CORPUS_HEAD)))
+def test_corpus_hd_even_matches_oracle(i):
+    check_hd_even_against_oracle(HD_CORPUS_HEAD[i], random.Random(i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_random_braid_hd_even_matches_oracle(seed, free_loops):
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=7)
+    check_hd_even_against_oracle(
+        Diagram(d.crossings, free_loops=d.free_loops + free_loops), rng)
 
 
 def test_nonplanar_edge_still_rejected():

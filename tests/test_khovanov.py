@@ -11,6 +11,7 @@ import pytest
 
 import cubekh.khovanov as kh
 import spectral_oracle
+from cube_oracle import hd_even_oracle
 from det_oracle import continued_fraction_numerator
 from cubekh.corpus import (
     random_braid_diagram,
@@ -345,12 +346,16 @@ def test_vertical_rank_once_per_cell(monkeypatch):
 
 
 def test_hd_constructions_agree_random():
+    # the E^2 page against the even-vertex subcomplex read off the same
+    # twisted complex, and against the oracle's own pass over the cube
     rng = random.Random(11)
     for _ in range(20):
         d = random_braid_diagram(rng, max_crossings=5)
         m = random_compatible_marking(d, rng)
         dc = twisted_complex(d, m)
-        assert vertical_then_horizontal_ranks(dc) == hd_even_subcomplex(d, m)
+        expected = hd_even_oracle(build_cube(d), m, 1)
+        assert vertical_then_horizontal_ranks(dc) == expected
+        assert hd_even_subcomplex(d, m) == expected
 
 
 def test_induced_horizontal_rank_once_per_cell(monkeypatch):

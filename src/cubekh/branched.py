@@ -50,30 +50,33 @@ class GoeritzData:
         return abs(det_bareiss([list(r) for r in self.matrix]))
 
 
-def _checkerboard(d: Diagram, pm: PlanarMap) -> tuple:
-    """2-coloring of faces; adjacent faces across an arc get opposite colors."""
+def _face_parities(d: Diagram, pm: PlanarMap, label, clash: str) -> list[int]:
+    """XOR of label(arc) over the arcs crossed on a walk from the first face
+    of each projection piece, found by a search over faces; a face reached
+    with two different values raises NonPlanarTrace(clash)."""
     nfaces = len(pm.faces)
-    colors = [-1] * nfaces
-    adj: dict[int, set] = {i: set() for i in range(nfaces)}
+    parity = [-1] * nfaces
+    adj: list[list] = [[] for _ in range(nfaces)]
     for arc in range(1, d.arc_count + 1):
         f1, f2 = pm.arc_faces(d, arc)
-        if f1 != f2:
-            adj[f1].add(f2)
-            adj[f2].add(f1)
+        bit = label(arc)
+        adj[f1].append((f2, bit))
+        adj[f2].append((f1, bit))
     for start in range(nfaces):
-        if colors[start] != -1:
+        if parity[start] != -1:
             continue
-        colors[start] = 0
+        parity[start] = 0
         stack = [start]
         while stack:
             f = stack.pop()
-            for g in adj[f]:
-                if colors[g] == -1:
-                    colors[g] = colors[f] ^ 1
+            for g, bit in adj[f]:
+                want = parity[f] ^ bit
+                if parity[g] == -1:
+                    parity[g] = want
                     stack.append(g)
-                elif colors[g] == colors[f]:
-                    raise NonPlanarTrace("projection is not checkerboard colorable")
-    return tuple(colors)
+                elif parity[g] != want:
+                    raise NonPlanarTrace(clash)
+    return parity
 
 
 def goeritz(d: Diagram) -> GoeritzData:
@@ -87,7 +90,9 @@ def goeritz(d: Diagram) -> GoeritzData:
     if not d.is_pd_connected():
         raise NonPlanarTrace("Goeritz matrix requires a connected diagram")
     pm = planar_map(d)
-    colors = _checkerboard(d, pm)
+    # 2-coloring of faces: adjacent faces across an arc get opposite colors
+    colors = tuple(_face_parities(d, pm, lambda arc: 1,
+                                  "projection is not checkerboard colorable"))
     per_class = [sum(1 for c in colors if c == 0), sum(1 for c in colors if c == 1)]
     if per_class[0] == per_class[1]:
         white = colors[0]
@@ -140,26 +145,20 @@ def link_det(d: Diagram) -> int:
 
 
 def h1_sigma(d: Diagram) -> AbelianGroup:
-    """H1 of the double branched cover: cokernel of the Goeritz matrix, one
-    S^2 x S^1 summand per extra split piece."""
+    """H1 of the double branched cover: cokernel of the block sum of the
+    pieces' Goeritz matrices, one S^2 x S^1 summand per extra split piece."""
     pieces = _pd_pieces(d)
-    total_pieces = len(pieces) + d.free_loops
-    factors: list[int] = []
-    free_rank = max(total_pieces - 1, 0)
-    for piece in pieces:
-        g = goeritz(piece)
-        grp = cokernel_group([list(r) for r in g.matrix])
-        factors.extend(grp.invariant_factors)
-        free_rank += grp.free_rank
-    factors.sort()
-    # re-run Smith on the combined diagonal to restore the divisibility chain
-    if factors:
-        diag = [[0] * len(factors) for _ in range(len(factors))]
-        for i, f in enumerate(factors):
-            diag[i][i] = f
-        grp = cokernel_group(diag)
-        factors = list(grp.invariant_factors)
-    return AbelianGroup(tuple(factors), free_rank)
+    blocks = [goeritz(piece).matrix for piece in pieces]
+    size = sum(len(b) for b in blocks)
+    block_sum = [[0] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            block_sum[at + i][at:at + len(row)] = row
+        at += len(b)
+    grp = cokernel_group(block_sum)
+    split = max(len(pieces) + d.free_loops - 1, 0)
+    return AbelianGroup(grp.invariant_factors, grp.free_rank + split)
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +320,10 @@ def oriented_resolution_filling(d: Diagram) -> FillingReport:
     state = resolve(d, ori)
     pm = planar_map(d)
 
-    # parity BFS over faces: bit c of parity[f] says circle c separates f
-    # from the outer face of its projection piece
-    nfaces = len(pm.faces)
-    parity = [-1] * nfaces
-    adj: dict[int, list] = {f: [] for f in range(nfaces)}
-    for arc in range(1, d.arc_count + 1):
-        f1, f2 = pm.arc_faces(d, arc)
-        bit = 1 << state.arc_to_circle[arc]
-        adj[f1].append((f2, bit))
-        adj[f2].append((f1, bit))
-    for start in range(nfaces):
-        if parity[start] != -1:
-            continue
-        parity[start] = 0
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for g, bit in adj[f]:
-                want = parity[f] ^ bit
-                if parity[g] == -1:
-                    parity[g] = want
-                    stack.append(g)
-                elif parity[g] != want:
-                    raise NonPlanarTrace("inconsistent circle parity; diagram not planar")
+    # bit c of parity[f] says circle c separates f from the outer face of
+    # its projection piece
+    parity = _face_parities(d, pm, lambda arc: 1 << state.arc_to_circle[arc],
+                            "inconsistent circle parity; diagram not planar")
 
     n_pd = sum(1 for c in state.circles if c)
     a_signs = []

@@ -12,27 +12,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .diagram import ArcMarking, Diagram, _UnionFind, normalize_under_slots
+from .diagram import ArcMarking, Diagram, _fuse_and_relabel
 from .errors import MalformedPD
-
-
-def _fuse_and_relabel(crossings, labels, unions, free_loops=0) -> Diagram:
-    """Glue arc labels along union pairs, drop closed loops into free_loops."""
-    uf = _UnionFind(labels)
-    for a, b in unions:
-        uf.union(a, b)
-    live = []
-    seen = set()
-    for c in crossings:
-        for a in c:
-            r = uf.find(a)
-            if r not in seen:
-                seen.add(r)
-                live.append(r)
-    loops = len({uf.find(a) for a in labels}) - len(seen)
-    relabel = {r: i + 1 for i, r in enumerate(sorted(live))}
-    out = [tuple(relabel[uf.find(a)] for a in c) for c in crossings]
-    return normalize_under_slots(out, free_loops + loops)
 
 
 def braid_closure(word: Sequence[int], strands: int) -> Diagram:

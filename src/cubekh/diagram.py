@@ -435,6 +435,23 @@ def normalize_under_slots(crossings, free_loops: int = 0) -> Diagram:
     return Diagram(fixed, free_loops=free_loops)
 
 
+def _fuse_and_relabel(crossings, labels, unions, free_loops: int = 0) -> Diagram:
+    """Glue arc labels along the union pairs and relabel the crossings.
+
+    Glued classes with no incidence at a crossing are closed and become
+    free loops; the live classes are numbered 1, 2, ... in the order of
+    their least label.
+    """
+    uf = _UnionFind(labels)
+    for a, b in unions:
+        uf.union(a, b)
+    live = {uf.find(a) for c in crossings for a in c}
+    loops = len({uf.find(a) for a in labels}) - len(live)
+    relabel = {r: i + 1 for i, r in enumerate(sorted(live))}
+    out = [tuple(relabel[uf.find(a)] for a in c) for c in crossings]
+    return normalize_under_slots(out, free_loops + loops)
+
+
 def _rebuild(d: Diagram, victims: dict[int, tuple[tuple[int, int], ...]]) -> Diagram:
     """Delete the victim crossings, fusing arcs along the given slot pairings.
 
@@ -442,25 +459,11 @@ def _rebuild(d: Diagram, victims: dict[int, tuple[tuple[int, int], ...]]) -> Dia
     crossing is removed.  Arc classes with no incidence at a surviving
     crossing become free loops.
     """
-    uf = _UnionFind(range(1, d.arc_count + 1)) if d.arc_count else _UnionFind([])
-    for ci, pairs in victims.items():
-        c = d.crossings[ci]
-        for s, t in pairs:
-            uf.union(c[s], c[t])
-    survivors = [ci for ci in range(d.n) if ci not in victims]
-    live_classes = []
-    seen = set()
-    for ci in survivors:
-        for a in d.crossings[ci]:
-            r = uf.find(a)
-            if r not in seen:
-                seen.add(r)
-                live_classes.append(r)
-    new_loops = len({uf.find(a) for a in range(1, d.arc_count + 1)}) - len(seen)
-    relabel = {r: i + 1 for i, r in enumerate(sorted(live_classes))}
-    new_crossings = [tuple(relabel[uf.find(a)] for a in d.crossings[ci])
-                     for ci in survivors]
-    return normalize_under_slots(new_crossings, free_loops=d.free_loops + new_loops)
+    unions = [(d.crossings[ci][s], d.crossings[ci][t])
+              for ci, pairs in victims.items() for s, t in pairs]
+    survivors = [c for ci, c in enumerate(d.crossings) if ci not in victims]
+    return _fuse_and_relabel(survivors, range(1, d.arc_count + 1), unions,
+                             d.free_loops)
 
 
 def smooth_crossing(d: Diagram, ci: int, bit: int) -> Diagram:

@@ -236,29 +236,24 @@ def _gcdext(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]):
-    """Smith normal form over the integers.
+def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
+    """Invariant diagonal of the Smith normal form over the integers.
 
-    Returns (d, u, v) with u @ a @ v = d, u and v unimodular, d diagonal with
-    d[0] | d[1] | ... and non-negative diagonal.  Entries are cleared with
-    extended-gcd 2x2 unimodular transforms, which keeps coefficient growth
-    tame.
+    Returns the min(rows, cols) diagonal entries d[0] | d[1] | ..., all
+    non-negative, zeros last.  Entries are cleared with extended-gcd 2x2
+    unimodular row and column operations, which keeps coefficient growth
+    tame; the transforms themselves are not kept.
     """
     n, m = _check_rect(a)
     d = [list(map(int, row)) for row in a]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def swap_rows(i, j):
         if i != j:
             d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
             for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
                 row[i], row[j] = row[j], row[i]
 
     def row_gcd_transform(t, i):
@@ -269,16 +264,12 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
         if p and q % p == 0:
             c = -(q // p)
             d[i] = [x + c * y for x, y in zip(d[i], d[t])]
-            u[i] = [x + c * y for x, y in zip(u[i], u[t])]
             return
         g, x, y = _gcdext(p, q)
         pg, qg = p // g, q // g
         dt, di = d[t], d[i]
         d[t] = [x * a_ + y * b_ for a_, b_ in zip(dt, di)]
         d[i] = [-qg * a_ + pg * b_ for a_, b_ in zip(dt, di)]
-        ut, ui = u[t], u[i]
-        u[t] = [x * a_ + y * b_ for a_, b_ in zip(ut, ui)]
-        u[i] = [-qg * a_ + pg * b_ for a_, b_ in zip(ut, ui)]
 
     def col_gcd_transform(t, j):
         p, q = d[t][t], d[t][j]
@@ -288,16 +279,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
             c = -(q // p)
             for row in d:
                 row[j] += c * row[t]
-            for row in v:
-                row[j] += c * row[t]
             return
         g, x, y = _gcdext(p, q)
         pg, qg = p // g, q // g
         for row in d:
-            a_, b_ = row[t], row[j]
-            row[t] = x * a_ + y * b_
-            row[j] = -qg * a_ + pg * b_
-        for row in v:
             a_, b_ = row[t], row[j]
             row[t] = x * a_ + y * b_
             row[j] = -qg * a_ + pg * b_
@@ -337,30 +322,21 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
                 break
         if offending is not None:
             d[t] = [x + y for x, y in zip(d[t], d[offending])]
-            u[t] = [x + y for x, y in zip(u[t], u[offending])]
             continue
         t += 1
-
-    for i in range(rank_bound):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-    return d, u, v
-
-
-def smith_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return [abs(d[i][i]) for i in range(rank_bound)]
 
 
 def cokernel_group(a: Sequence[Sequence[int]]) -> AbelianGroup:
-    """Cokernel Z^cols / rowspace(a) from the Smith form of a."""
+    """Cokernel Z^cols / rowspace(a), read off the invariant diagonal of a:
+    entries above 1 are the invariant factors and each column past the
+    nonzero entries adds one free summand."""
     n, m = _check_rect(a)
     if m == 0:
         return AbelianGroup((), 0)
     if n == 0:
         return AbelianGroup((), m)
-    diag = smith_diagonal(a)
+    diag = smith_normal_form(a)
     factors = tuple(x for x in diag if x > 1)
     nonzero = sum(1 for x in diag if x != 0)
     return AbelianGroup(factors, m - nonzero)

@@ -30,6 +30,10 @@ MAX_LARGE_SURGERY_STEPS = 10_000
 # induction lowers it by at least one, so it bounds the recursion depth,
 # and the budget keeps that depth well inside Python's recursion limit
 MAX_PLUMBING_DEPTH = 500
+# steps of one plumbing derivation: the leaf induction on a chain of
+# multiplicity-3 vertices takes about 2.6 times more steps per added vertex,
+# so the depth budget alone lets the step list outgrow memory
+MAX_PLUMBING_STEPS = 200_000
 
 
 def _norm_framing(v) -> int | str:
@@ -252,33 +256,47 @@ def _plumbing_hypotheses_hold(g: PlumbingGraph) -> bool:
     return True
 
 
-def _certify_tree(g: PlumbingGraph, steps: list) -> int:
-    """Recursive leaf contraction / triad splitting; returns |H1|."""
-    if g.vertices == 0:
-        return 1
+def _certify_tree(g: PlumbingGraph, steps: list, orders: dict) -> int:
+    """Leaf induction on a plumbing tree; returns |H1| of its manifold.
+
+    A multiplicity-1 leaf is blown down (same manifold, smaller graph);
+    otherwise a leaf gives the surgery triad of g, g minus the leaf, and g
+    with the leaf's multiplicity lowered by one.  Each step records the
+    orders its children return, in a slot of `steps` reserved before the
+    recursion so the steps stay in derivation order.  `orders` maps every
+    graph met so far in this check to its Bareiss order, so each distinct
+    graph costs one determinant.
+    """
+    if len(steps) >= MAX_PLUMBING_STEPS:
+        raise SizeBudgetExceeded(
+            f"plumbing derivation exceeds the budget of {MAX_PLUMBING_STEPS} "
+            f"leaf-induction steps")
+    slot = len(steps)
+    steps.append(None)
     if g.vertices == 1:
         m = g.multiplicities[0]
-        steps.append(DerivationStep("lens-seed", f"lens space of order {m}", (m,)))
+        steps[slot] = DerivationStep("lens-seed", f"lens space of order {m}", (m,))
         return m
+    o = orders.get(g)
+    if o is None:
+        o = orders[g] = plumbing_h1_order(g)
     # prefer contracting a multiplicity-1 leaf (same manifold, smaller graph)
     for v in range(g.vertices):
         if g.degree(v) == 1 and g.multiplicities[v] == 1:
             w = next(a if b == v else b for a, b in g.edges if v in (a, b))
             g2 = g.remove_vertex(v).with_multiplicity(w if w < v else w - 1,
                                                       g.multiplicities[w] - 1)
-            steps.append(DerivationStep(
-                "contract-leaf", f"blow down multiplicity-1 leaf {v}",
-                (plumbing_h1_order(g), plumbing_h1_order(g2))))
-            return _certify_tree(g2, steps)
+            r = _certify_tree(g2, steps, orders)
+            steps[slot] = DerivationStep(
+                "contract-leaf", f"blow down multiplicity-1 leaf {v}", (o, r))
+            return o
     leaf = next(v for v in range(g.vertices) if g.degree(v) == 1)
     g1 = g.remove_vertex(leaf)
     g2 = g.with_multiplicity(leaf, g.multiplicities[leaf] - 1)
-    o, o1, o2 = plumbing_h1_order(g), plumbing_h1_order(g1), plumbing_h1_order(g2)
-    steps.append(DerivationStep(
-        "triad", f"surgery triad at leaf {leaf}", (o, o2, o1)))
-    r1 = _certify_tree(g1, steps)
-    r2 = _certify_tree(g2, steps)
-    if o1 != r1 or o2 != r2 or o != o1 + o2:
+    r1 = _certify_tree(g1, steps, orders)
+    r2 = _certify_tree(g2, steps, orders)
+    steps[slot] = DerivationStep("triad", f"surgery triad at leaf {leaf}", (o, r2, r1))
+    if o != r1 + r2:
         raise InternalInconsistency("plumbing derivation became inconsistent")
     return o
 
@@ -296,13 +314,14 @@ def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
             f"plumbing component multiplicity sum {depth} exceeds the "
             f"leaf-induction depth budget of {MAX_PLUMBING_DEPTH}")
     steps: list[DerivationStep] = []
+    orders = {g: order}
     part_orders = []
     for comp in comps:
         idx = {u: i for i, u in enumerate(comp)}
         sub = PlumbingGraph(tuple(g.multiplicities[u] for u in comp),
                             tuple((idx[a], idx[b]) for a, b in g.edges
                                   if a in idx and b in idx))
-        part_orders.append(_certify_tree(sub, steps))
+        part_orders.append(_certify_tree(sub, steps, orders))
     if len(comps) > 1:
         steps.append(DerivationStep("connected-sum",
                                     f"connected sum of {len(comps)} plumbed pieces",

@@ -1,14 +1,16 @@
 """GF(2) and integer matrix helpers that only tests use: echelon row
 spaces, solving, row-space membership, subspace sum and intersection, the
-integer product and unimodularity test that check a Smith normal form, the
-quasi-isomorphism test by mapping cone, and the weight of a multi-framing
+Smith normal form with its unimodular transforms (the oracle for
+`linalg.smith_normal_form`, which keeps only the diagonal) and the integer
+product and unimodularity test that check it, the quasi-isomorphism test by
+mapping cone, and the weight of a multi-framing
 of a filled linking matrix."""
 
 from typing import Sequence
 
 from cubekh.complexes import ChainMap, homology_ranks, mapping_cone
 from cubekh.errors import DimensionMismatch
-from cubekh.linalg import MatF2, _check_rect, _pivots, det_bareiss
+from cubekh.linalg import MatF2, _check_rect, _gcdext, _pivots, det_bareiss
 from cubekh.surgery import _norm_framing
 
 
@@ -95,6 +97,123 @@ def mat_mul_z(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return abs(det_bareiss(a)) == 1
+
+
+def smith_normal_form_oracle(a: Sequence[Sequence[int]]):
+    """Smith normal form over the integers, with its transforms.
+
+    Returns (d, u, v) with u @ a @ v = d, u and v unimodular, d diagonal with
+    d[0] | d[1] | ... and non-negative diagonal.  Entries are cleared with
+    extended-gcd 2x2 unimodular transforms, which keeps coefficient growth
+    tame.
+    """
+    n, m = _check_rect(a)
+    d = [list(map(int, row)) for row in a]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def swap_rows(i, j):
+        if i != j:
+            d[i], d[j] = d[j], d[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in d:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def row_gcd_transform(t, i):
+        # unimodular on rows t, i making d[t][t] = gcd and d[i][t] = 0
+        p, q = d[t][t], d[i][t]
+        if q == 0:
+            return
+        if p and q % p == 0:
+            c = -(q // p)
+            d[i] = [x + c * y for x, y in zip(d[i], d[t])]
+            u[i] = [x + c * y for x, y in zip(u[i], u[t])]
+            return
+        g, x, y = _gcdext(p, q)
+        pg, qg = p // g, q // g
+        dt, di = d[t], d[i]
+        d[t] = [x * a_ + y * b_ for a_, b_ in zip(dt, di)]
+        d[i] = [-qg * a_ + pg * b_ for a_, b_ in zip(dt, di)]
+        ut, ui = u[t], u[i]
+        u[t] = [x * a_ + y * b_ for a_, b_ in zip(ut, ui)]
+        u[i] = [-qg * a_ + pg * b_ for a_, b_ in zip(ut, ui)]
+
+    def col_gcd_transform(t, j):
+        p, q = d[t][t], d[t][j]
+        if q == 0:
+            return
+        if p and q % p == 0:
+            c = -(q // p)
+            for row in d:
+                row[j] += c * row[t]
+            for row in v:
+                row[j] += c * row[t]
+            return
+        g, x, y = _gcdext(p, q)
+        pg, qg = p // g, q // g
+        for row in d:
+            a_, b_ = row[t], row[j]
+            row[t] = x * a_ + y * b_
+            row[j] = -qg * a_ + pg * b_
+        for row in v:
+            a_, b_ = row[t], row[j]
+            row[t] = x * a_ + y * b_
+            row[j] = -qg * a_ + pg * b_
+
+    t = 0
+    rank_bound = min(n, m)
+    while t < rank_bound:
+        pivot = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                e = abs(d[i][j])
+                if e and (best is None or e < best):
+                    best = e
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, n):
+                row_gcd_transform(t, i)
+            if all(d[t][j] == 0 for j in range(t + 1, m)):
+                break
+            for j in range(t + 1, m):
+                col_gcd_transform(t, j)
+            if all(d[i][t] == 0 for i in range(t + 1, n)):
+                break
+        # force divisibility of the remaining block by the pivot
+        offending = None
+        for i in range(t + 1, n):
+            for j in range(t + 1, m):
+                if d[i][j] % d[t][t]:
+                    offending = i
+                    break
+            if offending is not None:
+                break
+        if offending is not None:
+            d[t] = [x + y for x, y in zip(d[t], d[offending])]
+            u[t] = [x + y for x, y in zip(u[t], u[offending])]
+            continue
+        t += 1
+
+    for i in range(rank_bound):
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            u[i] = [-x for x in u[i]]
+    return d, u, v
+
+
+def smith_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
+    d, _, _ = smith_normal_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:

@@ -86,6 +86,19 @@ def test_h1_split_diagram():
     assert grp.invariant_factors == (3,)
 
 
+def test_h1_split_pieces_in_one_smith_call(monkeypatch):
+    # Z/3 + Z/2 is Z/6 only once the pieces' diagonals are read together
+    import cubekh.branched as branched
+    calls = []
+    real = branched.cokernel_group
+    monkeypatch.setattr(branched, "cokernel_group",
+                        lambda a: calls.append(a) or real(a))
+    hopf = [[a + 6 for a in c] for c in HOPF]
+    grp = h1_sigma(parse_pd(TREFOIL + hopf, free_loops=1))
+    assert grp.invariant_factors == (6,) and grp.free_rank == 2
+    assert len(calls) == 1
+
+
 # --- rank inequality -------------------------------------------------------------
 
 def test_rank_inequality_unknot_trefoil():

@@ -405,6 +405,33 @@ def test_plumbing_reaches_depth_budget_before_recursing(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "certified"
 
 
+def test_plumbing_reaches_step_budget_before_outgrowing_it(capsys, monkeypatch):
+    # a chain of multiplicity-3 vertices takes about 2.6 times more steps
+    # per added vertex (6763 for nine, 17709 for ten): at a budget of 6763
+    # the nine-vertex chain still certifies and the ten-vertex chain stops
+    # at the budget, before its derivation is written out
+    import tracemalloc
+    monkeypatch.setattr("cubekh.surgery.MAX_PLUMBING_STEPS", 6763)
+
+    def chain(k):
+        return {"plumbing": {"mult": [3] * k, "edges": [[i, i + 1] for i in range(k - 1)]}}
+
+    code, out = run_cli(capsys, monkeypatch, ["--command", "plumbing"], chain(9))
+    assert code == 0
+    assert len(json.loads(out)["derivation"]) == 6763
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, monkeypatch, ["--command", "plumbing"], chain(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "budget"
+    assert "exceeds the budget of 6763 leaf-induction steps" in err["detail"]
+    assert peak < 4 << 20
+
+
 def test_large_surgery_chain_reaches_budget_before_allocating(capsys,
                                                              monkeypatch):
     # n = 10^12 would mean 10^12 derivation steps: the budget check stops

@@ -24,6 +24,7 @@ from linalg_helpers import (
     f2_subspace_sum,
     is_unimodular,
     mat_mul_z,
+    smith_normal_form_oracle,
 )
 
 
@@ -171,11 +172,14 @@ def test_matmul_apply_consistency():
 # --- Smith normal form ------------------------------------------------------
 
 def check_snf(a):
-    d, u, v = smith_normal_form(a)
+    """The transform oracle gives u @ a @ v = d with u, v unimodular; the
+    transform-free src diagonal must equal its diagonal."""
+    d, u, v = smith_normal_form_oracle(a)
     assert is_unimodular(u)
     assert is_unimodular(v)
     assert mat_mul_z(mat_mul_z(u, a), v) == d
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    assert smith_normal_form(a) == diag
     for i in range(len(diag) - 1):
         if diag[i]:
             assert diag[i + 1] % diag[i] == 0

@@ -200,6 +200,69 @@ def test_forest_connected_sum():
     assert v.reverify()
 
 
+def _derivation_by_fresh_orders(g):
+    """(kind, description, orders) of every step of the leaf induction on a
+    tree, each order a Bareiss determinant of its own graph."""
+    steps = []
+
+    def walk(g):
+        if g.vertices == 1:
+            m = g.multiplicities[0]
+            steps.append(("lens-seed", f"lens space of order {m}", (m,)))
+            return
+        for v in range(g.vertices):
+            if g.degree(v) == 1 and g.multiplicities[v] == 1:
+                w = next(a if b == v else b for a, b in g.edges if v in (a, b))
+                g2 = g.remove_vertex(v).with_multiplicity(w if w < v else w - 1,
+                                                          g.multiplicities[w] - 1)
+                steps.append(("contract-leaf", f"blow down multiplicity-1 leaf {v}",
+                              (plumbing_h1_order(g), plumbing_h1_order(g2))))
+                walk(g2)
+                return
+        leaf = next(v for v in range(g.vertices) if g.degree(v) == 1)
+        g1 = g.remove_vertex(leaf)
+        g2 = g.with_multiplicity(leaf, g.multiplicities[leaf] - 1)
+        steps.append(("triad", f"surgery triad at leaf {leaf}",
+                      (plumbing_h1_order(g), plumbing_h1_order(g2),
+                       plumbing_h1_order(g1))))
+        walk(g1)
+        walk(g2)
+
+    walk(g)
+    return steps
+
+
+@pytest.mark.parametrize("mult, edges", [
+    ([3] * 7, [[i, i + 1] for i in range(6)]),
+    ([2] * 6, [[i, i + 1] for i in range(5)]),
+    ([4, 2, 2, 2, 2, 2, 2], [[0, 1], [0, 2], [0, 3], [1, 4], [2, 5], [3, 6]]),
+    ([1, 5, 1], [[0, 1], [1, 2]]),
+    ([2, 3, 1, 2, 4], [[0, 1], [1, 2], [1, 3], [3, 4]]),
+])
+def test_derivation_orders_match_fresh_determinants(mult, edges):
+    g = PlumbingGraph.from_lists(mult, edges)
+    v = plumbing_lspace_check(g)
+    assert v.verdict == "certified"
+    got = [(s.kind, s.description, s.orders) for s in v.derivation]
+    assert got == _derivation_by_fresh_orders(g)
+
+
+def test_plumbing_job_computes_each_graph_order_once(monkeypatch):
+    # the ten-vertex chain has 17709 steps over 29 distinct linking
+    # matrices; each graph's order is at most one Bareiss determinant
+    import cubekh.surgery as surgery
+    from cubekh.cli import run_job
+    calls = []
+    monkeypatch.setattr(surgery, "det_bareiss",
+                        lambda a: calls.append(a) or det_bareiss(a))
+    out = run_job("plumbing", {"plumbing": {"mult": [3] * 10,
+                                            "edges": [[i, i + 1] for i in range(9)]}})
+    assert out["verdict"] == "certified" and out["reverified"]
+    assert len(out["derivation"]) == 17709
+    assert len(calls) <= 29
+    assert len({tuple(map(tuple, a)) for a in calls}) == len(calls)
+
+
 def test_derivation_chain_orders():
     g = PlumbingGraph.from_lists([2, 3, 2], [[0, 1], [1, 2]])
     v = plumbing_lspace_check(g)

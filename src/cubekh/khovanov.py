@@ -13,12 +13,19 @@ translate with `grading_tables`.
 The cube is basepoint-free, so one cube serves kh and Khr at every
 basepoint: the basepoint only selects each state's marked circle,
 `arc_to_circle[basepoint]`, when a complex is reduced (`_marked_circles`).
+
+An edge's map depends only on its shape: merge or split, the circles
+involved, the circle correspondence (a tuple indexed by source circle,
+None at a split circle), the target's circle count and the marked pair.
+The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576 edges of
+a 12-crossing 3-braid closure), so each complex builds every shape's map
+once and places that block at every edge of the shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     DoubleComplexF2,
@@ -63,15 +70,20 @@ def _check_budget(d: Diagram, max_crossings: int | None, loops: int = 0):
 # Cube of resolutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubeEdge:
+class CubeEdge(NamedTuple):
+    """One edge of the cube: the crossing changed from 0 to 1 between two
+    states.  A merge fuses `circles` = (i, j) of the source; a split divides
+    source circle c into `circles` = (c, (c1, c2)) of the target.
+    `correspondence[c]` is the target circle of source circle c, and None at
+    a split circle.  The edge map depends only on the shape (kind, circles,
+    correspondence, the target's circle count, the marked pair), which
+    `_edge_block` uses as its key."""
     source: tuple
     target: tuple
     crossing: int
     kind: str                      # "merge" or "split"
-    circles: tuple                 # merging pair (i, j) or splitting (c, (c1, c2))
-    correspondence: dict           # source circle -> target circle (merge) or
-                                   # non-split source circle -> target circle
+    circles: tuple
+    correspondence: tuple
 
 
 class CubeComplex:
@@ -103,26 +115,27 @@ class CubeComplex:
         through slots 0 and 1."""
         s, t = self.states[si], self.states[ti]
         src_of, tgt_of = s.arc_to_circle, t.arc_to_circle
-        corr = {ci: tgt_of[circ[0]] for ci, circ in enumerate(s.circles) if circ}
-        # free loop circles correspond positionally
+        ks, kt = len(s.circles), len(t.circles)
+        # free loop circles come last and correspond positionally
         loops = self.diagram.free_loops
-        pd_s, pd_t = s.n_circles - loops, t.n_circles - loops
-        for fl in range(loops):
-            corr[pd_s + fl] = pd_t + fl
+        corr = [tgt_of[circ[0]] for circ in s.circles[:ks - loops]]
+        corr.extend(range(kt - loops, kt))
         c = self.diagram.crossings[crossing]
         a, b = src_of[c[0]], src_of[c[2]]
-        delta = t.n_circles - s.n_circles
+        delta = kt - ks
         if delta != (-1 if a != b else 1):
             raise BadCircleMap(f"edge changes circle count by {delta}")
         if a != b:
             if corr[a] != corr[b]:
                 raise BadCircleMap("merge edge must fuse exactly one pair")
-            return CubeEdge(si, ti, crossing, "merge", (min(a, b), max(a, b)), corr)
+            return CubeEdge(si, ti, crossing, "merge", (min(a, b), max(a, b)),
+                            tuple(corr))
         p1, p2 = tgt_of[c[0]], tgt_of[c[1]]
         if p1 == p2:
             raise BadCircleMap("split edge must divide exactly one circle")
-        del corr[a]
-        return CubeEdge(si, ti, crossing, "split", (a, (min(p1, p2), max(p1, p2))), corr)
+        corr[a] = None
+        return CubeEdge(si, ti, crossing, "split", (a, (min(p1, p2), max(p1, p2))),
+                        tuple(corr))
 
 
 def build_cube(d: Diagram, max_crossings: int | None = None) -> CubeComplex:
@@ -147,6 +160,9 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
     or, given the marked circles (of src, of tgt), on the subsets containing
     each state's marked circle (the order of `_reduced_masks`).
 
+    The matrix is a function of the edge's shape alone (see `CubeEdge`),
+    so the complexes build it once per shape through `_edge_block`.
+
     The image of each source subset is the image of the subset without its
     highest circle plus that circle's image, so the work grows with the
     basis size.  Images are built in the reduced positions directly: the
@@ -166,7 +182,7 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
         c_split, (c1, c2) = edge.circles
         rep, other = bit(min(c1, c2)), bit(max(c1, c2))
         image = [rep if c == c_split else bit(corr[c])
-                 for c in range(src.n_circles) if c != ms]
+                 for c in range(len(corr)) if c != ms]
         if c_split == ms:
             if mt not in (c1, c2):
                 raise BadCircleMap("split of the marked circle misses the marked circle")
@@ -176,8 +192,8 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
             has_split = 1 << (c_split - (c_split > ms))
     else:
         # a circle merged into the marked one meets it in every subset: zero
-        image = [bit(corr[c]) or -1 for c in range(src.n_circles) if c != ms]
-    if ms in corr and corr[ms] != mt:
+        image = [bit(corr[c]) or -1 for c in range(len(corr)) if c != ms]
+    if marked and corr[ms] is not None and corr[ms] != mt:
         raise BadCircleMap("edge does not carry the marked circle to its image")
     out = [base]
     for img in image:
@@ -187,7 +203,7 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
             # -1 marks a subset whose image repeats a target circle (zero in
             # the exterior algebra); -1 & img is nonzero, so it stays -1
             out += [o | img if not o & img else -1 for o in out]
-    rows = [0] * (1 << (tgt.n_circles - (marked is not None)))
+    rows = [0] * (1 << (len(tgt.circles) - (marked is not None)))
     if split:
         for m, o in enumerate(out):
             # with the split circle present only the other-piece term survives
@@ -199,6 +215,19 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
             if o >= 0:
                 rows[o] ^= 1 << m
     return MatF2(len(rows), len(out), tuple(rows))
+
+
+def _edge_block(edge: CubeEdge, s: ResolvedState, t: ResolvedState,
+                marked: tuple[int, int] | None, blocks: dict) -> list:
+    """The nonzero rows (i, bits) of `edge_map(edge, s, t, marked)`.  The
+    map is built on the first edge of its shape and kept in `blocks`, a dict
+    that lives for one complex; a cube has far fewer shapes than edges."""
+    key = (edge.kind, edge.circles, edge.correspondence, len(t.circles), marked)
+    block = blocks.get(key)
+    if block is None:
+        rows = edge_map(edge, s, t, marked).rows
+        block = blocks[key] = [(i, row) for i, row in enumerate(rows) if row]
+    return block
 
 
 def _reduced_masks(state: ResolvedState, marked: int) -> list[int]:
@@ -226,32 +255,33 @@ def khr_complex(d: Diagram, basepoint: int = 1,
 
 
 def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
-    """The cube complex, reduced unless basepoint is None."""
+    """The cube complex, reduced unless basepoint is None.  Each edge XORs
+    its shape's block (`_edge_block`) into the rows of its weight's
+    differential, shifted to the source and target vertices' offsets."""
     mark = _marked_circles(cube.diagram, basepoint)
-    offsets: dict[tuple, int] = {}
+    states = cube.states
+    # vertex -> (cube weight, offset in its weight's basis)
+    where: dict[tuple, tuple] = {}
     dims: dict[int, int] = {}
     for index in cube.vertices:
-        state = cube.states[index]
         # reduced: the half of the subsets that contain the marked circle
-        size = (1 << state.n_circles) >> (mark is not None)
+        size = (1 << len(states[index].circles)) >> (mark is not None)
         w = sum(index)
-        offsets[index] = dims.get(w, 0)
-        dims[w] = offsets[index] + size
-    by_weight: dict[int, list[CubeEdge]] = {}
+        offset = dims.get(w, 0)
+        where[index] = (w, offset)
+        dims[w] = offset + size
+    rows_by_w = {w: [0] * dims.get(w + 1, 0) for w in range(cube.diagram.n)}
+    blocks: dict = {}
     for edge in cube.edges:
-        by_weight.setdefault(sum(edge.source), []).append(edge)
-    diffs = {}
-    for w in range(cube.diagram.n):
-        rows = [0] * dims.get(w + 1, 0)
-        for edge in by_weight.get(w, ()):
-            s, t = cube.states[edge.source], cube.states[edge.target]
-            m = edge_map(edge, s, t, None if mark is None else (mark(s), mark(t)))
-            so = offsets[edge.source]
-            for i, row in enumerate(m.rows, offsets[edge.target]):
-                if row:
-                    rows[i] ^= row << so
-        diffs[w] = MatF2(len(rows), dims.get(w, 0), tuple(rows))
-    return GradedComplexF2(dims, diffs)
+        s, t = states[edge.source], states[edge.target]
+        w, so = where[edge.source]
+        to = where[edge.target][1]
+        rows = rows_by_w[w]
+        marked = None if mark is None else (mark(s), mark(t))
+        for i, row in _edge_block(edge, s, t, marked, blocks):
+            rows[to + i] ^= row << so
+    return GradedComplexF2(dims, {w: MatF2(len(rows), dims.get(w, 0), tuple(rows))
+                                  for w, rows in rows_by_w.items()})
 
 
 def kh_ranks(d: Diagram, max_crossings: int | None = None) -> dict[int, int]:
@@ -337,13 +367,11 @@ def _twisted(cube: CubeComplex, marking: ArcMarking,
     d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)
                               for cell in dims}
 
+    blocks: dict = {}
     for edge in cube.edges:
         s, t = cube.states[edge.source], cube.states[edge.target]
-        m = edge_map(edge, s, t, (mark(s), mark(t)))
         src, tgt = place[edge.source], place[edge.target]
-        for i, row in enumerate(m.rows):
-            if not row:
-                continue
+        for i, row in _edge_block(edge, s, t, (mark(s), mark(t)), blocks):
             tcell, trow = tgt[i]
             while row:
                 low = row & -row

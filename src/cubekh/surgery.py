@@ -256,46 +256,69 @@ def _plumbing_hypotheses_hold(g: PlumbingGraph) -> bool:
     return True
 
 
-def _certify_tree(g: PlumbingGraph, steps: list, orders: dict) -> int:
-    """Leaf induction on a plumbing tree; returns |H1| of its manifold.
+def _induction_step(g: PlumbingGraph) -> tuple[str, str, tuple]:
+    """The leaf-induction step at a tree g: (kind, description, children).
 
-    A multiplicity-1 leaf is blown down (same manifold, smaller graph);
-    otherwise a leaf gives the surgery triad of g, g minus the leaf, and g
-    with the leaf's multiplicity lowered by one.  Each step records the
-    orders its children return, in a slot of `steps` reserved before the
-    recursion so the steps stay in derivation order.  `orders` maps every
-    graph met so far in this check to its Bareiss order, so each distinct
-    graph costs one determinant.
+    A single vertex is a lens-space seed.  Otherwise a multiplicity-1 leaf
+    is blown down (same manifold, smaller graph); failing that, the first
+    leaf gives the surgery triad of g, g minus the leaf, and g with the
+    leaf's multiplicity lowered by one.
     """
-    if len(steps) >= MAX_PLUMBING_STEPS:
-        raise SizeBudgetExceeded(
-            f"plumbing derivation exceeds the budget of {MAX_PLUMBING_STEPS} "
-            f"leaf-induction steps")
-    slot = len(steps)
-    steps.append(None)
     if g.vertices == 1:
-        m = g.multiplicities[0]
-        steps[slot] = DerivationStep("lens-seed", f"lens space of order {m}", (m,))
-        return m
-    o = orders.get(g)
-    if o is None:
-        o = orders[g] = plumbing_h1_order(g)
-    # prefer contracting a multiplicity-1 leaf (same manifold, smaller graph)
+        return "lens-seed", f"lens space of order {g.multiplicities[0]}", ()
     for v in range(g.vertices):
         if g.degree(v) == 1 and g.multiplicities[v] == 1:
             w = next(a if b == v else b for a, b in g.edges if v in (a, b))
             g2 = g.remove_vertex(v).with_multiplicity(w if w < v else w - 1,
                                                       g.multiplicities[w] - 1)
-            r = _certify_tree(g2, steps, orders)
-            steps[slot] = DerivationStep(
-                "contract-leaf", f"blow down multiplicity-1 leaf {v}", (o, r))
-            return o
+            return "contract-leaf", f"blow down multiplicity-1 leaf {v}", (g2,)
     leaf = next(v for v in range(g.vertices) if g.degree(v) == 1)
-    g1 = g.remove_vertex(leaf)
-    g2 = g.with_multiplicity(leaf, g.multiplicities[leaf] - 1)
-    r1 = _certify_tree(g1, steps, orders)
-    r2 = _certify_tree(g2, steps, orders)
-    steps[slot] = DerivationStep("triad", f"surgery triad at leaf {leaf}", (o, r2, r1))
+    return ("triad", f"surgery triad at leaf {leaf}",
+            (g.remove_vertex(leaf),
+             g.with_multiplicity(leaf, g.multiplicities[leaf] - 1)))
+
+
+def _step_count(g: PlumbingGraph, plan: dict) -> int:
+    """The number of steps the leaf induction writes for g, 1 plus its
+    children's.  `plan` maps every graph met so far to (its step, its step
+    count), so each distinct graph is looked at once, and the derivation
+    reads its steps from it."""
+    entry = plan.get(g)
+    if entry is None:
+        step = _induction_step(g)
+        count = 1
+        for child in step[2]:
+            count += _step_count(child, plan)
+        entry = plan[g] = (step, count)
+    return entry[1]
+
+
+def _certify_tree(g: PlumbingGraph, steps: list, orders: dict, plan: dict) -> int:
+    """Leaf induction on a plumbing tree, with the steps planned by
+    `_step_count`; returns |H1| of its manifold.
+
+    Each step records the orders its children return, in a slot of `steps`
+    reserved before the recursion so the steps stay in derivation order.
+    `orders` maps every graph met so far in this check to its Bareiss
+    order, so each distinct graph costs one determinant.
+    """
+    slot = len(steps)
+    steps.append(None)
+    kind, description, children = plan[g][0]
+    if kind == "lens-seed":
+        m = g.multiplicities[0]
+        steps[slot] = DerivationStep(kind, description, (m,))
+        return m
+    o = orders.get(g)
+    if o is None:
+        o = orders[g] = plumbing_h1_order(g)
+    if kind == "contract-leaf":
+        r = _certify_tree(children[0], steps, orders, plan)
+        steps[slot] = DerivationStep(kind, description, (o, r))
+        return o
+    r1 = _certify_tree(children[0], steps, orders, plan)
+    r2 = _certify_tree(children[1], steps, orders, plan)
+    steps[slot] = DerivationStep(kind, description, (o, r2, r1))
     if o != r1 + r2:
         raise InternalInconsistency("plumbing derivation became inconsistent")
     return o
@@ -303,7 +326,9 @@ def _certify_tree(g: PlumbingGraph, steps: list, orders: dict) -> int:
 
 def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
     """Certify Y(G, m) as an L-space by the leaf induction, recording the
-    derivation chain with |H1| values at every step."""
+    derivation chain with |H1| values at every step.  The steps are counted
+    before any is written, so a derivation over the step budget is refused
+    at the cost of its distinct graphs, not of its steps."""
     order = plumbing_h1_order(g)
     if not _plumbing_hypotheses_hold(g):
         return LSpaceVerdict("not-applicable", order)
@@ -313,15 +338,20 @@ def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
         raise SizeBudgetExceeded(
             f"plumbing component multiplicity sum {depth} exceeds the "
             f"leaf-induction depth budget of {MAX_PLUMBING_DEPTH}")
-    steps: list[DerivationStep] = []
-    orders = {g: order}
-    part_orders = []
+    subs = []
     for comp in comps:
         idx = {u: i for i, u in enumerate(comp)}
-        sub = PlumbingGraph(tuple(g.multiplicities[u] for u in comp),
-                            tuple((idx[a], idx[b]) for a, b in g.edges
-                                  if a in idx and b in idx))
-        part_orders.append(_certify_tree(sub, steps, orders))
+        subs.append(PlumbingGraph(tuple(g.multiplicities[u] for u in comp),
+                                  tuple((idx[a], idx[b]) for a, b in g.edges
+                                        if a in idx and b in idx)))
+    plan: dict = {}
+    if sum(_step_count(sub, plan) for sub in subs) > MAX_PLUMBING_STEPS:
+        raise SizeBudgetExceeded(
+            f"plumbing derivation exceeds the budget of {MAX_PLUMBING_STEPS} "
+            f"leaf-induction steps")
+    steps: list[DerivationStep] = []
+    orders = {g: order}
+    part_orders = [_certify_tree(sub, steps, orders, plan) for sub in subs]
     if len(comps) > 1:
         steps.append(DerivationStep("connected-sum",
                                     f"connected sum of {len(comps)} plumbed pieces",

@@ -5,13 +5,15 @@ Each one is the straightforward form the fast code replaced: circles by a
 dict-based union-find, edges classified by mapping every arc of every
 source circle, edge maps built mask by mask on the full exterior-algebra
 basis, the reduced map obtained by restricting the full one to the
-subsets that contain the marked circle, read off `arc_to_circle`, and
-dotted-diagram homology from the edge maps between all-even vertices.
+subsets that contain the marked circle, read off `arc_to_circle`,
+dotted-diagram homology from the edge maps between all-even vertices, and
+the kh, Khr and twisted differentials placed edge by edge from one
+`edge_map` call per edge.
 """
 
-from cubekh.complexes import GradedComplexF2, homology_ranks
+from cubekh.complexes import DoubleComplexF2, GradedComplexF2, homology_ranks
 from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
-from cubekh.errors import BadCircleMap
+from cubekh.errors import BadCircleMap, InternalInconsistency
 from cubekh.khovanov import (
     CubeEdge,
     _marked_circles,
@@ -49,6 +51,12 @@ def resolve_circles(d, index):
     return tuple(circles), arc_to_circle
 
 
+def as_tuple(corr, s):
+    """A dict correspondence in the edge record's form: a tuple indexed by
+    source circle, None at a circle without a single image."""
+    return tuple(corr.get(c) for c in range(s.n_circles))
+
+
 def classify(d, s, t, si, ti, crossing) -> CubeEdge:
     """Edge classification from the images of every arc of every circle."""
     corr = {}
@@ -76,14 +84,15 @@ def classify(d, s, t, si, ti, crossing) -> CubeEdge:
         pair = [v for v in merged.values() if len(v) == 2]
         if len(pair) != 1:
             raise BadCircleMap("merge edge must fuse exactly one pair")
-        return CubeEdge(si, ti, crossing, "merge", tuple(sorted(pair[0])), corr)
+        return CubeEdge(si, ti, crossing, "merge", tuple(sorted(pair[0])),
+                        as_tuple(corr, s))
     if delta == 1:
         splits = [(c, v) for c, v in corr.items() if isinstance(v, tuple)]
         if len(splits) != 1:
             raise BadCircleMap("split edge must divide exactly one circle")
         c, pieces = splits[0]
         clean = {k: v for k, v in corr.items() if not isinstance(v, tuple)}
-        return CubeEdge(si, ti, crossing, "split", (c, pieces), clean)
+        return CubeEdge(si, ti, crossing, "split", (c, pieces), as_tuple(clean, s))
     raise BadCircleMap(f"edge changes circle count by {delta}")
 
 
@@ -199,3 +208,103 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
         for w, b in homology_ranks(GradedComplexF2(dv, diffs)).items():
             out[(w, v)] = b
     return out
+
+
+def assemble_per_edge(cube, basepoint):
+    """The cube complex, reduced unless basepoint is None, with one
+    `edge_map` call and one placement pass per edge."""
+    mark = _marked_circles(cube.diagram, basepoint)
+    offsets: dict[tuple, int] = {}
+    dims: dict[int, int] = {}
+    for index in cube.vertices:
+        state = cube.states[index]
+        # reduced: the half of the subsets that contain the marked circle
+        size = (1 << state.n_circles) >> (mark is not None)
+        w = sum(index)
+        offsets[index] = dims.get(w, 0)
+        dims[w] = offsets[index] + size
+    by_weight: dict[int, list[CubeEdge]] = {}
+    for edge in cube.edges:
+        by_weight.setdefault(sum(edge.source), []).append(edge)
+    diffs = {}
+    for w in range(cube.diagram.n):
+        rows = [0] * dims.get(w + 1, 0)
+        for edge in by_weight.get(w, ()):
+            s, t = cube.states[edge.source], cube.states[edge.target]
+            m = edge_map(edge, s, t, None if mark is None else (mark(s), mark(t)))
+            so = offsets[edge.source]
+            for i, row in enumerate(m.rows, offsets[edge.target]):
+                if row:
+                    rows[i] ^= row << so
+        diffs[w] = MatF2(len(rows), dims.get(w, 0), tuple(rows))
+    return GradedComplexF2(dims, diffs)
+
+
+def twisted_per_edge(cube, marking, basepoint):
+    """The twisted double complex and its all-even counts per cell, with one
+    `edge_map` call per edge."""
+    mark = _marked_circles(cube.diagram, basepoint)
+    parities = _marking_parities(cube, marking)
+    par = _vertical_degree_offset(cube)
+
+    dims: dict[tuple, int] = {}
+    even: dict[tuple, int] = {}
+    # vertex -> (cell, position in cell) of each reduced basis element,
+    # placed all-even vertices first
+    place: dict[tuple, list] = {}
+    for index in sorted(cube.vertices, key=lambda ix: any(parities[ix])):
+        state = cube.states[index]
+        w, k = sum(index), state.n_circles
+        is_even = not any(parities[index])
+        slots = place[index] = []
+        for mask in _reduced_masks(state, mark(state)):
+            value = 2 * mask.bit_count() - w - k + par
+            if value % 2:
+                raise InternalInconsistency(
+                    f"odd vertical degree {value}/2 at vertex {index}")
+            cell = (w, value // 2)
+            slots.append((cell, dims.get(cell, 0)))
+            dims[cell] = slots[-1][1] + 1
+            if is_even:
+                even[cell] = dims[cell]
+
+    d_h: dict[tuple, list] = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0)
+                              for cell in dims}
+    d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)
+                              for cell in dims}
+
+    for edge in cube.edges:
+        s, t = cube.states[edge.source], cube.states[edge.target]
+        m = edge_map(edge, s, t, (mark(s), mark(t)))
+        src, tgt = place[edge.source], place[edge.target]
+        for i, row in enumerate(m.rows):
+            if not row:
+                continue
+            tcell, trow = tgt[i]
+            while row:
+                low = row & -row
+                row ^= low
+                cell, col = src[low.bit_length() - 1]
+                if tcell != (cell[0] + 1, cell[1]):
+                    raise InternalInconsistency("d_h must preserve the vertical degree")
+                d_h[cell][trow] |= 1 << col
+
+    for index, slots in place.items():
+        mc = mark(cube.states[index])
+        # wedging an odd circle c sets its bit in the reduced position
+        wedges = [1 << (c - (c > mc)) for c, p in enumerate(parities[index])
+                  if p and c != mc]
+        for j, (cell, col) in enumerate(slots):
+            for g in wedges:
+                if not j & g:
+                    tcell, trow = slots[j | g]
+                    if tcell != (cell[0], cell[1] + 1):
+                        raise InternalInconsistency(
+                            "d_v must raise the vertical degree by one")
+                    d_v[cell][trow] |= 1 << col
+
+    dh_mats = {cell: MatF2(dims.get((cell[0] + 1, cell[1]), 0), dims[cell],
+                           tuple(rows)) for cell, rows in d_h.items()}
+    dv_mats = {cell: MatF2(dims.get((cell[0], cell[1] + 1), 0), dims[cell],
+                           tuple(rows)) for cell, rows in d_v.items()}
+    return DoubleComplexF2(dims, dh_mats, dv_mats), even

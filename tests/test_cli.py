@@ -170,20 +170,32 @@ def _braid6_marked():
                          ids=["trefoil", "braid6_marked"])
 def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
     # the E^2 page and the even-vertex subcomplex come from one twisted
-    # complex, so each cube edge's map is built once
+    # complex, which builds each edge shape's map once: no two calls share a
+    # shape, and every shape of the cube gets its call
     import cubekh.khovanov as kh
     from cubekh.diagram import parse_pd
     real_edge_map = kh.edge_map
     calls = []
 
+    def shape(edge, src, tgt, marked):
+        return (edge.kind, edge.circles, edge.correspondence, tgt.n_circles, marked)
+
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(shape(*args, **kwargs))
         return real_edge_map(*args, **kwargs)
 
     monkeypatch.setattr(kh, "edge_map", counted)
     code, _ = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 0
-    assert len(calls) == len(kh.build_cube(parse_pd(payload["pd"])).edges)
+    assert len(set(calls)) == len(calls)
+    d = parse_pd(payload["pd"])
+    cube, mark = kh.build_cube(d), kh._marked_circles(d, 1)
+    shapes = set()
+    for edge in cube.edges:
+        s, t = cube.states[edge.source], cube.states[edge.target]
+        shapes.add(shape(edge, s, t, (mark(s), mark(t))))
+    assert set(calls) == shapes
+    assert len(calls) < len(cube.edges)
 
 
 def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
@@ -430,6 +442,35 @@ def test_plumbing_reaches_step_budget_before_outgrowing_it(capsys, monkeypatch):
     assert err["kind"] == "budget"
     assert "exceeds the budget of 6763 leaf-induction steps" in err["detail"]
     assert peak < 4 << 20
+
+
+def test_over_budget_derivation_refused_before_any_step(capsys, monkeypatch):
+    # the 13-vertex chain needs more than MAX_PLUMBING_STEPS steps; counting
+    # them over its few distinct graphs refuses it before a step is built
+    import time
+    import tracemalloc
+
+    def no_step(*args):
+        raise AssertionError("wrote a derivation step past the budget")
+
+    monkeypatch.setattr("cubekh.surgery.DerivationStep", no_step)
+    chain = {"plumbing": {"mult": [3] * 13, "edges": [[i, i + 1] for i in range(12)]}}
+    t0 = time.perf_counter()
+    code, _ = run_cli(capsys, monkeypatch, ["--command", "plumbing"], chain)
+    elapsed = time.perf_counter() - t0
+    assert code == 3
+    assert elapsed < 0.1
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, monkeypatch, ["--command", "plumbing"], chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["kind"] == "budget"
+    assert "exceeds the budget of 200000 leaf-induction steps" in err["detail"]
+    assert peak < 1 << 20
 
 
 def test_large_surgery_chain_reaches_budget_before_allocating(capsys,

@@ -1,9 +1,10 @@
 """The one-pass cube layer against the reference versions in cube_oracle:
 resolution, edge classification, and edge maps on the full basis and on
 the reduced basis of every basepoint class, all from one cube per diagram,
-and the even-vertex dotted homology read off the twisted complex against
-its own pass over the cube, on the first acceptance-corpus diagrams and
-on random braid closures."""
+the even-vertex dotted homology read off the twisted complex against
+its own pass over the cube, and the kh, Khr and twisted differentials
+built from one edge map per shape against the per-edge assembly, on the
+first acceptance-corpus diagrams and on random braid closures."""
 
 import random
 
@@ -16,7 +17,14 @@ from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_clas
 from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatible_marking
 from cubekh.diagram import ArcMarking, Diagram
 from cubekh.errors import BadCircleMap
-from cubekh.khovanov import _hd_even, _marked_circles, _twisted, build_cube, edge_map
+from cubekh.khovanov import (
+    _assemble,
+    _hd_even,
+    _marked_circles,
+    _twisted,
+    build_cube,
+    edge_map,
+)
 
 
 def check_cube_against_oracle(d):
@@ -73,6 +81,52 @@ def test_random_braid_hd_even_matches_oracle(seed, free_loops):
     d = random_braid_diagram(rng, max_crossings=7)
     check_hd_even_against_oracle(
         Diagram(d.crossings, free_loops=d.free_loops + free_loops), rng)
+
+
+def check_complexes_against_oracle(d, rng):
+    cube = build_cube(d)
+    for basepoint in [None] + _basepoint_classes(cube):
+        new = _assemble(cube, basepoint)
+        old = oracle.assemble_per_edge(cube, basepoint)
+        assert (new.dims, new.differentials) == (old.dims, old.differentials)
+    for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
+        dc, even = _twisted(cube, m, 1)
+        odc, oeven = oracle.twisted_per_edge(cube, m, 1)
+        assert (dc.dims, dc.d_h, dc.d_v, even) == (odc.dims, odc.d_h, odc.d_v, oeven)
+
+
+@pytest.mark.parametrize("i", range(len(CORPUS_HEAD)))
+def test_corpus_complexes_match_per_edge_assembly(i):
+    check_complexes_against_oracle(CORPUS_HEAD[i], random.Random(i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_random_braid_complexes_match_per_edge_assembly(seed, free_loops):
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=7)
+    check_complexes_against_oracle(
+        Diagram(d.crossings, free_loops=d.free_loops + free_loops), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_equal_shapes_have_equal_edge_maps(seed, free_loops):
+    # the premise of building one edge map per shape: the map is a function
+    # of (kind, circles, correspondence, target circle count, marked pair)
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=7)
+    d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
+    cube = build_cube(d)
+    marks = [None] + [_marked_circles(d, arc) for arc in _basepoint_classes(cube)]
+    maps = {}
+    for edge in cube.edges:
+        s, t = cube.states[edge.source], cube.states[edge.target]
+        for mark in marks:
+            marked = None if mark is None else (mark(s), mark(t))
+            key = (edge.kind, edge.circles, edge.correspondence, t.n_circles, marked)
+            m = edge_map(edge, s, t, marked)
+            assert maps.setdefault(key, m) == m
 
 
 def test_nonplanar_edge_still_rejected():

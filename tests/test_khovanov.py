@@ -190,11 +190,11 @@ def test_split_then_merge_composition_vanishes():
     s, t = cube.states[split.source], cube.states[split.target]
     delta = edge_map(split, s, t)
     c, (c1, c2) = split.circles
-    back_corr = {v: k for k, v in split.correspondence.items()}
+    back_corr = {v: k for k, v in enumerate(split.correspondence) if v is not None}
     back_corr[c1] = c
     back_corr[c2] = c
     remerge = CubeEdge(split.target, split.source, split.crossing, "merge",
-                       (c1, c2), back_corr)
+                       (c1, c2), tuple(back_corr[i] for i in range(t.n_circles)))
     m = edge_map(remerge, t, s)
     assert (m @ delta).is_zero()
 

@@ -263,6 +263,30 @@ def test_plumbing_job_computes_each_graph_order_once(monkeypatch):
     assert len({tuple(map(tuple, a)) for a in calls}) == len(calls)
 
 
+def _chain(k):
+    return PlumbingGraph.from_lists([3] * k, [[i, i + 1] for i in range(k - 1)])
+
+
+def _star(k):
+    # a centre of multiplicity 4 with three arms of multiplicity 2
+    edges, ends = [], [0, 0, 0]
+    for v in range(1, k):
+        edges.append([ends[(v - 1) % 3], v])
+        ends[(v - 1) % 3] = v
+    return PlumbingGraph.from_lists([4] + [2] * (k - 1), edges)
+
+
+@pytest.mark.parametrize("g", [_chain(k) for k in range(6, 11)]
+                         + [_star(k) for k in (7, 9, 11)],
+                         ids=[f"chain{k}" for k in range(6, 11)]
+                         + [f"star{k}" for k in (7, 9, 11)])
+def test_step_count_is_derivation_length(g):
+    from cubekh.surgery import _step_count
+    v = plumbing_lspace_check(g)
+    assert v.verdict == "certified"
+    assert _step_count(g, {}) == len(v.derivation)
+
+
 def test_derivation_chain_orders():
     g = PlumbingGraph.from_lists([2, 3, 2], [[0, 1], [1, 2]])
     v = plumbing_lspace_check(g)

@@ -220,18 +220,22 @@ class QACertificate:
         return out
 
 
-def qa_certify(d: Diagram, budget: int = 20000,
-               max_crossings: int | None = None) -> QACertificate | None:
+def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None,
+               reason: list | None = None) -> QACertificate | None:
     """Depth-first search for a quasi-alternating certificate.
 
     Children are the two smoothings of a crossing followed by greedy
     simplification; a node closes when its determinant triple is additive
     with nonzero parts and both children certify.  Unknot recognition is
     greedy-only, so the certifier is sound but not complete: None means
-    unknown, never a disproof.  Results are memoized on a relabeling key.
+    unknown, never a disproof.  When it is None and `reason` is a list,
+    "budget" is appended if the node budget cut the search short, else
+    "exhausted".  Results are memoized on a relabeling key, failures only
+    when no budget stop happened below the node.
     """
     memo: dict = {}
     spent = [0]
+    stops = [0]
 
     def search(diag: Diagram) -> QACertificate | None:
         diag = simplify_greedy(diag)
@@ -239,35 +243,34 @@ def qa_certify(d: Diagram, budget: int = 20000,
         if key in memo:
             return memo[key]
         if spent[0] >= budget:
+            stops[0] += 1
             return None
         spent[0] += 1
+        stops_below, cert = stops[0], None
         if diag.n == 0:
             cert = QACertificate(diag, 1) if diag.free_loops == 1 else None
+        else:
+            det = state_sum_det(diag, max_crossings=max_crossings)
+            for ci in range(diag.n if det else 0):
+                d0 = smooth_crossing(diag, ci, 0)
+                d1 = smooth_crossing(diag, ci, 1)
+                det0 = state_sum_det(d0, max_crossings=max_crossings)
+                det1 = state_sum_det(d1, max_crossings=max_crossings)
+                if det0 == 0 or det1 == 0 or det0 + det1 != det:
+                    continue
+                c0 = search(d0)
+                c1 = None if c0 is None else search(d1)
+                if c1 is not None:
+                    cert = QACertificate(diag, det, ci, (c0, c1))
+                    break
+        if cert is not None or stops[0] == stops_below:
             memo[key] = cert
-            return cert
-        det = state_sum_det(diag, max_crossings=max_crossings)
-        if det == 0:
-            memo[key] = None
-            return None
-        for ci in range(diag.n):
-            d0 = smooth_crossing(diag, ci, 0)
-            d1 = smooth_crossing(diag, ci, 1)
-            det0 = state_sum_det(d0, max_crossings=max_crossings)
-            det1 = state_sum_det(d1, max_crossings=max_crossings)
-            if det0 == 0 or det1 == 0 or det0 + det1 != det:
-                continue
-            c0 = search(d0)
-            if c0 is None:
-                continue
-            c1 = search(d1)
-            if c1 is None:
-                continue
-            cert = QACertificate(diag, det, ci, (c0, c1))
-            memo[key] = cert
-            return cert
-        return None
+        return cert
 
-    return search(d)
+    cert = search(d)
+    if cert is None and reason is not None:
+        reason.append("budget" if stops[0] else "exhausted")
+    return cert
 
 
 def verify_certificate(cert: QACertificate) -> bool:

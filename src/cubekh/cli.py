@@ -32,6 +32,7 @@ from .khovanov import (
     state_sum_det,
     twisted_total_ranks,
     weight_ss,
+    weight_totals,
 )
 from .surgery import (
     FramedLinkPresentation,
@@ -45,6 +46,9 @@ from .surgery import (
 # checks on the complexes the library builds itself: from a valid diagram
 # they can only fail through a bug, so they exit 1 like InternalInconsistency
 INTERNAL_CHECKS = (NotAComplex, NotBicomplex, FiltrationViolation, BadCircleMap)
+
+# the largest qa node budget a job may ask for; a larger one exits 3
+MAX_QA_BUDGET = 100_000
 
 COMMANDS = ("kh", "khr", "twisted", "hd", "ss", "det", "h1", "qa",
             "rankcheck", "surgery", "plumbing", "lspace", "selftest")
@@ -150,10 +154,7 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
         d = _diagram_from(payload)
         m = _marking_from(payload, d)
         hd = hd_homology(d, m, basepoint=basepoint, max_crossings=max_crossings)
-        per_w: dict[int, int] = {}
-        for (p, v), r in hd.items():
-            per_w[p] = per_w.get(p, 0) + r
-        out = _rank_payload("hd", d, per_w)
+        out = _rank_payload("hd", d, weight_totals(hd))
         out["bigraded"] = {f"({p},{v})": r for (p, v), r in sorted(hd.items())}
         return out
     if command == "ss":
@@ -182,10 +183,14 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
     if command == "qa":
         d = _diagram_from(payload)
         budget = strict_int(payload.get("budget", 20000), "budget", JobError)
-        cert = qa_certify(d, budget=budget,
-                          max_crossings=max_crossings)
+        if budget < 0:
+            raise JobError(f"qa budget must be non-negative, got {budget}")
+        if budget > MAX_QA_BUDGET:
+            raise SizeBudgetExceeded(f"qa budget {budget} exceeds the limit of {MAX_QA_BUDGET}")
+        reason: list = []
+        cert = qa_certify(d, budget=budget, max_crossings=max_crossings, reason=reason)
         if cert is None:
-            return {"verdict": "unknown"}
+            return {"verdict": "unknown", "reason": reason[0]}
         return {"verdict": "certified", "certificate": cert.to_json()}
     if command == "rankcheck":
         d = _diagram_from(payload)

@@ -43,48 +43,56 @@ def block_matrix(blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> Ma
     return MatF2(row_off[-1], col_off[-1], tuple(rows))
 
 
+def _shift(k, by: int):
+    """Degree k moved by `by`: an int, or a tuple (w, r, ...) whose first
+    entry moves and whose other entries a differential keeps."""
+    return k + by if isinstance(k, int) else (k[0] + by,) + k[1:]
+
+
 class GradedComplexF2:
     """Finite complex of GF(2) spaces with d raising degree by one.
 
     dims maps degree -> dimension; differentials maps degree k to the matrix
-    of d_k : C_k -> C_{k+1}.  d*d = 0 is checked at construction.
+    of d_k : C_k -> C_{k+1}.  d*d = 0 is checked at construction.  A degree
+    may be a tuple (k, r): then d maps (k, r) to (k + 1, r), so the complex
+    is a direct sum over r, checked and ranked one block at a time.
     """
 
-    def __init__(self, dims: Mapping[int, int], differentials: Mapping[int, MatF2]):
+    def __init__(self, dims: Mapping, differentials: Mapping):
         self.dims = {k: int(v) for k, v in dims.items() if v}
         self.differentials = {}
         for k, m in differentials.items():
             src = self.dims.get(k, 0)
-            tgt = self.dims.get(k + 1, 0)
+            tgt = self.dims.get(_shift(k, 1), 0)
             if (m.nrows, m.ncols) != (tgt, src):
                 raise DimensionMismatch(
                     f"d_{k} is {m.nrows}x{m.ncols}, expected {tgt}x{src}")
             if src and tgt:
                 self.differentials[k] = m
         for k, m in self.differentials.items():
-            nxt = self.differentials.get(k + 1)
+            nxt = self.differentials.get(_shift(k, 1))
             if nxt is not None and not (nxt @ m).is_zero():
-                raise NotAComplex(f"d_{k+1} d_{k} != 0")
+                raise NotAComplex(f"d_{_shift(k, 1)} d_{k} != 0")
 
-    def degrees(self) -> list[int]:
+    def degrees(self) -> list:
         return sorted(self.dims)
 
-    def dim(self, k: int) -> int:
+    def dim(self, k) -> int:
         return self.dims.get(k, 0)
 
-    def d(self, k: int) -> MatF2:
+    def d(self, k) -> MatF2:
         m = self.differentials.get(k)
         if m is None:
-            return MatF2.zero(self.dim(k + 1), self.dim(k))
+            return MatF2.zero(self.dim(_shift(k, 1)), self.dim(k))
         return m
 
 
-def homology_ranks(c: GradedComplexF2) -> dict[int, int]:
+def homology_ranks(c: GradedComplexF2) -> dict:
     """Betti numbers: b_k = dim ker d_k - rank d_{k-1}."""
     ranks = {k: f2_rank(m) for k, m in c.differentials.items()}
     out = {}
     for k in c.degrees():
-        b = c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0)
+        b = c.dim(k) - ranks.get(k, 0) - ranks.get(_shift(k, -1), 0)
         if b:
             out[k] = b
     return out

@@ -14,12 +14,22 @@ The cube is basepoint-free, so one cube serves kh and Khr at every
 basepoint: the basepoint only selects each state's marked circle,
 `arc_to_circle[basepoint]`, when a complex is reduced (`_marked_circles`).
 
+Every differential preserves the quantum grading q = k - 2|S| + w of a
+generator: k is its state's circle count, S its subset (the marked circle
+counts in |S|) and w the cube weight.  So kh, Khr and the twisted complex
+share one layout (`_place`): a vertex's generators of one exterior degree
+|S| take one contiguous slot, in ascending mask order, of a (w, q) cell,
+which the twisted complex keys by its vertical degree v = (par - q)/2.
+kh and Khr are complexes graded by (w, q), checked and ranked one q-block
+at a time.
+
 An edge's map depends only on its shape: merge or split, the circles
 involved, the circle correspondence (a tuple indexed by source circle,
 None at a split circle), the target's circle count and the marked pair.
 The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576 edges of
-a 12-crossing 3-braid closure), so each complex builds every shape's map
-once and places that block at every edge of the shape.
+a 12-crossing 3-braid closure), so a cube builds every shape's map once,
+rewritten into the slot basis (`_edge_block`), and every complex built on
+the cube places that block at each edge of the shape (`_d_h`).
 """
 
 from __future__ import annotations
@@ -87,7 +97,10 @@ class CubeEdge(NamedTuple):
 
 
 class CubeComplex:
-    """All 2^n resolved states of a diagram plus classified edges."""
+    """All 2^n resolved states of a diagram plus classified edges, and the
+    slot basis its complexes share: positions[x] is the position of basis
+    index x among the indices of its bit count, ascending, and `blocks`
+    holds each edge shape's map in those positions (`_edge_block`)."""
 
     def __init__(self, d: Diagram, max_crossings: int | None = None):
         _check_budget(d, max_crossings, d.free_loops)
@@ -100,6 +113,12 @@ class CubeComplex:
         order = sorted(range(1 << n),
                        key=lambda bits: (bits.bit_count(), indices[bits]))
         self.vertices = [indices[bits] for bits in order]
+        size = max(len(state.circles) for state in self.states.values())
+        seen, self.positions = [0] * (size + 1), []
+        for x in range(1 << size):
+            self.positions.append(seen[x.bit_count()])
+            seen[x.bit_count()] += 1
+        self.blocks: dict = {}
         self.edges: list[CubeEdge] = []
         for bits in order:
             for t in range(n):
@@ -158,10 +177,10 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
              marked: tuple[int, int] | None = None) -> MatF2:
     """Matrix of the merge or split map on the full exterior-algebra bases,
     or, given the marked circles (of src, of tgt), on the subsets containing
-    each state's marked circle (the order of `_reduced_masks`).
+    each state's marked circle, in ascending order.
 
     The matrix is a function of the edge's shape alone (see `CubeEdge`),
-    so the complexes build it once per shape through `_edge_block`.
+    so a cube builds it once per shape through `_edge_block`.
 
     The image of each source subset is the image of the subset without its
     highest circle plus that circle's image, so the work grows with the
@@ -217,25 +236,78 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
     return MatF2(len(rows), len(out), tuple(rows))
 
 
-def _edge_block(edge: CubeEdge, s: ResolvedState, t: ResolvedState,
-                marked: tuple[int, int] | None, blocks: dict) -> list:
-    """The nonzero rows (i, bits) of `edge_map(edge, s, t, marked)`.  The
-    map is built on the first edge of its shape and kept in `blocks`, a dict
-    that lives for one complex; a cube has far fewer shapes than edges."""
+def _edge_block(cube: CubeComplex, edge: CubeEdge, s: ResolvedState,
+                t: ResolvedState, marked: tuple[int, int] | None) -> list:
+    """`edge_map(edge, s, t, marked)` in the slot basis of `_place`, as
+    ((source degree, target degree), [(i, bits)]) pairs, with i and the bits
+    of bits positions within the two slots.  The map is built on the first
+    edge of its shape and kept in `cube.blocks`, which every complex built
+    on the cube shares; a cube has far fewer shapes than edges.  An entry
+    whose source and target have different quantum gradings raises
+    InternalInconsistency."""
     key = (edge.kind, edge.circles, edge.correspondence, len(t.circles), marked)
-    block = blocks.get(key)
+    block = cube.blocks.get(key)
     if block is None:
-        rows = edge_map(edge, s, t, marked).rows
-        block = blocks[key] = [(i, row) for i, row in enumerate(rows) if row]
+        pos = cube.positions
+        # q = k - 2|S| + w is kept iff 2 (|S_t| - |S_s|) = k_t - k_s + 1
+        shift = len(t.circles) - len(s.circles) + 1
+        by_degrees: dict[tuple, list] = {}
+        for i, row in enumerate(edge_map(edge, s, t, marked).rows):
+            if not row:
+                continue
+            bits, degree = 0, i.bit_count()
+            while row:
+                low = row & -row
+                row ^= low
+                col = low.bit_length() - 1
+                if 2 * (degree - col.bit_count()) != shift:
+                    raise InternalInconsistency("d_h must preserve the quantum grading")
+                bits |= 1 << pos[col]
+            by_degrees.setdefault((degree - shift // 2, degree), []).append((pos[i], bits))
+        block = cube.blocks[key] = list(by_degrees.items())
     return block
 
 
-def _reduced_masks(state: ResolvedState, marked: int) -> list[int]:
-    """Circle subsets containing the marked circle, ascending (none when the
-    state has no circle)."""
-    bit = 1 << marked
-    return [((j >> marked) << (marked + 1)) | bit | (j & (bit - 1))
-            for j in range((1 << state.n_circles) >> 1)]
+def _place(cube: CubeComplex, vertices, mark, cell_of, dims: dict) -> dict:
+    """Each vertex's slots: slots[j] is the (cell, offset) of its generators
+    of exterior degree j (the marked circle not counted), which share the
+    quantum grading q and so the cell cell_of(w, q).  Vertices take their
+    slots in the given order, extending `dims`, the size of each cell."""
+    reduced = mark is not None
+    slots: dict = {}
+    sizes: dict = {}            # (k, w) -> (cell, size) of each degree j
+    for index in vertices:
+        k, w = cube.states[index].n_circles, sum(index)
+        if (k, w) not in sizes:
+            m = k - reduced     # circles with a bit in a basis index
+            sizes[(k, w)] = [(cell_of(w, k - 2 * (j + reduced) + w), math.comb(m, j))
+                             for j in range(m + 1)]
+        slots[index] = out = []
+        for cell, size in sizes[(k, w)]:
+            offset = dims.get(cell, 0)
+            out.append((cell, offset))
+            dims[cell] = offset + size
+    return slots
+
+
+def _d_h(cube: CubeComplex, mark, dims: dict, slots: dict) -> dict:
+    """The differential (w, r) -> (w + 1, r) of the cells `_place` laid out:
+    each edge XORs its shape's block (`_edge_block`) into its source cell's
+    rows, shifted to the offsets of its source and target slots."""
+    rows = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0) for cell in dims}
+    # vertex -> its state, slots and marked circle (None when unreduced)
+    at = {ix: (st, slots[ix], None if mark is None else mark(st))
+          for ix, st in cube.states.items()}
+    for edge in cube.edges:
+        s, src, ms = at[edge.source]
+        t, tgt, mt = at[edge.target]
+        marked = None if mark is None else (ms, mt)
+        for (js, jt), block in _edge_block(cube, edge, s, t, marked):
+            cell, so = src[js]
+            to, out = tgt[jt][1], rows[cell]
+            for i, bits in block:
+                out[to + i] ^= bits << so
+    return {cell: MatF2(len(r), dims[cell], tuple(r)) for cell, r in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,55 +315,42 @@ def _reduced_masks(state: ResolvedState, marked: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def kh_complex(d: Diagram, max_crossings: int | None = None) -> GradedComplexF2:
-    """Unreduced cube complex; homological degree is cube weight."""
+    """Unreduced cube complex graded by (cube weight, quantum grading)."""
     return _assemble(build_cube(d, max_crossings=max_crossings), None)
 
 
 def khr_complex(d: Diagram, basepoint: int = 1,
                 max_crossings: int | None = None) -> GradedComplexF2:
-    """Reduced cube complex with respect to a basepoint arc."""
+    """Reduced cube complex with respect to a basepoint arc, graded by
+    (cube weight, quantum grading)."""
     _marked_circles(d, basepoint)
     return _assemble(build_cube(d, max_crossings=max_crossings), basepoint)
 
 
 def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
-    """The cube complex, reduced unless basepoint is None.  Each edge XORs
-    its shape's block (`_edge_block`) into the rows of its weight's
-    differential, shifted to the source and target vertices' offsets."""
+    """The cube complex, reduced unless basepoint is None, in (w, q) cells."""
     mark = _marked_circles(cube.diagram, basepoint)
-    states = cube.states
-    # vertex -> (cube weight, offset in its weight's basis)
-    where: dict[tuple, tuple] = {}
-    dims: dict[int, int] = {}
-    for index in cube.vertices:
-        # reduced: the half of the subsets that contain the marked circle
-        size = (1 << len(states[index].circles)) >> (mark is not None)
-        w = sum(index)
-        offset = dims.get(w, 0)
-        where[index] = (w, offset)
-        dims[w] = offset + size
-    rows_by_w = {w: [0] * dims.get(w + 1, 0) for w in range(cube.diagram.n)}
-    blocks: dict = {}
-    for edge in cube.edges:
-        s, t = states[edge.source], states[edge.target]
-        w, so = where[edge.source]
-        to = where[edge.target][1]
-        rows = rows_by_w[w]
-        marked = None if mark is None else (mark(s), mark(t))
-        for i, row in _edge_block(edge, s, t, marked, blocks):
-            rows[to + i] ^= row << so
-    return GradedComplexF2(dims, {w: MatF2(len(rows), dims.get(w, 0), tuple(rows))
-                                  for w, rows in rows_by_w.items()})
+    dims: dict[tuple, int] = {}
+    slots = _place(cube, cube.vertices, mark, lambda w, q: (w, q), dims)
+    return GradedComplexF2(dims, _d_h(cube, mark, dims, slots))
+
+
+def weight_totals(ranks: dict[tuple, int]) -> dict[int, int]:
+    """Bigraded ranks keyed (w, r) summed over r, keyed by w ascending."""
+    out: dict[int, int] = {}
+    for (w, _), b in sorted(ranks.items()):
+        out[w] = out.get(w, 0) + b
+    return out
 
 
 def kh_ranks(d: Diagram, max_crossings: int | None = None) -> dict[int, int]:
-    return homology_ranks(kh_complex(d, max_crossings=max_crossings))
+    return weight_totals(homology_ranks(kh_complex(d, max_crossings=max_crossings)))
 
 
 def khr_ranks(d: Diagram, basepoint: int = 1,
               max_crossings: int | None = None) -> dict[int, int]:
-    return homology_ranks(khr_complex(d, basepoint=basepoint,
-                                      max_crossings=max_crossings))
+    return weight_totals(homology_ranks(khr_complex(d, basepoint=basepoint,
+                                                    max_crossings=max_crossings)))
 
 
 def grading_tables(d: Diagram, ranks: dict[int, int]) -> dict[str, dict[int, int]]:
@@ -341,65 +400,40 @@ def _twisted(cube: CubeComplex, marking: ArcMarking,
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
 
-    dims: dict[tuple, int] = {}
-    even: dict[tuple, int] = {}
-    # vertex -> (cell, position in cell) of each reduced basis element,
-    # placed all-even vertices first
-    place: dict[tuple, list] = {}
-    for index in sorted(cube.vertices, key=lambda ix: any(parities[ix])):
-        state = cube.states[index]
-        w, k = sum(index), state.n_circles
-        is_even = not any(parities[index])
-        slots = place[index] = []
-        for mask in _reduced_masks(state, mark(state)):
-            value = 2 * mask.bit_count() - w - k + par
-            if value % 2:
-                raise InternalInconsistency(
-                    f"odd vertical degree {value}/2 at vertex {index}")
-            cell = (w, value // 2)
-            slots.append((cell, dims.get(cell, 0)))
-            dims[cell] = slots[-1][1] + 1
-            if is_even:
-                even[cell] = dims[cell]
+    def cell_of(w, q):
+        if (par - q) % 2:
+            raise InternalInconsistency(
+                f"odd vertical degree {par - q}/2 at cube weight {w}")
+        return (w, (par - q) // 2)
 
-    d_h: dict[tuple, list] = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0)
-                              for cell in dims}
+    dims: dict[tuple, int] = {}
+    slots = _place(cube, [ix for ix in cube.vertices if not any(parities[ix])],
+                   mark, cell_of, dims)
+    even = dict(dims)
+    odd = [ix for ix in cube.vertices if any(parities[ix])]
+    slots.update(_place(cube, odd, mark, cell_of, dims))
+
+    pos = cube.positions
     d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)
                               for cell in dims}
-
-    blocks: dict = {}
-    for edge in cube.edges:
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        src, tgt = place[edge.source], place[edge.target]
-        for i, row in _edge_block(edge, s, t, (mark(s), mark(t)), blocks):
-            tcell, trow = tgt[i]
-            while row:
-                low = row & -row
-                row ^= low
-                cell, col = src[low.bit_length() - 1]
-                if tcell != (cell[0] + 1, cell[1]):
-                    raise InternalInconsistency("d_h must preserve the vertical degree")
-                d_h[cell][trow] |= 1 << col
-
-    for index, slots in place.items():
-        mc = mark(cube.states[index])
+    for index in odd:
+        mc, slot = mark(cube.states[index]), slots[index]
         # wedging an odd circle c sets its bit in the reduced position
         wedges = [1 << (c - (c > mc)) for c, p in enumerate(parities[index])
                   if p and c != mc]
-        for j, (cell, col) in enumerate(slots):
+        for x in range(1 << (len(slot) - 1)):
+            cell, col = slot[x.bit_count()]
             for g in wedges:
-                if not j & g:
-                    tcell, trow = slots[j | g]
+                if not x & g:
+                    tcell, trow = slot[x.bit_count() + 1]
                     if tcell != (cell[0], cell[1] + 1):
                         raise InternalInconsistency(
                             "d_v must raise the vertical degree by one")
-                    d_v[cell][trow] |= 1 << col
+                    d_v[cell][trow + pos[x | g]] |= 1 << (col + pos[x])
 
-    dh_mats = {cell: MatF2(dims.get((cell[0] + 1, cell[1]), 0), dims[cell],
-                           tuple(rows)) for cell, rows in d_h.items()}
     dv_mats = {cell: MatF2(dims.get((cell[0], cell[1] + 1), 0), dims[cell],
                            tuple(rows)) for cell, rows in d_v.items()}
-    return DoubleComplexF2(dims, dh_mats, dv_mats), even
+    return DoubleComplexF2(dims, _d_h(cube, mark, dims, slots), dv_mats), even
 
 
 def _filtered_by_p(dc: DoubleComplexF2) -> FilteredComplexF2:
@@ -436,16 +470,11 @@ def _hd_even(dc: DoubleComplexF2, even: dict[tuple, int]) -> dict[tuple, int]:
     """Homology of d_h restricted to the generators of all-even vertices,
     the first even[cell] positions of each cell (see `_twisted`), one complex
     per vertical degree v graded by cube weight, keyed by (w, v)."""
-    out: dict[tuple, int] = {}
-    for v in sorted({v for _, v in even}):
-        dims = {w: n for (w, u), n in even.items() if u == v}
-        diffs = {}
-        for w, n in dims.items():
-            rows = dc.dh((w, v)).rows[:dims.get(w + 1, 0)]
-            diffs[w] = MatF2(len(rows), n, tuple(r & ((1 << n) - 1) for r in rows))
-        for w, b in homology_ranks(GradedComplexF2(dims, diffs)).items():
-            out[(w, v)] = b
-    return out
+    d_h = {}
+    for (w, v), n in even.items():
+        rows = dc.dh((w, v)).rows[:even.get((w + 1, v), 0)]
+        d_h[(w, v)] = MatF2(len(rows), n, tuple(r & ((1 << n) - 1) for r in rows))
+    return homology_ranks(GradedComplexF2(even, d_h))
 
 
 def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
@@ -496,16 +525,11 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     pages = spectral_pages(fc)
 
     # E^1 = vertical homology
-    e1_expected: dict[tuple, int] = {}
-    for (p, v), rank in _vertical_homology_ranks(dc).items():
-        e1_expected[(p, p + v)] = e1_expected.get((p, p + v), 0) + rank
+    e1_expected = {(p, p + v): r for (p, v), r in _vertical_homology_ranks(dc).items()}
     if pages.page(1) != e1_expected:
         raise InternalInconsistency("E^1 page does not match vertical homology")
     # E^2 = dotted diagram homology
-    e2_expected: dict[tuple, int] = {}
-    for (p, v), rank in hd.items():
-        e2_expected[(p, p + v)] = e2_expected.get((p, p + v), 0) + rank
-    if pages.page(2) != e2_expected:
+    if pages.page(2) != {(p, p + v): r for (p, v), r in hd.items()}:
         raise InternalInconsistency(
             "E^2 page and even-vertex dotted homology disagree")
     # E^infinity total = homology of the total complex

@@ -8,7 +8,9 @@ basis, the reduced map obtained by restricting the full one to the
 subsets that contain the marked circle, read off `arc_to_circle`,
 dotted-diagram homology from the edge maps between all-even vertices, and
 the kh, Khr and twisted differentials placed edge by edge from one
-`edge_map` call per edge.
+`edge_map` call per edge, kh and Khr on whole-weight bases that
+`split_by_quantum_grading` permutes into (w, q) cells.  `reduced_masks`
+lists a reduced basis in the order every map here uses.
 """
 
 from cubekh.complexes import DoubleComplexF2, GradedComplexF2, homology_ranks
@@ -18,11 +20,18 @@ from cubekh.khovanov import (
     CubeEdge,
     _marked_circles,
     _marking_parities,
-    _reduced_masks,
     _vertical_degree_offset,
     edge_map,
 )
 from cubekh.linalg import MatF2
+
+
+def reduced_masks(state, marked: int) -> list[int]:
+    """Circle subsets containing the marked circle, ascending (none when the
+    state has no circle)."""
+    bit = 1 << marked
+    return [((j >> marked) << (marked + 1)) | bit | (j & (bit - 1))
+            for j in range((1 << state.n_circles) >> 1)]
 
 
 def resolve_circles(d, index):
@@ -165,7 +174,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
         w, k = sum(index), cube.states[index].n_circles
         size = sizes[index] = {}
         sl = slots[index] = []
-        for mask in _reduced_masks(cube.states[index], mark(cube.states[index])):
+        for mask in reduced_masks(cube.states[index], mark(cube.states[index])):
             v = (2 * mask.bit_count() - w - k + par) // 2
             sl.append((v, size.get(v, 0)))
             size[v] = size.get(v, 0) + 1
@@ -240,6 +249,35 @@ def assemble_per_edge(cube, basepoint):
     return GradedComplexF2(dims, diffs)
 
 
+def split_by_quantum_grading(cube, basepoint, cx):
+    """The per-edge complex cx, reduced unless basepoint is None, permuted
+    into (w, q) cells: each weight's generators, in cx's order, go to the
+    cell of their quantum grading q = k - 2|S| + w (the marked circle counts
+    in |S|) in the order they come.  Returns the cell dimensions and the
+    blocks (w, q) -> (w + 1, q); an entry of cx that changes q raises."""
+    reduced = basepoint is not None
+    dims: dict[tuple, int] = {}
+    where: dict[int, list] = {}
+    for index in cube.vertices:
+        k, w = cube.states[index].n_circles, sum(index)
+        for x in range((1 << k) >> reduced):
+            cell = (w, k - 2 * (x.bit_count() + reduced) + w)
+            where.setdefault(w, []).append((cell, dims.get(cell, 0)))
+            dims[cell] = dims.get(cell, 0) + 1
+    blocks = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0) for cell in dims}
+    for w, m in cx.differentials.items():
+        for i, row in enumerate(m.rows):
+            (_, qt), ti = where[w + 1][i]
+            while row:
+                low = row & -row
+                row ^= low
+                cell, sj = where[w][low.bit_length() - 1]
+                if cell[1] != qt:
+                    raise InternalInconsistency("per-edge differential changes q")
+                blocks[cell][ti] |= 1 << sj
+    return dims, {cell: MatF2(len(r), dims[cell], tuple(r)) for cell, r in blocks.items()}
+
+
 def twisted_per_edge(cube, marking, basepoint):
     """The twisted double complex and its all-even counts per cell, with one
     `edge_map` call per edge."""
@@ -257,7 +295,7 @@ def twisted_per_edge(cube, marking, basepoint):
         w, k = sum(index), state.n_circles
         is_even = not any(parities[index])
         slots = place[index] = []
-        for mask in _reduced_masks(state, mark(state)):
+        for mask in reduced_masks(state, mark(state)):
             value = 2 * mask.bit_count() - w - k + par
             if value % 2:
                 raise InternalInconsistency(

@@ -12,7 +12,8 @@ it off each state as `arc_to_circle[basepoint]`.
 from dataclasses import dataclass
 
 from cubekh.errors import InternalInconsistency
-from cubekh.khovanov import _reduced_masks, edge_map
+from cube_oracle import reduced_masks
+from cubekh.khovanov import edge_map
 from cubekh.linalg import MatF2
 
 
@@ -42,7 +43,7 @@ def psi_identification(state, marked: int) -> tuple[ThetaModuleModel, dict]:
     model = ThetaModuleModel(len(others), tuple(others))
     gen_of = model.gen_for_circle()
     psi = {}
-    for mask in _reduced_masks(state, marked):
+    for mask in reduced_masks(state, marked):
         out = 0
         for c in others:
             if (mask >> c) & 1:
@@ -131,7 +132,7 @@ def check_psi_naturality(cube, basepoint: int = 1) -> bool:
         # aligned bases: psi is the identity permutation on sorted masks
         for state, mc in zip((s, t), marked):
             _, psi = psi_identification(state, mc)
-            perm = [psi[m] for m in _reduced_masks(state, mc)]
+            perm = [psi[m] for m in reduced_masks(state, mc)]
             if perm != sorted(perm):
                 raise InternalInconsistency(
                     "psi does not keep the order of the reduced basis")

@@ -16,8 +16,15 @@ from cubekh.branched import (
     rank_inequality_check,
     verify_certificate,
 )
-from cubekh.corpus import random_braid_diagram, small_knot
-from cubekh.diagram import connect_sum, parse_pd
+from cubekh.acceptance import corpus
+from cubekh.corpus import braid_closure, random_braid_diagram, small_knot
+from cubekh.diagram import (
+    canonical_key,
+    connect_sum,
+    parse_pd,
+    simplify_greedy,
+    smooth_crossing,
+)
 from cubekh.errors import NonPlanarTrace
 from cubekh.khovanov import state_sum_det
 
@@ -159,6 +166,75 @@ def test_qa_split_unlink_unknown():
 
 def test_qa_budget_exhaustion():
     assert qa_certify(small_knot("6_3"), budget=2) is None
+
+
+def qa_certify_without_failure_memo(d, budget, det_of):
+    """The search as it was before failed nodes were memoized: only nodes
+    with det 0, unknot leaves and certified nodes are kept."""
+    memo = {}
+    spent = [0]
+
+    def search(diag):
+        diag = simplify_greedy(diag)
+        key = canonical_key(diag)
+        if key in memo:
+            return memo[key]
+        if spent[0] >= budget:
+            return None
+        spent[0] += 1
+        if diag.n == 0:
+            memo[key] = QACertificate(diag, 1) if diag.free_loops == 1 else None
+            return memo[key]
+        det = det_of(diag)
+        if det == 0:
+            memo[key] = None
+            return None
+        for ci in range(diag.n):
+            d0, d1 = smooth_crossing(diag, ci, 0), smooth_crossing(diag, ci, 1)
+            det0, det1 = det_of(d0), det_of(d1)
+            if det0 == 0 or det1 == 0 or det0 + det1 != det:
+                continue
+            c0 = search(d0)
+            c1 = None if c0 is None else search(d1)
+            if c1 is not None:
+                memo[key] = QACertificate(diag, det, ci, (c0, c1))
+                return memo[key]
+        return None
+
+    return search(d)
+
+
+def test_failure_memo_keeps_verdicts_and_saves_determinants(monkeypatch):
+    import cubekh.branched as br
+    calls = []
+
+    def counted(diag, max_crossings=None):
+        calls.append(diag)
+        return state_sum_det(diag, max_crossings=max_crossings)
+
+    def det_calls(d, budget):
+        calls.clear()
+        old = qa_certify_without_failure_memo(d, budget, counted)
+        old_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(br, "state_sum_det", counted)
+        assert qa_certify(d, budget=budget) == old
+        monkeypatch.setattr(br, "state_sum_det", state_sum_det)
+        return old_calls, len(calls)
+
+    # certified verdicts and certificates on the corpus are unchanged
+    for d in corpus():
+        old_calls, new_calls = det_calls(d, 4000)
+        assert new_calls <= old_calls
+    # the qa_arith torus closures (s1 s2)^4 and (s1 s2)^5 are not certified
+    for k in (4, 5):
+        old_calls, new_calls = det_calls(braid_closure([1, 2] * k, 3), 20000)
+        assert new_calls <= old_calls
+    # a 9-crossing closure whose failed nodes the search meets again
+    d = parse_pd([[3, 5, 4, 2], [5, 7, 6, 4], [1, 6, 9, 8], [9, 7, 11, 10],
+                  [8, 10, 13, 12], [12, 13, 15, 14], [14, 15, 17, 16],
+                  [16, 17, 18, 1], [11, 3, 2, 18]])
+    assert det_calls(d, 20000) == (87, 36)
 
 
 def test_qa_certified_implies_thin_equality():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cubekh.cli import main, run_job
+from cubekh.cli import MAX_QA_BUDGET, main, run_job
 
 TREFOIL = {"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}
 
@@ -243,6 +243,32 @@ def test_failed_complex_checks_exit_internal(capsys, monkeypatch, cmd, check):
     assert err["detail"].startswith(check + ": ")
 
 
+@pytest.mark.parametrize("cmd", ["kh", "khr", "twisted"])
+def test_quantum_grading_check_exits_internal(capsys, monkeypatch, cmd):
+    # moving one entry of each edge map to the target row with its lowest
+    # bit flipped puts it in another exterior degree, so the map no longer
+    # preserves the quantum grading; the diagram is valid, so this is a bug
+    import cubekh.khovanov as kh
+    from cubekh.linalg import MatF2
+    real_edge_map = kh.edge_map
+
+    def moved_edge_map(edge, src, tgt, marked=None):
+        m = real_edge_map(edge, src, tgt, marked)
+        rows = list(m.rows)
+        for i, row in enumerate(rows):
+            if row and i ^ 1 < len(rows):
+                rows[i] ^= row & -row
+                rows[i ^ 1] ^= row & -row
+                break
+        return MatF2(m.nrows, m.ncols, tuple(rows))
+
+    monkeypatch.setattr(kh, "edge_map", moved_edge_map)
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "internal", "detail": "d_h must preserve the quantum grading"}
+
+
 def test_internal_checks_survive_optimize_flag():
     # the invariant checks in twisted_complex and in the psi oracle's
     # check_psi_naturality are explicit raises, so `python -O` keeps them
@@ -347,6 +373,41 @@ def test_non_integer_inputs_rejected(capsys, monkeypatch, cmd, payload):
     code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 2
     assert "must be an integer" in json.loads(out)["error"]["detail"]
+
+
+@pytest.mark.parametrize("budget, code, error", [
+    (-1, 2, {"kind": "JobError", "detail": "qa budget must be non-negative, got -1"}),
+    (MAX_QA_BUDGET + 1, 3, {"kind": "budget", "detail":
+                            f"qa budget {MAX_QA_BUDGET + 1} exceeds the limit of {MAX_QA_BUDGET}"}),
+])
+def test_qa_budget_out_of_range_refused_before_search(capsys, monkeypatch, budget,
+                                                       code, error):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched with a refused budget")
+
+    monkeypatch.setattr("cubekh.branched.simplify_greedy", no_search)
+    got, out = run_cli(capsys, monkeypatch, ["--command", "qa"], dict(TREFOIL, budget=budget))
+    assert got == code
+    assert json.loads(out)["error"] == error
+
+
+def _torus_8():
+    from cubekh.corpus import braid_closure
+    return {"pd": [list(c) for c in braid_closure([1, 2] * 4, 3).crossings]}
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (dict(TREFOIL, budget=0), "budget"),
+    (_torus_8(), "exhausted"),
+], ids=["trefoil_budget_0", "torus_s1s2_4"])
+def test_qa_unknown_says_why(capsys, monkeypatch, payload, reason):
+    code, out = run_cli(capsys, monkeypatch, ["--command", "qa"], payload)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "unknown", "reason": reason}
+    # a certified verdict carries no reason, at the largest budget too
+    code, out = run_cli(capsys, monkeypatch, ["--command", "qa"],
+                        dict(TREFOIL, budget=MAX_QA_BUDGET))
+    assert code == 0 and sorted(json.loads(out)) == ["certificate", "verdict"]
 
 
 @pytest.mark.parametrize("cmd, payload, target, fake, detail", [

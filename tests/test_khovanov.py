@@ -8,18 +8,23 @@ bit-packed implementation, and computes homology by set-based elimination.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubekh.khovanov as kh
 import spectral_oracle
 from cube_oracle import hd_even_oracle
 from det_oracle import continued_fraction_numerator
+from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
+from cubekh.complexes import homology_ranks
 from cubekh.corpus import (
+    diagram_corpus,
     random_braid_diagram,
     random_compatible_marking,
     rational_link,
     small_knot,
 )
-from cubekh.diagram import ArcMarking, mirror, parse_pd, resolve
+from cubekh.diagram import ArcMarking, Diagram, mirror, parse_pd, resolve
 from cubekh.errors import IncompatibleMarking, NotAComplex, SizeBudgetExceeded
 from cubekh.khovanov import (
     build_cube,
@@ -256,6 +261,34 @@ def test_kh_rank_doubles_khr():
         assert sum(kh_ranks(d).values()) == 2 * sum(khr_ranks(d).values())
 
 
+def check_shumakovitch_bigraded(d):
+    # over GF(2), Kh = Khr (x) F2[x]/(x^2) with x of quantum degree -2, so
+    # Kh_{w,q} = Khr_{w,q} + Khr_{w,q-2} per (cube weight, quantum grading)
+    # block; the reduced q counts the marked circle in |S|.  A generator in
+    # the wrong q moves a rank between blocks, which the totals would miss.
+    kh = homology_ranks(kh_complex(d))
+    khr = homology_ranks(khr_complex(d))
+    assert kh and all(isinstance(cell, tuple) for cell in kh)
+    cells = set(kh) | set(khr) | {(w, q + 2) for w, q in khr}
+    for w, q in cells:
+        assert kh.get((w, q), 0) == khr.get((w, q), 0) + khr.get((w, q - 2), 0), (w, q)
+
+
+SHUMAKOVITCH_CORPUS = diagram_corpus(CORPUS_SEED, 100, CORPUS_MAX_CROSSINGS)
+
+
+def test_bigraded_shumakovitch_corpus():
+    for d in SHUMAKOVITCH_CORPUS:
+        check_shumakovitch_bigraded(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_bigraded_shumakovitch_random_braids(seed, free_loops):
+    d = random_braid_diagram(random.Random(seed), max_crossings=7)
+    check_shumakovitch_bigraded(Diagram(d.crossings, free_loops=d.free_loops + free_loops))
+
+
 def test_basepoint_independence():
     rng = random.Random(55)
     for _ in range(15):
@@ -481,14 +514,15 @@ def test_two_bridge_determinants():
 # --- deliberate corruption is caught ----------------------------------------------
 
 def test_corrupted_differential_detected():
-    # flipping a single matrix entry must trip the d*d = 0 validation
+    # flipping a single matrix entry must trip the d*d = 0 validation of
+    # its quantum-grading block
     from cubekh.complexes import GradedComplexF2
     from cubekh.linalg import MatF2
     cx = kh_complex(parse_pd(TREFOIL))
     diffs = dict(cx.differentials)
-    m = diffs[0]
+    m = diffs[(0, 1)]
     rows = list(m.rows)
     rows[0] ^= 1
-    diffs[0] = MatF2(m.nrows, m.ncols, tuple(rows))
+    diffs[(0, 1)] = MatF2(m.nrows, m.ncols, tuple(rows))
     with pytest.raises(NotAComplex):
         GradedComplexF2(dict(cx.dims), diffs)

@@ -17,9 +17,9 @@ from .diagram import (
     RES1_PAIRS,
     Diagram,
     PlanarMap,
+    _fuse_and_relabel,
     canonical_key,
     mirror,
-    normalize_under_slots,
     planar_map,
     resolve,
     simplify_greedy,
@@ -123,14 +123,10 @@ def goeritz(d: Diagram) -> GoeritzData:
 
 def _pd_pieces(d: Diagram) -> list[Diagram]:
     """Connected pieces of the projection as standalone diagrams."""
-    pieces = d.pd_components()
     out = []
-    for crossings_idx in pieces:
-        sub = [d.crossings[ci] for ci in sorted(crossings_idx)]
-        labels = sorted({a for c in sub for a in c})
-        relabel = {a: i + 1 for i, a in enumerate(labels)}
-        out.append(normalize_under_slots(
-            [tuple(relabel[a] for a in c) for c in sub]))
+    for piece in d.pd_components():
+        sub = [d.crossings[ci] for ci in piece]
+        out.append(_fuse_and_relabel(sub, {a for c in sub for a in c}, ()))
     return out
 
 
@@ -237,7 +233,9 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
     spent = [0]
     stops = [0]
 
-    def search(diag: Diagram) -> QACertificate | None:
+    def search(diag: Diagram, det: int | None = None) -> QACertificate | None:
+        # det, when given, is the determinant of diag's link, which greedy
+        # simplification keeps
         diag = simplify_greedy(diag)
         key = canonical_key(diag)
         if key in memo:
@@ -250,7 +248,8 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
         if diag.n == 0:
             cert = QACertificate(diag, 1) if diag.free_loops == 1 else None
         else:
-            det = state_sum_det(diag, max_crossings=max_crossings)
+            if det is None:
+                det = state_sum_det(diag, max_crossings=max_crossings)
             for ci in range(diag.n if det else 0):
                 d0 = smooth_crossing(diag, ci, 0)
                 d1 = smooth_crossing(diag, ci, 1)
@@ -258,8 +257,8 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
                 det1 = state_sum_det(d1, max_crossings=max_crossings)
                 if det0 == 0 or det1 == 0 or det0 + det1 != det:
                     continue
-                c0 = search(d0)
-                c1 = None if c0 is None else search(d1)
+                c0 = search(d0, det0)
+                c1 = None if c0 is None else search(d1, det1)
                 if c1 is not None:
                     cert = QACertificate(diag, det, ci, (c0, c1))
                     break

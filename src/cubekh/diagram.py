@@ -12,11 +12,18 @@ Conventions fixed here and used everywhere else:
 * Orientation is input as one +1/-1 flag per component, applied on top of
   the natural direction read off the under-strand slots; crossing signs are
   derived from the resulting arc directions.
+* Internally the rotation system is one dart table (`_dart_table`).  Dart
+  x = 4 * crossing + slot, and other[x] is the dart at the other end of x's
+  arc.  A strand entering a crossing at x leaves at x ^ 2 and enters the
+  next one at other[x ^ 2]; a face continues from x at the slot after
+  other[x], counterclockwise at that crossing.  Public results name darts
+  as (crossing, slot) pairs.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,6 +64,42 @@ class _UnionFind:
         return [tuple(sorted(g)) for g in sorted(groups.values(), key=min)]
 
 
+def _dart_table(crossings) -> tuple[list[int], dict[int, int]]:
+    """(other, first) for crossing tuples whose labels each appear twice:
+    other[x] is the dart at the other end of dart x's arc, first[a] the
+    first dart of arc a in PD order (first holds arcs in that order)."""
+    other = [0] * (4 * len(crossings))
+    first: dict[int, int] = {}
+    for x, a in enumerate(a for c in crossings for a in c):
+        y = first.setdefault(a, x)
+        other[x], other[y] = y, x
+    return other, first
+
+
+def _strand(other: list[int], x: int) -> list[int]:
+    """The darts a strand enters, from dart x round to x again."""
+    walk = [x]
+    y = other[x ^ 2]
+    while y != x:
+        walk.append(y)
+        y = other[y ^ 2]
+    return walk
+
+
+def _strands(other: list[int], first: dict[int, int]):
+    """One strand per component, walked from the first dart of its least
+    arc; components come in order of least arc.  x -> other[x ^ 2] is a
+    permutation, and x -> x ^ 2 would reverse an orbit it kept and so fix a
+    dart or an arc: every strand closes up and passes each arc once."""
+    seen: set[int] = set()
+    for a in sorted(first):
+        if first[a] not in seen:
+            walk = _strand(other, first[a])
+            seen.update(walk)
+            seen.update(other[y] for y in walk)
+            yield walk
+
+
 class Diagram:
     """Validated oriented link diagram.
 
@@ -82,20 +125,13 @@ class Diagram:
                 raise MalformedPD(f"crossing {c} is not a 4-tuple")
         n = len(self.crossings)
         self.arc_count = 2 * n
-        counts: dict[int, int] = {}
-        for c in self.crossings:
-            for a in c:
-                counts[a] = counts.get(a, 0) + 1
-        expected = set(range(1, self.arc_count + 1))
-        if set(counts) != expected or any(v != 2 for v in counts.values()):
+        counts = Counter(a for c in self.crossings for a in c)
+        if (set(counts) != set(range(1, self.arc_count + 1))
+                or any(v != 2 for v in counts.values())):
             raise MalformedPD(
                 "arc labels must be 1..2n with each label appearing exactly twice")
 
-        self._incidences: dict[int, list[tuple[int, int]]] = {a: [] for a in expected}
-        for ci, c in enumerate(self.crossings):
-            for s, a in enumerate(c):
-                self._incidences[a].append((ci, s))
-
+        self._other, self._first = _dart_table(self.crossings)
         self.components, natural_head = self._trace_components()
         if orientation is None:
             orientation = [1] * len(self.components)
@@ -119,54 +155,22 @@ class Diagram:
 
     # -- construction helpers -------------------------------------------------
 
-    def _other_incidence(self, arc: int, inc: tuple[int, int]) -> tuple[int, int]:
-        a, b = self._incidences[arc]
-        if inc == a:
-            return b
-        if inc == b:
-            return a
-        raise MalformedPD(f"incidence {inc} not on arc {arc}")
-
     def _trace_components(self):
         """Walk strands, returning components and natural (head, tail) per arc."""
-        n = len(self.crossings)
-        if n == 0:
-            return (), {}
-        visited: set[int] = set()
+        labels = [a for c in self.crossings for a in c]
         components: list[tuple[int, ...]] = []
         natural: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-        for start in range(1, self.arc_count + 1):
-            if start in visited:
-                continue
-            arc = start
-            head = self._incidences[arc][0]
-            path: list[tuple[int, tuple[int, int]]] = []
-            while True:
-                path.append((arc, head))
-                ci, s = head
-                exit_inc = (ci, s ^ 2)
-                nxt = self.crossings[ci][s ^ 2]
-                head = self._other_incidence(nxt, exit_inc)
-                arc = nxt
-                if arc == start and head == self._incidences[start][0]:
-                    break
-                if len(path) > self.arc_count:
-                    raise DisconnectedTrace("strand tracing does not close up")
-            arcs_in_path = [a for a, _ in path]
-            if len(set(arcs_in_path)) != len(arcs_in_path):
-                raise DisconnectedTrace("strand tracing repeats an arc")
-            under_in = sum(1 for _, (ci, s) in path if s == 0)
-            under_out = sum(1 for _, (ci, s) in path if s == 2)
-            if under_in and under_out:
+        for walk in _strands(self._other, self._first):
+            slots = {x & 3 for x in walk}
+            if 0 in slots and 2 in slots:
                 raise DisconnectedTrace(
                     "under-strand directions are inconsistent along a component")
-            reverse = under_out > 0
-            for a, h in path:
-                t = self._other_incidence(a, h)
-                natural[a] = (t, h) if reverse else (h, t)
-            visited.update(arcs_in_path)
-            components.append(tuple(sorted(arcs_in_path)))
-        components.sort(key=min)
+            for h in walk:
+                t = self._other[h]
+                if 2 in slots:
+                    h, t = t, h
+                natural[labels[h]] = (divmod(h, 4), divmod(t, 4))
+            components.append(tuple(sorted(labels[h] for h in walk)))
         return tuple(components), natural
 
     def _crossing_sign(self, ci: int) -> int:
@@ -186,20 +190,13 @@ class Diagram:
 
     def is_pd_connected(self) -> bool:
         """True when the underlying 4-valent graph is connected."""
-        if self.n <= 1:
-            return True
-        uf = _UnionFind(range(self.n))
-        for a, incs in self._incidences.items():
-            uf.union(incs[0][0], incs[1][0])
-        return len(uf.classes()) == 1
+        return len(self.pd_components()) <= 1
 
     def pd_components(self) -> list[list[int]]:
         """Connected components of the diagram graph, as crossing index lists."""
-        if self.n == 0:
-            return []
         uf = _UnionFind(range(self.n))
-        for a, incs in self._incidences.items():
-            uf.union(incs[0][0], incs[1][0])
+        for x in self._first.values():
+            uf.union(x >> 2, self._other[x] >> 2)
         return [list(c) for c in uf.classes()]
 
     def __eq__(self, other):
@@ -402,34 +399,11 @@ def normalize_under_slots(crossings, free_loops: int = 0) -> Diagram:
     tangle constructions) which can reverse strand directions.
     """
     crossings = [tuple(c) for c in crossings]
-    incidences: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(crossings):
-        for s, a in enumerate(c):
-            incidences.setdefault(a, []).append((ci, s))
-    for a, incs in incidences.items():
-        if len(incs) != 2:
-            raise MalformedPD(f"arc {a} appears {len(incs)} times")
-
-    def other(arc, inc):
-        x, y = incidences[arc]
-        return y if inc == x else x
-
-    rotate = set()
-    visited = set()
-    for start in sorted(incidences):
-        if start in visited:
-            continue
-        arc, head = start, incidences[start][0]
-        while True:
-            visited.add(arc)
-            ci, s = head
-            if s == 2:
-                rotate.add(ci)
-            nxt = crossings[ci][s ^ 2]
-            head = other(nxt, (ci, s ^ 2))
-            arc = nxt
-            if arc == start and head == incidences[start][0]:
-                break
+    for a, k in Counter(a for c in crossings for a in c).items():
+        if k != 2:
+            raise MalformedPD(f"arc {a} appears {k} times")
+    rotate = {x >> 2 for walk in _strands(*_dart_table(crossings))
+              for x in walk if x & 3 == 2}
     fixed = [((c[2], c[3], c[0], c[1]) if ci in rotate else c)
              for ci, c in enumerate(crossings)]
     return Diagram(fixed, free_loops=free_loops)
@@ -482,19 +456,17 @@ def _find_r1(d: Diagram):
 
 
 def _find_r2(d: Diagram):
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for a, incs in d._incidences.items():
-        c1, c2 = incs[0][0], incs[1][0]
-        if c1 != c2:
-            by_pair.setdefault((min(c1, c2), max(c1, c2)), []).append(a)
-    for (c1, c2), arcs in sorted(by_pair.items()):
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                x, y = arcs[i], arcs[j]
-                sx1 = next(s for (ci, s) in d._incidences[x] if ci == c1)
-                sx2 = next(s for (ci, s) in d._incidences[x] if ci == c2)
-                sy1 = next(s for (ci, s) in d._incidences[y] if ci == c1)
-                sy2 = next(s for (ci, s) in d._incidences[y] if ci == c2)
+    # arcs joining two crossings c1 < c2, as their slots there, in label order
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a in range(1, d.arc_count + 1):
+        x = d._first[a]
+        y = d._other[x]
+        if x >> 2 != y >> 2:
+            by_pair.setdefault((x >> 2, y >> 2), []).append((x & 3, y & 3))
+    for (c1, c2), slots in sorted(by_pair.items()):
+        for i in range(len(slots)):
+            for j in range(i + 1, len(slots)):
+                (sx1, sx2), (sy1, sy2) = slots[i], slots[j]
                 if (sx1 - sy1) % 4 not in (1, 3) or (sx2 - sy2) % 4 not in (1, 3):
                     continue
                 if sx1 % 2 != sx2 % 2:
@@ -526,63 +498,49 @@ def connect_sum(d1: Diagram, d2: Diagram, arc1: int = 1, arc2: int = 1) -> Diagr
     if not d1.arc_count or not d2.arc_count:
         raise MalformedPD("connect_sum requires diagrams with crossings")
     shift = d1.arc_count
-    c2 = [tuple(a + shift for a in c) for c in d2.crossings]
-    a2 = arc2 + shift
+    labels = ([a for c in d1.crossings for a in c]
+              + [a + shift for c in d2.crossings for a in c])
     # splice: tail(arc1) -> head(arc2') and tail(arc2') -> head(arc1)
-    h1 = d1.arc_head[arc1]
-    t1 = d1._other_incidence(arc1, h1)
-    h2o = d2.arc_head[arc2]
-    t2o = d2._other_incidence(arc2, h2o)
-    n1 = d1.n
-    h2 = (h2o[0] + n1, h2o[1])
-    t2 = (t2o[0] + n1, t2o[1])
-    crossings = [list(c) for c in d1.crossings] + [list(c) for c in c2]
-    new_a = arc1              # tail of arc1 .. head of arc2'
-    new_b = a2                # tail of arc2' .. head of arc1
-    crossings[h2[0]][h2[1]] = new_a
-    crossings[t2[0]][t2[1]] = new_b
-    crossings[h1[0]][h1[1]] = new_b
-    crossings[t1[0]][t1[1]] = new_a
+    (c1, s1), (c2, s2) = d1.arc_head[arc1], d2.arc_head[arc2]
+    h1, h2, off = 4 * c1 + s1, 4 * c2 + s2, 4 * d1.n
+    labels[h2 + off] = arc1                     # tail of arc1 .. head of arc2'
+    labels[d2._other[h2] + off] = arc2 + shift  # tail of arc2' .. head of arc1
+    labels[h1] = arc2 + shift
+    labels[d1._other[h1]] = arc1
     # relabel to consecutive integers
-    labels = sorted({a for c in crossings for a in c})
-    relabel = {a: i + 1 for i, a in enumerate(labels)}
-    out = [tuple(relabel[a] for a in c) for c in crossings]
+    relabel = {a: i + 1 for i, a in enumerate(sorted(set(labels)))}
+    out = [tuple(relabel[a] for a in labels[x:x + 4])
+           for x in range(0, len(labels), 4)]
     return Diagram(out, free_loops=d1.free_loops + d2.free_loops)
 
 
 def canonical_key(d: Diagram):
-    """Deterministic key identifying the unoriented diagram up to arc
-    relabeling; used for memoization (collisions impossible, misses cheap)."""
-    n = d.n
-    if n == 0:
+    """Deterministic key of the unoriented diagram, the same for any order
+    of its crossings and, for knots, any relabeling of its arcs; used for
+    memoization (collisions impossible, misses cheap)."""
+    if d.n == 0:
         return (d.free_loops,)
+    labels = [a for c in d.crossings for a in c]
     best = None
-    for start in range(1, d.arc_count + 1):
-        for hidx in (0, 1):
-            order: dict[int, int] = {}
-            arc, head = start, d._incidences[start][hidx]
-            while True:
-                if arc not in order:
-                    order[arc] = len(order) + 1
-                ci, s = head
-                nxt = d.crossings[ci][s ^ 2]
-                head = d._other_incidence(nxt, (ci, s ^ 2))
-                arc = nxt
-                if arc in order and head == d._incidences[start][hidx] and arc == start:
-                    break
-                if len(order) == d.arc_count and arc in order:
-                    break
-            for a in range(1, d.arc_count + 1):
-                if a not in order:
-                    order[a] = len(order) + 1
-            tuples = []
-            for c in d.crossings:
-                t = tuple(order[a] for a in c)
-                r = (t[2], t[3], t[0], t[1])
-                tuples.append(min(t, r))
-            key = (tuple(sorted(tuples)), d.free_loops)
-            if best is None or key < best:
-                best = key
+    # a walk from each dart: both directions along every arc; the walked
+    # arcs are numbered in walk order, the others after them by label
+    for x in range(4 * d.n):
+        walk = _strand(d._other, x)
+        rank = [0] * (d.arc_count + 1)
+        for i, y in enumerate(walk, 1):
+            rank[labels[y]] = i
+        rest = [a for a in range(1, d.arc_count + 1) if not rank[a]]
+        for i, a in enumerate(rest, len(walk) + 1):
+            rank[a] = i
+        tuples = []
+        for c0, c1, c2, c3 in d.crossings:
+            t = (rank[c0], rank[c1], rank[c2], rank[c3])
+            r = (t[2], t[3], t[0], t[1])
+            tuples.append(t if t < r else r)
+        tuples.sort()
+        key = (tuple(tuples), d.free_loops)
+        if best is None or key < best:
+            best = key
     return best
 
 
@@ -610,7 +568,7 @@ class PlanarMap:
 
     def arc_faces(self, d: Diagram, arc: int) -> tuple[int, int]:
         """The two faces flanking an arc (equal for nugatory situations)."""
-        ci, s = d._incidences[arc][0]
+        ci, s = divmod(d._first[arc], 4)
         return (self.face_of[(ci, s)], self.face_of[(ci, (s + 1) % 4)])
 
 
@@ -620,26 +578,20 @@ def planar_map(d: Diagram) -> PlanarMap:
     Raises NonPlanarTrace when the face count violates the Euler formula for
     a genus 0 embedding (computed per connected piece of the projection).
     """
-    darts = [(ci, s) for ci in range(d.n) for s in range(4)]
-    theta = {}
-    for a, incs in d._incidences.items():
-        theta[incs[0]] = incs[1]
-        theta[incs[1]] = incs[0]
-    face_of = {}
+    face = [-1] * (4 * d.n)
     faces = []
-    for start in darts:
-        if start in face_of:
+    for start in range(4 * d.n):
+        if face[start] >= 0:
             continue
         orbit = []
         x = start
-        while True:
-            orbit.append(x)
-            face_of[x] = len(faces)
-            ci, s = theta[x]
-            x = (ci, (s + 1) % 4)
-            if x == start:
-                break
+        while face[x] < 0:
+            face[x] = len(faces)
+            orbit.append(divmod(x, 4))
+            y = d._other[x]
+            x = (y & ~3) | ((y + 1) & 3)
         faces.append(tuple(orbit))
+    face_of = {dart: f for f, orbit in enumerate(faces) for dart in orbit}
     if d.n:
         # each connected piece of the projection is traced on its own sphere
         expected = d.n + 2 * len(d.pd_components())

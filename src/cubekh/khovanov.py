@@ -44,7 +44,6 @@ from .complexes import (
     SpectralPages,
     homology_ranks,
     spectral_pages,
-    total_complex,
 )
 from .diagram import (
     RES0_PAIRS,
@@ -439,12 +438,11 @@ def _twisted(cube: CubeComplex, marking: ArcMarking,
 def _filtered_by_p(dc: DoubleComplexF2) -> FilteredComplexF2:
     """The total complex of dc filtered by the horizontal degree p of each
     generator's cell (p >= 0, as cube weight is)."""
-    total, positions = total_complex(dc)
-    levels = {t: [0] * n for t, n in total.dims.items()}
-    for (p, q), off in positions.items():
+    levels = {t: [0] * n for t, n in dc.total.dims.items()}
+    for (p, q), off in dc.positions.items():
         n = dc.dim((p, q))
         levels[p + q][off:off + n] = [p] * n
-    return FilteredComplexF2(total, levels)
+    return FilteredComplexF2(dc.total, levels)
 
 
 def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
@@ -505,8 +503,7 @@ def twisted_total_ranks(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     """Homology of the total twisted complex, keyed by total degree."""
     dc = twisted_complex(d, marking, basepoint=basepoint,
                          max_crossings=max_crossings)
-    total, _ = total_complex(dc)
-    return homology_ranks(total)
+    return homology_ranks(dc.total)
 
 
 def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,

@@ -234,7 +234,24 @@ def test_failure_memo_keeps_verdicts_and_saves_determinants(monkeypatch):
     d = parse_pd([[3, 5, 4, 2], [5, 7, 6, 4], [1, 6, 9, 8], [9, 7, 11, 10],
                   [8, 10, 13, 12], [12, 13, 15, 14], [14, 15, 17, 16],
                   [16, 17, 18, 1], [11, 3, 2, 18]])
-    assert det_calls(d, 20000) == (87, 36)
+    assert det_calls(d, 20000) == (87, 35)
+
+
+@pytest.mark.parametrize("name, det_evals", [("5_2", 9), ("6_3", 11)])
+def test_qa_search_evaluates_one_determinant_per_node(monkeypatch, name, det_evals):
+    # a child's determinant is taken on its raw smoothing, before the child
+    # is simplified and searched, and is not evaluated again there
+    import cubekh.branched as br
+    calls = []
+
+    def counted(diag, max_crossings=None):
+        calls.append(diag)
+        return state_sum_det(diag, max_crossings=max_crossings)
+
+    monkeypatch.setattr(br, "state_sum_det", counted)
+    cert = qa_certify(small_knot(name))
+    assert len(calls) == det_evals
+    assert verify_certificate(cert)
 
 
 def test_qa_certified_implies_thin_equality():

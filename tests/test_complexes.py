@@ -195,6 +195,16 @@ def test_bicomplex_commutation_enforced():
                         {(0, 0): one, (1, 0): zero})
 
 
+def test_bicomplex_squares_enforced():
+    one = MatF2.identity(1)
+    line = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    with pytest.raises(NotBicomplex, match="d_1 d_0 != 0"):
+        DoubleComplexF2(line, {(0, 0): one, (1, 0): one}, {})
+    column = {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+    with pytest.raises(NotBicomplex, match="d_1 d_0 != 0"):
+        DoubleComplexF2(column, {}, {(0, 0): one, (0, 1): one})
+
+
 # --- filtered complexes and spectral pages -------------------------------------
 
 def test_filtration_violation_detected():

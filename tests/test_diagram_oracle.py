@@ -1,0 +1,99 @@
+"""The dart table of `cubekh.diagram` against the reference versions in
+diagram_oracle: components, arc heads, crossing signs, under-slot
+normalisation, canonical keys and planar faces, on the acceptance corpus,
+every smoothing of its diagrams and the greedy simplification of each, and
+on random braid closures with free loops; and canonical keys under
+relabelling."""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import diagram_oracle as oracle
+from cubekh.acceptance import corpus
+from cubekh.corpus import random_braid_diagram
+from cubekh.diagram import (
+    Diagram,
+    canonical_key,
+    normalize_under_slots,
+    planar_map,
+    simplify_greedy,
+    smooth_crossing,
+)
+
+
+def check_against_oracle(d):
+    comps, heads, signs = oracle.arc_heads_and_signs(d.crossings, d.orientation)
+    assert d.components == comps
+    assert d.arc_head == heads
+    assert d.signs == signs
+    assert canonical_key(d) == oracle.canonical_key(d)
+    pm = planar_map(d)
+    assert (pm.faces, pm.face_of) == oracle.planar_faces(d)
+    # every other crossing turned by two slots, as surgery on tuples leaves it
+    turned = [(c[2], c[3], c[0], c[1]) if ci % 2 else c
+              for ci, c in enumerate(d.crossings)]
+    assert (normalize_under_slots(turned, d.free_loops)
+            == oracle.normalize_under_slots(turned, d.free_loops))
+
+
+def with_smoothings(d):
+    yield d
+    yield simplify_greedy(d)
+    for ci in range(d.n):
+        for bit in (0, 1):
+            s = smooth_crossing(d, ci, bit)
+            yield s
+            yield simplify_greedy(s)
+
+
+CHUNK = 100
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_corpus_diagram_layer_matches_oracle(chunk):
+    for d in corpus()[chunk * CHUNK:(chunk + 1) * CHUNK]:
+        for e in with_smoothings(d):
+            check_against_oracle(e)
+
+
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_random_braid_diagram_layer_matches_oracle(seed, free_loops):
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=9)
+    flags = [rng.choice((1, -1)) for _ in d.components]
+    check_against_oracle(Diagram(d.crossings, free_loops=free_loops,
+                                 orientation=flags))
+
+
+def relabelled(d, rng):
+    """d with its arcs renamed at random and its crossings reordered."""
+    name = list(range(1, d.arc_count + 1))
+    rng.shuffle(name)
+    crossings = [tuple(name[a - 1] for a in c) for c in d.crossings]
+    rng.shuffle(crossings)
+    return Diagram(crossings, free_loops=d.free_loops)
+
+
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_canonical_key_invariant_under_relabelling(seed, free_loops):
+    # the key numbers the arcs of the other components by label after the
+    # walked one, so renaming arcs keeps it for knots only
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=9)
+    while len(d.components) != 1:
+        d = random_braid_diagram(rng, max_crossings=9)
+    d = Diagram(d.crossings, free_loops=free_loops)
+    assert canonical_key(relabelled(d, rng)) == canonical_key(d)
+
+
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_canonical_key_invariant_under_crossing_order(seed, free_loops):
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=9)
+    crossings = list(d.crossings)
+    rng.shuffle(crossings)
+    assert (canonical_key(Diagram(crossings, free_loops=free_loops))
+            == canonical_key(Diagram(d.crossings, free_loops=free_loops)))

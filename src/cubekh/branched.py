@@ -134,8 +134,7 @@ def link_det(d: Diagram) -> int:
     """det(L) from the Goeritz matrix; split diagrams have det 0."""
     if d.n == 0:
         return 1 if d.free_loops == 1 else (0 if d.free_loops else 1)
-    pieces = _pd_pieces(d)
-    if d.free_loops or len(pieces) > 1:
+    if d.free_loops or not d.is_pd_connected():
         return 0
     return goeritz(d).det()
 

@@ -115,17 +115,17 @@ def rational_link(coeffs: Sequence[int], hand: int = 1) -> Diagram:
 
 
 _NAMED = {
-    "unknot": ([], None),
-    "hopf": ([2], None),
-    "3_1": ([3], None),
-    "trefoil": ([3], None),
-    "4_1": ([2, 2], None),
-    "5_1": ([5], None),
-    "5_2": ([3, 2], None),
-    "6_1": ([4, 2], None),
-    "6_2": ([3, 1, 2], None),
-    "6_3": ([2, 1, 1, 2], None),
-    "7_4_torus": ([7], None),
+    "unknot": [],
+    "hopf": [2],
+    "3_1": [3],
+    "trefoil": [3],
+    "4_1": [2, 2],
+    "5_1": [5],
+    "5_2": [3, 2],
+    "6_1": [4, 2],
+    "6_2": [3, 1, 2],
+    "6_3": [2, 1, 1, 2],
+    "7_4_torus": [7],
 }
 
 
@@ -133,7 +133,7 @@ def small_knot(name: str) -> Diagram:
     """Named small knots and links as rational diagrams (unknot: free loop)."""
     if name not in _NAMED:
         raise KeyError(f"unknown diagram name {name!r}")
-    coeffs, _ = _NAMED[name]
+    coeffs = _NAMED[name]
     if not coeffs:
         return Diagram([], free_loops=1)
     return rational_link(coeffs)

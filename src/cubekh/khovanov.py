@@ -58,6 +58,7 @@ from .errors import (
     BadCircleMap,
     IncompatibleMarking,
     InternalInconsistency,
+    InvalidRange,
     MalformedPD,
     SizeBudgetExceeded,
 )
@@ -68,8 +69,11 @@ DEFAULT_MAX_CROSSINGS = 14
 
 def _check_budget(d: Diagram, max_crossings: int | None, loops: int = 0):
     """The crossings, plus `loops` free loops where each one doubles the
-    basis, against the cube budget (DEFAULT_MAX_CROSSINGS unless given)."""
+    basis, against the cube budget (DEFAULT_MAX_CROSSINGS unless given),
+    which must be non-negative."""
     cap = DEFAULT_MAX_CROSSINGS if max_crossings is None else max_crossings
+    if cap < 0:
+        raise InvalidRange(f"max_crossings must be non-negative, got {cap}")
     if d.n + loops > cap:
         size = f"{d.n} crossings" + (f" and {loops} free loops" if loops else "")
         raise SizeBudgetExceeded(f"{size} exceeds the cube budget of {cap}")

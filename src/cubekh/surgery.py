@@ -127,10 +127,9 @@ def triad_additivity_check(p: FramedLinkPresentation, k: int) -> TriadReport:
         v = list(base)
         v[k] = fill
         orders.append(h1_order(p, v))
-    orders = tuple(orders)
-    applicable = all(o > 0 for o in orders)
-    rep = TriadReport(orders, False, applicable)
-    return TriadReport(orders, rep.additive_rotation() is not None, applicable)
+    a, b, c = orders
+    additive = a == b + c or b == c + a or c == a + b
+    return TriadReport(tuple(orders), additive, all(o > 0 for o in orders))
 
 
 # ---------------------------------------------------------------------------

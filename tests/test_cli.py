@@ -89,6 +89,15 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "budget"
 
 
+@pytest.mark.parametrize("command", ["kh", "det", "qa"])
+def test_negative_cube_budget_is_invalid_range(capsys, monkeypatch, command):
+    code, out = run_cli(capsys, monkeypatch,
+                        ["--command", command, "--max-crossings", "-1"], TREFOIL)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "InvalidRange", "detail": "max_crossings must be non-negative, got -1"}
+
+
 def test_env_budget(capsys, monkeypatch):
     # the cube budget is set by --max-crossings alone; the environment
     # variable of that name is not read

@@ -72,7 +72,7 @@ def _basepoint_classes(cube) -> list[int]:
     """One representative arc per circle-signature class."""
     seen = {}
     for arc in range(1, cube.diagram.arc_count + 1):
-        sig = tuple(cube.states[ix].arc_to_circle[arc] for ix in cube.vertices)
+        sig = tuple(state.arc_to_circle[arc] for state in cube.states)
         seen.setdefault(sig, arc)
     return sorted(seen.values())
 

@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .khovanov import (
+    cube_budget,
     grading_tables,
     hd_homology,
     kh_ranks,
@@ -135,6 +136,8 @@ def _rank_payload(theory: str, d, ranks: dict) -> dict:
 
 def run_job(command: str, payload: dict, basepoint: int = 1,
             max_crossings: int | None = None) -> dict:
+    # every command refuses a negative budget, also one that builds no cube
+    cube_budget(max_crossings)
     if command == "kh":
         d = _diagram_from(payload)
         return _rank_payload("kh", d, kh_ranks(d, max_crossings=max_crossings))
@@ -214,6 +217,13 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
             verdict = large_surgery_family(p, q, n)
             return _verdict_json(verdict)
         raise JobError("lspace payload needs 'plumbing' or 'large_surgery'")
+    if command == "selftest":
+        from .acceptance import run_all
+        results = run_all()
+        return {"passed": all(r.passed for r in results),
+                "criteria": [{"number": r.number, "name": r.name,
+                              "passed": r.passed, "detail": r.detail}
+                             for r in results]}
     raise JobError(f"unknown command {command!r}")
 
 
@@ -252,18 +262,10 @@ def main(argv=None) -> int:
     def emit(obj) -> None:
         print(json.dumps(obj, sort_keys=True, indent=args.json_indent))
 
-    if args.command == "selftest":
-        from .acceptance import run_all
-        results = run_all()
-        failed = [r for r in results if not r.passed]
-        emit({"passed": not failed,
-              "criteria": [{"number": r.number, "name": r.name,
-                            "passed": r.passed, "detail": r.detail}
-                           for r in results]})
-        return 1 if failed else 0
-
     try:
-        if args.input == "-":
+        if args.command == "selftest":
+            raw = ""                # the acceptance suite reads no payload
+        elif args.input == "-":
             raw = sys.stdin.read()
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
         emit({"error": {"kind": "internal", "detail": f"{type(e).__name__}: {e}"}})
         return 1
     emit(result)
-    return 0
+    return 1 if args.command == "selftest" and not result["passed"] else 0
 
 
 if __name__ == "__main__":

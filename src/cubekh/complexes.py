@@ -325,8 +325,8 @@ def spectral_pages(fc: FilteredComplexF2) -> SpectralPages:
         for p in sorted(by_level, reverse=True):
             _pivots(by_level[p], pivots)
             born.extend([p] * (len(pivots) - len(born)))
-        for p, low in zip(born, pivots):
-            p_end = row_lv[low.bit_length() - 1]
+        for p, key in zip(born, pivots):
+            p_end = row_lv[key - 1]
             bars[(p, t, p_end)] = bars.get((p, t, p_end), 0) + 1
             free[(p, t)] -= 1
             free[(p_end, t + 1)] -= 1

@@ -16,8 +16,10 @@ Conventions fixed here and used everywhere else:
   x = 4 * crossing + slot, and other[x] is the dart at the other end of x's
   arc.  A strand entering a crossing at x leaves at x ^ 2 and enters the
   next one at other[x ^ 2]; a face continues from x at the slot after
-  other[x], counterclockwise at that crossing.  Public results name darts
-  as (crossing, slot) pairs.
+  other[x], counterclockwise at that crossing.  A resolved circle entering
+  a crossing at x leaves it at x ^ 1 under the 0-smoothing and at x ^ 3
+  under the 1-smoothing (`resolve`).  Public results name darts as
+  (crossing, slot) pairs.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ class Diagram:
                 "arc labels must be 1..2n with each label appearing exactly twice")
 
         self._other, self._first = _dart_table(self.crossings)
+        self._labels = [a for c in self.crossings for a in c]   # arc of dart x
+        self._pieces: list[tuple] | None = None     # see pd_components
         self.components, natural_head = self._trace_components()
         if orientation is None:
             orientation = [1] * len(self.components)
@@ -157,7 +161,7 @@ class Diagram:
 
     def _trace_components(self):
         """Walk strands, returning components and natural (head, tail) per arc."""
-        labels = [a for c in self.crossings for a in c]
+        labels = self._labels
         components: list[tuple[int, ...]] = []
         natural: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
         for walk in _strands(self._other, self._first):
@@ -193,11 +197,16 @@ class Diagram:
         return len(self.pd_components()) <= 1
 
     def pd_components(self) -> list[list[int]]:
-        """Connected components of the diagram graph, as crossing index lists."""
-        uf = _UnionFind(range(self.n))
-        for x in self._first.values():
-            uf.union(x >> 2, self._other[x] >> 2)
-        return [list(c) for c in uf.classes()]
+        """Connected components of the diagram graph, as crossing index
+        lists.  The union-find pass runs on the first call and its classes
+        are kept, so parsing, `is_pd_connected` and the Goeritz matrix of one
+        diagram share it."""
+        if self._pieces is None:
+            uf = _UnionFind(range(self.n))
+            for x in self._first.values():
+                uf.union(x >> 2, self._other[x] >> 2)
+            self._pieces = uf.classes()
+        return [list(c) for c in self._pieces]
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -313,50 +322,51 @@ def parse_pd(text, free_loops: int = 0,
     return d
 
 
+# the dart a resolved circle leaves by, as x ^ turn, when it enters a
+# crossing at dart x: the 0-smoothing joins slots (0,1) and (2,3), the
+# 1-smoothing (0,3) and (1,2)
+_TURN = {0: 1, 1: 3}
+
+
 def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
     """Resolve every crossing of d according to the bit-vector index.
 
-    Circles are computed by union-find over the arc identifications each
-    local resolution induces; free loops count as extra circles.  No circle
-    is marked here: the reduced theory reads its marked circle out of
-    `arc_to_circle` only when it reduces, so one resolution serves the
-    unreduced theory and every choice of marked arc.
+    Each circle is one walk over the dart table: along an arc from dart x to
+    other[x] = y, then across y's crossing to the dart y ^ 1 (0-smoothing)
+    or y ^ 3 (1-smoothing), until the walk is back at x.  Walks start at
+    the least arc not yet on a circle, so circles come out ordered by their
+    minimum arc; free loops count as extra circles.  A bit that is not 0 or
+    1 raises LengthMismatch.  No circle is marked here: the reduced theory
+    reads its marked circle out of `arc_to_circle` only when it reduces, so
+    one resolution serves the unreduced theory and every choice of marked
+    arc.
     """
-    index = tuple(int(b) for b in index)
     if len(index) != d.n:
         raise LengthMismatch(f"expected {d.n} bits, got {len(index)}")
-    if any(b not in (0, 1) for b in index):
-        raise LengthMismatch("resolution bits must be 0 or 1")
-    # union-find on a flat parent list; the smaller root wins, so every root
-    # is the minimum arc of its class
-    parent = list(range(d.arc_count + 1))
-    for bit, c in zip(index, d.crossings):
-        for s, t in (RES1_PAIRS if bit else RES0_PAIRS):
-            a, b = c[s], c[t]
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    # every parent is smaller than its child, so in ascending order each arc
-    # meets its parent's circle already numbered, and circles come out
-    # ordered by their minimum arc
+    try:
+        turn = [_TURN[b] for b in index]
+    except (KeyError, TypeError):
+        raise LengthMismatch("resolution bits must be 0 or 1") from None
+    other, labels, first = d._other, d._labels, d._first
     circles: list = []
-    arc_to_circle = {}
+    arc_to_circle: dict = {}
     for a in range(1, d.arc_count + 1):
-        p = parent[a]
-        if p == a:
-            arc_to_circle[a] = len(circles)
-            circles.append([a])
-        else:
-            i = arc_to_circle[a] = arc_to_circle[p]
-            circles[i].append(a)
-    circles = [tuple(c) for c in circles]
+        if a in arc_to_circle:
+            continue
+        k, arcs = len(circles), []
+        x = start = first[a]
+        while True:
+            arc = labels[x]
+            arc_to_circle[arc] = k
+            arcs.append(arc)
+            y = other[x]
+            x = y ^ turn[y >> 2]
+            if x == start:
+                break
+        arcs.sort()
+        circles.append(tuple(arcs))
     circles.extend(() for _ in range(d.free_loops))
-    return ResolvedState(index, tuple(circles), arc_to_circle)
+    return ResolvedState(tuple(index), tuple(circles), arc_to_circle)
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -520,7 +530,7 @@ def canonical_key(d: Diagram):
     memoization (collisions impossible, misses cheap)."""
     if d.n == 0:
         return (d.free_loops,)
-    labels = [a for c in d.crossings for a in c]
+    labels = d._labels
     best = None
     # a walk from each dart: both directions along every arc; the walked
     # arcs are numbered in walk order, the others after them by label

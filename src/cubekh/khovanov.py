@@ -10,6 +10,11 @@ lift (split circle mapped to its lower-indexed piece) with the sum of the
 two pieces.  The internal homological grading is cube weight; callers can
 translate with `grading_tables`.
 
+The cube is flat: `states[bits]` is the state resolving crossing t by bit
+(bits >> t) & 1, one `diagram.resolve` call each, and every edge is an int
+triple (source, target, shape), where `shapes[shape]` is the edge's
+`EdgeShape`, interned and checked once per cube.
+
 The cube is basepoint-free, so one cube serves kh and Khr at every
 basepoint: the basepoint only selects each state's marked circle,
 `arc_to_circle[basepoint]`, when a complex is reduced (`_marked_circles`).
@@ -23,13 +28,14 @@ which the twisted complex keys by its vertical degree v = (par - q)/2.
 kh and Khr are complexes graded by (w, q), checked and ranked one q-block
 at a time.
 
-An edge's map depends only on its shape: merge or split, the circles
-involved, the circle correspondence (a tuple indexed by source circle,
-None at a split circle), the target's circle count and the marked pair.
-The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576 edges of
-a 12-crossing 3-braid closure), so a cube builds every shape's map once,
-rewritten into the slot basis (`_edge_block`), and every complex built on
-the cube places that block at each edge of the shape (`_d_h`).
+An edge's map depends only on its shape (merge or split, the circles
+involved, the circle correspondence as a tuple indexed by source circle,
+None at a split circle, and the target's circle count) and the marked
+pair.  The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576
+edges of a 12-crossing 3-braid closure), so a cube builds the map of every
+(shape, marked pair) once, rewritten into the slot basis (`_edge_block`),
+and every complex built on the cube places that block at each edge with
+that key (`_d_h`).
 """
 
 from __future__ import annotations
@@ -67,13 +73,19 @@ from .linalg import MatF2, f2_rank
 DEFAULT_MAX_CROSSINGS = 14
 
 
-def _check_budget(d: Diagram, max_crossings: int | None, loops: int = 0):
-    """The crossings, plus `loops` free loops where each one doubles the
-    basis, against the cube budget (DEFAULT_MAX_CROSSINGS unless given),
-    which must be non-negative."""
+def cube_budget(max_crossings: int | None) -> int:
+    """The cube budget, DEFAULT_MAX_CROSSINGS unless given; a negative one
+    raises InvalidRange."""
     cap = DEFAULT_MAX_CROSSINGS if max_crossings is None else max_crossings
     if cap < 0:
         raise InvalidRange(f"max_crossings must be non-negative, got {cap}")
+    return cap
+
+
+def _check_budget(d: Diagram, max_crossings: int | None, loops: int = 0):
+    """The crossings, plus `loops` free loops where each one doubles the
+    basis, against the cube budget (`cube_budget`)."""
+    cap = cube_budget(max_crossings)
     if d.n + loops > cap:
         size = f"{d.n} crossings" + (f" and {loops} free loops" if loops else "")
         raise SizeBudgetExceeded(f"{size} exceeds the cube budget of {cap}")
@@ -83,81 +95,102 @@ def _check_budget(d: Diagram, max_crossings: int | None, loops: int = 0):
 # Cube of resolutions
 # ---------------------------------------------------------------------------
 
-class CubeEdge(NamedTuple):
-    """One edge of the cube: the crossing changed from 0 to 1 between two
-    states.  A merge fuses `circles` = (i, j) of the source; a split divides
-    source circle c into `circles` = (c, (c1, c2)) of the target.
-    `correspondence[c]` is the target circle of source circle c, and None at
-    a split circle.  The edge map depends only on the shape (kind, circles,
-    correspondence, the target's circle count, the marked pair), which
-    `_edge_block` uses as its key."""
-    source: tuple
-    target: tuple
-    crossing: int
+class EdgeShape(NamedTuple):
+    """What an edge's map depends on.  A merge fuses `circles` = (i, j) of
+    the source; a split divides source circle c into `circles` =
+    (c, (c1, c2)) of the target.  `correspondence[c]` is the target circle
+    of source circle c, and None at a split circle, so the source has
+    len(correspondence) circles and the target `n_target`."""
     kind: str                      # "merge" or "split"
     circles: tuple
     correspondence: tuple
+    n_target: int
+
+
+def _checked_shape(kind, circles, correspondence, n_target) -> EdgeShape:
+    """The shape, after the checks that an edge of it changes the circle
+    count by one and fuses one pair or divides one circle; each is a
+    function of the shape, so one edge of a shape checks them all."""
+    delta = n_target - len(correspondence)
+    if delta != (-1 if kind == "merge" else 1):
+        raise BadCircleMap(f"edge changes circle count by {delta}")
+    if kind == "merge":
+        i, j = circles
+        if correspondence[i] != correspondence[j]:
+            raise BadCircleMap("merge edge must fuse exactly one pair")
+    elif circles[1][0] == circles[1][1]:
+        raise BadCircleMap("split edge must divide exactly one circle")
+    return EdgeShape(kind, circles, correspondence, n_target)
 
 
 class CubeComplex:
-    """All 2^n resolved states of a diagram plus classified edges, and the
-    slot basis its complexes share: positions[x] is the position of basis
-    index x among the indices of its bit count, ascending, and `blocks`
-    holds each edge shape's map in those positions (`_edge_block`)."""
+    """All 2^n resolved states of a diagram and its classified edges, flat.
+
+    `states[bits]` is the state whose crossing t has resolution bit
+    (bits >> t) & 1, and `vertices` lists the bit masks by cube weight, then
+    by index tuple.  `edges` holds one (source, target, shape) triple of ints
+    per edge, in vertex order and then by crossing, with `shapes[shape]` its
+    `EdgeShape`.  The slot basis its complexes share: positions[x] is the
+    position of basis index x among the indices of its bit count,
+    ascending, and `blocks` holds each (shape, marked pair)'s map in those
+    positions (`_edge_block`)."""
 
     def __init__(self, d: Diagram, max_crossings: int | None = None):
         _check_budget(d, max_crossings, d.free_loops)
         self.diagram = d
         n = d.n
-        indices = [tuple((bits >> t) & 1 for t in range(n))
-                   for bits in range(1 << n)]
-        self.states: dict[tuple, ResolvedState] = {
-            ix: resolve(d, ix) for ix in indices}
-        order = sorted(range(1 << n),
-                       key=lambda bits: (bits.bit_count(), indices[bits]))
-        self.vertices = [indices[bits] for bits in order]
-        size = max(len(state.circles) for state in self.states.values())
+        indices = [()]
+        for _ in range(n):
+            indices = [ix + (0,) for ix in indices] + [ix + (1,) for ix in indices]
+        self.states: list[ResolvedState] = [resolve(d, ix) for ix in indices]
+        self.vertices = sorted(range(1 << n),
+                               key=lambda bits: (bits.bit_count(), indices[bits]))
+        size = max(len(state.circles) for state in self.states)
         seen, self.positions = [0] * (size + 1), []
         for x in range(1 << size):
             self.positions.append(seen[x.bit_count()])
             seen[x.bit_count()] += 1
         self.blocks: dict = {}
-        self.edges: list[CubeEdge] = []
-        for bits in order:
-            for t in range(n):
-                if not (bits >> t) & 1:
-                    self.edges.append(
-                        self._classify(indices[bits], indices[bits | (1 << t)], t))
+        self.shapes: list[EdgeShape] = []
+        self.edges: list[tuple[int, int, int]] = []
+        self._classify()
 
-    def _classify(self, si, ti, crossing) -> CubeEdge:
+    def _classify(self) -> None:
         """Each source circle is carried by any one of its arcs; merge or
         split is read off the changed crossing, whose 0-resolution joins
         slots (0,1) and (2,3): slots 0 and 2 on different source circles
         merge, and otherwise their circle splits into the target circles
-        through slots 0 and 1."""
-        s, t = self.states[si], self.states[ti]
-        src_of, tgt_of = s.arc_to_circle, t.arc_to_circle
-        ks, kt = len(s.circles), len(t.circles)
-        # free loop circles come last and correspond positionally
-        loops = self.diagram.free_loops
-        corr = [tgt_of[circ[0]] for circ in s.circles[:ks - loops]]
-        corr.extend(range(kt - loops, kt))
-        c = self.diagram.crossings[crossing]
-        a, b = src_of[c[0]], src_of[c[2]]
-        delta = kt - ks
-        if delta != (-1 if a != b else 1):
-            raise BadCircleMap(f"edge changes circle count by {delta}")
-        if a != b:
-            if corr[a] != corr[b]:
-                raise BadCircleMap("merge edge must fuse exactly one pair")
-            return CubeEdge(si, ti, crossing, "merge", (min(a, b), max(a, b)),
-                            tuple(corr))
-        p1, p2 = tgt_of[c[0]], tgt_of[c[1]]
-        if p1 == p2:
-            raise BadCircleMap("split edge must divide exactly one circle")
-        corr[a] = None
-        return CubeEdge(si, ti, crossing, "split", (a, (min(p1, p2), max(p1, p2))),
-                        tuple(corr))
+        through slots 0 and 1.  Each shape is checked and interned on its
+        first edge."""
+        d, states, edges, shapes = self.diagram, self.states, self.edges, self.shapes
+        loops = d.free_loops
+        interned: dict[tuple, int] = {}
+        for bits in self.vertices:
+            s = states[bits]
+            src_of = s.arc_to_circle
+            reps = [circ[0] for circ in s.circles[:len(s.circles) - loops]]
+            for t, c in enumerate(d.crossings):
+                if bits >> t & 1:
+                    continue
+                target = bits | 1 << t
+                tgt_of = states[target].arc_to_circle
+                kt = len(states[target].circles)
+                # free loop circles come last and correspond positionally
+                corr = [tgt_of[r] for r in reps]
+                corr.extend(range(kt - loops, kt))
+                a, b = src_of[c[0]], src_of[c[2]]
+                if a != b:
+                    key = ("merge", (a, b) if a < b else (b, a), tuple(corr), kt)
+                else:
+                    p1, p2 = tgt_of[c[0]], tgt_of[c[1]]
+                    corr[a] = None
+                    key = ("split", (a, (p1, p2) if p1 < p2 else (p2, p1)),
+                           tuple(corr), kt)
+                shape = interned.get(key)
+                if shape is None:
+                    shape = interned[key] = len(shapes)
+                    shapes.append(_checked_shape(*key))
+                edges.append((bits, target, shape))
 
 
 def build_cube(d: Diagram, max_crossings: int | None = None) -> CubeComplex:
@@ -176,14 +209,14 @@ def _marked_circles(d: Diagram, basepoint: int | None):
     return lambda state: state.arc_to_circle.get(basepoint, 0)
 
 
-def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
-             marked: tuple[int, int] | None = None) -> MatF2:
-    """Matrix of the merge or split map on the full exterior-algebra bases,
-    or, given the marked circles (of src, of tgt), on the subsets containing
-    each state's marked circle, in ascending order.
+def edge_map(shape: EdgeShape, marked: tuple[int, int] | None = None) -> MatF2:
+    """Matrix of an edge's merge or split map on the full exterior-algebra
+    bases of its source and target, or, given the marked circles (of the
+    source, of the target), on the subsets containing each state's marked
+    circle, in ascending order.
 
-    The matrix is a function of the edge's shape alone (see `CubeEdge`),
-    so a cube builds it once per shape through `_edge_block`.
+    The matrix is a function of the shape and the marked pair alone, so a
+    cube builds it once per (shape, marked pair) through `_edge_block`.
 
     The image of each source subset is the image of the subset without its
     highest circle plus that circle's image, so the work grows with the
@@ -191,8 +224,8 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
     marked circle b is in every subset and has no bit, so the subset m sits
     at ((m >> (b + 1)) << b) | (m & ((1 << b) - 1)).
     """
-    corr = edge.correspondence
-    split = edge.kind == "split"
+    corr = shape.correspondence
+    split = shape.kind == "split"
     # on the full bases nothing is marked: inf lies above every circle
     ms, mt = marked or (math.inf, math.inf)
 
@@ -201,7 +234,7 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
 
     base = 0
     if split:
-        c_split, (c1, c2) = edge.circles
+        c_split, (c1, c2) = shape.circles
         rep, other = bit(min(c1, c2)), bit(max(c1, c2))
         image = [rep if c == c_split else bit(corr[c])
                  for c in range(len(corr)) if c != ms]
@@ -225,7 +258,7 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
             # -1 marks a subset whose image repeats a target circle (zero in
             # the exterior algebra); -1 & img is nonzero, so it stays -1
             out += [o | img if not o & img else -1 for o in out]
-    rows = [0] * (1 << (len(tgt.circles) - (marked is not None)))
+    rows = [0] * (1 << (shape.n_target - (marked is not None)))
     if split:
         for m, o in enumerate(out):
             # with the split circle present only the other-piece term survives
@@ -239,23 +272,23 @@ def edge_map(edge: CubeEdge, src: ResolvedState, tgt: ResolvedState,
     return MatF2(len(rows), len(out), tuple(rows))
 
 
-def _edge_block(cube: CubeComplex, edge: CubeEdge, s: ResolvedState,
-                t: ResolvedState, marked: tuple[int, int] | None) -> list:
-    """`edge_map(edge, s, t, marked)` in the slot basis of `_place`, as
-    ((source degree, target degree), [(i, bits)]) pairs, with i and the bits
-    of bits positions within the two slots.  The map is built on the first
-    edge of its shape and kept in `cube.blocks`, which every complex built
-    on the cube shares; a cube has far fewer shapes than edges.  An entry
-    whose source and target have different quantum gradings raises
-    InternalInconsistency."""
-    key = (edge.kind, edge.circles, edge.correspondence, len(t.circles), marked)
+def _edge_block(cube: CubeComplex, shape: int, ms, mt) -> list:
+    """`edge_map(cube.shapes[shape], (ms, mt))` (unreduced when ms is None)
+    in the slot basis of `_place`, as ((source degree, target degree),
+    [(i, bits)]) pairs, with i and the bits of bits positions within the two
+    slots.  The map is built on the first edge of its (shape, marked pair)
+    and kept in `cube.blocks`, which every complex built on the cube shares;
+    a cube has far fewer shapes than edges.  An entry whose source and
+    target have different quantum gradings raises InternalInconsistency."""
+    key = (shape, ms, mt)
     block = cube.blocks.get(key)
     if block is None:
-        pos = cube.positions
+        pos, sh = cube.positions, cube.shapes[shape]
         # q = k - 2|S| + w is kept iff 2 (|S_t| - |S_s|) = k_t - k_s + 1
-        shift = len(t.circles) - len(s.circles) + 1
+        shift = sh.n_target - len(sh.correspondence) + 1
         by_degrees: dict[tuple, list] = {}
-        for i, row in enumerate(edge_map(edge, s, t, marked).rows):
+        m = edge_map(sh, None if ms is None else (ms, mt))
+        for i, row in enumerate(m.rows):
             if not row:
                 continue
             bits, degree = 0, i.bit_count()
@@ -271,44 +304,47 @@ def _edge_block(cube: CubeComplex, edge: CubeEdge, s: ResolvedState,
     return block
 
 
-def _place(cube: CubeComplex, vertices, mark, cell_of, dims: dict) -> dict:
-    """Each vertex's slots: slots[j] is the (cell, offset) of its generators
-    of exterior degree j (the marked circle not counted), which share the
-    quantum grading q and so the cell cell_of(w, q).  Vertices take their
-    slots in the given order, extending `dims`, the size of each cell."""
+def _place(cube: CubeComplex, vertices, mark, cell_of, dims: dict,
+           slots: list) -> None:
+    """Each vertex's slots: slots[bits] is the list whose entry j is the
+    (cell, offset) of the vertex's generators of exterior degree j (the
+    marked circle not counted), which share the quantum grading q and so
+    the cell cell_of(w, q).  Vertices take their slots in the given order,
+    extending `dims`, the size of each cell."""
     reduced = mark is not None
-    slots: dict = {}
     sizes: dict = {}            # (k, w) -> (cell, size) of each degree j
-    for index in vertices:
-        k, w = cube.states[index].n_circles, sum(index)
+    for bits in vertices:
+        k, w = cube.states[bits].n_circles, bits.bit_count()
         if (k, w) not in sizes:
             m = k - reduced     # circles with a bit in a basis index
             sizes[(k, w)] = [(cell_of(w, k - 2 * (j + reduced) + w), math.comb(m, j))
                              for j in range(m + 1)]
-        slots[index] = out = []
+        slots[bits] = out = []
         for cell, size in sizes[(k, w)]:
             offset = dims.get(cell, 0)
             out.append((cell, offset))
             dims[cell] = offset + size
-    return slots
 
 
-def _d_h(cube: CubeComplex, mark, dims: dict, slots: dict) -> dict:
+def _d_h(cube: CubeComplex, mark, dims: dict, slots: list) -> dict:
     """The differential (w, r) -> (w + 1, r) of the cells `_place` laid out:
-    each edge XORs its shape's block (`_edge_block`) into its source cell's
-    rows, shifted to the offsets of its source and target slots."""
+    each edge XORs its (shape, marked pair)'s block (`_edge_block`) into its
+    source cell's rows, shifted to the offsets of its source and target
+    slots."""
     rows = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0) for cell in dims}
-    # vertex -> its state, slots and marked circle (None when unreduced)
-    at = {ix: (st, slots[ix], None if mark is None else mark(st))
-          for ix, st in cube.states.items()}
-    for edge in cube.edges:
-        s, src, ms = at[edge.source]
-        t, tgt, mt = at[edge.target]
-        marked = None if mark is None else (ms, mt)
-        for (js, jt), block in _edge_block(cube, edge, s, t, marked):
+    marks = ([None] * len(cube.states) if mark is None
+             else [mark(st) for st in cube.states])
+    blocks = cube.blocks
+    for s, t, shape in cube.edges:
+        ms, mt = marks[s], marks[t]
+        block = blocks.get((shape, ms, mt))
+        if block is None:
+            block = _edge_block(cube, shape, ms, mt)
+        src, tgt = slots[s], slots[t]
+        for (js, jt), entries in block:
             cell, so = src[js]
             to, out = tgt[jt][1], rows[cell]
-            for i, bits in block:
+            for i, bits in entries:
                 out[to + i] ^= bits << so
     return {cell: MatF2(len(r), dims[cell], tuple(r)) for cell, r in rows.items()}
 
@@ -334,7 +370,8 @@ def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
     """The cube complex, reduced unless basepoint is None, in (w, q) cells."""
     mark = _marked_circles(cube.diagram, basepoint)
     dims: dict[tuple, int] = {}
-    slots = _place(cube, cube.vertices, mark, lambda w, q: (w, q), dims)
+    slots: list = [None] * len(cube.states)
+    _place(cube, cube.vertices, mark, lambda w, q: (w, q), dims, slots)
     return GradedComplexF2(dims, _d_h(cube, mark, dims, slots))
 
 
@@ -368,18 +405,17 @@ def grading_tables(d: Diagram, ranks: dict[int, int]) -> dict[str, dict[int, int
 # Twisted complex and dotted-diagram homology
 # ---------------------------------------------------------------------------
 
-def _marking_parities(cube: CubeComplex, marking: ArcMarking) -> dict[tuple, tuple]:
+def _marking_parities(cube: CubeComplex, marking: ArcMarking) -> list[tuple]:
+    """Per state, in bit-mask order, the parities of its circles."""
     d = cube.diagram
     if not marking.is_compatible(d):
         raise IncompatibleMarking(
             "arc marking must have even total parity to define a two-fold datum")
-    return {index: induce_marking(d, marking, st)
-            for index, st in cube.states.items()}
+    return [induce_marking(d, marking, st) for st in cube.states]
 
 
 def _vertical_degree_offset(cube: CubeComplex) -> int:
-    zero = cube.states[tuple([0] * cube.diagram.n)]
-    return zero.n_circles % 2
+    return cube.states[0].n_circles % 2
 
 
 def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
@@ -410,11 +446,12 @@ def _twisted(cube: CubeComplex, marking: ArcMarking,
         return (w, (par - q) // 2)
 
     dims: dict[tuple, int] = {}
-    slots = _place(cube, [ix for ix in cube.vertices if not any(parities[ix])],
-                   mark, cell_of, dims)
+    slots: list = [None] * len(cube.states)
+    _place(cube, [ix for ix in cube.vertices if not any(parities[ix])],
+           mark, cell_of, dims, slots)
     even = dict(dims)
     odd = [ix for ix in cube.vertices if any(parities[ix])]
-    slots.update(_place(cube, odd, mark, cell_of, dims))
+    _place(cube, odd, mark, cell_of, dims, slots)
 
     pos = cube.positions
     d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)

@@ -113,7 +113,9 @@ class MatF2:
 
 
 def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
-    """Echelon pivots keyed by lowest set bit; values are reduced rows.
+    """Echelon pivots keyed by the bit length of their lowest set bit, one
+    more than its index, so a key is a small int however wide the rows are;
+    values are reduced rows.
 
     Given `pivots`, the elimination continues into it, so rows can be fed
     in batches and the pivots each batch adds are the dict's newest keys.
@@ -122,10 +124,10 @@ def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
         pivots = {}
     for r in rows:
         while r:
-            low = r & -r
-            p = pivots.get(low)
+            key = (r & -r).bit_length()
+            p = pivots.get(key)
             if p is None:
-                pivots[low] = r
+                pivots[key] = r
                 break
             r ^= p
     return pivots
@@ -142,7 +144,7 @@ def f2_kernel_basis(m: MatF2) -> MatF2:
     # block has a zero A^T side, so its I side is a kernel vector.
     n = m.nrows
     aug = (r | (1 << (n + i)) for i, r in enumerate(m.transpose().rows))
-    kernel = [r >> n for low, r in _pivots(aug).items() if low >> n]
+    kernel = [r >> n for key, r in _pivots(aug).items() if key > n]
     return MatF2(len(kernel), m.ncols, tuple(kernel))
 
 

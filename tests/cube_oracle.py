@@ -17,7 +17,6 @@ from cubekh.complexes import DoubleComplexF2, GradedComplexF2, homology_ranks
 from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
 from cubekh.errors import BadCircleMap, InternalInconsistency
 from cubekh.khovanov import (
-    CubeEdge,
     _marked_circles,
     _marking_parities,
     _vertical_degree_offset,
@@ -61,13 +60,15 @@ def resolve_circles(d, index):
 
 
 def as_tuple(corr, s):
-    """A dict correspondence in the edge record's form: a tuple indexed by
+    """A dict correspondence in the edge shape's form: a tuple indexed by
     source circle, None at a circle without a single image."""
     return tuple(corr.get(c) for c in range(s.n_circles))
 
 
-def classify(d, s, t, si, ti, crossing) -> CubeEdge:
-    """Edge classification from the images of every arc of every circle."""
+def classify(d, s, t) -> tuple:
+    """The shape (kind, circles, correspondence, target circle count) of the
+    edge from state s to state t, from the images of every arc of every
+    circle."""
     corr = {}
     for ci, circ in enumerate(s.circles):
         if not circ:
@@ -93,30 +94,30 @@ def classify(d, s, t, si, ti, crossing) -> CubeEdge:
         pair = [v for v in merged.values() if len(v) == 2]
         if len(pair) != 1:
             raise BadCircleMap("merge edge must fuse exactly one pair")
-        return CubeEdge(si, ti, crossing, "merge", tuple(sorted(pair[0])),
-                        as_tuple(corr, s))
+        return ("merge", tuple(sorted(pair[0])), as_tuple(corr, s), t.n_circles)
     if delta == 1:
         splits = [(c, v) for c, v in corr.items() if isinstance(v, tuple)]
         if len(splits) != 1:
             raise BadCircleMap("split edge must divide exactly one circle")
         c, pieces = splits[0]
         clean = {k: v for k, v in corr.items() if not isinstance(v, tuple)}
-        return CubeEdge(si, ti, crossing, "split", (c, pieces), as_tuple(clean, s))
+        return ("split", (c, pieces), as_tuple(clean, s), t.n_circles)
     raise BadCircleMap(f"edge changes circle count by {delta}")
 
 
-def full_edge_map(edge, src, tgt) -> MatF2:
-    """Merge or split map on the full bases, one mask and one circle at a
-    time."""
+def full_edge_map(shape, src, tgt) -> MatF2:
+    """Merge or split map of an edge of the given shape (as `classify`
+    gives it) on the full bases, one mask and one circle at a time."""
+    kind, circles, correspondence, _ = shape
     ks, kt = src.n_circles, tgt.n_circles
     rows = [0] * (1 << kt)
-    if edge.kind == "merge":
+    if kind == "merge":
         for mask in range(1 << ks):
             out = 0
             dead = False
             for c in range(ks):
                 if (mask >> c) & 1:
-                    c_t = edge.correspondence[c]
+                    c_t = correspondence[c]
                     if (out >> c_t) & 1:
                         dead = True
                         break
@@ -124,13 +125,13 @@ def full_edge_map(edge, src, tgt) -> MatF2:
             if not dead:
                 rows[out] ^= 1 << mask
     else:
-        c_split, (c1, c2) = edge.circles
+        c_split, (c1, c2) = circles
         rep, other = min(c1, c2), max(c1, c2)
         for mask in range(1 << ks):
             out = 0
             for c in range(ks):
                 if (mask >> c) & 1:
-                    out |= 1 << (edge.correspondence[c] if c != c_split else rep)
+                    out |= 1 << (correspondence[c] if c != c_split else rep)
             if (mask >> c_split) & 1:
                 rows[out | (1 << other)] ^= 1 << mask
             else:
@@ -171,7 +172,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
     slots: dict[tuple, list] = {}
     sizes: dict[tuple, dict] = {}
     for index in even:
-        w, k = sum(index), cube.states[index].n_circles
+        w, k = index.bit_count(), cube.states[index].n_circles
         size = sizes[index] = {}
         sl = slots[index] = []
         for mask in reduced_masks(cube.states[index], mark(cube.states[index])):
@@ -183,7 +184,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
     dims: dict[int, dict] = {}
     offsets: dict[int, dict] = {}
     for index in even:
-        w = sum(index)
+        w = index.bit_count()
         for v, n_v in sizes[index].items():
             dv = dims.setdefault(v, {})
             offsets.setdefault(v, {})[index] = dv.get(w, 0)
@@ -191,13 +192,13 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
     rows = {v: {w: [0] * dv.get(w + 1, 0) for w in dv} for v, dv in dims.items()}
 
     even_set = set(even)
-    for edge in cube.edges:
-        if edge.source not in even_set or edge.target not in even_set:
+    for source, target, shape in cube.edges:
+        if source not in even_set or target not in even_set:
             continue
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        m = edge_map(edge, s, t, (mark(s), mark(t)))
-        src, tgt = slots[edge.source], slots[edge.target]
-        w = sum(edge.source)
+        s, t = cube.states[source], cube.states[target]
+        m = edge_map(cube.shapes[shape], (mark(s), mark(t)))
+        src, tgt = slots[source], slots[target]
+        w = source.bit_count()
         for i, row in enumerate(m.rows):
             v, ii = tgt[i]
             while row:
@@ -205,8 +206,8 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
                 row ^= low
                 vs, jj = src[low.bit_length() - 1]
                 if vs == v:
-                    so = offsets[v][edge.source]
-                    to = offsets[v][edge.target]
+                    so = offsets[v][source]
+                    to = offsets[v][target]
                     rows[v][w][to + ii] ^= 1 << (so + jj)
 
     out: dict[tuple, int] = {}
@@ -229,20 +230,21 @@ def assemble_per_edge(cube, basepoint):
         state = cube.states[index]
         # reduced: the half of the subsets that contain the marked circle
         size = (1 << state.n_circles) >> (mark is not None)
-        w = sum(index)
+        w = index.bit_count()
         offsets[index] = dims.get(w, 0)
         dims[w] = offsets[index] + size
-    by_weight: dict[int, list[CubeEdge]] = {}
+    by_weight: dict[int, list[tuple]] = {}
     for edge in cube.edges:
-        by_weight.setdefault(sum(edge.source), []).append(edge)
+        by_weight.setdefault(edge[0].bit_count(), []).append(edge)
     diffs = {}
     for w in range(cube.diagram.n):
         rows = [0] * dims.get(w + 1, 0)
-        for edge in by_weight.get(w, ()):
-            s, t = cube.states[edge.source], cube.states[edge.target]
-            m = edge_map(edge, s, t, None if mark is None else (mark(s), mark(t)))
-            so = offsets[edge.source]
-            for i, row in enumerate(m.rows, offsets[edge.target]):
+        for source, target, shape in by_weight.get(w, ()):
+            s, t = cube.states[source], cube.states[target]
+            m = edge_map(cube.shapes[shape],
+                         None if mark is None else (mark(s), mark(t)))
+            so = offsets[source]
+            for i, row in enumerate(m.rows, offsets[target]):
                 if row:
                     rows[i] ^= row << so
         diffs[w] = MatF2(len(rows), dims.get(w, 0), tuple(rows))
@@ -259,7 +261,7 @@ def split_by_quantum_grading(cube, basepoint, cx):
     dims: dict[tuple, int] = {}
     where: dict[int, list] = {}
     for index in cube.vertices:
-        k, w = cube.states[index].n_circles, sum(index)
+        k, w = cube.states[index].n_circles, index.bit_count()
         for x in range((1 << k) >> reduced):
             cell = (w, k - 2 * (x.bit_count() + reduced) + w)
             where.setdefault(w, []).append((cell, dims.get(cell, 0)))
@@ -292,7 +294,7 @@ def twisted_per_edge(cube, marking, basepoint):
     place: dict[tuple, list] = {}
     for index in sorted(cube.vertices, key=lambda ix: any(parities[ix])):
         state = cube.states[index]
-        w, k = sum(index), state.n_circles
+        w, k = index.bit_count(), state.n_circles
         is_even = not any(parities[index])
         slots = place[index] = []
         for mask in reduced_masks(state, mark(state)):
@@ -311,10 +313,10 @@ def twisted_per_edge(cube, marking, basepoint):
     d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)
                               for cell in dims}
 
-    for edge in cube.edges:
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        m = edge_map(edge, s, t, (mark(s), mark(t)))
-        src, tgt = place[edge.source], place[edge.target]
+    for source, target, shape in cube.edges:
+        s, t = cube.states[source], cube.states[target]
+        m = edge_map(cube.shapes[shape], (mark(s), mark(t)))
+        src, tgt = place[source], place[target]
         for i, row in enumerate(m.rows):
             if not row:
                 continue

@@ -48,8 +48,7 @@ def f2_solve(m: MatF2, b: int) -> int | None:
 def f2_in_row_space(v: int, m: MatF2) -> bool:
     pivots = _pivots(m.rows)
     while v:
-        low = v & -v
-        p = pivots.get(low)
+        p = pivots.get((v & -v).bit_length())
         if p is None:
             return False
         v ^= p

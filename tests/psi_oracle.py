@@ -52,9 +52,10 @@ def psi_identification(state, marked: int) -> tuple[ThetaModuleModel, dict]:
     return model, psi
 
 
-def model_edge_map(edge, src, tgt, marked: tuple[int, int]) -> MatF2:
-    """Edge map computed purely inside the module models, given the marked
-    circles (of src, of tgt).
+def model_edge_map(shape, src, tgt, marked: tuple[int, int]) -> MatF2:
+    """Map of an edge of the given shape from state src to state tgt,
+    computed purely inside the module models, given the marked circles (of
+    src, of tgt).
 
     A merge is the quotient of the exterior action killing the class of the
     surgery circle (pairs of generators identified, or one generator killed
@@ -68,8 +69,8 @@ def model_edge_map(edge, src, tgt, marked: tuple[int, int]) -> MatF2:
     gen_s = m_src.gen_for_circle()
     gen_t = m_tgt.gen_for_circle()
     rows = [0] * (1 << m_tgt.k)
-    if edge.kind == "merge":
-        i, j = edge.circles
+    if shape.kind == "merge":
+        i, j = shape.circles
         marked_involved = ms in (i, j)
         gen_image: dict[int, int | None] = {}
         for c in m_src.circle_for_gen:
@@ -77,9 +78,9 @@ def model_edge_map(edge, src, tgt, marked: tuple[int, int]) -> MatF2:
                 if marked_involved:
                     gen_image[gen_s[c]] = None      # class dies: X_0 = 0
                 else:
-                    gen_image[gen_s[c]] = gen_t[edge.correspondence[c]]
+                    gen_image[gen_s[c]] = gen_t[shape.correspondence[c]]
             else:
-                gen_image[gen_s[c]] = gen_t[edge.correspondence[c]]
+                gen_image[gen_s[c]] = gen_t[shape.correspondence[c]]
         for mask in range(1 << m_src.k):
             out = 0
             dead = False
@@ -93,19 +94,19 @@ def model_edge_map(edge, src, tgt, marked: tuple[int, int]) -> MatF2:
             if not dead:
                 rows[out] ^= 1 << mask
     else:
-        c_split, (c1, c2) = edge.circles
+        c_split, (c1, c2) = shape.circles
         split_marked = c_split == ms
         if split_marked:
             new_piece = c1 if c1 != mt else c2
             kw = 1 << gen_t[new_piece]
-            iota = {gen_s[c]: gen_t[edge.correspondence[c]]
+            iota = {gen_s[c]: gen_t[shape.correspondence[c]]
                     for c in m_src.circle_for_gen}
         else:
             rep = min(c1, c2)
             kw = (1 << gen_t[c1]) | (1 << gen_t[c2])
             iota = {}
             for c in m_src.circle_for_gen:
-                iota[gen_s[c]] = gen_t[edge.correspondence[c] if c != c_split else rep]
+                iota[gen_s[c]] = gen_t[shape.correspondence[c] if c != c_split else rep]
         for mask in range(1 << m_src.k):
             out = 0
             for g in range(m_src.k):
@@ -124,11 +125,11 @@ def model_edge_map(edge, src, tgt, marked: tuple[int, int]) -> MatF2:
 def check_psi_naturality(cube, basepoint: int = 1) -> bool:
     """Every cube edge: the reduced Khovanov map at the circle through the
     basepoint arc equals the model map through the psi identifications."""
-    for edge in cube.edges:
-        s, t = cube.states[edge.source], cube.states[edge.target]
+    for source, target, shape in cube.edges:
+        s, t = cube.states[source], cube.states[target]
         marked = (s.arc_to_circle[basepoint], t.arc_to_circle[basepoint])
-        kh_side = edge_map(edge, s, t, marked)
-        model_side = model_edge_map(edge, s, t, marked)
+        kh_side = edge_map(cube.shapes[shape], marked)
+        model_side = model_edge_map(cube.shapes[shape], s, t, marked)
         # aligned bases: psi is the identity permutation on sorted masks
         for state, mc in zip((s, t), marked):
             _, psi = psi_identification(state, mc)

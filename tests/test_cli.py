@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cubekh.cli import MAX_QA_BUDGET, main, run_job
+from cubekh.cli import COMMANDS, MAX_QA_BUDGET, main, run_job
 
 TREFOIL = {"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}
 
@@ -89,13 +89,51 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "budget"
 
 
-@pytest.mark.parametrize("command", ["kh", "det", "qa"])
+# a valid payload for every command; each would succeed with the default
+# budget, and the 0-crossing one builds no cube and reaches no budget check
+BUDGET_PAYLOADS = {
+    "kh": TREFOIL, "khr": TREFOIL, "twisted": TREFOIL, "hd": TREFOIL,
+    "ss": TREFOIL, "det": TREFOIL, "h1": TREFOIL,
+    "qa": {"pd": [], "free_loops": 1}, "rankcheck": TREFOIL,
+    "surgery": {"linking": [[0]], "frames": [7], "v": [0]},
+    "plumbing": {"plumbing": {"mult": [2, 2], "edges": [[0, 1]]}},
+    "lspace": {"large_surgery": {"p": 2, "q": 3, "n": 6}},
+    "selftest": None,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_negative_cube_budget_is_invalid_range(capsys, monkeypatch, command):
+    # refused before any work, so selftest does not run the acceptance suite
     code, out = run_cli(capsys, monkeypatch,
-                        ["--command", command, "--max-crossings", "-1"], TREFOIL)
+                        ["--command", command, "--max-crossings", "-1"],
+                        BUDGET_PAYLOADS[command])
     assert code == 2
     assert json.loads(out)["error"] == {
         "kind": "InvalidRange", "detail": "max_crossings must be non-negative, got -1"}
+
+
+def test_det_job_makes_one_union_find_pass(capsys, monkeypatch):
+    # parsing, link_det and the Goeritz matrix share one pass over the
+    # projection's components
+    import cubekh.diagram as diagram
+    from cubekh.acceptance import corpus
+    passes = []
+
+    class Counted(diagram._UnionFind):
+        def __init__(self, items):
+            passes.append(items)
+            super().__init__(items)
+
+    monkeypatch.setattr(diagram, "_UnionFind", Counted)
+    for d in [None] + corpus()[:20]:
+        payload = TREFOIL if d is None else {"pd": [list(c) for c in d.crossings]}
+        passes.clear()
+        code, out = run_cli(capsys, monkeypatch, ["--command", "det"], payload)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["det"] == blob["oracles"]["goeritz"] == blob["oracles"]["state_sum"]
+        assert len(passes) == 1
 
 
 def test_env_budget(capsys, monkeypatch):
@@ -179,19 +217,16 @@ def _braid6_marked():
                          ids=["trefoil", "braid6_marked"])
 def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
     # the E^2 page and the even-vertex subcomplex come from one twisted
-    # complex, which builds each edge shape's map once: no two calls share a
-    # shape, and every shape of the cube gets its call
+    # complex, which builds the map of each (shape, marked pair) once: no two
+    # calls share a key, and every key of the cube gets its call
     import cubekh.khovanov as kh
     from cubekh.diagram import parse_pd
     real_edge_map = kh.edge_map
     calls = []
 
-    def shape(edge, src, tgt, marked):
-        return (edge.kind, edge.circles, edge.correspondence, tgt.n_circles, marked)
-
-    def counted(*args, **kwargs):
-        calls.append(shape(*args, **kwargs))
-        return real_edge_map(*args, **kwargs)
+    def counted(shape, marked=None):
+        calls.append((shape, marked))
+        return real_edge_map(shape, marked)
 
     monkeypatch.setattr(kh, "edge_map", counted)
     code, _ = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
@@ -199,11 +234,11 @@ def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
     assert len(set(calls)) == len(calls)
     d = parse_pd(payload["pd"])
     cube, mark = kh.build_cube(d), kh._marked_circles(d, 1)
-    shapes = set()
-    for edge in cube.edges:
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        shapes.add(shape(edge, s, t, (mark(s), mark(t))))
-    assert set(calls) == shapes
+    keys = set()
+    for source, target, shape in cube.edges:
+        s, t = cube.states[source], cube.states[target]
+        keys.add((cube.shapes[shape], (mark(s), mark(t))))
+    assert set(calls) == keys
     assert len(calls) < len(cube.edges)
 
 
@@ -232,15 +267,19 @@ def test_two_coefficient_bracket_exits_internal(capsys, monkeypatch):
     ("kh", "NotAComplex"), ("khr", "NotAComplex"), ("twisted", "NotBicomplex"),
     ("hd", "NotBicomplex"), ("ss", "NotBicomplex")])
 def test_failed_complex_checks_exit_internal(capsys, monkeypatch, cmd, check):
-    # zeroing one edge map of the trefoil's cube breaks a face of the cube;
-    # the diagram is valid, so this is a bug and not bad input
+    # zeroing the map of the shape of the trefoil's edge out of state 0 at
+    # crossing 0 breaks a face of the cube; the diagram is valid, so this is
+    # a bug and not bad input
     import cubekh.khovanov as kh
+    from cubekh.diagram import parse_pd
     from cubekh.linalg import MatF2
     real_edge_map = kh.edge_map
+    cube = kh.build_cube(parse_pd(TREFOIL["pd"]))
+    victim = next(cube.shapes[shape] for s, t, shape in cube.edges if (s, t) == (0, 1))
 
-    def broken_edge_map(edge, src, tgt, marked=None):
-        m = real_edge_map(edge, src, tgt, marked)
-        if edge.source == (0, 0, 0) and edge.crossing == 0:
+    def broken_edge_map(shape, marked=None):
+        m = real_edge_map(shape, marked)
+        if shape == victim:
             return MatF2.zero(m.nrows, m.ncols)
         return m
 
@@ -261,8 +300,8 @@ def test_quantum_grading_check_exits_internal(capsys, monkeypatch, cmd):
     from cubekh.linalg import MatF2
     real_edge_map = kh.edge_map
 
-    def moved_edge_map(edge, src, tgt, marked=None):
-        m = real_edge_map(edge, src, tgt, marked)
+    def moved_edge_map(shape, marked=None):
+        m = real_edge_map(shape, marked)
         rows = list(m.rows)
         for i, row in enumerate(rows):
             if row and i ^ 1 < len(rows):

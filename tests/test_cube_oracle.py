@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import cube_oracle as oracle
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
 from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatible_marking
-from cubekh.diagram import ArcMarking, Diagram
+from cubekh.diagram import ArcMarking, Diagram, resolve
 from cubekh.errors import BadCircleMap
 from cubekh.khovanov import (
     _assemble,
@@ -26,21 +26,32 @@ from cubekh.khovanov import (
     build_cube,
     edge_map,
 )
+from test_det_oracle import add_kinks
 
 
 def check_cube_against_oracle(d):
     cube = build_cube(d)
+    n = d.n
     marks = {arc: _marked_circles(d, arc) for arc in _basepoint_classes(cube)}
-    for index, state in cube.states.items():
-        assert (state.circles, state.arc_to_circle) == oracle.resolve_circles(d, index)
-    for edge in cube.edges:
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        assert edge == oracle.classify(d, s, t, edge.source, edge.target,
-                                       edge.crossing)
-        full = oracle.full_edge_map(edge, s, t)
-        assert edge_map(edge, s, t) == full
+    assert len(cube.states) == 1 << n
+    for bits, state in enumerate(cube.states):
+        assert state.index == tuple((bits >> t) & 1 for t in range(n))
+        assert (state.circles, state.arc_to_circle) == oracle.resolve_circles(d, state.index)
+    assert cube.vertices == sorted(range(1 << n), key=lambda bits: (
+        bits.bit_count(), cube.states[bits].index))
+    assert [(s, t) for s, t, _ in cube.edges] == [
+        (bits, bits | 1 << t) for bits in cube.vertices for t in range(n)
+        if not bits >> t & 1]
+    assert len(set(cube.shapes)) == len(cube.shapes)
+    assert {shape for _, _, shape in cube.edges} == set(range(len(cube.shapes)))
+    for source, target, shape in cube.edges:
+        s, t = cube.states[source], cube.states[target]
+        want = oracle.classify(d, s, t)
+        assert cube.shapes[shape] == want
+        full = oracle.full_edge_map(want, s, t)
+        assert edge_map(cube.shapes[shape]) == full
         for arc, mark in marks.items():
-            assert (edge_map(edge, s, t, (mark(s), mark(t)))
+            assert (edge_map(cube.shapes[shape], (mark(s), mark(t)))
                     == oracle.restrict_reduced(full, s, t, arc))
 
 
@@ -59,6 +70,22 @@ def test_random_braid_cube_matches_oracle(seed, free_loops):
     d = random_braid_diagram(rng, max_crossings=7)
     check_cube_against_oracle(Diagram(d.crossings,
                                       free_loops=d.free_loops + free_loops))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kinks=st.integers(0, 2),
+       free_loops=st.integers(0, 2))
+def test_resolve_matches_union_find_oracle(seed, kinks, free_loops):
+    # kinks put both ends of an arc at one crossing, where the dart walk
+    # turns back into the crossing it just left
+    rng = random.Random(seed)
+    d = add_kinks(random_braid_diagram(rng, max_crossings=7), kinks, rng)
+    d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
+    for _ in range(8):
+        bits = tuple(rng.randint(0, 1) for _ in range(d.n))
+        state = resolve(d, bits)
+        assert state.index == bits
+        assert (state.circles, state.arc_to_circle) == oracle.resolve_circles(d, bits)
 
 
 def check_hd_even_against_oracle(d, rng):
@@ -115,21 +142,22 @@ def test_random_braid_complexes_match_per_edge_assembly(seed, free_loops):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
 def test_equal_shapes_have_equal_edge_maps(seed, free_loops):
-    # the premise of building one edge map per shape: the map is a function
-    # of (kind, circles, correspondence, target circle count, marked pair)
+    # the premise of building one edge map per (shape, marked pair): the
+    # oracle's map of every edge is a function of the two
     rng = random.Random(seed)
     d = random_braid_diagram(rng, max_crossings=7)
     d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
     cube = build_cube(d)
-    marks = [None] + [_marked_circles(d, arc) for arc in _basepoint_classes(cube)]
+    marks = [(None, None)] + [(arc, _marked_circles(d, arc))
+                              for arc in _basepoint_classes(cube)]
     maps = {}
-    for edge in cube.edges:
-        s, t = cube.states[edge.source], cube.states[edge.target]
-        for mark in marks:
+    for source, target, shape in cube.edges:
+        s, t = cube.states[source], cube.states[target]
+        full = oracle.full_edge_map(oracle.classify(d, s, t), s, t)
+        for arc, mark in marks:
             marked = None if mark is None else (mark(s), mark(t))
-            key = (edge.kind, edge.circles, edge.correspondence, t.n_circles, marked)
-            m = edge_map(edge, s, t, marked)
-            assert maps.setdefault(key, m) == m
+            m = full if mark is None else oracle.restrict_reduced(full, s, t, arc)
+            assert maps.setdefault((shape, marked), m) == m
 
 
 def test_nonplanar_edge_still_rejected():

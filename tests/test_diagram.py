@@ -172,6 +172,14 @@ def test_resolve_length_mismatch():
         resolve(d, (0, 1))
 
 
+@pytest.mark.parametrize("bad", [0.5, 2, -1, "1", None])
+def test_resolve_refuses_bits_that_are_not_0_or_1(bad):
+    # a bit is looked up, never coerced: int(0.5) would read as 0
+    d = parse_pd(TREFOIL)
+    with pytest.raises(LengthMismatch, match="resolution bits must be 0 or 1"):
+        resolve(d, (0, bad, 1))
+
+
 def test_resolve_marks_basepoint_circle():
     # states carry no marked circle; the reduced theory reads it off
     # arc_to_circle, and a bad basepoint is refused before resolving

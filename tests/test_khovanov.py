@@ -18,6 +18,7 @@ from det_oracle import continued_fraction_numerator
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.complexes import homology_ranks
 from cubekh.corpus import (
+    braid_closure,
     diagram_corpus,
     random_braid_diagram,
     random_compatible_marking,
@@ -156,8 +157,9 @@ def oracle_kh_ranks(pd, free_loops=0, reduced=False, basepoint=1):
 
 def test_cube_unknot():
     cube = build_cube(parse_pd([], free_loops=1))
-    assert len(cube.vertices) == 1
-    assert cube.states[()].n_circles == 1
+    assert cube.vertices == [0]
+    assert cube.states[0].index == ()
+    assert cube.states[0].n_circles == 1
 
 
 def test_cube_hopf_circle_counts():
@@ -171,7 +173,7 @@ def test_cube_trefoil_circle_counts():
     cube = build_cube(parse_pd(TREFOIL))
     by_weight = {}
     for ix in cube.vertices:
-        by_weight.setdefault(sum(ix), []).append(cube.states[ix].n_circles)
+        by_weight.setdefault(ix.bit_count(), []).append(cube.states[ix].n_circles)
     assert by_weight == {0: [3], 1: [2, 2, 2], 2: [1, 1, 1], 3: [2]}
 
 
@@ -180,27 +182,61 @@ def test_edge_kinds_change_k_by_one():
     for _ in range(30):
         d = random_braid_diagram(rng, max_crossings=6)
         cube = build_cube(d)
-        for e in cube.edges:
-            ks = cube.states[e.source].n_circles
-            kt = cube.states[e.target].n_circles
+        for source, target, shape in cube.edges:
+            ks = cube.states[source].n_circles
+            kt = cube.states[target].n_circles
             assert abs(kt - ks) == 1
-            assert e.kind == ("merge" if kt < ks else "split")
+            assert cube.shapes[shape].kind == ("merge" if kt < ks else "split")
+
+
+def test_flat_cube_of_twelve_crossings(monkeypatch):
+    # one resolve call per state, one edge_map call per (shape, marked pair)
+    # over kh and Khr at every basepoint class, and none when assembling again
+    from collections import Counter
+    from cubekh.acceptance import _basepoint_classes
+    d = braid_closure([1, -2] * 6, 3)
+    resolved, real_resolve = [], kh.resolve
+    monkeypatch.setattr(kh, "resolve",
+                        lambda d, ix: resolved.append(ix) or real_resolve(d, ix))
+    cube = build_cube(d)
+    assert (len(cube.states), len(cube.edges), len(cube.shapes)) == (4096, 24576, 86)
+    assert len(resolved) == len(set(resolved)) == 4096
+    calls, real_edge_map = Counter(), kh.edge_map
+
+    def counted(shape, marked=None):
+        calls[(shape, marked)] += 1
+        return real_edge_map(shape, marked)
+
+    monkeypatch.setattr(kh, "edge_map", counted)
+    basepoints = [None] + _basepoint_classes(cube)
+    keys = set()
+    for basepoint in basepoints:
+        kh._assemble(cube, basepoint)
+        mark = kh._marked_circles(d, basepoint)
+        for s, t, shape in cube.edges:
+            marked = None if mark is None else (mark(cube.states[s]),
+                                                mark(cube.states[t]))
+            keys.add((cube.shapes[shape], marked))
+    assert set(calls) == keys and set(calls.values()) == {1}
+    for basepoint in basepoints:
+        kh._assemble(cube, basepoint)
+    assert sum(calls.values()) == len(keys)
 
 
 def test_split_then_merge_composition_vanishes():
     # Delta followed by the merge of the same two circles is zero over GF(2)
-    from cubekh.khovanov import CubeEdge
+    from cubekh.khovanov import EdgeShape
     cube = build_cube(parse_pd(HOPF))
-    split = next(e for e in cube.edges if e.kind == "split")
-    s, t = cube.states[split.source], cube.states[split.target]
-    delta = edge_map(split, s, t)
+    split = next(sh for sh in cube.shapes if sh.kind == "split")
+    delta = edge_map(split)
     c, (c1, c2) = split.circles
     back_corr = {v: k for k, v in enumerate(split.correspondence) if v is not None}
     back_corr[c1] = c
     back_corr[c2] = c
-    remerge = CubeEdge(split.target, split.source, split.crossing, "merge",
-                       (c1, c2), tuple(back_corr[i] for i in range(t.n_circles)))
-    m = edge_map(remerge, t, s)
+    remerge = EdgeShape("merge", (c1, c2),
+                        tuple(back_corr[i] for i in range(split.n_target)),
+                        len(split.correspondence))
+    m = edge_map(remerge)
     assert (m @ delta).is_zero()
 
 
@@ -339,9 +375,9 @@ def test_single_vertex_vertical_homology():
         cases.append((d, random_compatible_marking(d, rng)))
     for d, m in cases:
         expected = {}
-        for ix, state in build_cube(d).states.items():
+        for ix, state in enumerate(build_cube(d).states):
             if not any(induce_marking(d, m, state)):
-                w = sum(ix)
+                w = ix.bit_count()
                 expected[w] = expected.get(w, 0) + 2 ** (state.n_circles - 1)
         vertical = kh._vertical_homology_ranks(twisted_complex(d, m))
         sums = {}
@@ -483,9 +519,10 @@ def test_psi_naturality_random():
 
 def test_model_edge_dimensions():
     cube = build_cube(parse_pd(TREFOIL))
-    for e in cube.edges:
-        s, t = cube.states[e.source], cube.states[e.target]
-        m = model_edge_map(e, s, t, (s.arc_to_circle[1], t.arc_to_circle[1]))
+    for source, target, shape in cube.edges:
+        s, t = cube.states[source], cube.states[target]
+        m = model_edge_map(cube.shapes[shape], s, t,
+                           (s.arc_to_circle[1], t.arc_to_circle[1]))
         assert (m.nrows, m.ncols) == (1 << (t.n_circles - 1), 1 << (s.n_circles - 1))
 
 

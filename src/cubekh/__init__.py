@@ -38,7 +38,6 @@ from .diagram import (
     Diagram,
     PlanarMap,
     ResolvedState,
-    TwoFoldMarking,
     canonical_key,
     connect_sum,
     induce_marking,

@@ -122,9 +122,13 @@ def goeritz(d: Diagram) -> GoeritzData:
 
 
 def _pd_pieces(d: Diagram) -> list[Diagram]:
-    """Connected pieces of the projection as standalone diagrams."""
+    """Connected pieces of the projection as standalone diagrams: d itself
+    when it has one piece, so its planar map and pieces are traced once."""
+    pieces = d.pd_components()
+    if len(pieces) == 1:
+        return [d]
     out = []
-    for piece in d.pd_components():
+    for piece in pieces:
         sub = [d.crossings[ci] for ci in piece]
         out.append(_fuse_and_relabel(sub, {a for c in sub for a in c}, ()))
     return out
@@ -201,9 +205,6 @@ class QACertificate:
     @property
     def is_leaf(self) -> bool:
         return self.crossing is None
-
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
 
     def to_json(self) -> dict:
         out = {"pd": [list(c) for c in self.diagram.crossings],

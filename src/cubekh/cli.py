@@ -51,6 +51,9 @@ INTERNAL_CHECKS = (NotAComplex, NotBicomplex, FiltrationViolation, BadCircleMap)
 # the largest qa node budget a job may ask for; a larger one exits 3
 MAX_QA_BUDGET = 100_000
 
+# the most free loops, each a Z summand of the result, an h1 job may ask for
+MAX_H1_FREE_LOOPS = 10_000
+
 COMMANDS = ("kh", "khr", "twisted", "hd", "ss", "det", "h1", "qa",
             "rankcheck", "surgery", "plumbing", "lspace", "selftest")
 
@@ -182,6 +185,9 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
         return {"det": ds, "oracles": {"state_sum": ds, "goeritz": dg}}
     if command == "h1":
         d = _diagram_from(payload)
+        if d.free_loops > MAX_H1_FREE_LOOPS:
+            raise SizeBudgetExceeded(f"{d.free_loops} free loops exceed the h1 limit "
+                                     f"of {MAX_H1_FREE_LOOPS}")
         return {"h1": _group_json(h1_sigma(d))}
     if command == "qa":
         d = _diagram_from(payload)

@@ -20,6 +20,9 @@ Conventions fixed here and used everywhere else:
   a crossing at x leaves it at x ^ 1 under the 0-smoothing and at x ^ 3
   under the 1-smoothing (`resolve`).  Public results name darts as
   (crossing, slot) pairs.
+* The projection's pieces (`Diagram.pd_components`) and planar map
+  (`planar_map`) are traced once per diagram and kept on it, and
+  `ArcMarking.fault` is the one place the marking rule is written.
 """
 
 from __future__ import annotations
@@ -136,6 +139,7 @@ class Diagram:
         self._other, self._first = _dart_table(self.crossings)
         self._labels = [a for c in self.crossings for a in c]   # arc of dart x
         self._pieces: list[tuple] | None = None     # see pd_components
+        self._map: PlanarMap | None = None          # see planar_map
         self.components, natural_head = self._trace_components()
         if orientation is None:
             orientation = [1] * len(self.components)
@@ -236,22 +240,9 @@ class ResolvedState:
 
 
 @dataclass(frozen=True)
-class TwoFoldMarking:
-    """Per-component parity bits with even total parity."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise IncompatibleMarking("marking bits must be 0 or 1")
-        if sum(self.bits) % 2:
-            raise IncompatibleMarking("total parity of a two-fold marking must be even")
-
-
-@dataclass(frozen=True)
 class ArcMarking:
-    """Per-arc parity bits; compatible when component sums land on a valid
-    two-fold marking (even total)."""
+    """Per-arc parity bits; on a diagram they define a two-fold marking
+    datum, the parities of its components, unless `fault` says why not."""
 
     bits: tuple[int, ...]
 
@@ -266,21 +257,14 @@ class ArcMarking:
     def bit(self, arc: int) -> int:
         return self.bits[arc - 1]
 
-    def component_parities(self, d: Diagram) -> tuple[int, ...]:
+    def fault(self, d: Diagram) -> str | None:
+        """Why the marking defines no two-fold datum on d, or None when it
+        does: it needs one bit per arc, and even total parity."""
         if len(self.bits) != d.arc_count:
-            raise IncompatibleMarking(
-                f"marking has {len(self.bits)} bits for {d.arc_count} arcs")
-        return tuple(sum(self.bit(a) for a in comp) % 2 for comp in d.components)
-
-    def two_fold_marking(self, d: Diagram) -> TwoFoldMarking:
-        """The induced two-fold marking datum; free loops always carry 0."""
-        pars = self.component_parities(d)
-        return TwoFoldMarking(pars + (0,) * d.free_loops)
-
-    def is_compatible(self, d: Diagram) -> bool:
-        if len(self.bits) != d.arc_count:
-            return False
-        return sum(self.bits) % 2 == 0
+            return f"marking has {len(self.bits)} bits for {d.arc_count} arcs"
+        if sum(self.bits) % 2:
+            return "arc marking must have even total parity to define a two-fold datum"
+        return None
 
 
 def strict_int(x, what: str, error: type = MalformedPD) -> int:
@@ -587,7 +571,11 @@ def planar_map(d: Diagram) -> PlanarMap:
 
     Raises NonPlanarTrace when the face count violates the Euler formula for
     a genus 0 embedding (computed per connected piece of the projection).
+    The map is kept on d, so parsing, the Goeritz matrix and the
+    oriented-resolution filling of one diagram share one trace.
     """
+    if d._map is not None:
+        return d._map
     face = [-1] * (4 * d.n)
     faces = []
     for start in range(4 * d.n):
@@ -608,4 +596,5 @@ def planar_map(d: Diagram) -> PlanarMap:
         if len(faces) != expected:
             raise NonPlanarTrace(
                 f"face count {len(faces)} != {expected}; PD code is not planar")
-    return PlanarMap(tuple(faces), face_of)
+    d._map = PlanarMap(tuple(faces), face_of)
+    return d._map

@@ -36,6 +36,10 @@ edges of a 12-crossing 3-braid closure), so a cube builds the map of every
 (shape, marked pair) once, rewritten into the slot basis (`_edge_block`),
 and every complex built on the cube places that block at each edge with
 that key (`_d_h`).
+
+Every twisted job goes through one entry, `_twisted_of`, which refuses a
+bad basepoint or marking before any state is resolved; hd and ss check the
+E^2 page in one place, `_checked_e2`.
 """
 
 from __future__ import annotations
@@ -407,15 +411,22 @@ def grading_tables(d: Diagram, ranks: dict[int, int]) -> dict[str, dict[int, int
 
 def _marking_parities(cube: CubeComplex, marking: ArcMarking) -> list[tuple]:
     """Per state, in bit-mask order, the parities of its circles."""
-    d = cube.diagram
-    if not marking.is_compatible(d):
-        raise IncompatibleMarking(
-            "arc marking must have even total parity to define a two-fold datum")
-    return [induce_marking(d, marking, st) for st in cube.states]
+    return [induce_marking(cube.diagram, marking, st) for st in cube.states]
 
 
 def _vertical_degree_offset(cube: CubeComplex) -> int:
     return cube.states[0].n_circles % 2
+
+
+def _twisted_of(d: Diagram, marking: ArcMarking, basepoint: int,
+                max_crossings: int | None) -> tuple[DoubleComplexF2, dict[tuple, int]]:
+    """`_twisted` on d's cube, built only once the basepoint and then the
+    marking (`ArcMarking.fault`) pass their checks against d alone."""
+    _marked_circles(d, basepoint)
+    fault = marking.fault(d)
+    if fault:
+        raise IncompatibleMarking(fault)
+    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
 
 
 def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
@@ -426,15 +437,14 @@ def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     The bigrading is (cube weight, exterior degree normalized so both
     differentials shift by exactly one).
     """
-    _marked_circles(d, basepoint)
-    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)[0]
+    return _twisted_of(d, marking, basepoint, max_crossings)[0]
 
 
 def _twisted(cube: CubeComplex, marking: ArcMarking,
              basepoint: int) -> tuple[DoubleComplexF2, dict[tuple, int]]:
-    """The twisted double complex, and per cell the number of generators at
-    all-even vertices (no odd circle, so d_v is zero there); they take the
-    first positions of their cell."""
+    """The twisted double complex of a compatible marking, and per cell the
+    number of generators at all-even vertices (no odd circle, so d_v is zero
+    there); they take the first positions of their cell."""
     mark = _marked_circles(cube.diagram, basepoint)
     parities = _marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
@@ -500,9 +510,7 @@ def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
 def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                        max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology via the all-even-vertex subcomplex."""
-    _marked_circles(d, basepoint)
-    return _hd_even(*_twisted(build_cube(d, max_crossings=max_crossings),
-                              marking, basepoint))
+    return _hd_even(*_twisted_of(d, marking, basepoint, max_crossings))
 
 
 def _hd_even(dc: DoubleComplexF2, even: dict[tuple, int]) -> dict[tuple, int]:
@@ -516,62 +524,51 @@ def _hd_even(dc: DoubleComplexF2, even: dict[tuple, int]) -> dict[tuple, int]:
     return homology_ranks(GradedComplexF2(even, d_h))
 
 
+def _checked_e2(dc: DoubleComplexF2,
+                even: dict[tuple, int]) -> tuple[SpectralPages, dict[tuple, int]]:
+    """The cube-weight pages of dc and the homology of its all-even-vertex
+    subcomplex (`_hd_even`), once the E^2 page is checked to equal the
+    latter (InternalInconsistency if not).  They agree as wedging with a
+    nonzero odd class is exact: E^1 = H(C, d_v) is the even-vertex part of
+    C, and d_1 is d_h restricted to it; only the pages read d_v."""
+    pages = spectral_pages(_filtered_by_p(dc))
+    hd = _hd_even(dc, even)
+    if pages.page(2) != {(p, p + v): r for (p, v), r in hd.items()}:
+        raise InternalInconsistency(
+            "E^2 page and even-vertex dotted homology disagree")
+    return pages, hd
+
+
 def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                 max_crossings: int | None = None) -> dict[tuple, int]:
-    """Dotted-diagram homology ranks keyed by (cube weight, vertical degree).
-
-    Read off the E^2 page of the twisted complex filtered by cube weight
-    (`vertical_then_horizontal_ranks`) and cross-checked against the
-    homology of the all-even-vertex subcomplex, the twisted d_h restricted
-    to the vertices without an odd circle; raises InternalInconsistency if
-    the two disagree.  Both come from one twisted complex, but only the E^2
-    side reads d_v and goes through the persistence pairing.  They agree
-    because wedging with a nonzero odd class is exact: E^1 = H(C, d_v) is
-    the even-vertex part of C, and d_1 is d_h restricted to it.
-    """
-    _marked_circles(d, basepoint)
-    dc, even = _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
-    a = vertical_then_horizontal_ranks(dc)
-    b = _hd_even(dc, even)
-    if a != b:
-        raise InternalInconsistency(
-            f"dotted homology constructions disagree: {a} vs {b}")
-    return a
+    """Dotted-diagram homology ranks keyed by (cube weight, vertical degree),
+    cross-checked against the E^2 page of the twisted complex (`_checked_e2`)."""
+    return _checked_e2(*_twisted_of(d, marking, basepoint, max_crossings))[1]
 
 
 def twisted_total_ranks(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                         max_crossings: int | None = None) -> dict[int, int]:
     """Homology of the total twisted complex, keyed by total degree."""
-    dc = twisted_complex(d, marking, basepoint=basepoint,
-                         max_crossings=max_crossings)
-    return homology_ranks(dc.total)
+    return homology_ranks(twisted_complex(d, marking, basepoint, max_crossings).total)
 
 
 def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
               max_crossings: int | None = None) -> SpectralPages:
     """Spectral sequence of the cube-weight filtration of the twisted total
     complex.  E^1 equals vertical homology, E^2 the dotted-diagram homology
-    of the all-even-vertex subcomplex (the twisted d_h restricted to the
-    vertices where d_v is zero, see `hd_homology`), and the E^infinity total
-    matches the homology of the total complex; all three identities are
-    checked, raising InternalInconsistency."""
-    _marked_circles(d, basepoint)
+    of the all-even-vertex subcomplex (`_checked_e2`), and the E^infinity
+    total matches the homology of the total complex; all three identities
+    are checked, raising InternalInconsistency."""
     # the page computation is the memory peak; it needs no cube, so none is kept
-    dc, even = _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
-    hd = _hd_even(dc, even)
-    fc = _filtered_by_p(dc)
-    pages = spectral_pages(fc)
+    dc, even = _twisted_of(d, marking, basepoint, max_crossings)
+    pages, _ = _checked_e2(dc, even)
 
     # E^1 = vertical homology
     e1_expected = {(p, p + v): r for (p, v), r in _vertical_homology_ranks(dc).items()}
     if pages.page(1) != e1_expected:
         raise InternalInconsistency("E^1 page does not match vertical homology")
-    # E^2 = dotted diagram homology
-    if pages.page(2) != {(p, p + v): r for (p, v), r in hd.items()}:
-        raise InternalInconsistency(
-            "E^2 page and even-vertex dotted homology disagree")
     # E^infinity total = homology of the total complex
-    beta = homology_ranks(fc.complex)
+    beta = homology_ranks(dc.total)
     einf_tot: dict[int, int] = {}
     for (p, t), rank in pages.e_infinity.items():
         einf_tot[t] = einf_tot.get(t, 0) + rank

@@ -113,27 +113,72 @@ def test_negative_cube_budget_is_invalid_range(capsys, monkeypatch, command):
         "kind": "InvalidRange", "detail": "max_crossings must be non-negative, got -1"}
 
 
+def _count_diagram_facts(monkeypatch) -> dict:
+    """Lists that grow by one per Diagram built, per union-find pass over
+    the projection's pieces and per planar map traced."""
+    import cubekh.diagram as diagram
+    made: dict = {"diagrams": [], "passes": [], "maps": []}
+
+    def counted(cls, key):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                made[key].append(args)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(diagram, cls.__name__, Counted)
+
+    counted(diagram.Diagram, "diagrams")
+    counted(diagram._UnionFind, "passes")
+    counted(diagram.PlanarMap, "maps")
+    return made
+
+
 def test_det_job_makes_one_union_find_pass(capsys, monkeypatch):
     # parsing, link_det and the Goeritz matrix share one pass over the
-    # projection's components
-    import cubekh.diagram as diagram
+    # projection's components and one planar map
     from cubekh.acceptance import corpus
-    passes = []
-
-    class Counted(diagram._UnionFind):
-        def __init__(self, items):
-            passes.append(items)
-            super().__init__(items)
-
-    monkeypatch.setattr(diagram, "_UnionFind", Counted)
+    made = _count_diagram_facts(monkeypatch)
+    passes, maps = made["passes"], made["maps"]
     for d in [None] + corpus()[:20]:
         payload = TREFOIL if d is None else {"pd": [list(c) for c in d.crossings]}
         passes.clear()
+        maps.clear()
         code, out = run_cli(capsys, monkeypatch, ["--command", "det"], payload)
         assert code == 0
         blob = json.loads(out)
         assert blob["det"] == blob["oracles"]["goeritz"] == blob["oracles"]["state_sum"]
         assert len(passes) == 1
+        assert len(maps) == 1
+
+
+@pytest.mark.parametrize("payload, h1, built", [
+    (TREFOIL, {"free_rank": 0, "invariant_factors": [3], "order": 3, "pretty": "Z/3"}, [1, 1, 1]),
+    ({"pd": TREFOIL["pd"] + [[7, 9, 8, 10], [9, 7, 10, 8]]},
+     {"free_rank": 1, "invariant_factors": [6], "order": None, "pretty": "Z/6 + Z"},
+     [3, 5, 3]),
+], ids=["trefoil", "trefoil_split_hopf"])
+def test_h1_job_builds_each_diagram_fact_once(capsys, monkeypatch, payload, h1, built):
+    # built: Diagrams, union-find passes and planar maps.  A connected
+    # diagram is its own piece, so it makes one of each; a split one also
+    # rebuilds each of its two pieces, gluing arcs by a union-find pass
+    made = _count_diagram_facts(monkeypatch)
+    code, out = run_cli(capsys, monkeypatch, ["--command", "h1"], payload)
+    assert code == 0
+    assert json.loads(out) == {"h1": h1}
+    assert [len(v) for v in made.values()] == built
+
+
+def test_h1_free_loops_limit(capsys, monkeypatch):
+    from cubekh.cli import MAX_H1_FREE_LOOPS
+    code, out = run_cli(capsys, monkeypatch, ["--command", "h1"],
+                        {"pd": [], "free_loops": MAX_H1_FREE_LOOPS})
+    assert code == 0
+    assert json.loads(out)["h1"]["free_rank"] == MAX_H1_FREE_LOOPS - 1
+    code, out = run_cli(capsys, monkeypatch, ["--command", "h1"],
+                        {"pd": [], "free_loops": MAX_H1_FREE_LOOPS + 1})
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "kind": "budget", "detail": f"{MAX_H1_FREE_LOOPS + 1} free loops exceed "
+                                    f"the h1 limit of {MAX_H1_FREE_LOOPS}"}
 
 
 def test_env_budget(capsys, monkeypatch):
@@ -203,6 +248,17 @@ def test_disagreeing_hd_constructions_exit_internal(capsys, monkeypatch):
         assert code == 1, cmd
         err = json.loads(out)["error"]
         assert err["kind"] == "internal" and "disagree" in err["detail"]
+
+
+@pytest.mark.parametrize("cmd", ["hd", "ss"])
+def test_one_e2_check_per_job(capsys, monkeypatch, cmd):
+    import cubekh.khovanov as kh
+    calls = []
+    real = kh._checked_e2
+    monkeypatch.setattr(kh, "_checked_e2", lambda dc, even: calls.append(1) or real(dc, even))
+    code, _ = run_cli(capsys, monkeypatch, ["--command", cmd], _braid6_marked())
+    assert code == 0
+    assert len(calls) == 1
 
 
 def _braid6_marked():
@@ -386,6 +442,32 @@ def test_bad_basepoint_rejected_before_resolving(capsys, monkeypatch):
         assert code == 0 and json.loads(out)["total"] == 1, arc
     code, out = run_cli(capsys, monkeypatch, ["--command", "khr"], {"pd": []})
     assert code == 0 and json.loads(out)["total"] == 0
+
+
+def test_bad_marking_rejected_before_resolving(capsys, monkeypatch):
+    # a marking is checked against the diagram alone, so no state is resolved
+    import cubekh.khovanov as kh
+    resolved = []
+    real_resolve = kh.resolve
+
+    def counting_resolve(*args, **kwargs):
+        resolved.append(args[1])
+        return real_resolve(*args, **kwargs)
+
+    monkeypatch.setattr(kh, "resolve", counting_resolve)
+    for cmd in ("twisted", "hd", "ss"):
+        details = set()
+        for bits in ([1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]):     # short, odd
+            code, out = run_cli(capsys, monkeypatch, ["--command", cmd],
+                                dict(TREFOIL, marking={"arcs": bits}))
+            assert code == 2, cmd
+            err = json.loads(out)["error"]
+            assert err["kind"] == "IncompatibleMarking", cmd
+            details.add(err["detail"])
+            assert resolved == [], cmd
+        assert details == {"marking has 5 bits for 6 arcs",
+                           "arc marking must have even total parity to define "
+                           "a two-fold datum"}, cmd
 
 
 @pytest.mark.parametrize("cmd", ["kh", "khr", "twisted", "hd", "ss", "det",

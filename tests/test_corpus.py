@@ -76,5 +76,5 @@ def test_random_marking_compatibility():
     for _ in range(50):
         d = random_braid_diagram(rng, max_crossings=6)
         m = random_compatible_marking(d, rng)
-        assert m.is_compatible(d)
+        assert m.fault(d) is None
         assert len(m.bits) == d.arc_count

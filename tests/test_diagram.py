@@ -11,7 +11,6 @@ import pytest
 from cubekh.diagram import (
     ArcMarking,
     Diagram,
-    TwoFoldMarking,
     canonical_key,
     connect_sum,
     induce_marking,
@@ -24,7 +23,6 @@ from cubekh.diagram import (
 )
 from cubekh.errors import (
     DisconnectedTrace,
-    IncompatibleMarking,
     LengthMismatch,
     MalformedPD,
     NonPlanarTrace,
@@ -244,12 +242,6 @@ def test_mirror_empty():
 
 # --- markings ---------------------------------------------------------------
 
-def test_two_fold_marking_parity():
-    TwoFoldMarking((1, 1))
-    with pytest.raises(IncompatibleMarking):
-        TwoFoldMarking((1, 0))
-
-
 def test_induce_marking_zero():
     d = parse_pd([], free_loops=1)
     s = resolve(d, ())
@@ -263,18 +255,24 @@ def test_induce_marking_trefoil_single_arc():
     pars = induce_marking(d, m, s)
     assert pars[s.arc_to_circle[1]] == 1
     assert sum(pars) == 1  # odd: this marking is not a valid two-fold datum
-    assert not m.is_compatible(d)
+    assert m.fault(d) is not None
 
 
 def test_induce_marking_hopf_both_components():
     d = parse_pd(HOPF)
     m = ArcMarking((1, 0, 0, 1))
-    assert m.is_compatible(d)
-    assert m.two_fold_marking(d).bits == (1, 1)
+    assert m.fault(d) is None
     s = resolve(d, (0, 0))
     pars = induce_marking(d, m, s)
     assert sum(pars) % 2 == 0
     assert pars == (1, 1)
+
+
+def test_marking_fault_names_each_rule():
+    d = parse_pd(TREFOIL)
+    assert ArcMarking((1, 0, 0, 0, 0)).fault(d) == "marking has 5 bits for 6 arcs"
+    assert "even total parity" in ArcMarking((1, 0, 0, 0, 0, 0)).fault(d)
+    assert ArcMarking((1, 0, 0, 0, 0, 1)).fault(d) is None
 
 
 def test_induced_parity_even_for_valid_markings():
@@ -288,7 +286,7 @@ def test_induced_parity_even_for_valid_markings():
             bits[comp[0] - 1] = 1
             bits[comp[1] - 1] = 1
         m = ArcMarking(tuple(bits))
-        assert m.is_compatible(d)
+        assert m.fault(d) is None
         idx = tuple(rng.randint(0, 1) for _ in range(d.n))
         s = resolve(d, idx)
         assert sum(induce_marking(d, m, s)) % 2 == 0

@@ -6,7 +6,9 @@ degree by one (cube weight in the Khovanov application).  Every complex is
 checked when it is built: d^2 = 0, and for a double complex that d_h and
 d_v commute.  Spectral sequence pages are read off the persistence pairing
 of the filtered differential: one column reduction per degree gives every
-page and every d^r rank exactly.
+page and every d^r rank exactly.  Homology and the pairing both clear:
+each elimination drops what the one before it already proves redundant,
+which is valid because d^2 = 0 was checked when the complex was built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NotBicomplex,
     NotChainMap,
 )
-from .linalg import MatF2, _pivots, f2_rank
+from .linalg import MatF2, _pivots, index_mask
 
 
 def block_matrix(blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> MatF2:
@@ -88,8 +90,22 @@ class GradedComplexF2:
 
 
 def homology_ranks(c: GradedComplexF2) -> dict:
-    """Betti numbers: b_k = dim ker d_k - rank d_{k-1}."""
-    ranks = {k: f2_rank(m) for k, m in c.differentials.items()}
+    """Betti numbers: b_k = dim ker d_k - rank d_{k-1}.
+
+    With clearing: the degrees are eliminated in descending order, which
+    walks each block of a tuple-graded complex in descending first entry,
+    and d_k without its rows at the pivot columns of d_{k+1} (`_pivots`).
+    Those columns are independent and span d_{k+1}'s column space, and
+    d_{k+1} d_k = 0, so those rows of d_k are sums of its other rows and
+    the rank stays the same.  About rank d_k rows are left, so few reduce
+    to zero.  The clearing rests on d^2 = 0, checked when c was built."""
+    ranks, dropped = {}, {}
+    for k in sorted(c.differentials, reverse=True):
+        drop = dropped.pop(_shift(k, 1), ())
+        pivots = _pivots(r for i, r in enumerate(c.differentials[k].rows)
+                         if i not in drop)
+        ranks[k] = len(pivots)
+        dropped[k] = {key - 1 for key in pivots}
     out = {}
     for k in c.degrees():
         b = c.dim(k) - ranks.get(k, 0) - ranks.get(_shift(k, -1), 0)
@@ -245,8 +261,13 @@ class FilteredComplexF2:
             src_lv = self.levels[k]
             tgt_lv = self.levels[k + 1]
             # above[p]: the columns whose level exceeds p, as a row mask
-            above = {p: int("".join("1" if x > p else "0" for x in reversed(src_lv)), 2)
-                     for p in set(tgt_lv)}
+            at: dict[int, list] = {}
+            for j, x in enumerate(src_lv):
+                at.setdefault(x, []).append(j)
+            above, acc = {}, 0
+            for p in sorted(set(tgt_lv) | set(at), reverse=True):
+                above[p] = acc
+                acc |= index_mask(at.get(p, ()), len(src_lv))
             for i, row in enumerate(m.rows):
                 bad = row & above[tgt_lv[i]]
                 if bad:
@@ -298,21 +319,36 @@ def spectral_pages(fc: FilteredComplexF2) -> SpectralPages:
     empty).  A single generator is on every page.  No pair is longer than
     max_level, so page max_level + 1 is E^infinity, the last page.
     """
-    c = fc.complex
-    r_end = fc.max_level + 1
+    return _pages_of(*_pairing(fc), fc.max_level + 1)
 
-    # unpaired generators per (level, degree); pairs per (p, t, p')
+
+def _pairing(fc: FilteredComplexF2) -> tuple[dict, dict]:
+    """(free, bars): the unpaired generators per (level, degree) and the
+    pairs per (p, t, p') of fc's differential (see `spectral_pages`).
+
+    Degrees are reduced in ascending order, with clearing: the columns of
+    d_t at the generators that end a pair of d_{t-1} are dropped before
+    they are scattered.  Such a y ends a reduced column d v = y + z, where
+    z is a sum of generators of level >= y's placed after y.  As d_t d v =
+    0, d_t y is a sum of the columns at z, so, dropping the ends from the
+    last one placed, the image of every F_a C_t stays the same; the counts
+    per (p, t, p') are functions of those images, so they stay the same.
+    """
+    c = fc.complex
     free: dict[tuple, int] = {}
     for t in c.degrees():
         for p in fc.levels[t]:
             free[(p, t)] = free.get((p, t), 0) + 1
     bars: dict[tuple, int] = {}
-    for t, m in c.differentials.items():
+    cleared: dict[int, int] = {}
+    for t in sorted(c.differentials):
+        m = c.differentials[t]
+        keep = ~cleared.pop(t, 0)
         order = sorted(range(m.nrows), key=fc.levels[t + 1].__getitem__)
         row_lv = sorted(fc.levels[t + 1])
         cols = [0] * m.ncols
         for b, i in enumerate(order):
-            row, bit = m.rows[i], 1 << b
+            row, bit = m.rows[i] & keep, 1 << b
             while row:
                 low = row & -row
                 cols[low.bit_length() - 1] |= bit
@@ -330,7 +366,12 @@ def spectral_pages(fc: FilteredComplexF2) -> SpectralPages:
             bars[(p, t, p_end)] = bars.get((p, t, p_end), 0) + 1
             free[(p, t)] -= 1
             free[(p_end, t + 1)] -= 1
+        cleared[t + 1] = index_mask((order[key - 1] for key in pivots), m.nrows)
+    return free, bars
 
+
+def _pages_of(free: dict, bars: dict, r_end: int) -> SpectralPages:
+    """The pages E^0 ... E^r_end and d^r ranks of a pairing (`spectral_pages`)."""
     pages = []
     d_ranks = []
     for r in range(r_end + 1):

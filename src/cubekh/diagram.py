@@ -193,9 +193,6 @@ class Diagram:
     def n(self) -> int:
         return len(self.crossings)
 
-    def component_count(self) -> int:
-        return len(self.components) + self.free_loops
-
     def is_pd_connected(self) -> bool:
         """True when the underlying 4-valent graph is connected."""
         return len(self.pd_components()) <= 1

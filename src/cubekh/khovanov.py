@@ -31,8 +31,24 @@ at a time.
 An edge's map depends only on its shape (merge or split, the circles
 involved, the circle correspondence as a tuple indexed by source circle,
 None at a split circle, and the target's circle count) and the marked
-pair.  The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576
-edges of a 12-crossing 3-braid closure), so a cube builds the map of every
+pair.  The shape follows from a short key, read with two arc lookups per
+edge: `resolve` numbers the circles of a state by their least arc, with
+free loops last, and an edge changes only the one or two circles through
+its crossing.  A merge of source circles a < b gives one circle whose
+least arc is a's, so the target numbers it a and keeps the others in
+order: c -> c for c < b, b -> a and c -> c - 1 for c > b.  A split of a
+leaves the piece with a's least arc at a, and the other piece p2 comes in
+at its own least arc: c -> c for c < p2 (c != a) and c -> c + 1 for
+c >= p2.  Free loops follow by position.  So an edge is keyed by
+(a, b, k_t) or (a, p1, p2, k_t), k_t the target's circle count, and its
+shape is built from arcs, and checked against the rule, only on the first
+edge of its key (`CubeComplex._first_shape`).  Two circles at a crossing
+always merge; one circle there splits in two or, on a non-planar diagram,
+stays one, and then p1 = p2 gives a key of its own, refused on its first
+edge.
+
+The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576 edges of
+a 12-crossing 3-braid closure), so a cube builds the map of every
 (shape, marked pair) once, rewritten into the slot basis (`_edge_block`),
 and every complex built on the cube places that block at each edge with
 that key (`_d_h`).
@@ -61,7 +77,6 @@ from .diagram import (
     ArcMarking,
     Diagram,
     ResolvedState,
-    induce_marking,
     resolve,
 )
 from .errors import (
@@ -160,41 +175,62 @@ class CubeComplex:
         self._classify()
 
     def _classify(self) -> None:
-        """Each source circle is carried by any one of its arcs; merge or
-        split is read off the changed crossing, whose 0-resolution joins
-        slots (0,1) and (2,3): slots 0 and 2 on different source circles
-        merge, and otherwise their circle splits into the target circles
-        through slots 0 and 1.  Each shape is checked and interned on its
-        first edge."""
-        d, states, edges, shapes = self.diagram, self.states, self.edges, self.shapes
-        loops = d.free_loops
+        """Each edge is interned by its key (see the module docstring).
+        Merge or split is read off the changed crossing, whose 0-resolution
+        joins slots (0,1) and (2,3): slots 0 and 2 on different source
+        circles a < b merge, and otherwise their circle a splits into the
+        target circles p1 < p2 through slots 0 and 1.  A key's shape is
+        built and checked on its first edge (`_first_shape`)."""
+        states, edges, shapes = self.states, self.edges, self.shapes
+        counts = [state.n_circles for state in states]
+        crossings = [(1 << t, c[0], c[1], c[2])
+                     for t, c in enumerate(self.diagram.crossings)]
         interned: dict[tuple, int] = {}
         for bits in self.vertices:
-            s = states[bits]
-            src_of = s.arc_to_circle
-            reps = [circ[0] for circ in s.circles[:len(s.circles) - loops]]
-            for t, c in enumerate(d.crossings):
-                if bits >> t & 1:
+            src_of = states[bits].arc_to_circle
+            for bit, c0, c1, c2 in crossings:
+                if bits & bit:
                     continue
-                target = bits | 1 << t
-                tgt_of = states[target].arc_to_circle
-                kt = len(states[target].circles)
-                # free loop circles come last and correspond positionally
-                corr = [tgt_of[r] for r in reps]
-                corr.extend(range(kt - loops, kt))
-                a, b = src_of[c[0]], src_of[c[2]]
+                target = bits | bit
+                kt = counts[target]
+                a, b = src_of[c0], src_of[c2]
                 if a != b:
-                    key = ("merge", (a, b) if a < b else (b, a), tuple(corr), kt)
+                    key = (a, b, kt) if a < b else (b, a, kt)
                 else:
-                    p1, p2 = tgt_of[c[0]], tgt_of[c[1]]
-                    corr[a] = None
-                    key = ("split", (a, (p1, p2) if p1 < p2 else (p2, p1)),
-                           tuple(corr), kt)
+                    tgt_of = states[target].arc_to_circle
+                    p1, p2 = tgt_of[c0], tgt_of[c1]
+                    key = (a, p1, p2, kt) if p1 < p2 else (a, p2, p1, kt)
                 shape = interned.get(key)
                 if shape is None:
                     shape = interned[key] = len(shapes)
-                    shapes.append(_checked_shape(*key))
+                    shapes.append(self._first_shape(bits, target, key))
                 edges.append((bits, target, shape))
+
+    def _first_shape(self, source: int, target: int, key: tuple) -> EdgeShape:
+        """The shape of the edge source -> target, the first of its key: the
+        correspondence carried by one arc of each source circle, checked by
+        `_checked_shape`, and then against the least-arc rule, under which
+        every edge of the key has this shape (BadCircleMap if not)."""
+        loops = self.diagram.free_loops
+        s, kt = self.states[source], key[-1]
+        tgt_of = self.states[target].arc_to_circle
+        # free loop circles come last and correspond positionally
+        corr = [tgt_of[circ[0]] for circ in s.circles[:s.n_circles - loops]]
+        corr.extend(range(kt - loops, kt))
+        if len(key) == 3:
+            a, b, _ = key
+            shape = _checked_shape("merge", (a, b), tuple(corr), kt)
+            rule = tuple(a if c == b else c - (c > b) for c in range(len(corr)))
+        else:
+            a, p1, p2, _ = key
+            corr[a] = None
+            shape = _checked_shape("split", (a, (p1, p2)), tuple(corr), kt)
+            rule = (tuple(None if c == a else c + (c >= p2) for c in range(len(corr)))
+                    if p1 == a else None)
+        if shape.correspondence != rule:
+            raise BadCircleMap(f"{shape.kind} edge {source} -> {target} breaks "
+                               "the least-arc circle numbering")
+        return shape
 
 
 def build_cube(d: Diagram, max_crossings: int | None = None) -> CubeComplex:
@@ -409,9 +445,18 @@ def grading_tables(d: Diagram, ranks: dict[int, int]) -> dict[str, dict[int, int
 # Twisted complex and dotted-diagram homology
 # ---------------------------------------------------------------------------
 
-def _marking_parities(cube: CubeComplex, marking: ArcMarking) -> list[tuple]:
-    """Per state, in bit-mask order, the parities of its circles."""
-    return [induce_marking(cube.diagram, marking, st) for st in cube.states]
+def _marking_parities(cube: CubeComplex, marking: ArcMarking) -> list[list]:
+    """Per state, in bit-mask order, the parities of its circles: each
+    marked arc flips its circle's.  The marking's length was checked once
+    against the diagram (`_twisted_of`), so it is not checked per state."""
+    marked = [a for a, b in enumerate(marking.bits, 1) if b]
+    out = []
+    for st in cube.states:
+        parities, of = [0] * st.n_circles, st.arc_to_circle
+        for a in marked:
+            parities[of[a]] ^= 1
+        out.append(parities)
+    return out
 
 
 def _vertical_degree_offset(cube: CubeComplex) -> int:

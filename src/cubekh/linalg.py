@@ -56,15 +56,8 @@ class MatF2:
     def zero(nrows: int, ncols: int) -> "MatF2":
         return MatF2(nrows, ncols, (0,) * nrows)
 
-    @staticmethod
-    def identity(n: int) -> "MatF2":
-        return MatF2(n, n, tuple(1 << i for i in range(n)))
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     def transpose(self) -> "MatF2":
         cols = [0] * self.ncols
@@ -115,7 +108,9 @@ class MatF2:
 def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
     """Echelon pivots keyed by the bit length of their lowest set bit, one
     more than its index, so a key is a small int however wide the rows are;
-    values are reduced rows.
+    values are reduced rows.  The keys, less one, are independent columns
+    that span the column space: on them the pivots form a triangle with a
+    unit diagonal.
 
     Given `pivots`, the elimination continues into it, so rows can be fed
     in batches and the pivots each batch adds are the dict's newest keys.
@@ -131,6 +126,15 @@ def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
                 break
             r ^= p
     return pivots
+
+
+def index_mask(indices, size: int) -> int:
+    """The int whose set bits are `indices`, each below `size`, written
+    into a byte buffer so the cost is linear in size."""
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def f2_rank(m: MatF2) -> int:
@@ -213,9 +217,6 @@ class AbelianGroup:
         for f in self.invariant_factors:
             n *= f
         return n
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and not self.free_rank
 
     def __str__(self) -> str:
         parts = [f"Z/{f}" for f in self.invariant_factors]

@@ -108,13 +108,6 @@ class TriadReport:
     additive: bool           # a = b + c under some cyclic rotation
     applicable: bool         # no member has b1 > 0
 
-    def additive_rotation(self) -> tuple | None:
-        a, b, c = self.orders
-        for triple in ((a, b, c), (b, c, a), (c, a, b)):
-            if triple[0] == triple[1] + triple[2]:
-                return triple
-        return None
-
 
 def triad_additivity_check(p: FramedLinkPresentation, k: int) -> TriadReport:
     """Orders of the three fillings of component k (others filled at their

@@ -5,24 +5,27 @@ Each one is the straightforward form the fast code replaced: circles by a
 dict-based union-find, edges classified by mapping every arc of every
 source circle, edge maps built mask by mask on the full exterior-algebra
 basis, the reduced map obtained by restricting the full one to the
-subsets that contain the marked circle, read off `arc_to_circle`,
-dotted-diagram homology from the edge maps between all-even vertices, and
+subsets that contain the marked circle, read off `arc_to_circle`, circle
+parities of a marking summed arc by arc, dotted-diagram homology from the
+edge maps between all-even vertices, ranked by the plain elimination, and
 the kh, Khr and twisted differentials placed edge by edge from one
 `edge_map` call per edge, kh and Khr on whole-weight bases that
 `split_by_quantum_grading` permutes into (w, q) cells.  `reduced_masks`
 lists a reduced basis in the order every map here uses.
 """
 
-from cubekh.complexes import DoubleComplexF2, GradedComplexF2, homology_ranks
-from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
+from cubekh.complexes import DoubleComplexF2, GradedComplexF2
+from cubekh.diagram import RES0_PAIRS, RES1_PAIRS, induce_marking
 from cubekh.errors import BadCircleMap, InternalInconsistency
-from cubekh.khovanov import (
-    _marked_circles,
-    _marking_parities,
-    _vertical_degree_offset,
-    edge_map,
-)
+from cubekh.khovanov import _marked_circles, _vertical_degree_offset, edge_map
 from cubekh.linalg import MatF2
+from linalg_helpers import plain_homology_ranks
+
+
+def marking_parities(cube, marking) -> list[tuple]:
+    """Per state, in bit-mask order, the circle parities of the marking,
+    summed over each circle's arcs (`diagram.induce_marking`)."""
+    return [induce_marking(cube.diagram, marking, st) for st in cube.states]
 
 
 def reduced_masks(state, marked: int) -> list[int]:
@@ -105,6 +108,22 @@ def classify(d, s, t) -> tuple:
     raise BadCircleMap(f"edge changes circle count by {delta}")
 
 
+def least_arc_shape(kind, circles, n_source, n_target) -> tuple:
+    """The shape that circles numbered by least arc, free loops last, give
+    an edge of this kind and circles: a merge of a < b sends c -> c for
+    c < b, b -> a and c -> c - 1 for c > b; a split of a leaves its piece
+    at a, the other at p2, and sends c -> c for c < p2 and c -> c + 1 for
+    c >= p2."""
+    if kind == "merge":
+        a, b = circles
+        corr = tuple(a if c == b else c - (c > b) for c in range(n_source))
+    else:
+        a, (_, p2) = circles
+        corr = tuple(None if c == a else c + (c >= p2) for c in range(n_source))
+        circles = (a, (a, p2))
+    return (kind, circles, corr, n_target)
+
+
 def full_edge_map(shape, src, tgt) -> MatF2:
     """Merge or split map of an edge of the given shape (as `classify`
     gives it) on the full bases, one mask and one circle at a time."""
@@ -163,7 +182,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
     complex per vertical degree v graded by cube weight, keyed by (w, v).
     Entries of an edge map that change the vertical degree are dropped."""
     mark = _marked_circles(cube.diagram, basepoint)
-    parities = _marking_parities(cube, marking)
+    parities = marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
     even = [index for index in cube.vertices if not any(parities[index])]
 
@@ -215,7 +234,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
         dv = dims[v]
         diffs = {w: MatF2(dv.get(w + 1, 0), dv[w], tuple(r))
                  for w, r in rows[v].items()}
-        for w, b in homology_ranks(GradedComplexF2(dv, diffs)).items():
+        for w, b in plain_homology_ranks(GradedComplexF2(dv, diffs)).items():
             out[(w, v)] = b
     return out
 
@@ -284,7 +303,7 @@ def twisted_per_edge(cube, marking, basepoint):
     """The twisted double complex and its all-even counts per cell, with one
     `edge_map` call per edge."""
     mark = _marked_circles(cube.diagram, basepoint)
-    parities = _marking_parities(cube, marking)
+    parities = marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
 
     dims: dict[tuple, int] = {}

@@ -1,17 +1,76 @@
-"""GF(2) and integer matrix helpers that only tests use: echelon row
-spaces, solving, row-space membership, subspace sum and intersection, the
-Smith normal form with its unimodular transforms (the oracle for
+"""GF(2) and integer matrix helpers that only tests use: homology and the
+persistence pairing by plain elimination, each differential from scratch
+with nothing cleared (the oracles for the clearing in `cubekh.complexes`),
+the identity and list forms of a GF(2) matrix, echelon row spaces,
+solving, row-space membership, subspace sum and intersection, the Smith
+normal form with its unimodular transforms (the oracle for
 `linalg.smith_normal_form`, which keeps only the diagonal) and the integer
-product and unimodularity test that check it, the quasi-isomorphism test by
-mapping cone, and the weight of a multi-framing
-of a filled linking matrix."""
+product and unimodularity test that check it, the quasi-isomorphism test
+by mapping cone, and the weight of a multi-framing of a filled linking
+matrix."""
 
 from typing import Sequence
 
-from cubekh.complexes import ChainMap, homology_ranks, mapping_cone
+from cubekh.complexes import ChainMap, _shift, homology_ranks, mapping_cone
 from cubekh.errors import DimensionMismatch
-from cubekh.linalg import MatF2, _check_rect, _gcdext, _pivots, det_bareiss
+from cubekh.linalg import MatF2, _check_rect, _gcdext, _pivots, det_bareiss, f2_rank
 from cubekh.surgery import _norm_framing
+
+
+def plain_homology_ranks(c) -> dict:
+    """Betti numbers of a GradedComplexF2, each differential ranked from
+    scratch."""
+    ranks = {k: f2_rank(m) for k, m in c.differentials.items()}
+    out = {}
+    for k in c.degrees():
+        b = c.dim(k) - ranks.get(k, 0) - ranks.get(_shift(k, -1), 0)
+        if b:
+            out[k] = b
+    return out
+
+
+def plain_pairing(fc) -> tuple[dict, dict]:
+    """(free, bars) of a FilteredComplexF2 as `complexes._pairing` gives
+    them, with every column of every differential reduced in dict order
+    and nothing cleared."""
+    c = fc.complex
+    free: dict[tuple, int] = {}
+    for t in c.degrees():
+        for p in fc.levels[t]:
+            free[(p, t)] = free.get((p, t), 0) + 1
+    bars: dict[tuple, int] = {}
+    for t, m in c.differentials.items():
+        order = sorted(range(m.nrows), key=fc.levels[t + 1].__getitem__)
+        row_lv = sorted(fc.levels[t + 1])
+        cols = [0] * m.ncols
+        for b, i in enumerate(order):
+            row = m.rows[i]
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << b
+                row ^= low
+        by_level: dict[int, list] = {}
+        for j, p in enumerate(fc.levels[t]):
+            by_level.setdefault(p, []).append(cols[j])
+        pivots: dict[int, int] = {}
+        born: list[int] = []    # level of the column behind each pivot, in pivot order
+        for p in sorted(by_level, reverse=True):
+            _pivots(by_level[p], pivots)
+            born.extend([p] * (len(pivots) - len(born)))
+        for p, key in zip(born, pivots):
+            p_end = row_lv[key - 1]
+            bars[(p, t, p_end)] = bars.get((p, t, p_end), 0) + 1
+            free[(p, t)] -= 1
+            free[(p_end, t + 1)] -= 1
+    return free, bars
+
+
+def f2_identity(n: int) -> MatF2:
+    return MatF2(n, n, tuple(1 << i for i in range(n)))
+
+
+def f2_to_lists(m: MatF2) -> list[list[int]]:
+    return [[(r >> j) & 1 for j in range(m.ncols)] for r in m.rows]
 
 
 def f2_row_space(m: MatF2) -> MatF2:

@@ -11,7 +11,7 @@ where `cubekh.khovanov` reads it off the E^2 page.
 
 from cubekh.complexes import SpectralPages
 from cubekh.linalg import MatF2, f2_kernel_basis, f2_rank
-from linalg_helpers import f2_row_space
+from linalg_helpers import f2_identity, f2_row_space
 
 
 def filtration_violation(complex_, levels):
@@ -190,7 +190,7 @@ def vertical_then_horizontal_ranks(dc) -> dict[tuple, int]:
 
 def _kernel_rows(m: MatF2, ambient: int) -> MatF2:
     if m.nrows == 0:
-        return MatF2.identity(ambient) if ambient else MatF2.zero(0, 0)
+        return f2_identity(ambient) if ambient else MatF2.zero(0, 0)
     return f2_kernel_basis(m)
 
 

@@ -23,7 +23,7 @@ from cubekh.errors import (
     NotChainMap,
 )
 from cubekh.linalg import MatF2, f2_rank
-from linalg_helpers import f2_row_space, f2_solve, is_quasi_isomorphism
+from linalg_helpers import f2_identity, f2_row_space, f2_solve, is_quasi_isomorphism
 
 
 def rand_mat(rng, nr, nc):
@@ -37,7 +37,7 @@ def random_three_term(rng, dims):
     # rows of d1 must annihilate the column space of d0
     colspace = f2_row_space(d0.transpose())
     from cubekh.linalg import f2_kernel_basis
-    ker = f2_kernel_basis(colspace) if colspace.nrows else MatF2.identity(dims[1])
+    ker = f2_kernel_basis(colspace) if colspace.nrows else f2_identity(dims[1])
     rows = []
     for _ in range(dims[2]):
         v = 0
@@ -57,14 +57,14 @@ def test_zero_differential_homology():
 
 
 def test_identity_complex_acyclic():
-    c = GradedComplexF2({0: 1, 1: 1}, {0: MatF2.identity(1)})
+    c = GradedComplexF2({0: 1, 1: 1}, {0: f2_identity(1)})
     assert homology_ranks(c) == {}
 
 
 def test_not_a_complex_rejected():
     with pytest.raises(NotAComplex):
         GradedComplexF2({0: 1, 1: 1, 2: 1},
-                        {0: MatF2.identity(1), 1: MatF2.identity(1)})
+                        {0: f2_identity(1), 1: f2_identity(1)})
 
 
 def test_homology_euler_characteristic():
@@ -82,7 +82,7 @@ def test_homology_euler_characteristic():
 def test_cone_of_identity_acyclic():
     rng = random.Random(8)
     c = random_three_term(rng, [3, 4, 2])
-    f = ChainMap(c, c, {k: MatF2.identity(c.dim(k)) for k in c.degrees()})
+    f = ChainMap(c, c, {k: f2_identity(c.dim(k)) for k in c.degrees()})
     assert homology_ranks(mapping_cone(f)) == {}
     assert is_quasi_isomorphism(f)
 
@@ -153,17 +153,17 @@ def test_cone_long_exact_sequence_bookkeeping():
 def test_quasi_iso_iff_cone_acyclic():
     rng = random.Random(21)
     c = random_three_term(rng, [3, 3, 3])
-    f = ChainMap(c, c, {k: MatF2.identity(c.dim(k)) for k in c.degrees()})
+    f = ChainMap(c, c, {k: f2_identity(c.dim(k)) for k in c.degrees()})
     assert is_quasi_isomorphism(f)
     z = ChainMap(c, c, {})
     assert is_quasi_isomorphism(z) == (not homology_ranks(c))
 
 
 def test_chain_map_validation():
-    a = GradedComplexF2({0: 1, 1: 1}, {0: MatF2.identity(1)})
+    a = GradedComplexF2({0: 1, 1: 1}, {0: f2_identity(1)})
     b = GradedComplexF2({0: 1, 1: 1}, {})
     with pytest.raises(NotChainMap):
-        ChainMap(a, b, {0: MatF2.identity(1), 1: MatF2.identity(1)})
+        ChainMap(a, b, {0: f2_identity(1), 1: f2_identity(1)})
 
 
 # --- double complexes ---------------------------------------------------------
@@ -178,7 +178,7 @@ def test_total_of_horizontal_only():
 
 
 def test_acyclic_square():
-    one = MatF2.identity(1)
+    one = f2_identity(1)
     dc = DoubleComplexF2({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
                          {(0, 0): one, (0, 1): one},
                          {(0, 0): one, (1, 0): one})
@@ -187,7 +187,7 @@ def test_acyclic_square():
 
 
 def test_bicomplex_commutation_enforced():
-    one = MatF2.identity(1)
+    one = f2_identity(1)
     zero = MatF2.zero(1, 1)
     with pytest.raises(NotBicomplex):
         DoubleComplexF2({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
@@ -196,7 +196,7 @@ def test_bicomplex_commutation_enforced():
 
 
 def test_bicomplex_squares_enforced():
-    one = MatF2.identity(1)
+    one = f2_identity(1)
     line = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
     with pytest.raises(NotBicomplex, match="d_1 d_0 != 0"):
         DoubleComplexF2(line, {(0, 0): one, (1, 0): one}, {})
@@ -208,7 +208,7 @@ def test_bicomplex_squares_enforced():
 # --- filtered complexes and spectral pages -------------------------------------
 
 def test_filtration_violation_detected():
-    c = GradedComplexF2({0: 1, 1: 1}, {0: MatF2.identity(1)})
+    c = GradedComplexF2({0: 1, 1: 1}, {0: f2_identity(1)})
     with pytest.raises(FiltrationViolation):
         FilteredComplexF2(c, {0: [1], 1: [0]})
 
@@ -242,7 +242,7 @@ def random_filtered(rng, max_dim=4, levels=3):
         from cubekh.linalg import f2_kernel_basis
         colspace = f2_row_space(d0.transpose())
         ker = (f2_kernel_basis(colspace) if colspace.nrows
-               else MatF2.identity(dims[1]))
+               else f2_identity(dims[1]))
         rows = []
         good = True
         for i in range(dims[2]):
@@ -283,7 +283,7 @@ def test_spectral_pages_invariants_random():
 
 
 def test_block_matrix_layout():
-    a = MatF2.identity(2)
+    a = f2_identity(2)
     b = MatF2.zero(2, 1)
     m = block_matrix({(0, 0): a, (0, 1): b}, [2], [2, 1])
     assert m.nrows == 2 and m.ncols == 3

@@ -20,7 +20,7 @@ from det_oracle import continued_fraction_numerator
 def test_braid_closure_basic():
     d = braid_closure([1, 1, 1], 2)
     assert d.n == 3
-    assert d.component_count() == 1
+    assert len(d.components) + d.free_loops == 1
     assert state_sum_det(d) == 3  # (2,3) torus knot
 
 

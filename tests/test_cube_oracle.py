@@ -1,11 +1,12 @@
 """The one-pass cube layer against the reference versions in cube_oracle:
 resolution, edge classification, and edge maps on the full basis and on
 the reduced basis of every basepoint class, all from one cube per diagram,
-the even-vertex dotted homology read off the twisted complex against
+every edge's shape against the least-arc rule that keys it, the
+even-vertex dotted homology read off the twisted complex against
 its own pass over the cube, and the kh, Khr and twisted differentials
 built from one edge map per shape against the per-edge assembly (kh and
 Khr block by block in (w, q) cells), on the first acceptance-corpus
-diagrams and on random braid closures."""
+diagrams and on random braid closures, some with kinks and free loops."""
 
 import random
 
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cube_oracle as oracle
+import cubekh.khovanov as kh
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
 from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatible_marking
-from cubekh.diagram import ArcMarking, Diagram, resolve
+from cubekh.diagram import ArcMarking, Diagram, ResolvedState, resolve
 from cubekh.errors import BadCircleMap
 from cubekh.khovanov import (
     _assemble,
@@ -48,6 +50,10 @@ def check_cube_against_oracle(d):
         s, t = cube.states[source], cube.states[target]
         want = oracle.classify(d, s, t)
         assert cube.shapes[shape] == want
+        # the rule that keys the edge holds on every edge, not only the
+        # first of each key
+        assert want == oracle.least_arc_shape(want[0], want[1], s.n_circles,
+                                              t.n_circles)
         full = oracle.full_edge_map(want, s, t)
         assert edge_map(cube.shapes[shape]) == full
         for arc, mark in marks.items():
@@ -72,6 +78,51 @@ def test_random_braid_cube_matches_oracle(seed, free_loops):
                                       free_loops=d.free_loops + free_loops))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kinks=st.integers(1, 3),
+       free_loops=st.integers(0, 2))
+def test_kinked_cube_matches_oracle(seed, kinks, free_loops):
+    # a kink's crossing holds one arc twice, so its edges split or merge a
+    # circle through one arc
+    rng = random.Random(seed)
+    d = add_kinks(random_braid_diagram(rng, max_crossings=4), kinks, rng)
+    check_cube_against_oracle(Diagram(d.crossings,
+                                      free_loops=d.free_loops + free_loops))
+
+
+def test_edge_breaking_least_arc_rule_refused(monkeypatch):
+    # circles numbered by descending least arc: the first edge whose shape
+    # breaks the rule is the first edge of its key, and is refused there
+    def renumbered(d, index):
+        s = resolve(d, index)
+        k = s.n_circles - d.free_loops
+        circles = s.circles[:k][::-1] + s.circles[k:]
+        return ResolvedState(s.index, circles, {
+            a: k - 1 - c if c < k else c for a, c in s.arc_to_circle.items()})
+
+    d = Diagram([[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]])
+    n = d.n
+    states = [renumbered(d, tuple((bits >> t) & 1 for t in range(n)))
+              for bits in range(1 << n)]
+    vertices = sorted(range(1 << n), key=lambda bits: (bits.bit_count(),
+                                                       states[bits].index))
+    breaking = []
+    for bits in vertices:
+        for t in range(n):
+            if not bits >> t & 1:
+                s, tgt = states[bits], states[bits | 1 << t]
+                want = oracle.classify(d, s, tgt)
+                if want != oracle.least_arc_shape(want[0], want[1], s.n_circles,
+                                                  tgt.n_circles):
+                    breaking.append((bits, bits | 1 << t))
+    assert breaking and breaking[0] != (0, 1)
+    monkeypatch.setattr(kh, "resolve", renumbered)
+    source, target = breaking[0]
+    with pytest.raises(BadCircleMap, match=f"edge {source} -> {target} breaks "
+                                           "the least-arc circle numbering"):
+        build_cube(d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kinks=st.integers(0, 2),
        free_loops=st.integers(0, 2))
@@ -91,6 +142,8 @@ def test_resolve_matches_union_find_oracle(seed, kinks, free_loops):
 def check_hd_even_against_oracle(d, rng):
     cube = build_cube(d)
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
+        assert ([tuple(p) for p in kh._marking_parities(cube, m)]
+                == oracle.marking_parities(cube, m))
         assert _hd_even(*_twisted(cube, m, 1)) == oracle.hd_even_oracle(cube, m, 1)
 
 

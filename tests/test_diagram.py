@@ -84,7 +84,7 @@ def test_parse_trefoil():
 def test_parse_empty_unknot():
     d = parse_pd("[]", free_loops=1)
     assert d.n == 0 and d.free_loops == 1
-    assert d.component_count() == 1
+    assert len(d.components) + d.free_loops == 1
 
 
 def test_parse_hopf_two_components():

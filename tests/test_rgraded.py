@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from cubekh.linalg import MatF2
 from cubekh.rgraded import (
     Interval,
     RGradedComplex,
@@ -16,6 +15,7 @@ from cubekh.rgraded import (
     random_lemma_instance,
     random_violating_instance,
 )
+from linalg_helpers import f2_identity
 
 
 def test_interval_membership():
@@ -29,11 +29,11 @@ def test_interval_membership():
 
 def test_identity_with_zero_e2():
     grades = {0: [0], 1: [Fraction(2)]}
-    d = {0: MatF2.identity(1)}
+    d = {0: f2_identity(1)}
     e0 = RGradedComplex(grades, d)
     e1 = RGradedComplex(grades, d)
     e2 = RGradedComplex({}, {})
-    f = RGradedMap(e0, e1, {k: MatF2.identity(1) for k in (0, 1)})
+    f = RGradedMap(e0, e1, {k: f2_identity(1) for k in (0, 1)})
     g = RGradedMap(e1, e2, {})
     h = RGradedMap(e0, e2, {}, hdeg=-1)
     v = check_double_mapping_cone(e0, e1, e2, f, g, h, 1)
@@ -43,9 +43,9 @@ def test_identity_with_zero_e2():
 
 def test_violating_differential_order_detected():
     # differential shift below 2*eps trips hypothesis (1)
-    e0 = RGradedComplex({0: [0], 1: [1]}, {0: MatF2.identity(1)})
+    e0 = RGradedComplex({0: [0], 1: [1]}, {0: f2_identity(1)})
     e2 = RGradedComplex({}, {})
-    f = RGradedMap(e0, e0, {k: MatF2.identity(1) for k in (0, 1)})
+    f = RGradedMap(e0, e0, {k: f2_identity(1) for k in (0, 1)})
     g = RGradedMap(e0, e2, {})
     h = RGradedMap(e0, e2, {}, hdeg=-1)
     v = check_double_mapping_cone(e0, e0, e2, f, g, h, 1)
@@ -58,7 +58,7 @@ def test_order_decomposition_violation_detected():
     e0 = RGradedComplex({0: [0]}, {})
     e1 = RGradedComplex({0: [Fraction(3, 2)]}, {})
     e2 = RGradedComplex({}, {})
-    f = RGradedMap(e0, e1, {0: MatF2.identity(1)})
+    f = RGradedMap(e0, e1, {0: f2_identity(1)})
     g = RGradedMap(e1, e2, {})
     h = RGradedMap(e0, e2, {}, hdeg=-1)
     v = check_double_mapping_cone(e0, e1, e2, f, g, h, 1)
@@ -98,12 +98,12 @@ def _check(e0, e1, e2, f, g, h, eps=1):
 
 def _two_term():
     # one generator in degrees 0 and 1, joined by a differential of shift 2
-    return RGradedComplex({0: [0], 1: [2]}, {0: MatF2.identity(1)})
+    return RGradedComplex({0: [0], 1: [2]}, {0: f2_identity(1)})
 
 
 def test_chain_map_failures_detected():
     e, empty = _two_term(), RGradedComplex({}, {})
-    one = MatF2.identity(1)
+    one = f2_identity(1)
     h = RGradedMap(e, empty, {}, hdeg=-1)
     # f = identity in degree 0 only: d f_0 != f_1 d
     f = RGradedMap(e, e, {0: one})
@@ -116,7 +116,7 @@ def test_chain_map_failures_detected():
 
 def test_nullhomotopy_failures_detected():
     point = RGradedComplex({0: [0]}, {})
-    one = {0: MatF2.identity(1)}
+    one = {0: f2_identity(1)}
     f = RGradedMap(point, point, one)
     g = RGradedMap(point, point, one)
     # g f = identity, while d h + h d = 0 for every h of degree -1

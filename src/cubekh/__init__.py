@@ -51,6 +51,7 @@ from .diagram import (
 from .khovanov import (
     CubeComplex,
     EdgeShape,
+    TwistedComplex,
     build_cube,
     edge_map,
     grading_tables,

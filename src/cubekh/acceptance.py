@@ -121,12 +121,12 @@ def criterion_3_twisted_consistency():
     rng = random.Random(CORPUS_SEED + 3)
     for d in corpus():
         cube = build_cube(d)
-        hd0 = vertical_then_horizontal_ranks(_twisted(cube, ArcMarking.zero(d), 1)[0])
+        hd0 = vertical_then_horizontal_ranks(_twisted(cube, ArcMarking.zero(d), 1))
         if weight_totals(hd0) != weight_totals(homology_ranks(_assemble(cube, 1))):
             return False, f"trivial marking mismatch on {d!r}"
         m = random_compatible_marking(d, rng)
-        dc, even = _twisted(cube, m, 1)
-        if vertical_then_horizontal_ranks(dc) != _hd_even(dc, even):
+        tw = _twisted(cube, m, 1)
+        if vertical_then_horizontal_ranks(tw) != _hd_even(tw):
             return False, f"dotted constructions disagree on {d!r}"
     return True, f"{len(corpus())} diagrams, trivial + random markings"
 

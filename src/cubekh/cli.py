@@ -68,6 +68,13 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _object(payload: dict, key: str) -> dict:
+    spec = _require(payload, key)
+    if not isinstance(spec, dict):
+        raise JobError(f"{key!r} must be a JSON object")
+    return spec
+
+
 def _diagram_from(payload: dict):
     pd = _require(payload, "pd")
     if not isinstance(pd, list) or any(not isinstance(c, list) or len(c) != 4
@@ -217,7 +224,7 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
         if "plumbing" in payload:
             return _plumbing_job(payload)
         if "large_surgery" in payload:
-            spec = payload["large_surgery"]
+            spec = _object(payload, "large_surgery")
             p, q, n = (strict_int(_require(spec, k), repr(k), JobError)
                        for k in ("p", "q", "n"))
             verdict = large_surgery_family(p, q, n)
@@ -234,9 +241,11 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
 
 
 def _plumbing_job(payload: dict) -> dict:
-    spec = _require(payload, "plumbing")
-    g = PlumbingGraph.from_lists(_ints(_require(spec, "mult"), "'mult'"),
-                                 _int_rows(spec.get("edges", []), "'edges'"))
+    spec = _object(payload, "plumbing")
+    edges = _int_rows(spec.get("edges", []), "'edges'")
+    if any(len(e) != 2 for e in edges):
+        raise JobError("'edges' rows must be pairs of vertex indices")
+    g = PlumbingGraph.from_lists(_ints(_require(spec, "mult"), "'mult'"), edges)
     verdict = plumbing_lspace_check(g)
     out = _verdict_json(verdict)
     out["h1"] = verdict.h1_order

@@ -296,6 +296,8 @@ def parse_pd(text, free_loops: int = 0,
             strict_int(a, "arc label")
     strict_int(free_loops, "free_loops")
     if orientation is not None:
+        if not isinstance(orientation, (list, tuple)):
+            raise MalformedPD("orientation must be a list of integer flags")
         for x in orientation:
             strict_int(x, "orientation flag")
     d = Diagram(data, free_loops=free_loops, orientation=orientation)

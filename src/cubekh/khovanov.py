@@ -23,10 +23,12 @@ Every differential preserves the quantum grading q = k - 2|S| + w of a
 generator: k is its state's circle count, S its subset (the marked circle
 counts in |S|) and w the cube weight.  So kh, Khr and the twisted complex
 share one layout (`_place`): a vertex's generators of one exterior degree
-|S| take one contiguous slot, in ascending mask order, of a (w, q) cell,
-which the twisted complex keys by its vertical degree v = (par - q)/2.
-kh and Khr are complexes graded by (w, q), checked and ranked one q-block
-at a time.
+|S| take one contiguous slot, in ascending mask order, of a cell.  kh and
+Khr are graded by (w, q) cells, checked and ranked one q-block at a time.
+The twisted complex is placed once in total degree t = w + v, where v =
+(par - q)/2 is its vertical degree, with the vertices in (w, has an odd
+circle) order: each degree holds its cells (w, v) by ascending w, the
+all-even vertices first in each, and d_h and d_v share its rows.
 
 An edge's map depends only on its shape (merge or split, the circles
 involved, the circle correspondence as a tuple indexed by source circle,
@@ -54,20 +56,21 @@ and every complex built on the cube places that block at each edge with
 that key (`_d_h`).
 
 Every twisted job goes through one entry, `_twisted_of`, which refuses a
-bad basepoint or marking before any state is resolved; hd and ss check the
-E^2 page in one place, `_checked_e2`.
+bad basepoint or marking before any state is resolved and returns a
+`TwistedComplex`; hd and ss check the E^2 page in one place, `_checked_e2`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import NamedTuple
 
 from .complexes import (
-    DoubleComplexF2,
     FilteredComplexF2,
     GradedComplexF2,
     SpectralPages,
+    _shift,
     homology_ranks,
     spectral_pages,
 )
@@ -85,9 +88,11 @@ from .errors import (
     InternalInconsistency,
     InvalidRange,
     MalformedPD,
+    NotAComplex,
+    NotBicomplex,
     SizeBudgetExceeded,
 )
-from .linalg import MatF2, f2_rank
+from .linalg import MatF2
 
 DEFAULT_MAX_CROSSINGS = 14
 
@@ -367,11 +372,12 @@ def _place(cube: CubeComplex, vertices, mark, cell_of, dims: dict,
 
 
 def _d_h(cube: CubeComplex, mark, dims: dict, slots: list) -> dict:
-    """The differential (w, r) -> (w + 1, r) of the cells `_place` laid out:
-    each edge XORs its (shape, marked pair)'s block (`_edge_block`) into its
-    source cell's rows, shifted to the offsets of its source and target
-    slots."""
-    rows = {cell: [0] * dims.get((cell[0] + 1, cell[1]), 0) for cell in dims}
+    """The rows of the differential of the cells `_place` laid out, one list
+    per cell, into the next cell (w, r) -> (w + 1, r), or t -> t + 1 for
+    total degrees: each edge XORs its (shape, marked pair)'s block
+    (`_edge_block`) into its source cell's rows, shifted to the offsets of
+    its source and target slots."""
+    rows = {cell: [0] * dims.get(_shift(cell, 1), 0) for cell in dims}
     marks = ([None] * len(cube.states) if mark is None
              else [mark(st) for st in cube.states])
     blocks = cube.blocks
@@ -386,6 +392,11 @@ def _d_h(cube: CubeComplex, mark, dims: dict, slots: list) -> dict:
             to, out = tgt[jt][1], rows[cell]
             for i, bits in entries:
                 out[to + i] ^= bits << so
+    return rows
+
+
+def _matrices(dims: dict, rows: dict) -> dict:
+    """The MatF2 of each cell's rows (`_d_h`)."""
     return {cell: MatF2(len(r), dims[cell], tuple(r)) for cell, r in rows.items()}
 
 
@@ -412,7 +423,7 @@ def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
     dims: dict[tuple, int] = {}
     slots: list = [None] * len(cube.states)
     _place(cube, cube.vertices, mark, lambda w, q: (w, q), dims, slots)
-    return GradedComplexF2(dims, _d_h(cube, mark, dims, slots))
+    return GradedComplexF2(dims, _matrices(dims, _d_h(cube, mark, dims, slots)))
 
 
 def weight_totals(ranks: dict[tuple, int]) -> dict[int, int]:
@@ -463,8 +474,19 @@ def _vertical_degree_offset(cube: CubeComplex) -> int:
     return cube.states[0].n_circles % 2
 
 
+class TwistedComplex(NamedTuple):
+    """The twisted complex in total degree t = w + v: `total` has the
+    differential D = d_h + d_v, `weights[t]` lists the cube weight of each
+    generator of degree t, ascending, and `cells[(w, v)]` is the offset of
+    the cell (w, v) in degree w + v and its count of generators at all-even
+    vertices, which come first in the cell (`_twisted`)."""
+    total: GradedComplexF2
+    weights: dict
+    cells: dict
+
+
 def _twisted_of(d: Diagram, marking: ArcMarking, basepoint: int,
-                max_crossings: int | None) -> tuple[DoubleComplexF2, dict[tuple, int]]:
+                max_crossings: int | None) -> TwistedComplex:
     """`_twisted` on d's cube, built only once the basepoint and then the
     marking (`ArcMarking.fault`) pass their checks against d alone."""
     _marked_circles(d, basepoint)
@@ -475,109 +497,113 @@ def _twisted_of(d: Diagram, marking: ArcMarking, basepoint: int,
 
 
 def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
-                    max_crossings: int | None = None) -> DoubleComplexF2:
-    """Double complex: horizontal = reduced cube differential, vertical =
-    wedge with the sum of odd-parity circles at each vertex.
+                    max_crossings: int | None = None) -> TwistedComplex:
+    """The total complex of the twisted double complex, with its weights:
+    horizontal = reduced cube differential, vertical = wedge with the sum
+    of odd-parity circles at each vertex.
 
     The bigrading is (cube weight, exterior degree normalized so both
-    differentials shift by exactly one).
+    differentials shift by exactly one); the total degree is their sum.
     """
-    return _twisted_of(d, marking, basepoint, max_crossings)[0]
+    return _twisted_of(d, marking, basepoint, max_crossings)
 
 
-def _twisted(cube: CubeComplex, marking: ArcMarking,
-             basepoint: int) -> tuple[DoubleComplexF2, dict[tuple, int]]:
-    """The twisted double complex of a compatible marking, and per cell the
-    number of generators at all-even vertices (no odd circle, so d_v is zero
-    there); they take the first positions of their cell."""
+def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedComplex:
+    """The twisted complex of a compatible marking, placed in total degree
+    (see the module docstring).  D^2 = 0 holds exactly when d_h^2, d_v^2
+    and d_h d_v + d_v d_h vanish, so it is the bicomplex check (NotBicomplex
+    if not).  d_v is zero at an all-even vertex, one with no odd circle."""
     mark = _marked_circles(cube.diagram, basepoint)
     parities = _marking_parities(cube, marking)
+    odd = [any(p) for p in parities]
     par = _vertical_degree_offset(cube)
 
-    def cell_of(w, q):
+    def total_of(w, q):
         if (par - q) % 2:
             raise InternalInconsistency(
                 f"odd vertical degree {par - q}/2 at cube weight {w}")
-        return (w, (par - q) // 2)
+        return w + (par - q) // 2
 
-    dims: dict[tuple, int] = {}
+    def group(bits):
+        return bits.bit_count(), odd[bits]
+
+    dims: dict[int, int] = {}
+    weights: dict[int, list] = {}
+    cells: dict[tuple, tuple] = {}
     slots: list = [None] * len(cube.states)
-    _place(cube, [ix for ix in cube.vertices if not any(parities[ix])],
-           mark, cell_of, dims, slots)
-    even = dict(dims)
-    odd = [ix for ix in cube.vertices if any(parities[ix])]
-    _place(cube, odd, mark, cell_of, dims, slots)
+    order = sorted(cube.vertices, key=group)
+    for (w, has_odd), vertices in groupby(order, key=group):
+        start = dict(dims)
+        _place(cube, vertices, mark, total_of, dims, slots)
+        for t, end in dims.items():
+            n = end - start.get(t, 0)
+            if n:
+                weights.setdefault(t, []).extend([w] * n)
+                cells.setdefault((w, t - w), (start.get(t, 0), 0 if has_odd else n))
+    # ascending degrees, so a failed D^2 = 0 names the lowest one first
+    dims = dict(sorted(dims.items()))
 
+    rows = _d_h(cube, mark, dims, slots)
     pos = cube.positions
-    d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)
-                              for cell in dims}
-    for index in odd:
+    for index in (ix for ix in order if odd[ix]):
         mc, slot = mark(cube.states[index]), slots[index]
         # wedging an odd circle c sets its bit in the reduced position
         wedges = [1 << (c - (c > mc)) for c, p in enumerate(parities[index])
                   if p and c != mc]
         for x in range(1 << (len(slot) - 1)):
-            cell, col = slot[x.bit_count()]
+            t, col = slot[x.bit_count()]
+            bit = 1 << (col + pos[x])
             for g in wedges:
                 if not x & g:
-                    tcell, trow = slot[x.bit_count() + 1]
-                    if tcell != (cell[0], cell[1] + 1):
-                        raise InternalInconsistency(
-                            "d_v must raise the vertical degree by one")
-                    d_v[cell][trow + pos[x | g]] |= 1 << (col + pos[x])
-
-    dv_mats = {cell: MatF2(dims.get((cell[0], cell[1] + 1), 0), dims[cell],
-                           tuple(rows)) for cell, rows in d_v.items()}
-    return DoubleComplexF2(dims, _d_h(cube, mark, dims, slots), dv_mats), even
+                    rows[t][slot[x.bit_count() + 1][1] + pos[x | g]] ^= bit
+    try:
+        total = GradedComplexF2(dims, _matrices(dims, rows))
+    except NotAComplex as e:
+        raise NotBicomplex(f"total differential d_h + d_v: {e}") from None
+    return TwistedComplex(total, weights, cells)
 
 
-def _filtered_by_p(dc: DoubleComplexF2) -> FilteredComplexF2:
-    """The total complex of dc filtered by the horizontal degree p of each
-    generator's cell (p >= 0, as cube weight is)."""
-    levels = {t: [0] * n for t, n in dc.total.dims.items()}
-    for (p, q), off in dc.positions.items():
-        n = dc.dim((p, q))
-        levels[p + q][off:off + n] = [p] * n
-    return FilteredComplexF2(dc.total, levels)
-
-
-def vertical_then_horizontal_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
+def vertical_then_horizontal_ranks(tw: TwistedComplex) -> dict[tuple, int]:
     """Homology of vertical homology, H(H(C, d_v), d_h), keyed by (p, q).
 
-    Filtering the total complex by p gives E^0 = C with d_0 = d_v, and E^1 =
-    H(C, d_v) with d_1 the induced d_h, so this is the E^2 page, whose keys
-    (p, p + q) are moved back to (p, q).
+    Filtering the total complex by cube weight p gives E^0 = C with d_0 =
+    d_v, and E^1 = H(C, d_v) with d_1 the induced d_h, so this is the E^2
+    page, whose keys (p, p + q) are moved back to (p, q).
     """
-    pages = spectral_pages(_filtered_by_p(dc))
+    pages = spectral_pages(FilteredComplexF2(tw.total, tw.weights))
     return {(p, t - p): rank for (p, t), rank in pages.page(2).items()}
 
 
 def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                        max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology via the all-even-vertex subcomplex."""
-    return _hd_even(*_twisted_of(d, marking, basepoint, max_crossings))
+    return _hd_even(_twisted_of(d, marking, basepoint, max_crossings))
 
 
-def _hd_even(dc: DoubleComplexF2, even: dict[tuple, int]) -> dict[tuple, int]:
-    """Homology of d_h restricted to the generators of all-even vertices,
-    the first even[cell] positions of each cell (see `_twisted`), one complex
-    per vertical degree v graded by cube weight, keyed by (w, v)."""
-    d_h = {}
-    for (w, v), n in even.items():
-        rows = dc.dh((w, v)).rows[:even.get((w + 1, v), 0)]
-        d_h[(w, v)] = MatF2(len(rows), n, tuple(r & ((1 << n) - 1) for r in rows))
-    return homology_ranks(GradedComplexF2(even, d_h))
+def _hd_even(tw: TwistedComplex) -> dict[tuple, int]:
+    """Homology of d_h restricted to the generators of all-even vertices, one
+    complex per vertical degree v graded by cube weight, keyed by (w, v).
+    Its matrices are slices of the total rows: D maps the all-even part of
+    cell (w, v) into that of (w + 1, v) through d_h alone."""
+    dims, d_h = {}, {}
+    for (w, v), (off, n) in tw.cells.items():
+        if not n:
+            continue
+        dims[(w, v)] = n
+        to, m = tw.cells.get((w + 1, v), (0, 0))
+        rows = tw.total.d(w + v).rows[to:to + m]
+        d_h[(w, v)] = MatF2(m, n, tuple((r >> off) & ((1 << n) - 1) for r in rows))
+    return homology_ranks(GradedComplexF2(dims, d_h))
 
 
-def _checked_e2(dc: DoubleComplexF2,
-                even: dict[tuple, int]) -> tuple[SpectralPages, dict[tuple, int]]:
-    """The cube-weight pages of dc and the homology of its all-even-vertex
+def _checked_e2(tw: TwistedComplex) -> tuple[SpectralPages, dict[tuple, int]]:
+    """The cube-weight pages of tw and the homology of its all-even-vertex
     subcomplex (`_hd_even`), once the E^2 page is checked to equal the
     latter (InternalInconsistency if not).  They agree as wedging with a
     nonzero odd class is exact: E^1 = H(C, d_v) is the even-vertex part of
     C, and d_1 is d_h restricted to it; only the pages read d_v."""
-    pages = spectral_pages(_filtered_by_p(dc))
-    hd = _hd_even(dc, even)
+    pages = spectral_pages(FilteredComplexF2(tw.total, tw.weights))
+    hd = _hd_even(tw)
     if pages.page(2) != {(p, p + v): r for (p, v), r in hd.items()}:
         raise InternalInconsistency(
             "E^2 page and even-vertex dotted homology disagree")
@@ -588,7 +614,7 @@ def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                 max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology ranks keyed by (cube weight, vertical degree),
     cross-checked against the E^2 page of the twisted complex (`_checked_e2`)."""
-    return _checked_e2(*_twisted_of(d, marking, basepoint, max_crossings))[1]
+    return _checked_e2(_twisted_of(d, marking, basepoint, max_crossings))[1]
 
 
 def twisted_total_ranks(d: Diagram, marking: ArcMarking, basepoint: int = 1,
@@ -600,37 +626,24 @@ def twisted_total_ranks(d: Diagram, marking: ArcMarking, basepoint: int = 1,
 def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
               max_crossings: int | None = None) -> SpectralPages:
     """Spectral sequence of the cube-weight filtration of the twisted total
-    complex.  E^1 equals vertical homology, E^2 the dotted-diagram homology
-    of the all-even-vertex subcomplex (`_checked_e2`), and the E^infinity
-    total matches the homology of the total complex; all three identities
-    are checked, raising InternalInconsistency."""
+    complex.  E^1 equals the count of generators at all-even vertices (the
+    vertical homology, as wedging with a nonzero odd class is exact), E^2
+    the dotted-diagram homology of the all-even-vertex subcomplex
+    (`_checked_e2`), and the E^infinity total the homology of the total
+    complex; all three identities are checked, raising
+    InternalInconsistency."""
     # the page computation is the memory peak; it needs no cube, so none is kept
-    dc, even = _twisted_of(d, marking, basepoint, max_crossings)
-    pages, _ = _checked_e2(dc, even)
-
-    # E^1 = vertical homology
-    e1_expected = {(p, p + v): r for (p, v), r in _vertical_homology_ranks(dc).items()}
-    if pages.page(1) != e1_expected:
-        raise InternalInconsistency("E^1 page does not match vertical homology")
-    # E^infinity total = homology of the total complex
-    beta = homology_ranks(dc.total)
+    tw = _twisted_of(d, marking, basepoint, max_crossings)
+    pages, _ = _checked_e2(tw)
+    if pages.page(1) != {(w, w + v): n for (w, v), (_, n) in tw.cells.items() if n}:
+        raise InternalInconsistency("E^1 page does not match the all-even generator count")
+    beta = homology_ranks(tw.total)
     einf_tot: dict[int, int] = {}
     for (p, t), rank in pages.e_infinity.items():
         einf_tot[t] = einf_tot.get(t, 0) + rank
     if einf_tot != beta:
         raise InternalInconsistency("E^infinity does not match total homology")
     return pages
-
-
-def _vertical_homology_ranks(dc: DoubleComplexF2) -> dict[tuple, int]:
-    """Betti numbers of (C, d_v) per cell, ranking each nonzero d_v once."""
-    ranks = {cell: f2_rank(m) for cell, m in dc.d_v.items() if not m.is_zero()}
-    out = {}
-    for (p, q), n in dc.dims.items():
-        b = n - ranks.get((p, q), 0) - ranks.get((p, q - 1), 0)
-        if b:
-            out[(p, q)] = b
-    return out
 
 
 # ---------------------------------------------------------------------------

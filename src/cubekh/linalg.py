@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInconsistency
 
 
 # ---------------------------------------------------------------------------
@@ -39,25 +39,8 @@ class MatF2:
                 raise DimensionMismatch("row has bits beyond ncols")
 
     @staticmethod
-    def from_lists(rows: Sequence[Sequence[int]]) -> "MatF2":
-        ncols = len(rows[0]) if rows else 0
-        packed = []
-        for row in rows:
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-            word = 0
-            for j, e in enumerate(row):
-                if e & 1:
-                    word |= 1 << j
-            packed.append(word)
-        return MatF2(len(packed), ncols, tuple(packed))
-
-    @staticmethod
     def zero(nrows: int, ncols: int) -> "MatF2":
         return MatF2(nrows, ncols, (0,) * nrows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def transpose(self) -> "MatF2":
         cols = [0] * self.ncols
@@ -67,14 +50,6 @@ class MatF2:
                 cols[low.bit_length() - 1] |= 1 << i
                 r ^= low
         return MatF2(self.ncols, self.nrows, tuple(cols))
-
-    def apply(self, v: int) -> int:
-        """Matrix times column vector (vector encoded as int bitmask)."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
 
     def __matmul__(self, other: "MatF2") -> "MatF2":
         if self.ncols != other.nrows:
@@ -90,19 +65,8 @@ class MatF2:
             out.append(acc)
         return MatF2(self.nrows, other.ncols, tuple(out))
 
-    def __add__(self, other: "MatF2") -> "MatF2":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch")
-        return MatF2(self.nrows, self.ncols,
-                     tuple(a ^ b for a, b in zip(self.rows, other.rows)))
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-    def stack(self, other: "MatF2") -> "MatF2":
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("column mismatch")
-        return MatF2(self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
 
 def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
@@ -333,13 +297,19 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
 def cokernel_group(a: Sequence[Sequence[int]]) -> AbelianGroup:
     """Cokernel Z^cols / rowspace(a), read off the invariant diagonal of a:
     entries above 1 are the invariant factors and each column past the
-    nonzero entries adds one free summand."""
+    nonzero entries adds one free summand.  The diagonal is checked against
+    a GF(2) elimination: unimodular operations stay invertible mod 2, so the
+    rank of a mod 2 is the number of odd entries (InternalInconsistency if
+    not)."""
     n, m = _check_rect(a)
     if m == 0:
         return AbelianGroup((), 0)
     if n == 0:
         return AbelianGroup((), m)
     diag = smith_normal_form(a)
+    mod2 = MatF2(n, m, tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in a))
+    if f2_rank(mod2) != sum(x & 1 for x in diag):
+        raise InternalInconsistency("Smith normal form disagrees with the rank mod 2")
     factors = tuple(x for x in diag if x > 1)
     nonzero = sum(1 for x in diag if x != 0)
     return AbelianGroup(factors, m - nonzero)

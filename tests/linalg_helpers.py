@@ -1,13 +1,13 @@
 """GF(2) and integer matrix helpers that only tests use: homology and the
 persistence pairing by plain elimination, each differential from scratch
 with nothing cleared (the oracles for the clearing in `cubekh.complexes`),
-the identity and list forms of a GF(2) matrix, echelon row spaces,
-solving, row-space membership, subspace sum and intersection, the Smith
-normal form with its unimodular transforms (the oracle for
-`linalg.smith_normal_form`, which keeps only the diagonal) and the integer
-product and unimodularity test that check it, the quasi-isomorphism test
-by mapping cone, and the weight of a multi-framing of a filled linking
-matrix."""
+the identity and list forms of a GF(2) matrix, its entries, its product
+with a vector and the stack of two, echelon row spaces, solving,
+row-space membership, subspace sum and intersection, the Smith normal form
+with its unimodular transforms (the oracle for `linalg.smith_normal_form`,
+which keeps only the diagonal) and the integer product and unimodularity
+test that check it, the quasi-isomorphism test by mapping cone, and the
+weight of a multi-framing of a filled linking matrix."""
 
 from typing import Sequence
 
@@ -73,6 +73,40 @@ def f2_to_lists(m: MatF2) -> list[list[int]]:
     return [[(r >> j) & 1 for j in range(m.ncols)] for r in m.rows]
 
 
+def f2_from_lists(rows: Sequence[Sequence[int]]) -> MatF2:
+    ncols = len(rows[0]) if rows else 0
+    packed = []
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionMismatch("ragged rows")
+        word = 0
+        for j, e in enumerate(row):
+            if e & 1:
+                word |= 1 << j
+        packed.append(word)
+    return MatF2(len(packed), ncols, tuple(packed))
+
+
+def f2_entry(m: MatF2, i: int, j: int) -> int:
+    return (m.rows[i] >> j) & 1
+
+
+def f2_apply(m: MatF2, v: int) -> int:
+    """Matrix times column vector (vector encoded as int bitmask)."""
+    out = 0
+    for i, r in enumerate(m.rows):
+        if (r & v).bit_count() & 1:
+            out |= 1 << i
+    return out
+
+
+def f2_stack(a: MatF2, b: MatF2) -> MatF2:
+    """a's rows above b's."""
+    if a.ncols != b.ncols:
+        raise DimensionMismatch("column mismatch")
+    return MatF2(a.nrows + b.nrows, a.ncols, a.rows + b.rows)
+
+
 def f2_row_space(m: MatF2) -> MatF2:
     """Echelon basis of the row space, ordered by pivot position."""
     pivots = _pivots(m.rows)
@@ -116,7 +150,7 @@ def f2_in_row_space(v: int, m: MatF2) -> bool:
 
 def f2_subspace_sum(a: MatF2, b: MatF2) -> MatF2:
     """Echelon basis of rowspace(a) + rowspace(b)."""
-    return f2_row_space(a.stack(b))
+    return f2_row_space(f2_stack(a, b))
 
 
 def f2_subspace_intersection(a: MatF2, b: MatF2) -> MatF2:

@@ -11,7 +11,7 @@ where `cubekh.khovanov` reads it off the E^2 page.
 
 from cubekh.complexes import SpectralPages
 from cubekh.linalg import MatF2, f2_kernel_basis, f2_rank
-from linalg_helpers import f2_identity, f2_row_space
+from linalg_helpers import f2_identity, f2_row_space, f2_stack
 
 
 def filtration_violation(complex_, levels):
@@ -110,8 +110,8 @@ def spectral_pages(fc) -> SpectralPages:
                 if r == 0:
                     den = z(0, p + 1, t)
                 else:
-                    den = z(r - 1, p + 1, t).stack(
-                        image_under_d(z(r - 1, p - r + 1, t - 1), t - 1))
+                    den = f2_stack(z(r - 1, p + 1, t),
+                                   image_under_d(z(r - 1, p - r + 1, t - 1), t - 1))
                 den_rank = f2_rank(den)
                 rank = f2_rank(zn) - den_rank
                 if rank:
@@ -120,9 +120,9 @@ def spectral_pages(fc) -> SpectralPages:
                 if r and rank:
                     img = image_under_d(zn, t)
                     tgt_p = p + r
-                    tden = z(r - 1, tgt_p + 1, t + 1).stack(
-                        image_under_d(z(r - 1, tgt_p - r + 1, t), t))
-                    dr = f2_rank(img.stack(tden)) - f2_rank(tden)
+                    tden = f2_stack(z(r - 1, tgt_p + 1, t + 1),
+                                    image_under_d(z(r - 1, tgt_p - r + 1, t), t))
+                    dr = f2_rank(f2_stack(img, tden)) - f2_rank(tden)
                     if dr:
                         dr_table[(p, t)] = dr
         pages.append(table)
@@ -205,5 +205,4 @@ def _induced_rank(dc, reps, boundaries, cell) -> int:
     # each image is the XOR of the columns of d_h a representative picks
     images = reps[cell] @ dc.dh(cell).transpose()
     tgt_b = boundaries.get(tgt, MatF2.zero(0, dc.dim(tgt)))
-    stacked = images.stack(tgt_b)
-    return f2_rank(stacked) - f2_rank(tgt_b)
+    return f2_rank(f2_stack(images, tgt_b)) - f2_rank(tgt_b)

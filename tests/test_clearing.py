@@ -49,9 +49,9 @@ def check_clearing(d, marking, monkeypatch):
         mp.setattr(kh, "spectral_pages", pages)
         kh.homology_ranks(kh._assemble(cube, None))
         kh.homology_ranks(kh._assemble(cube, 1))
-        dc, even = kh._twisted(cube, marking, 1)
-        kh.homology_ranks(dc.total)
-        kh._checked_e2(dc, even)
+        tw = kh._twisted(cube, marking, 1)
+        kh.homology_ranks(tw.total)
+        kh._checked_e2(tw)
     # kh, Khr, the total complex and hd; the pages once
     assert taken == {"ranks": 4, "pages": 1}
 

@@ -242,7 +242,7 @@ def test_internal_inconsistency_is_not_validation():
 
 def test_disagreeing_hd_constructions_exit_internal(capsys, monkeypatch):
     import cubekh.khovanov as kh
-    monkeypatch.setattr(kh, "_hd_even", lambda dc, even: {})
+    monkeypatch.setattr(kh, "_hd_even", lambda tw: {})
     for cmd in ("hd", "ss"):
         code, out = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
         assert code == 1, cmd
@@ -255,10 +255,67 @@ def test_one_e2_check_per_job(capsys, monkeypatch, cmd):
     import cubekh.khovanov as kh
     calls = []
     real = kh._checked_e2
-    monkeypatch.setattr(kh, "_checked_e2", lambda dc, even: calls.append(1) or real(dc, even))
+    monkeypatch.setattr(kh, "_checked_e2", lambda tw: calls.append(1) or real(tw))
     code, _ = run_cli(capsys, monkeypatch, ["--command", cmd], _braid6_marked())
     assert code == 0
     assert len(calls) == 1
+
+
+def _corpus_link_marked():
+    from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
+    from cubekh.corpus import diagram_corpus, random_compatible_marking
+    d = next(d for d in diagram_corpus(CORPUS_SEED, 100, CORPUS_MAX_CROSSINGS)
+             if len(d.components) > 1 and d.n >= 5)
+    m = random_compatible_marking(d, random.Random(7))
+    return {"pd": [list(c) for c in d.crossings], "free_loops": d.free_loops,
+            "marking": {"arcs": list(m.bits)}}
+
+
+@pytest.mark.parametrize("cmd", ["twisted", "hd", "ss"])
+@pytest.mark.parametrize("payload", [TREFOIL, _corpus_link_marked()],
+                         ids=["trefoil", "corpus_link"])
+def test_twisted_jobs_place_one_layout(capsys, monkeypatch, cmd, payload):
+    # the twisted complex is placed once, in total degree: no job copies
+    # cells into a total complex or ranks a d_v cell on its own
+    import sys
+    from cubekh import complexes, linalg
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a twisted job built a second layout")
+
+    for fn in (complexes.block_matrix, complexes.total_complex, linalg.f2_rank):
+        for name, module in list(sys.modules.items()):
+            if name == "cubekh" or name.startswith("cubekh."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, refused)
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("page, detail", [
+    (1, "E^1 page does not match the all-even generator count"),
+    (-1, "E^infinity does not match total homology")])
+def test_corrupted_page_exits_internal(capsys, monkeypatch, page, detail):
+    # one generator too many on E^1 or on E^infinity leaves E^2 as it is,
+    # so the E^2 check passes and the page's own check refuses it
+    import cubekh.khovanov as kh
+    from cubekh.complexes import SpectralPages
+    real = kh.spectral_pages
+
+    def corrupted(fc):
+        sp = real(fc)
+        assert len(sp.pages) > 3
+        pages = list(sp.pages)
+        table = pages[page] = dict(pages[page])
+        key = min(table)
+        table[key] += 1
+        return SpectralPages(tuple(pages), sp.d_ranks, sp.stabilization_index)
+
+    monkeypatch.setattr(kh, "spectral_pages", corrupted)
+    code, out = run_cli(capsys, monkeypatch, ["--command", "ss"], TREFOIL)
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "internal", "detail": detail}
 
 
 def _braid6_marked():
@@ -503,6 +560,26 @@ def test_non_integer_inputs_rejected(capsys, monkeypatch, cmd, payload):
     code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 2
     assert "must be an integer" in json.loads(out)["error"]["detail"]
+
+
+@pytest.mark.parametrize("cmd, payload, kind, detail", [
+    ("lspace", {"large_surgery": 5}, "JobError", "'large_surgery' must be a JSON object"),
+    ("lspace", {"plumbing": 5}, "JobError", "'plumbing' must be a JSON object"),
+    ("plumbing", {"plumbing": 5}, "JobError", "'plumbing' must be a JSON object"),
+    ("plumbing", {"plumbing": {"mult": [2, 2], "edges": [[0]]}}, "JobError",
+     "'edges' rows must be pairs of vertex indices"),
+    ("lspace", {"plumbing": {"mult": [2, 2], "edges": [[0, 1, 1]]}}, "JobError",
+     "'edges' rows must be pairs of vertex indices"),
+    ("khr", dict(TREFOIL, orientation=5), "MalformedPD",
+     "orientation must be a list of integer flags"),
+    ("khr", dict(TREFOIL, orientation={"1": 1}), "MalformedPD",
+     "orientation must be a list of integer flags"),
+])
+def test_wrongly_shaped_inputs_rejected(capsys, monkeypatch, cmd, payload, kind, detail):
+    # refused with a reason that names the key, not a Python error
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": kind, "detail": detail}
 
 
 @pytest.mark.parametrize("budget, code, error", [

@@ -23,11 +23,20 @@ from cubekh.errors import (
     NotChainMap,
 )
 from cubekh.linalg import MatF2, f2_rank
-from linalg_helpers import f2_identity, f2_row_space, f2_solve, is_quasi_isomorphism
+from linalg_helpers import (
+    f2_apply,
+    f2_entry,
+    f2_from_lists,
+    f2_identity,
+    f2_row_space,
+    f2_solve,
+    f2_stack,
+    is_quasi_isomorphism,
+)
 
 
 def rand_mat(rng, nr, nc):
-    return MatF2.from_lists([[rng.randint(0, 1) for _ in range(nc)]
+    return f2_from_lists([[rng.randint(0, 1) for _ in range(nc)]
                              for _ in range(nr)])
 
 
@@ -105,10 +114,10 @@ def induced_homology_rank(f: ChainMap, k: int) -> int:
     from cubekh.linalg import f2_kernel_basis
     src, tgt = f.source, f.target
     z = f2_kernel_basis(src.d(k))
-    imgs = [f.block(k).apply(v) for v in z.rows]
-    bt_rows = [tgt.d(k - 1).apply(1 << j) for j in range(tgt.dim(k - 1))]
+    imgs = [f2_apply(f.block(k), v) for v in z.rows]
+    bt_rows = [f2_apply(tgt.d(k - 1), 1 << j) for j in range(tgt.dim(k - 1))]
     bt = f2_row_space(MatF2(len(bt_rows), tgt.dim(k), tuple(bt_rows)))
-    stacked = MatF2(len(imgs), tgt.dim(k), tuple(imgs)).stack(bt)
+    stacked = f2_stack(MatF2(len(imgs), tgt.dim(k), tuple(imgs)), bt)
     return f2_rank(stacked) - f2_rank(bt)
 
 
@@ -287,4 +296,4 @@ def test_block_matrix_layout():
     b = MatF2.zero(2, 1)
     m = block_matrix({(0, 0): a, (0, 1): b}, [2], [2, 1])
     assert m.nrows == 2 and m.ncols == 3
-    assert m.entry(0, 0) == 1 and m.entry(1, 1) == 1 and m.entry(0, 2) == 0
+    assert f2_entry(m, 0, 0) == 1 and f2_entry(m, 1, 1) == 1 and f2_entry(m, 0, 2) == 0

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import cube_oracle as oracle
 import cubekh.khovanov as kh
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
+from cubekh.complexes import total_complex
 from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatible_marking
 from cubekh.diagram import ArcMarking, Diagram, ResolvedState, resolve
 from cubekh.errors import BadCircleMap
@@ -144,7 +145,7 @@ def check_hd_even_against_oracle(d, rng):
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
         assert ([tuple(p) for p in kh._marking_parities(cube, m)]
                 == oracle.marking_parities(cube, m))
-        assert _hd_even(*_twisted(cube, m, 1)) == oracle.hd_even_oracle(cube, m, 1)
+        assert _hd_even(_twisted(cube, m, 1)) == oracle.hd_even_oracle(cube, m, 1)
 
 
 HD_CORPUS_HEAD = diagram_corpus(CORPUS_SEED, 100, CORPUS_MAX_CROSSINGS)
@@ -173,9 +174,16 @@ def check_complexes_against_oracle(d, rng):
         assert new.dims == dims
         assert {cell: new.d(cell) for cell in dims} == blocks
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
-        dc, even = _twisted(cube, m, 1)
+        tw = _twisted(cube, m, 1)
         odc, oeven = oracle.twisted_per_edge(cube, m, 1)
-        assert (dc.dims, dc.d_h, dc.d_v, even) == (odc.dims, odc.d_h, odc.d_v, oeven)
+        total, positions = total_complex(odc)
+        assert (tw.total.dims, tw.total.differentials) == (total.dims, total.differentials)
+        weights = {t: [] for t in total.dims}
+        for (p, q), off in sorted(positions.items()):
+            weights[p + q] += [p] * odc.dim((p, q))
+        assert tw.weights == weights
+        assert {cell: off for cell, (off, _) in tw.cells.items()} == positions
+        assert {cell: n for cell, (_, n) in tw.cells.items() if n} == oeven
 
 
 @pytest.mark.parametrize("i", range(len(CORPUS_HEAD)))

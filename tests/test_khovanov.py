@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cubekh.khovanov as kh
 import spectral_oracle
-from cube_oracle import hd_even_oracle
+from cube_oracle import hd_even_oracle, twisted_per_edge
 from det_oracle import continued_fraction_numerator
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.complexes import homology_ranks
@@ -364,7 +364,7 @@ def test_odd_total_marking_rejected():
 
 
 def test_single_vertex_vertical_homology():
-    # wedging with a nonzero odd class is exact, so vertical homology lives
+    # wedging with a nonzero odd class is exact, so E^1, vertical homology, lives
     # on the all-even vertices, where d_v = 0: per cube weight its ranks sum
     # to 2^(k - 1) over the all-even vertices of that weight (k circles)
     from cubekh.diagram import induce_marking
@@ -379,39 +379,10 @@ def test_single_vertex_vertical_homology():
             if not any(induce_marking(d, m, state)):
                 w = ix.bit_count()
                 expected[w] = expected.get(w, 0) + 2 ** (state.n_circles - 1)
-        vertical = kh._vertical_homology_ranks(twisted_complex(d, m))
         sums = {}
-        for (p, _), r in vertical.items():
+        for (p, _), r in weight_ss(d, m).page(1).items():
             sums[p] = sums.get(p, 0) + r
         assert sums == expected
-
-
-def test_vertical_rank_once_per_cell(monkeypatch):
-    # the d_v out of (p, q - 1) is the d_v into (p, q); each nonzero one is
-    # ranked once, zero ones not at all, and the Betti numbers equal the
-    # ones from ranking each map at both ends
-    from cubekh.linalg import f2_rank
-    rng = random.Random(17)
-    for _ in range(10):
-        d = random_braid_diagram(rng, max_crossings=6)
-        dc = twisted_complex(d, random_compatible_marking(d, rng))
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return f2_rank(m)
-
-        monkeypatch.setattr(kh, "f2_rank", counted)
-        ranks = kh._vertical_homology_ranks(dc)
-        monkeypatch.setattr(kh, "f2_rank", f2_rank)
-        assert len(calls) == sum(1 for m in dc.d_v.values() if not m.is_zero())
-        expected = {}
-        for (p, q) in dc.dims:
-            b = (dc.dim((p, q)) - f2_rank(dc.dv((p, q)))
-                 - f2_rank(dc.dv((p, q - 1))))
-            if b:
-                expected[(p, q)] = b
-        assert ranks == expected
 
 
 def test_hd_constructions_agree_random():
@@ -421,9 +392,8 @@ def test_hd_constructions_agree_random():
     for _ in range(20):
         d = random_braid_diagram(rng, max_crossings=5)
         m = random_compatible_marking(d, rng)
-        dc = twisted_complex(d, m)
         expected = hd_even_oracle(build_cube(d), m, 1)
-        assert vertical_then_horizontal_ranks(dc) == expected
+        assert vertical_then_horizontal_ranks(twisted_complex(d, m)) == expected
         assert hd_even_subcomplex(d, m) == expected
 
 
@@ -434,7 +404,7 @@ def test_induced_horizontal_rank_once_per_cell(monkeypatch):
     original = spectral_oracle._induced_rank
     for _ in range(10):
         d = random_braid_diagram(rng, max_crossings=6)
-        dc = twisted_complex(d, random_compatible_marking(d, rng))
+        dc, _ = twisted_per_edge(build_cube(d), random_compatible_marking(d, rng), 1)
         calls = []
 
         def counted(dc, reps, boundaries, cell):

@@ -17,6 +17,8 @@ from cubekh.linalg import (
     smith_normal_form,
 )
 from linalg_helpers import (
+    f2_apply,
+    f2_from_lists,
     f2_identity,
     f2_in_row_space,
     f2_row_space,
@@ -76,7 +78,7 @@ def naive_det_fraction(a):
 
 
 def random_f2(rng, nrows, ncols):
-    return MatF2.from_lists([[rng.randint(0, 1) for _ in range(ncols)]
+    return f2_from_lists([[rng.randint(0, 1) for _ in range(ncols)]
                              for _ in range(nrows)])
 
 
@@ -117,7 +119,7 @@ def test_kernel_random_40x60():
     k = f2_kernel_basis(m)
     assert k.nrows == 60 - f2_rank(m)
     for row in k.rows:
-        assert m.apply(row) == 0
+        assert f2_apply(m, row) == 0
     assert f2_rank(k) == k.nrows
 
 
@@ -130,7 +132,7 @@ def test_rank_transpose_and_nullity(nr, nc, seed):
     assert r == f2_rank(m.transpose())
     k = f2_kernel_basis(m)
     assert r + k.nrows == nc
-    assert all(m.apply(row) == 0 for row in k.rows)
+    assert all(f2_apply(m, row) == 0 for row in k.rows)
     assert f2_rank(k) == k.nrows
 
 
@@ -139,9 +141,9 @@ def test_solve_and_membership():
     m = random_f2(rng, 12, 9)
     for _ in range(20):
         x = rng.getrandbits(9)
-        b = m.apply(x)
+        b = f2_apply(m, x)
         sol = f2_solve(m, b)
-        assert sol is not None and m.apply(sol) == b
+        assert sol is not None and f2_apply(m, sol) == b
     rs = f2_row_space(m)
     for row in m.rows:
         assert f2_in_row_space(row, rs)
@@ -168,7 +170,7 @@ def test_matmul_apply_consistency():
     ab = a @ b
     for j in range(5):
         col = 1 << j
-        assert ab.apply(col) == a.apply(b.apply(col))
+        assert f2_apply(ab, col) == f2_apply(a, f2_apply(b, col))
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -250,6 +252,16 @@ def test_cokernel_zero_block():
 def test_cokernel_2x2():
     g = cokernel_group([[2, 1], [1, 2]])
     assert g.invariant_factors == (3,) and g.free_rank == 0
+
+
+def test_cokernel_diagonal_checked_mod_2(monkeypatch):
+    # Z/6 misread as Z/9: a has rank 1 mod 2, but both entries are odd
+    import cubekh.linalg as linalg
+    from cubekh.errors import InternalInconsistency
+    assert cokernel_group([[2, 0], [0, 3]]).invariant_factors == (6,)
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda a: [1, 9])
+    with pytest.raises(InternalInconsistency, match="rank mod 2"):
+        cokernel_group([[2, 0], [0, 3]])
 
 
 def test_abelian_group_validation():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cube_oracle
 import spectral_oracle as oracle
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.complexes import (
@@ -26,7 +27,7 @@ from cubekh.corpus import (
 )
 from cubekh.diagram import ArcMarking
 from cubekh.errors import FiltrationViolation
-from cubekh.khovanov import twisted_complex, vertical_then_horizontal_ranks
+from cubekh.khovanov import build_cube, twisted_complex, vertical_then_horizontal_ranks
 from test_complexes import random_filtered, random_three_term
 
 
@@ -70,7 +71,7 @@ CORPUS_HEAD = diagram_corpus(CORPUS_SEED, 40, CORPUS_MAX_CROSSINGS)
 def test_corpus_weight_filtration_pages_match_oracle(i):
     d = CORPUS_HEAD[i]
     m = random_compatible_marking(d, random.Random(CORPUS_SEED + i))
-    dc = twisted_complex(d, m)
+    dc, _ = cube_oracle.twisted_per_edge(build_cube(d), m, 1)
     total, positions = total_complex(dc)
     # filtered by cube weight: cell (p, q) sits at its offset in degree p + q
     levels = {t: [None] * n for t, n in total.dims.items()}
@@ -81,8 +82,8 @@ def test_corpus_weight_filtration_pages_match_oracle(i):
 
 def check_dotted(d, rng):
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
-        dc = twisted_complex(d, m)
-        assert (vertical_then_horizontal_ranks(dc)
+        dc, _ = cube_oracle.twisted_per_edge(build_cube(d), m, 1)
+        assert (vertical_then_horizontal_ranks(twisted_complex(d, m))
                 == oracle.vertical_then_horizontal_ranks(dc))
 
 

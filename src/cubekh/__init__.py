@@ -40,7 +40,6 @@ from .diagram import (
     ResolvedState,
     canonical_key,
     connect_sum,
-    induce_marking,
     mirror,
     parse_pd,
     planar_map,

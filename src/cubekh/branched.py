@@ -327,11 +327,9 @@ def oriented_resolution_filling(d: Diagram) -> FillingReport:
     parity = _face_parities(d, pm, lambda arc: 1 << state.arc_to_circle[arc],
                             "inconsistent circle parity; diagram not planar")
 
-    n_pd = sum(1 for c in state.circles if c)
     a_signs = []
     b_signs = []
-    for c in range(n_pd):
-        arc = state.circles[c][0]
+    for c, arc in enumerate(state.least_arcs):
         ci, s = d.arc_head[arc]
         left = pm.face_of[(ci, s)]
         a_signs.append(1 if (parity[left] >> c) & 1 else -1)

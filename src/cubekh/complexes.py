@@ -23,7 +23,7 @@ from .errors import (
     NotBicomplex,
     NotChainMap,
 )
-from .linalg import MatF2, _pivots, index_mask
+from .linalg import MatF2, _pivots, index_mask, product_is_zero
 
 
 def block_matrix(blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> MatF2:
@@ -73,7 +73,7 @@ class GradedComplexF2:
                 self.differentials[k] = m
         for k, m in self.differentials.items():
             nxt = self.differentials.get(_shift(k, 1))
-            if nxt is not None and not (nxt @ m).is_zero():
+            if nxt is not None and not product_is_zero(nxt, m):
                 raise NotAComplex(f"d_{_shift(k, 1)} d_{k} != 0")
 
     def degrees(self) -> list:

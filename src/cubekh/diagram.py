@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DisconnectedTrace,
@@ -223,17 +223,24 @@ class Diagram:
                 f"free_loops={self.free_loops})")
 
 
-@dataclass(frozen=True)
-class ResolvedState:
-    """A full resolution of a diagram: circles and their arc content."""
+class ResolvedState(NamedTuple):
+    """A full resolution of a diagram, flat: `arc_to_circle[a]` is the
+    circle of arc a (entry 0 is unused), `least_arcs[c]` the least arc of
+    circle c, and `n_circles` counts the free loops too, numbered after the
+    circles with arcs."""
 
-    index: tuple[int, ...]
-    circles: tuple[tuple[int, ...], ...]
-    arc_to_circle: dict
+    arc_to_circle: list
+    least_arcs: list
+    n_circles: int
 
     @property
-    def n_circles(self) -> int:
-        return len(self.circles)
+    def circles(self) -> tuple[tuple[int, ...], ...]:
+        """Each circle's arcs, ascending, and () for each free loop."""
+        arcs: list = [[] for _ in self.least_arcs]
+        for a in range(1, len(self.arc_to_circle)):
+            arcs[self.arc_to_circle[a]].append(a)
+        loops = self.n_circles - len(arcs)
+        return tuple(map(tuple, arcs)) + ((),) * loops
 
 
 @dataclass(frozen=True)
@@ -307,8 +314,8 @@ def parse_pd(text, free_loops: int = 0,
 
 # the dart a resolved circle leaves by, as x ^ turn, when it enters a
 # crossing at dart x: the 0-smoothing joins slots (0,1) and (2,3), the
-# 1-smoothing (0,3) and (1,2)
-_TURN = {0: 1, 1: 3}
+# 1-smoothing (0,3) and (1,2); any other bit turns by 0, which is refused
+_TURNS = bytes([1, 3]) + bytes(254)
 
 
 def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
@@ -317,39 +324,39 @@ def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
     Each circle is one walk over the dart table: along an arc from dart x to
     other[x] = y, then across y's crossing to the dart y ^ 1 (0-smoothing)
     or y ^ 3 (1-smoothing), until the walk is back at x.  Walks start at
-    the least arc not yet on a circle, so circles come out ordered by their
-    minimum arc; free loops count as extra circles.  A bit that is not 0 or
-    1 raises LengthMismatch.  No circle is marked here: the reduced theory
-    reads its marked circle out of `arc_to_circle` only when it reduces, so
-    one resolution serves the unreduced theory and every choice of marked
-    arc.
+    the least arc not yet on a circle, so circles come out numbered by
+    their least arc; free loops count as extra circles, numbered last.  The
+    state is flat (`ResolvedState`): the circle of each arc and the least
+    arc of each circle, with no per-circle arc lists.  A bit that is not 0
+    or 1 raises LengthMismatch.  No circle is marked here: the reduced
+    theory reads its marked circle out of `arc_to_circle` only when it
+    reduces, so one resolution serves the unreduced theory and every
+    choice of marked arc.
     """
     if len(index) != d.n:
         raise LengthMismatch(f"expected {d.n} bits, got {len(index)}")
     try:
-        turn = [_TURN[b] for b in index]
-    except (KeyError, TypeError):
+        turn = bytes(index).translate(_TURNS)
+        if 0 in turn:
+            raise ValueError
+    except (TypeError, ValueError):
         raise LengthMismatch("resolution bits must be 0 or 1") from None
     other, labels, first = d._other, d._labels, d._first
-    circles: list = []
-    arc_to_circle: dict = {}
+    arc_to_circle = [-1] * (d.arc_count + 1)
+    least: list = []
     for a in range(1, d.arc_count + 1):
-        if a in arc_to_circle:
+        if arc_to_circle[a] >= 0:
             continue
-        k, arcs = len(circles), []
+        k = len(least)
+        least.append(a)
         x = start = first[a]
         while True:
-            arc = labels[x]
-            arc_to_circle[arc] = k
-            arcs.append(arc)
+            arc_to_circle[labels[x]] = k
             y = other[x]
             x = y ^ turn[y >> 2]
             if x == start:
                 break
-        arcs.sort()
-        circles.append(tuple(arcs))
-    circles.extend(() for _ in range(d.free_loops))
-    return ResolvedState(tuple(index), tuple(circles), arc_to_circle)
+    return ResolvedState(arc_to_circle, least, len(least) + d.free_loops)
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -371,14 +378,6 @@ def mirror(d: Diagram) -> Diagram:
         ci, s = d.arc_head[a]
         flags.append(1 if m.arc_head[a] == (ci, (s + shift[ci]) % 4) else -1)
     return Diagram(new_crossings, free_loops=d.free_loops, orientation=flags)
-
-
-def induce_marking(d: Diagram, m: ArcMarking, s: ResolvedState) -> tuple[int, ...]:
-    """Per-circle parities of the arc marking on a resolved state."""
-    if len(m.bits) != d.arc_count:
-        raise IncompatibleMarking(
-            f"marking has {len(m.bits)} bits for {d.arc_count} arcs")
-    return tuple(sum(m.bit(a) for a in circ) % 2 for circ in s.circles)
 
 
 # ---------------------------------------------------------------------------

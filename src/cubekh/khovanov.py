@@ -13,7 +13,9 @@ translate with `grading_tables`.
 The cube is flat: `states[bits]` is the state resolving crossing t by bit
 (bits >> t) & 1, one `diagram.resolve` call each, and every edge is an int
 triple (source, target, shape), where `shapes[shape]` is the edge's
-`EdgeShape`, interned and checked once per cube.
+`EdgeShape`, interned and checked once per cube.  A state is flat too: it
+holds the circle of each arc in a list indexed by arc label, the least arc
+of each circle and the circle count, and no per-circle arc lists.
 
 The cube is basepoint-free, so one cube serves kh and Khr at every
 basepoint: the basepoint only selects each state's marked circle,
@@ -63,7 +65,7 @@ bad basepoint or marking before any state is resolved and returns a
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import groupby, product
 from typing import NamedTuple
 
 from .complexes import (
@@ -79,7 +81,6 @@ from .diagram import (
     RES1_PAIRS,
     ArcMarking,
     Diagram,
-    ResolvedState,
     resolve,
 )
 from .errors import (
@@ -152,9 +153,9 @@ class CubeComplex:
 
     `states[bits]` is the state whose crossing t has resolution bit
     (bits >> t) & 1, and `vertices` lists the bit masks by cube weight, then
-    by index tuple.  `edges` holds one (source, target, shape) triple of ints
-    per edge, in vertex order and then by crossing, with `shapes[shape]` its
-    `EdgeShape`.  The slot basis its complexes share: positions[x] is the
+    by bit-reversed mask, which orders them as their bit vectors.  `edges`
+    holds one (source, target, shape) triple of ints per edge, in vertex
+    order and then by crossing, with `shapes[shape]` its `EdgeShape`.  The slot basis its complexes share: positions[x] is the
     position of basis index x among the indices of its bit count,
     ascending, and `blocks` holds each (shape, marked pair)'s map in those
     positions (`_edge_block`)."""
@@ -163,13 +164,17 @@ class CubeComplex:
         _check_budget(d, max_crossings, d.free_loops)
         self.diagram = d
         n = d.n
-        indices = [()]
+        # rev[bits] is bits reversed over n bits, and rev[k] the state of the
+        # k-th bit vector `product` yields, which varies crossing 0 slowest
+        rev = [0]
         for _ in range(n):
-            indices = [ix + (0,) for ix in indices] + [ix + (1,) for ix in indices]
-        self.states: list[ResolvedState] = [resolve(d, ix) for ix in indices]
+            rev = [r << 1 for r in rev] + [(r << 1) | 1 for r in rev]
+        self.states = [None] * (1 << n)
+        for k, index in enumerate(product((0, 1), repeat=n)):
+            self.states[rev[k]] = resolve(d, index)
         self.vertices = sorted(range(1 << n),
-                               key=lambda bits: (bits.bit_count(), indices[bits]))
-        size = max(len(state.circles) for state in self.states)
+                               key=lambda bits: (bits.bit_count() << n) | rev[bits])
+        size = max(state.n_circles for state in self.states)
         seen, self.positions = [0] * (size + 1), []
         for x in range(1 << size):
             self.positions.append(seen[x.bit_count()])
@@ -217,10 +222,10 @@ class CubeComplex:
         `_checked_shape`, and then against the least-arc rule, under which
         every edge of the key has this shape (BadCircleMap if not)."""
         loops = self.diagram.free_loops
-        s, kt = self.states[source], key[-1]
+        kt = key[-1]
         tgt_of = self.states[target].arc_to_circle
         # free loop circles come last and correspond positionally
-        corr = [tgt_of[circ[0]] for circ in s.circles[:s.n_circles - loops]]
+        corr = [tgt_of[a] for a in self.states[source].least_arcs]
         corr.extend(range(kt - loops, kt))
         if len(key) == 3:
             a, b, _ = key
@@ -249,9 +254,11 @@ def _marked_circles(d: Diagram, basepoint: int | None):
     call this before `build_cube` and reject it without resolving a state."""
     if basepoint is None:
         return None
-    if d.arc_count and basepoint not in range(1, d.arc_count + 1):
+    if not d.arc_count:
+        return lambda state: 0
+    if basepoint not in range(1, d.arc_count + 1):
         raise MalformedPD(f"basepoint arc {basepoint} does not exist")
-    return lambda state: state.arc_to_circle.get(basepoint, 0)
+    return lambda state: state.arc_to_circle[basepoint]
 
 
 def edge_map(shape: EdgeShape, marked: tuple[int, int] | None = None) -> MatF2:

@@ -52,21 +52,32 @@ class MatF2:
         return MatF2(self.ncols, self.nrows, tuple(cols))
 
     def __matmul__(self, other: "MatF2") -> "MatF2":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(f"{self.ncols} cols vs {other.nrows} rows")
-        out = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.rows[low.bit_length() - 1]
-                rr ^= low
-            out.append(acc)
-        return MatF2(self.nrows, other.ncols, tuple(out))
+        return MatF2(self.nrows, other.ncols, tuple(_product_rows(self, other)))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
+
+
+def _product_rows(a: MatF2, b: MatF2):
+    """The rows of a @ b, one at a time: each row of a XORs the rows of b
+    that its bits select, from its highest bit down (a bit length and one
+    shift per bit)."""
+    if a.ncols != b.nrows:
+        raise DimensionMismatch(f"{a.ncols} cols vs {b.nrows} rows")
+    rows = b.rows
+    for r in a.rows:
+        acc = 0
+        while r:
+            j = r.bit_length() - 1
+            acc ^= rows[j]
+            r ^= 1 << j
+        yield acc
+
+
+def product_is_zero(a: MatF2, b: MatF2) -> bool:
+    """Whether a @ b = 0, without building the product or checking its
+    rows: the first nonzero row of it ends the check."""
+    return not any(_product_rows(a, b))
 
 
 def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:

@@ -15,16 +15,25 @@ lists a reduced basis in the order every map here uses.
 """
 
 from cubekh.complexes import DoubleComplexF2, GradedComplexF2
-from cubekh.diagram import RES0_PAIRS, RES1_PAIRS, induce_marking
-from cubekh.errors import BadCircleMap, InternalInconsistency
+from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
+from cubekh.errors import BadCircleMap, IncompatibleMarking, InternalInconsistency
 from cubekh.khovanov import _marked_circles, _vertical_degree_offset, edge_map
 from cubekh.linalg import MatF2
 from linalg_helpers import plain_homology_ranks
 
 
+def induce_marking(d, m, s) -> tuple[int, ...]:
+    """Per-circle parities of the arc marking m on the resolved state s,
+    summed over the arcs of each circle."""
+    if len(m.bits) != d.arc_count:
+        raise IncompatibleMarking(
+            f"marking has {len(m.bits)} bits for {d.arc_count} arcs")
+    return tuple(sum(m.bit(a) for a in circ) % 2 for circ in s.circles)
+
+
 def marking_parities(cube, marking) -> list[tuple]:
     """Per state, in bit-mask order, the circle parities of the marking,
-    summed over each circle's arcs (`diagram.induce_marking`)."""
+    summed over each circle's arcs (`induce_marking`)."""
     return [induce_marking(cube.diagram, marking, st) for st in cube.states]
 
 

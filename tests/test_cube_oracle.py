@@ -32,16 +32,31 @@ from cubekh.khovanov import (
 from test_det_oracle import add_kinks
 
 
+def bit_vector(bits, n):
+    return tuple((bits >> t) & 1 for t in range(n))
+
+
+def check_state_against_oracle(d, state, index):
+    # the flat arc table, least arcs and circle count, and the circles
+    # derived from them, arc by arc against the union-find
+    circles, arc_to_circle = oracle.resolve_circles(d, index)
+    assert len(state.arc_to_circle) == d.arc_count + 1
+    for a in range(1, d.arc_count + 1):
+        assert state.arc_to_circle[a] == arc_to_circle[a]
+    assert state.least_arcs == [circ[0] for circ in circles if circ]
+    assert state.n_circles == len(circles)
+    assert state.circles == circles
+
+
 def check_cube_against_oracle(d):
     cube = build_cube(d)
     n = d.n
     marks = {arc: _marked_circles(d, arc) for arc in _basepoint_classes(cube)}
     assert len(cube.states) == 1 << n
     for bits, state in enumerate(cube.states):
-        assert state.index == tuple((bits >> t) & 1 for t in range(n))
-        assert (state.circles, state.arc_to_circle) == oracle.resolve_circles(d, state.index)
+        check_state_against_oracle(d, state, bit_vector(bits, n))
     assert cube.vertices == sorted(range(1 << n), key=lambda bits: (
-        bits.bit_count(), cube.states[bits].index))
+        bits.bit_count(), bit_vector(bits, n)))
     assert [(s, t) for s, t, _ in cube.edges] == [
         (bits, bits | 1 << t) for bits in cube.vertices for t in range(n)
         if not bits >> t & 1]
@@ -96,17 +111,15 @@ def test_edge_breaking_least_arc_rule_refused(monkeypatch):
     # breaks the rule is the first edge of its key, and is refused there
     def renumbered(d, index):
         s = resolve(d, index)
-        k = s.n_circles - d.free_loops
-        circles = s.circles[:k][::-1] + s.circles[k:]
-        return ResolvedState(s.index, circles, {
-            a: k - 1 - c if c < k else c for a, c in s.arc_to_circle.items()})
+        k = len(s.least_arcs)
+        return ResolvedState([-1] + [k - 1 - c for c in s.arc_to_circle[1:]],
+                             s.least_arcs[::-1], s.n_circles)
 
     d = Diagram([[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]])
     n = d.n
-    states = [renumbered(d, tuple((bits >> t) & 1 for t in range(n)))
-              for bits in range(1 << n)]
+    states = [renumbered(d, bit_vector(bits, n)) for bits in range(1 << n)]
     vertices = sorted(range(1 << n), key=lambda bits: (bits.bit_count(),
-                                                       states[bits].index))
+                                                       bit_vector(bits, n)))
     breaking = []
     for bits in vertices:
         for t in range(n):
@@ -135,9 +148,27 @@ def test_resolve_matches_union_find_oracle(seed, kinks, free_loops):
     d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
     for _ in range(8):
         bits = tuple(rng.randint(0, 1) for _ in range(d.n))
-        state = resolve(d, bits)
-        assert state.index == bits
-        assert (state.circles, state.arc_to_circle) == oracle.resolve_circles(d, bits)
+        check_state_against_oracle(d, resolve(d, bits), bits)
+
+
+@pytest.mark.parametrize("free_loops", [1, 3])
+def test_free_loops_come_last_with_no_arcs(free_loops):
+    # free loops are circles without arcs, numbered after the others
+    hopf = Diagram([[1, 3, 2, 4], [3, 1, 4, 2]], free_loops=free_loops)
+    for bits in range(4):
+        state = resolve(hopf, bit_vector(bits, 2))
+        check_state_against_oracle(hopf, state, bit_vector(bits, 2))
+        assert state.n_circles == len(state.least_arcs) + free_loops
+        assert state.circles[-free_loops:] == ((),) * free_loops
+    # with no arcs at all, every circle is a free loop and the marked
+    # circle is circle 0
+    d = Diagram([], free_loops=free_loops)
+    state = resolve(d, ())
+    assert state == ([-1], [], free_loops)
+    check_state_against_oracle(d, state, ())
+    assert _marked_circles(d, 1)(state) == 0
+    cube = build_cube(d)
+    assert (cube.states, cube.vertices, cube.edges) == ([state], [0], [])
 
 
 def check_hd_even_against_oracle(d, rng):

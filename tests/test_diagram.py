@@ -13,7 +13,6 @@ from cubekh.diagram import (
     Diagram,
     canonical_key,
     connect_sum,
-    induce_marking,
     mirror,
     parse_pd,
     planar_map,
@@ -21,6 +20,7 @@ from cubekh.diagram import (
     simplify_greedy,
     smooth_crossing,
 )
+from cube_oracle import induce_marking
 from cubekh.errors import (
     DisconnectedTrace,
     LengthMismatch,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cubekh.khovanov as kh
 import spectral_oracle
-from cube_oracle import hd_even_oracle, twisted_per_edge
+from cube_oracle import hd_even_oracle, induce_marking, twisted_per_edge
 from det_oracle import continued_fraction_numerator
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.complexes import homology_ranks
@@ -158,8 +158,7 @@ def oracle_kh_ranks(pd, free_loops=0, reduced=False, basepoint=1):
 def test_cube_unknot():
     cube = build_cube(parse_pd([], free_loops=1))
     assert cube.vertices == [0]
-    assert cube.states[0].index == ()
-    assert cube.states[0].n_circles == 1
+    assert cube.states[0] == ([-1], [], 1)
 
 
 def test_cube_hopf_circle_counts():
@@ -367,7 +366,6 @@ def test_single_vertex_vertical_homology():
     # wedging with a nonzero odd class is exact, so E^1, vertical homology, lives
     # on the all-even vertices, where d_v = 0: per cube weight its ranks sum
     # to 2^(k - 1) over the all-even vertices of that weight (k circles)
-    from cubekh.diagram import induce_marking
     rng = random.Random(19)
     cases = [(parse_pd(HOPF), ArcMarking((1, 0, 0, 1)))]
     for _ in range(40):

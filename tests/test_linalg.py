@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubekh.errors import DimensionMismatch
 from cubekh.linalg import (
     AbelianGroup,
     MatF2,
@@ -14,6 +15,7 @@ from cubekh.linalg import (
     det_bareiss,
     f2_kernel_basis,
     f2_rank,
+    product_is_zero,
     smith_normal_form,
 )
 from linalg_helpers import (
@@ -171,6 +173,21 @@ def test_matmul_apply_consistency():
     for j in range(5):
         col = 1 << j
         assert f2_apply(ab, col) == f2_apply(a, f2_apply(b, col))
+
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_product_is_zero_matches_product(seed):
+    # rows of a from the left kernel of b give a @ b = 0; one more row of
+    # a that is not in it does not
+    rng = random.Random(seed)
+    b = random_f2(rng, rng.randint(1, 12), rng.randint(1, 12))
+    a = f2_kernel_basis(b.transpose())
+    assert (a @ b).is_zero() and product_is_zero(a, b)
+    c = MatF2(a.nrows + 1, a.ncols, a.rows + (rng.randrange(1, 1 << a.ncols),))
+    assert product_is_zero(c, b) == (c @ b).is_zero()
+    with pytest.raises(DimensionMismatch):
+        product_is_zero(b, MatF2.zero(b.ncols + 1, 2))
 
 
 # --- Smith normal form ------------------------------------------------------

@@ -4,16 +4,16 @@ mapping cones, and the spectral sequence of a filtered complex.
 The internal homological degree convention is that differentials raise
 degree by one (cube weight in the Khovanov application).  Every complex is
 checked when it is built: d^2 = 0, and for a double complex that d_h and
-d_v commute.  Spectral sequence pages are read off the persistence pairing
-of the filtered differential: one column reduction per degree gives every
-page and every d^r rank exactly.  Homology and the pairing both clear:
-each elimination drops what the one before it already proves redundant,
-which is valid because d^2 = 0 was checked when the complex was built.
+d_v commute.  Homology and the spectral sequence pages share one cleared
+row elimination (`_cleared_pivots`), valid because d^2 = 0 was checked
+when the complex was built; the pages are read off the persistence pairing
+it gives, which yields every page and every d^r rank exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     NotBicomplex,
     NotChainMap,
 )
-from .linalg import MatF2, _pivots, index_mask, product_is_zero
+from .linalg import MatF2, _pivots, product_is_zero
 
 
 def block_matrix(blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> MatF2:
@@ -89,23 +89,40 @@ class GradedComplexF2:
         return m
 
 
-def homology_ranks(c: GradedComplexF2) -> dict:
-    """Betti numbers: b_k = dim ker d_k - rank d_{k-1}.
+def _cleared_pivots(c: GradedComplexF2, levels: Mapping | None = None):
+    """The one GF(2) elimination of `homology_ranks` and `_pairing`: yields
+    (k, p', keys) for each run of d_k's rows of equal level p' in
+    levels[k + 1] (one run of level 0 if levels is None), fed to `_pivots`
+    lowest level first, where keys are the pivot keys the run adds.
 
     With clearing: the degrees are eliminated in descending order, which
     walks each block of a tuple-graded complex in descending first entry,
-    and d_k without its rows at the pivot columns of d_{k+1} (`_pivots`).
-    Those columns are independent and span d_{k+1}'s column space, and
-    d_{k+1} d_k = 0, so those rows of d_k are sums of its other rows and
-    the rank stays the same.  About rank d_k rows are left, so few reduce
-    to zero.  The clearing rests on d^2 = 0, checked when c was built."""
-    ranks, dropped = {}, {}
+    and d_k without its rows at the pivot columns of d_{k+1}.  Those
+    columns are independent and span d_{k+1}'s column space, and d_{k+1}
+    d_k = 0, so those rows of d_k are sums of its other rows and the rank
+    stays the same.  About rank d_k rows are left, so few reduce to zero.
+    The clearing rests on d^2 = 0, checked when c was built."""
+    dropped: dict = {}
     for k in sorted(c.differentials, reverse=True):
-        drop = dropped.pop(_shift(k, 1), ())
-        pivots = _pivots(r for i, r in enumerate(c.differentials[k].rows)
-                         if i not in drop)
-        ranks[k] = len(pivots)
+        rows, above = c.differentials[k].rows, _shift(k, 1)
+        drop = dropped.pop(above, ())
+        pivots: dict[int, int] = {}
+        end = len(rows)
+        runs = ([(0, end)] if levels is None else
+                [(p, len(list(run))) for p, run in groupby(reversed(levels[above]))])
+        for p, size in runs:
+            start, n = end - size, len(pivots)
+            _pivots((r for i, r in enumerate(rows[start:end], start) if i not in drop),
+                    pivots)
+            yield k, p, list(pivots)[n:]
+            end = start
         dropped[k] = {key - 1 for key in pivots}
+
+
+def homology_ranks(c: GradedComplexF2) -> dict:
+    """Betti numbers: b_k = dim ker d_k - rank d_{k-1}, each rank the pivot
+    count of d_k (`_cleared_pivots`)."""
+    ranks = {k: len(keys) for k, _, keys in _cleared_pivots(c)}
     out = {}
     for k in c.degrees():
         b = c.dim(k) - ranks.get(k, 0) - ranks.get(_shift(k, -1), 0)
@@ -209,13 +226,15 @@ class DoubleComplexF2:
 
 
 def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
-    """Total complex with degree p + q and differential d_h + d_v.
+    """Total complex with degree p + q and differential d_h + d_v, each
+    degree holding its summands by descending p, so that p read as a
+    filtration level never rises within a degree (`FilteredComplexF2`).
 
     Returns (complex, positions) where positions maps (p, q) to the
     coordinate offset of that summand inside its total degree.
     """
     by_total: dict[int, list[tuple]] = {}
-    for p, q in sorted(dc.dims):
+    for p, q in sorted(dc.dims, reverse=True):
         by_total.setdefault(p + q, []).append((p, q))
     dims = {t: sum(dc.dim(pq) for pq in cells) for t, cells in by_total.items()}
     positions = {}
@@ -246,35 +265,30 @@ class FilteredComplexF2:
     """GradedComplexF2 with a non-negative filtration level per generator.
 
     The filtration is decreasing: F_p is spanned by generators of level >= p.
-    The differential must never lower the level.
+    Within each degree the generators must come in non-increasing level,
+    so a row's lowest set bit is its highest-level entry and F_p is a
+    prefix of every degree.  The differential must never lower the level.
     """
 
     def __init__(self, complex_: GradedComplexF2, levels: Mapping[int, Sequence[int]]):
         self.complex = complex_
         self.levels = {k: tuple(int(x) for x in levels.get(k, ())) for k in complex_.dims}
         for k in complex_.dims:
-            if len(self.levels[k]) != complex_.dim(k):
+            lv = self.levels[k]
+            if len(lv) != complex_.dim(k):
                 raise DimensionMismatch(f"levels at degree {k} do not match dimension")
-            if any(x < 0 for x in self.levels[k]):
+            if any(x < 0 for x in lv):
                 raise FiltrationViolation("filtration levels must be non-negative")
+            if any(a < b for a, b in zip(lv, lv[1:])):
+                raise FiltrationViolation(f"filtration levels rise within degree {k}")
         for k, m in complex_.differentials.items():
             src_lv = self.levels[k]
-            tgt_lv = self.levels[k + 1]
-            # above[p]: the columns whose level exceeds p, as a row mask
-            at: dict[int, list] = {}
-            for j, x in enumerate(src_lv):
-                at.setdefault(x, []).append(j)
-            above, acc = {}, 0
-            for p in sorted(set(tgt_lv) | set(at), reverse=True):
-                above[p] = acc
-                acc |= index_mask(at.get(p, ()), len(src_lv))
-            for i, row in enumerate(m.rows):
-                bad = row & above[tgt_lv[i]]
-                if bad:
-                    j = (bad & -bad).bit_length() - 1
+            for row, p in zip(m.rows, self.levels[k + 1]):
+                # the lowest set bit is the row's highest-level entry
+                top = src_lv[(row & -row).bit_length() - 1] if row else 0
+                if top > p:
                     raise FiltrationViolation(
-                        f"d lowers filtration from level {src_lv[j]} to "
-                        f"{tgt_lv[i]} at degree {k}")
+                        f"d lowers filtration from level {top} to {p} at degree {k}")
         self.max_level = max((max(lv) for lv in self.levels.values() if lv), default=0)
 
 
@@ -297,12 +311,10 @@ class SpectralPages:
 def spectral_pages(fc: FilteredComplexF2) -> SpectralPages:
     """Spectral sequence of a filtered complex from its persistence pairing.
 
-    Each d_t is reduced once.  Its columns are written with the rows in
-    ascending level, so a column's lowest set bit is its lowest-level entry,
-    and they are eliminated on that bit in descending level order: a column
-    is only ever reduced by columns of equal or higher level.  Each pivot
-    pairs a generator x of level p in degree t with the generator y of
-    level p' >= p that its reduced column ends on, in degree t + 1.
+    Each d_t is row-reduced once, its rows fed one level at a time, lowest
+    first (`_pairing`).  Each pivot pairs the generator x of level p in
+    degree t that it sits on with the generator y of level p' >= p whose
+    row gave it, in degree t + 1.
 
     Over a field, a filtered complex has a basis compatible with the
     filtration that is made of pairs x, y with dx = y and of single
@@ -324,49 +336,35 @@ def spectral_pages(fc: FilteredComplexF2) -> SpectralPages:
 
 def _pairing(fc: FilteredComplexF2) -> tuple[dict, dict]:
     """(free, bars): the unpaired generators per (level, degree) and the
-    pairs per (p, t, p') of fc's differential (see `spectral_pages`).
+    pairs per (p, t, p') of fc's differential (see `spectral_pages`), from
+    the cleared row elimination of `homology_ranks` with each d_t's rows
+    fed in runs of equal level, lowest first (`_cleared_pivots`): a new
+    pivot pairs its column, of level p, with its run's level p'.
 
-    Degrees are reduced in ascending order, with clearing: the columns of
-    d_t at the generators that end a pair of d_{t-1} are dropped before
-    they are scattered.  Such a y ends a reduced column d v = y + z, where
-    z is a sum of generators of level >= y's placed after y.  As d_t d v =
-    0, d_t y is a sum of the columns at z, so, dropping the ends from the
-    last one placed, the image of every F_a C_t stays the same; the counts
-    per (p, t, p') are functions of those images, so they stay the same.
+    A degree's generators come in non-increasing level, so a row's pivot,
+    its lowest set bit, is its highest-level column, and a row of level p'
+    is reduced only by rows of level <= p'.  So once the rows of level < b
+    are fed, the pivots at columns of level >= a, a prefix, number exactly
+    the rank of F_a C_t -> C_{t+1} / F_b C_{t+1}, and those ranks fix the
+    pairs per (p, t, p').  Clearing keeps each such rank: y's reduced row
+    of d_{t+1} is y plus later columns, of level <= level(y), and d_{t+1}
+    d_t = 0, so the row of d_t at a pivot column y is the sum of its rows
+    at those columns; from the last row up, each dropped row is a sum of
+    kept rows of no higher level.
     """
-    c = fc.complex
+    c, levels = fc.complex, fc.levels
     free: dict[tuple, int] = {}
     for t in c.degrees():
-        for p in fc.levels[t]:
+        for p in levels[t]:
             free[(p, t)] = free.get((p, t), 0) + 1
     bars: dict[tuple, int] = {}
-    cleared: dict[int, int] = {}
-    for t in sorted(c.differentials):
-        m = c.differentials[t]
-        keep = ~cleared.pop(t, 0)
-        order = sorted(range(m.nrows), key=fc.levels[t + 1].__getitem__)
-        row_lv = sorted(fc.levels[t + 1])
-        cols = [0] * m.ncols
-        for b, i in enumerate(order):
-            row, bit = m.rows[i] & keep, 1 << b
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
-        by_level: dict[int, list] = {}
-        for j, p in enumerate(fc.levels[t]):
-            by_level.setdefault(p, []).append(cols[j])
-        pivots: dict[int, int] = {}
-        born: list[int] = []    # level of the column behind each pivot, in pivot order
-        for p in sorted(by_level, reverse=True):
-            _pivots(by_level[p], pivots)
-            born.extend([p] * (len(pivots) - len(born)))
-        for p, key in zip(born, pivots):
-            p_end = row_lv[key - 1]
+    for t, p_end, keys in _cleared_pivots(c, levels):
+        src = levels[t]
+        for key in keys:
+            p = src[key - 1]
             bars[(p, t, p_end)] = bars.get((p, t, p_end), 0) + 1
             free[(p, t)] -= 1
             free[(p_end, t + 1)] -= 1
-        cleared[t + 1] = index_mask((order[key - 1] for key in pivots), m.nrows)
     return free, bars
 
 

@@ -28,9 +28,11 @@ share one layout (`_place`): a vertex's generators of one exterior degree
 |S| take one contiguous slot, in ascending mask order, of a cell.  kh and
 Khr are graded by (w, q) cells, checked and ranked one q-block at a time.
 The twisted complex is placed once in total degree t = w + v, where v =
-(par - q)/2 is its vertical degree, with the vertices in (w, has an odd
-circle) order: each degree holds its cells (w, v) by ascending w, the
-all-even vertices first in each, and d_h and d_v share its rows.
+(par - q)/2 is its vertical degree, with the vertices in (descending w,
+has an odd circle) order: each degree holds its cells (w, v) by descending
+w, the all-even vertices first in each, so the cube weight never rises
+within a degree, as the cube-weight filtration needs
+(`FilteredComplexF2`), and d_h and d_v share its rows.
 
 An edge's map depends only on its shape (merge or split, the circles
 involved, the circle correspondence as a tuple indexed by source circle,
@@ -57,8 +59,8 @@ a 12-crossing 3-braid closure), so a cube builds the map of every
 and every complex built on the cube places that block at each edge with
 that key (`_d_h`).
 
-Every twisted job goes through one entry, `_twisted_of`, which refuses a
-bad basepoint or marking before any state is resolved and returns a
+Every twisted job goes through one entry, `twisted_complex`, which refuses
+a bad basepoint or marking before any state is resolved and returns a
 `TwistedComplex`; hd and ss check the E^2 page in one place, `_checked_e2`.
 """
 
@@ -249,15 +251,16 @@ def build_cube(d: Diagram, max_crossings: int | None = None) -> CubeComplex:
 
 def _marked_circles(d: Diagram, basepoint: int | None):
     """state -> its marked circle, the one through the basepoint arc (circle
-    0 in a diagram without arcs); None for the unreduced theory.
+    0 in a diagram without arcs, where only the default basepoint 1 is
+    taken); None for the unreduced theory.
     A bad basepoint raises MalformedPD from d alone, so the entry points
     call this before `build_cube` and reject it without resolving a state."""
     if basepoint is None:
         return None
+    if basepoint not in range(1, max(d.arc_count, 1) + 1):
+        raise MalformedPD(f"basepoint arc {basepoint} does not exist")
     if not d.arc_count:
         return lambda state: 0
-    if basepoint not in range(1, d.arc_count + 1):
-        raise MalformedPD(f"basepoint arc {basepoint} does not exist")
     return lambda state: state.arc_to_circle[basepoint]
 
 
@@ -466,7 +469,7 @@ def grading_tables(d: Diagram, ranks: dict[int, int]) -> dict[str, dict[int, int
 def _marking_parities(cube: CubeComplex, marking: ArcMarking) -> list[list]:
     """Per state, in bit-mask order, the parities of its circles: each
     marked arc flips its circle's.  The marking's length was checked once
-    against the diagram (`_twisted_of`), so it is not checked per state."""
+    against the diagram (`twisted_complex`), so it is not checked per state."""
     marked = [a for a, b in enumerate(marking.bits, 1) if b]
     out = []
     for st in cube.states:
@@ -484,23 +487,12 @@ def _vertical_degree_offset(cube: CubeComplex) -> int:
 class TwistedComplex(NamedTuple):
     """The twisted complex in total degree t = w + v: `total` has the
     differential D = d_h + d_v, `weights[t]` lists the cube weight of each
-    generator of degree t, ascending, and `cells[(w, v)]` is the offset of
-    the cell (w, v) in degree w + v and its count of generators at all-even
-    vertices, which come first in the cell (`_twisted`)."""
+    generator of degree t, non-increasing, and `cells[(w, v)]` is the
+    offset of the cell (w, v) in degree w + v and its count of generators
+    at all-even vertices, which come first in the cell (`_twisted`)."""
     total: GradedComplexF2
     weights: dict
     cells: dict
-
-
-def _twisted_of(d: Diagram, marking: ArcMarking, basepoint: int,
-                max_crossings: int | None) -> TwistedComplex:
-    """`_twisted` on d's cube, built only once the basepoint and then the
-    marking (`ArcMarking.fault`) pass their checks against d alone."""
-    _marked_circles(d, basepoint)
-    fault = marking.fault(d)
-    if fault:
-        raise IncompatibleMarking(fault)
-    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
 
 
 def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
@@ -511,8 +503,15 @@ def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
 
     The bigrading is (cube weight, exterior degree normalized so both
     differentials shift by exactly one); the total degree is their sum.
+    The one entry of every twisted job: `_twisted` on d's cube, built only
+    once the basepoint and then the marking (`ArcMarking.fault`) pass
+    their checks against d alone.
     """
-    return _twisted_of(d, marking, basepoint, max_crossings)
+    _marked_circles(d, basepoint)
+    fault = marking.fault(d)
+    if fault:
+        raise IncompatibleMarking(fault)
+    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
 
 
 def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedComplex:
@@ -532,15 +531,15 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
         return w + (par - q) // 2
 
     def group(bits):
-        return bits.bit_count(), odd[bits]
+        return -bits.bit_count(), odd[bits]
 
     dims: dict[int, int] = {}
     weights: dict[int, list] = {}
     cells: dict[tuple, tuple] = {}
     slots: list = [None] * len(cube.states)
     order = sorted(cube.vertices, key=group)
-    for (w, has_odd), vertices in groupby(order, key=group):
-        start = dict(dims)
+    for (minus_w, has_odd), vertices in groupby(order, key=group):
+        w, start = -minus_w, dict(dims)
         _place(cube, vertices, mark, total_of, dims, slots)
         for t, end in dims.items():
             n = end - start.get(t, 0)
@@ -584,7 +583,7 @@ def vertical_then_horizontal_ranks(tw: TwistedComplex) -> dict[tuple, int]:
 def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                        max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology via the all-even-vertex subcomplex."""
-    return _hd_even(_twisted_of(d, marking, basepoint, max_crossings))
+    return _hd_even(twisted_complex(d, marking, basepoint, max_crossings))
 
 
 def _hd_even(tw: TwistedComplex) -> dict[tuple, int]:
@@ -621,7 +620,7 @@ def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
                 max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology ranks keyed by (cube weight, vertical degree),
     cross-checked against the E^2 page of the twisted complex (`_checked_e2`)."""
-    return _checked_e2(_twisted_of(d, marking, basepoint, max_crossings))[1]
+    return _checked_e2(twisted_complex(d, marking, basepoint, max_crossings))[1]
 
 
 def twisted_total_ranks(d: Diagram, marking: ArcMarking, basepoint: int = 1,
@@ -640,7 +639,7 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     complex; all three identities are checked, raising
     InternalInconsistency."""
     # the page computation is the memory peak; it needs no cube, so none is kept
-    tw = _twisted_of(d, marking, basepoint, max_crossings)
+    tw = twisted_complex(d, marking, basepoint, max_crossings)
     pages, _ = _checked_e2(tw)
     if pages.page(1) != {(w, w + v): n for (w, v), (_, n) in tw.cells.items() if n}:
         raise InternalInconsistency("E^1 page does not match the all-even generator count")

@@ -103,15 +103,6 @@ def _pivots(rows, pivots: dict[int, int] | None = None) -> dict[int, int]:
     return pivots
 
 
-def index_mask(indices, size: int) -> int:
-    """The int whose set bits are `indices`, each below `size`, written
-    into a byte buffer so the cost is linear in size."""
-    buf = bytearray((size + 7) >> 3)
-    for i in indices:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
 def f2_rank(m: MatF2) -> int:
     """Rank over GF(2) by Gaussian elimination on bit-packed rows."""
     return len(_pivots(m.rows))

@@ -275,10 +275,16 @@ def _corpus_link_marked():
 @pytest.mark.parametrize("payload", [TREFOIL, _corpus_link_marked()],
                          ids=["trefoil", "corpus_link"])
 def test_twisted_jobs_place_one_layout(capsys, monkeypatch, cmd, payload):
-    # the twisted complex is placed once, in total degree: no job copies
-    # cells into a total complex or ranks a d_v cell on its own
+    # the twisted complex is placed once, in total degree, through the one
+    # public entry: no job copies cells into a total complex or ranks a d_v
+    # cell on its own
     import sys
+    import cubekh.khovanov as kh
     from cubekh import complexes, linalg
+    entries = []
+    real_entry = kh.twisted_complex
+    monkeypatch.setattr(kh, "twisted_complex",
+                        lambda *args: entries.append(1) or real_entry(*args))
 
     def refused(*args, **kwargs):
         raise AssertionError("a twisted job built a second layout")
@@ -291,6 +297,7 @@ def test_twisted_jobs_place_one_layout(capsys, monkeypatch, cmd, payload):
                         monkeypatch.setattr(module, attr, refused)
     code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 0, out
+    assert len(entries) == 1
 
 
 @pytest.mark.parametrize("page, detail", [
@@ -490,15 +497,41 @@ def test_bad_basepoint_rejected_before_resolving(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch,
                         ["--command", "kh", "--basepoint", "99"], TREFOIL)
     assert code == 0 and json.loads(out)["total"] == 6
-    # a diagram of free loops only marks its first loop whatever the
-    # basepoint; the empty diagram marks nothing, so its Khr is zero
-    for arc in ("1", "99", "-3"):
-        code, out = run_cli(capsys, monkeypatch,
-                            ["--command", "khr", "--basepoint", arc],
-                            {"pd": [], "free_loops": 1})
-        assert code == 0 and json.loads(out)["total"] == 1, arc
+    # a diagram of free loops marks its first loop at the default basepoint;
+    # the empty diagram marks nothing, so its Khr is zero
+    code, out = run_cli(capsys, monkeypatch, ["--command", "khr", "--basepoint", "1"],
+                        {"pd": [], "free_loops": 1})
+    assert code == 0 and json.loads(out)["total"] == 1
     code, out = run_cli(capsys, monkeypatch, ["--command", "khr"], {"pd": []})
     assert code == 0 and json.loads(out)["total"] == 0
+
+
+@pytest.mark.parametrize("cmd", ["khr", "twisted", "hd", "ss"])
+@pytest.mark.parametrize("basepoint", [99, 0, -3])
+def test_bad_basepoint_rejected_without_arcs(capsys, monkeypatch, cmd, basepoint):
+    # a diagram of free loops has no arcs, so only the default basepoint 1
+    # is taken; any other is refused before a state is resolved
+    import cubekh.khovanov as kh
+    from cubekh.errors import MalformedPD
+    loops = {"pd": [], "free_loops": 2}
+    resolved = []
+    real_resolve = kh.resolve
+
+    def counting_resolve(*args, **kwargs):
+        resolved.append(args[1])
+        return real_resolve(*args, **kwargs)
+
+    monkeypatch.setattr(kh, "resolve", counting_resolve)
+    detail = f"basepoint arc {basepoint} does not exist"
+    with pytest.raises(MalformedPD, match=f"^{detail}$"):
+        run_job(cmd, loops, basepoint=basepoint)
+    code, out = run_cli(capsys, monkeypatch,
+                        ["--command", cmd, "--basepoint", str(basepoint)], loops)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "MalformedPD", "detail": detail}
+    assert resolved == []
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd, "--basepoint", "1"], loops)
+    assert code == 0 and resolved == [()]
 
 
 def test_bad_marking_rejected_before_resolving(capsys, monkeypatch):

@@ -222,9 +222,20 @@ def test_filtration_violation_detected():
         FilteredComplexF2(c, {0: [1], 1: [0]})
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_rising_levels_refused(degree):
+    # within a degree the generators come in non-increasing level
+    c = GradedComplexF2({0: 2, 1: 3}, {0: MatF2.zero(3, 2)})
+    levels = {0: [1, 1], 1: [2, 2, 0]}
+    levels[degree] = [0, 1] + [0] * degree
+    with pytest.raises(FiltrationViolation,
+                       match=f"filtration levels rise within degree {degree}$"):
+        FilteredComplexF2(c, levels)
+
+
 def test_spectral_zero_differential():
     c = GradedComplexF2({0: 2, 1: 3}, {})
-    fc = FilteredComplexF2(c, {0: [0, 1], 1: [0, 1, 2]})
+    fc = FilteredComplexF2(c, {0: [1, 0], 1: [2, 1, 0]})
     pages = spectral_pages(fc)
     assert pages.stabilization_index == 0
     assert pages.pages[0] == pages.e_infinity
@@ -234,7 +245,8 @@ def test_spectral_zero_differential():
 
 def random_filtered(rng, max_dim=4, levels=3):
     dims = {k: rng.randint(1, max_dim) for k in range(3)}
-    lev = {k: [rng.randrange(levels) for _ in range(dims[k])] for k in range(3)}
+    lev = {k: sorted((rng.randrange(levels) for _ in range(dims[k])), reverse=True)
+           for k in range(3)}
     # allowed entries: target level >= source level; build d1 after d0 with
     # d1 d0 = 0 by solving in the kernel, then mask violations out by retry
     for _ in range(200):

@@ -1,8 +1,8 @@
 """Spectral pages from the persistence pairing against the subquotient
-oracle in spectral_oracle, the mask-based filtration check against the
+oracle in spectral_oracle, the lowest-bit filtration check against the
 entry-by-entry one, and dotted homology read off the E^2 page against the
 class-representative computation: on random filtered complexes, on random
-level assignments, on the twisted complexes of the first acceptance-corpus
+non-increasing level assignments, on the twisted complexes of the first acceptance-corpus
 diagrams, and on random braid closures."""
 
 import random
@@ -47,7 +47,7 @@ def test_filtration_check_matches_oracle():
     raised = 0
     for _ in range(300):
         c = random_three_term(rng, [rng.randint(1, 6) for _ in range(3)])
-        levels = {k: [rng.randrange(4) for _ in range(c.dim(k))]
+        levels = {k: sorted((rng.randrange(4) for _ in range(c.dim(k))), reverse=True)
                   for k in c.degrees()}
         want = oracle.filtration_violation(c, levels)
         if want is None:

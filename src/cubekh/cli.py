@@ -221,6 +221,8 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
     if command == "plumbing":
         return _plumbing_job(payload)
     if command == "lspace":
+        if "plumbing" in payload and "large_surgery" in payload:
+            raise JobError("lspace payload takes 'plumbing' or 'large_surgery', not both")
         if "plumbing" in payload:
             return _plumbing_job(payload)
         if "large_surgery" in payload:

@@ -157,10 +157,10 @@ class CubeComplex:
     (bits >> t) & 1, and `vertices` lists the bit masks by cube weight, then
     by bit-reversed mask, which orders them as their bit vectors.  `edges`
     holds one (source, target, shape) triple of ints per edge, in vertex
-    order and then by crossing, with `shapes[shape]` its `EdgeShape`.  The slot basis its complexes share: positions[x] is the
-    position of basis index x among the indices of its bit count,
-    ascending, and `blocks` holds each (shape, marked pair)'s map in those
-    positions (`_edge_block`)."""
+    order and then by crossing, with `shapes[shape]` its `EdgeShape`.  Its
+    complexes share one slot basis: positions[x] is the position of basis
+    index x among the indices of its bit count, ascending, and `blocks`
+    holds each (shape, marked pair)'s map in those positions (`_edge_block`)."""
 
     def __init__(self, d: Diagram, max_crossings: int | None = None):
         _check_budget(d, max_crossings, d.free_loops)
@@ -637,7 +637,10 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     the dotted-diagram homology of the all-even-vertex subcomplex
     (`_checked_e2`), and the E^infinity total the homology of the total
     complex; all three identities are checked, raising
-    InternalInconsistency."""
+    InternalInconsistency.  The E^infinity check feeds the pages' own
+    elimination (`complexes._cleared_pivots`) its rows in one run, so it
+    checks the level-run feed; the elimination itself is checked against
+    an independent column reduction, `plain_pairing`, in the tests."""
     # the page computation is the memory peak; it needs no cube, so none is kept
     tw = twisted_complex(d, marking, basepoint, max_crossings)
     pages, _ = _checked_e2(tw)

@@ -33,10 +33,8 @@ class MatF2:
     def __post_init__(self):
         if len(self.rows) != self.nrows:
             raise DimensionMismatch(f"expected {self.nrows} rows, got {len(self.rows)}")
-        mask = (1 << self.ncols) - 1
-        for r in self.rows:
-            if r & ~mask:
-                raise DimensionMismatch("row has bits beyond ncols")
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.ncols):
+            raise DimensionMismatch("row has bits beyond ncols")
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "MatF2":

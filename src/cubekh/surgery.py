@@ -157,12 +157,8 @@ class PlumbingGraph:
         return sum(1 for a, b in self.edges if v in (a, b))
 
     def is_forest(self) -> bool:
-        uf = _UnionFind(range(self.vertices))
-        for a, b in self.edges:
-            if uf.find(a) == uf.find(b):
-                return False
-            uf.union(a, b)
-        return True
+        """No cycle: each component has one edge fewer than vertices."""
+        return len(self.edges) == self.vertices - len(self.component_vertices())
 
     def component_vertices(self) -> list[list[int]]:
         """Components in order of their least vertex, each ascending."""
@@ -270,57 +266,41 @@ def _induction_step(g: PlumbingGraph) -> tuple[str, str, tuple]:
              g.with_multiplicity(leaf, g.multiplicities[leaf] - 1)))
 
 
+class _PlanEntry:
+    """A distinct graph of a leaf induction: its step's kind and description,
+    its children's entries, last first (as a preorder walk pushes them), and
+    the number of steps the induction writes for it.  Its step is built once
+    the derivation is within budget, and all its occurrences share it."""
+
+    __slots__ = ("kind", "description", "children", "count", "step")
+
+    def __init__(self, kind: str, description: str, children: list, count: int):
+        self.kind, self.description, self.children, self.count = kind, description, children, count
+        self.step: DerivationStep | None = None
+
+
 def _step_count(g: PlumbingGraph, plan: dict) -> int:
     """The number of steps the leaf induction writes for g, 1 plus its
-    children's.  `plan` maps every graph met so far to (its step, its step
-    count), so each distinct graph is looked at once, and the derivation
-    reads its steps from it."""
+    children's.  `plan` maps every graph met so far to its entry, inserted
+    after its children's, so each distinct graph is looked at once."""
     entry = plan.get(g)
     if entry is None:
-        step = _induction_step(g)
+        kind, description, children = _induction_step(g)
         count = 1
-        for child in step[2]:
+        for child in children:
             count += _step_count(child, plan)
-        entry = plan[g] = (step, count)
-    return entry[1]
-
-
-def _certify_tree(g: PlumbingGraph, steps: list, orders: dict, plan: dict) -> int:
-    """Leaf induction on a plumbing tree, with the steps planned by
-    `_step_count`; returns |H1| of its manifold.
-
-    Each step records the orders its children return, in a slot of `steps`
-    reserved before the recursion so the steps stay in derivation order.
-    `orders` maps every graph met so far in this check to its Bareiss
-    order, so each distinct graph costs one determinant.
-    """
-    slot = len(steps)
-    steps.append(None)
-    kind, description, children = plan[g][0]
-    if kind == "lens-seed":
-        m = g.multiplicities[0]
-        steps[slot] = DerivationStep(kind, description, (m,))
-        return m
-    o = orders.get(g)
-    if o is None:
-        o = orders[g] = plumbing_h1_order(g)
-    if kind == "contract-leaf":
-        r = _certify_tree(children[0], steps, orders, plan)
-        steps[slot] = DerivationStep(kind, description, (o, r))
-        return o
-    r1 = _certify_tree(children[0], steps, orders, plan)
-    r2 = _certify_tree(children[1], steps, orders, plan)
-    steps[slot] = DerivationStep(kind, description, (o, r2, r1))
-    if o != r1 + r2:
-        raise InternalInconsistency("plumbing derivation became inconsistent")
-    return o
+        entry = plan[g] = _PlanEntry(kind, description,
+                                     [plan[child] for child in reversed(children)],
+                                     count)
+    return entry.count
 
 
 def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
     """Certify Y(G, m) as an L-space by the leaf induction, recording the
     derivation chain with |H1| values at every step.  The steps are counted
     before any is written, so a derivation over the step budget is refused
-    at the cost of its distinct graphs, not of its steps."""
+    at the cost of its distinct graphs, not of its steps, and each distinct
+    graph gets one step, shared by all its occurrences in the derivation."""
     order = plumbing_h1_order(g)
     if not _plumbing_hypotheses_hold(g):
         return LSpaceVerdict("not-applicable", order)
@@ -341,13 +321,29 @@ def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
         raise SizeBudgetExceeded(
             f"plumbing derivation exceeds the budget of {MAX_PLUMBING_STEPS} "
             f"leaf-induction steps")
+    # each distinct graph's step, children before parents (g's order is known)
+    root = plan.get(g)
+    for graph, entry in plan.items():
+        if entry.kind == "lens-seed":
+            orders = (graph.multiplicities[0],)
+        else:
+            o = order if entry is root else plumbing_h1_order(graph)
+            orders = (o, *(child.step.orders[0] for child in entry.children))
+            if entry.kind == "triad" and o != orders[1] + orders[2]:
+                raise InternalInconsistency("plumbing derivation became inconsistent")
+        entry.step = DerivationStep(entry.kind, entry.description, orders)
+    # each component's steps in preorder: a step, its first child's, its second's
+    roots = [plan[sub] for sub in subs]
     steps: list[DerivationStep] = []
-    orders = {g: order}
-    part_orders = [_certify_tree(sub, steps, orders, plan) for sub in subs]
+    stack = roots[::-1]
+    while stack:
+        entry = stack.pop()
+        steps.append(entry.step)
+        stack += entry.children
     if len(comps) > 1:
         steps.append(DerivationStep("connected-sum",
                                     f"connected sum of {len(comps)} plumbed pieces",
-                                    (order, *part_orders)))
+                                    (order, *(e.step.orders[0] for e in roots))))
     verdict = LSpaceVerdict("certified", order, tuple(steps))
     if not verdict.reverify():
         raise InternalInconsistency("derivation chain failed re-verification")

@@ -607,6 +607,9 @@ def test_non_integer_inputs_rejected(capsys, monkeypatch, cmd, payload):
      "orientation must be a list of integer flags"),
     ("khr", dict(TREFOIL, orientation={"1": 1}), "MalformedPD",
      "orientation must be a list of integer flags"),
+    ("lspace", {"plumbing": {"mult": [2, 2], "edges": [[0, 1]]},
+                "large_surgery": {"p": 2, "q": 3, "n": 6}}, "JobError",
+     "lspace payload takes 'plumbing' or 'large_surgery', not both"),
 ])
 def test_wrongly_shaped_inputs_rejected(capsys, monkeypatch, cmd, payload, kind, detail):
     # refused with a reason that names the key, not a Python error

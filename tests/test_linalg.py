@@ -190,6 +190,23 @@ def test_product_is_zero_matches_product(seed):
         product_is_zero(b, MatF2.zero(b.ncols + 1, 2))
 
 
+@pytest.mark.parametrize("ncols, rows, accepted", [
+    (5, (3, -1, 0), False),          # a negative row has every high bit set
+    (5, (1, 1 << 5), False),         # bit ncols is one past the last column
+    (5, (0b11111, 0, 0b10101), True),
+    (0, (0, 0), True),
+    (0, (0, 1), False),
+    (0, (-1,), False),
+    (0, (), True),
+])
+def test_row_width_checked(ncols, rows, accepted):
+    if accepted:
+        assert MatF2(len(rows), ncols, rows).rows == rows
+    else:
+        with pytest.raises(DimensionMismatch, match="^row has bits beyond ncols$"):
+            MatF2(len(rows), ncols, rows)
+
+
 # --- Smith normal form ------------------------------------------------------
 
 def check_snf(a):

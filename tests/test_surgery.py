@@ -200,9 +200,31 @@ def test_forest_connected_sum():
     assert v.reverify()
 
 
+def _components(g):
+    """The components of g, each re-indexed by its vertices in ascending
+    order, as plumbing_lspace_check takes them."""
+    subs = []
+    for comp in g.component_vertices():
+        idx = {u: i for i, u in enumerate(comp)}
+        subs.append(PlumbingGraph(tuple(g.multiplicities[u] for u in comp),
+                                  tuple((idx[a], idx[b]) for a, b in g.edges
+                                        if a in idx and b in idx)))
+    return subs
+
+
+def _forest(*graphs):
+    """The disjoint union of graphs, each after the ones before it."""
+    mult, edges = [], []
+    for h in graphs:
+        edges += [[a + len(mult), b + len(mult)] for a, b in h.edges]
+        mult += h.multiplicities
+    return PlumbingGraph.from_lists(mult, edges)
+
+
 def _derivation_by_fresh_orders(g):
-    """(kind, description, orders) of every step of the leaf induction on a
-    tree, each order a Bareiss determinant of its own graph."""
+    """(kind, description, orders) of every step of the leaf induction on
+    each component of a forest, then of the connected sum when there are
+    several, each order a Bareiss determinant of its own graph."""
     steps = []
 
     def walk(g):
@@ -228,7 +250,12 @@ def _derivation_by_fresh_orders(g):
         walk(g1)
         walk(g2)
 
-    walk(g)
+    subs = _components(g)
+    for sub in subs:
+        walk(sub)
+    if len(subs) > 1:
+        steps.append(("connected-sum", f"connected sum of {len(subs)} plumbed pieces",
+                      (plumbing_h1_order(g), *map(plumbing_h1_order, subs))))
     return steps
 
 
@@ -238,6 +265,11 @@ def _derivation_by_fresh_orders(g):
     ([4, 2, 2, 2, 2, 2, 2], [[0, 1], [0, 2], [0, 3], [1, 4], [2, 5], [3, 6]]),
     ([1, 5, 1], [[0, 1], [1, 2]]),
     ([2, 3, 1, 2, 4], [[0, 1], [1, 2], [1, 3], [3, 4]]),
+    # forests: each component's walk, then the connected sum
+    ([3, 2, 2], [[1, 2]]),
+    ([2, 3, 2, 4, 1], [[0, 2], [1, 3], [3, 4]]),
+    ([3] * 10, [[i, i + 1] for i in range(4)] + [[i, i + 1] for i in range(5, 9)]),
+    ([2, 1, 3, 2, 2, 5], [[0, 3], [2, 4]]),
 ])
 def test_derivation_orders_match_fresh_determinants(mult, edges):
     g = PlumbingGraph.from_lists(mult, edges)
@@ -267,6 +299,21 @@ def _chain(k):
     return PlumbingGraph.from_lists([3] * k, [[i, i + 1] for i in range(k - 1)])
 
 
+def test_each_distinct_graph_gets_one_step(monkeypatch):
+    # the ten-vertex chain's 17709 steps are the steps of 29 distinct
+    # graphs, each built once and shared by all its occurrences
+    import cubekh.surgery as surgery
+    built = []
+    step = surgery.DerivationStep
+    monkeypatch.setattr(surgery, "DerivationStep",
+                        lambda *args: built.append(args) or step(*args))
+    v = plumbing_lspace_check(_chain(10))
+    assert v.verdict == "certified" and v.reverify()
+    assert len(v.derivation) == 17709
+    assert len(built) == 29
+    assert len({id(s) for s in v.derivation}) == 29
+
+
 def _star(k):
     # a centre of multiplicity 4 with three arms of multiplicity 2
     edges, ends = [], [0, 0, 0]
@@ -277,14 +324,22 @@ def _star(k):
 
 
 @pytest.mark.parametrize("g", [_chain(k) for k in range(6, 11)]
-                         + [_star(k) for k in (7, 9, 11)],
+                         + [_star(k) for k in (7, 9, 11)]
+                         + [_forest(_chain(6), _star(7)), _forest(_chain(7), _chain(7)),
+                            _forest(_star(9), PlumbingGraph.from_lists([5], []), _chain(6))],
                          ids=[f"chain{k}" for k in range(6, 11)]
-                         + [f"star{k}" for k in (7, 9, 11)])
+                         + [f"star{k}" for k in (7, 9, 11)]
+                         + ["chain6+star7", "chain7+chain7", "star9+lens5+chain6"])
 def test_step_count_is_derivation_length(g):
+    # one step per step of each component's walk, and a connected sum when
+    # there are several
     from cubekh.surgery import _step_count
     v = plumbing_lspace_check(g)
     assert v.verdict == "certified"
-    assert _step_count(g, {}) == len(v.derivation)
+    subs = _components(g)
+    plan = {}
+    assert (sum(_step_count(sub, plan) for sub in subs) + (len(subs) > 1)
+            == len(v.derivation))
 
 
 def test_derivation_chain_orders():

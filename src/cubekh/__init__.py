@@ -1,5 +1,9 @@
 """Khovanov-type homologies over GF(2), branched double cover arithmetic,
-and surgery/L-space bookkeeping for link diagrams given as PD codes."""
+and surgery/L-space bookkeeping for link diagrams given as PD codes.
+
+Only the modules some CLI job runs are imported here; the diagram corpora
+and the real-graded complexes are imported from `cubekh.corpus` and
+`cubekh.rgraded`."""
 
 from .branched import (
     FillingReport,
@@ -24,14 +28,6 @@ from .complexes import (
     mapping_cone,
     spectral_pages,
     total_complex,
-)
-from .corpus import (
-    braid_closure,
-    diagram_corpus,
-    random_braid_diagram,
-    random_compatible_marking,
-    rational_link,
-    small_knot,
 )
 from .diagram import (
     ArcMarking,
@@ -72,13 +68,6 @@ from .linalg import (
     f2_kernel_basis,
     f2_rank,
     smith_normal_form,
-)
-from .rgraded import (
-    DoubleConeVerdict,
-    Interval,
-    RGradedComplex,
-    RGradedMap,
-    check_double_mapping_cone,
 )
 from .surgery import (
     FramedLinkPresentation,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .branched import (
     link_det,
@@ -279,8 +279,7 @@ CRITERIA = (
 )
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: str
     name: str
     passed: bool

@@ -10,7 +10,7 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     RES0_PAIRS,
@@ -34,8 +34,7 @@ from .linalg import AbelianGroup, cokernel_group, det_bareiss
 # Goeritz matrix and H1 of the double branched cover
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoeritzData:
+class GoeritzData(NamedTuple):
     """Checkerboard coloring and the (reduced) Goeritz matrix of a connected
     PD diagram; free loops force det = 0."""
 
@@ -164,8 +163,7 @@ def h1_sigma(d: Diagram) -> AbelianGroup:
 # Rank inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankInequalityReport:
+class RankInequalityReport(NamedTuple):
     det_goeritz: int
     det_state_sum: int
     khr_mirror_rank: int
@@ -192,8 +190,7 @@ def rank_inequality_check(d: Diagram, max_crossings: int | None = None) -> RankI
 # Quasi-alternating certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QACertificate:
+class QACertificate(NamedTuple):
     """Certificate tree: either an unknot leaf or a crossing whose two
     resolutions are certified and determinant-additive."""
 
@@ -295,8 +292,7 @@ def verify_certificate(cert: QACertificate) -> bool:
 # Oriented resolution filling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FillingReport:
+class FillingReport(NamedTuple):
     """Circles of the oriented resolution with winding signs, nesting signs,
     fill assignment, and the bands joining them."""
 

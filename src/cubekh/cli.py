@@ -8,7 +8,6 @@ a complex the library built), 2 validation error, 3 size budget exceeded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -255,16 +254,21 @@ def _plumbing_job(payload: dict) -> dict:
 
 
 def _verdict_json(verdict) -> dict:
+    # a plumbing derivation shares each distinct step among its occurrences:
+    # render each once and list the same dict at every occurrence
+    steps = verdict.derivation
+    rendered = {s: {"kind": s.kind, "description": s.description, "orders": list(s.orders)}
+                for s in set(steps)}
     return {
         "verdict": verdict.verdict,
         "h1_order": verdict.h1_order,
-        "derivation": [{"kind": s.kind, "description": s.description,
-                        "orders": list(s.orders)} for s in verdict.derivation],
+        "derivation": list(map(rendered.__getitem__, steps)),
         "reverified": verdict.reverify(),
     }
 
 
 def main(argv=None) -> int:
+    import argparse             # only the command line needs it, not run_job
     ap = argparse.ArgumentParser(
         prog="cubekh",
         description="Khovanov-type homology and branched cover arithmetic over GF(2)")

@@ -12,9 +12,8 @@ it gives, which yields every page and every d^r rank exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -131,22 +130,23 @@ def homology_ranks(c: GradedComplexF2) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(NamedTuple("ChainMap", [("source", GradedComplexF2),
+                                       ("target", GradedComplexF2),
+                                       ("blocks", dict)])):
     """Degree-preserving chain map between GradedComplexF2's."""
 
-    source: GradedComplexF2
-    target: GradedComplexF2
-    blocks: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        for k in set(self.source.dims) | set(self.target.dims):
+    def __new__(cls, source: GradedComplexF2, target: GradedComplexF2, blocks: dict):
+        self = tuple.__new__(cls, (source, target, blocks))
+        for k in set(source.dims) | set(target.dims):
             f_k = self.block(k)
             f_k1 = self.block(k + 1)
-            lhs = self.target.d(k) @ f_k
-            rhs = f_k1 @ self.source.d(k)
+            lhs = target.d(k) @ f_k
+            rhs = f_k1 @ source.d(k)
             if lhs.rows != rhs.rows:
                 raise NotChainMap(f"square at degree {k} does not commute")
+        return self
 
     def block(self, k: int) -> MatF2:
         m = self.blocks.get(k)
@@ -292,8 +292,7 @@ class FilteredComplexF2:
         self.max_level = max((max(lv) for lv in self.levels.values() if lv), default=0)
 
 
-@dataclass(frozen=True)
-class SpectralPages:
+class SpectralPages(NamedTuple):
     """Rank tables E^r_{p,t} (filtration p, total degree t) plus d^r ranks."""
 
     pages: tuple

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -243,20 +242,20 @@ class ResolvedState(NamedTuple):
         return tuple(map(tuple, arcs)) + ((),) * loops
 
 
-@dataclass(frozen=True)
-class ArcMarking:
+class ArcMarking(NamedTuple("ArcMarking", [("bits", tuple)])):
     """Per-arc parity bits; on a diagram they define a two-fold marking
     datum, the parities of its components, unless `fault` says why not."""
 
-    bits: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, bits: tuple):
+        if any(b not in (0, 1) for b in bits):
+            raise IncompatibleMarking("marking bits must be 0 or 1")
+        return tuple.__new__(cls, (bits,))
 
     @staticmethod
     def zero(d: Diagram) -> "ArcMarking":
         return ArcMarking((0,) * d.arc_count)
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise IncompatibleMarking("marking bits must be 0 or 1")
 
     def bit(self, arc: int) -> int:
         return self.bits[arc - 1]
@@ -540,7 +539,6 @@ def canonical_key(d: Diagram):
 # Combinatorial map: faces of the projection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PlanarMap:
     """Faces of the 4-valent projection, from the rotation system the PD
     tuples define (slots listed counterclockwise).
@@ -551,8 +549,10 @@ class PlanarMap:
     entering the crossing at slot s.
     """
 
-    faces: tuple[tuple[tuple[int, int], ...], ...]
-    face_of: dict
+    __slots__ = ("faces", "face_of")
+
+    def __init__(self, faces: tuple, face_of: dict):
+        self.faces, self.face_of = faces, face_of
 
     def face_of_corner(self, ci: int, s: int) -> int:
         """Face at the corner between slots s and s+1 of crossing ci."""

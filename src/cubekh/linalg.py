@@ -8,8 +8,7 @@ overflow concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency
 
@@ -18,23 +17,22 @@ from .errors import DimensionMismatch, InternalInconsistency
 # GF(2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatF2:
+class MatF2(NamedTuple("MatF2", [("nrows", int), ("ncols", int), ("rows", tuple)])):
     """Dense GF(2) matrix with bit-packed rows.
 
     rows[i] is an int whose bit j is the (i, j) entry.  Vectors are plain
-    ints in the same encoding.
+    ints in the same encoding.  A named tuple, equal and hashed by value;
+    construction checks the row count and that no row has a bit beyond ncols.
     """
 
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != self.nrows:
-            raise DimensionMismatch(f"expected {self.nrows} rows, got {len(self.rows)}")
-        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.ncols):
+    def __new__(cls, nrows: int, ncols: int, rows: tuple = ()):
+        if len(rows) != nrows:
+            raise DimensionMismatch(f"expected {nrows} rows, got {len(rows)}")
+        if rows and (min(rows) < 0 or max(rows) >> ncols):
             raise DimensionMismatch("row has bits beyond ncols")
+        return tuple.__new__(cls, (nrows, ncols, rows))
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "MatF2":
@@ -159,19 +157,19 @@ def det_bareiss(a: Sequence[Sequence[int]]) -> int:
     return sign * w[-1][-1]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple("AbelianGroup", [("invariant_factors", tuple),
+                                               ("free_rank", int)])):
     """Finitely generated abelian group as invariant factors plus free rank."""
 
-    invariant_factors: tuple[int, ...]
-    free_rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, f in enumerate(self.invariant_factors):
+    def __new__(cls, invariant_factors: tuple, free_rank: int):
+        for i, f in enumerate(invariant_factors):
             if f < 2:
                 raise ValueError("invariant factors must be >= 2")
-            if i and self.invariant_factors[i - 1] and f % self.invariant_factors[i - 1]:
+            if i and invariant_factors[i - 1] and f % invariant_factors[i - 1]:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return tuple.__new__(cls, (invariant_factors, free_rank))
 
     def order(self) -> int | None:
         """Group order, or None when infinite (free_rank > 0)."""

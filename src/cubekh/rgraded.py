@@ -20,17 +20,15 @@ conclusion alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import ChainMap, GradedComplexF2, block_matrix, homology_ranks, mapping_cone
 from .errors import DimensionMismatch, NotChainMap
 from .linalg import MatF2, f2_kernel_basis, f2_rank
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Grade interval containing lo; hi=None means +infinity, and hi is
     contained only when hi_closed."""
 
@@ -79,8 +77,7 @@ def _keep(m: MatF2, src_grades, tgt_grades, *intervals: Interval) -> MatF2:
     return MatF2(m.nrows, m.ncols, tuple(rows))
 
 
-@dataclass(frozen=True)
-class RGradedMap:
+class RGradedMap(NamedTuple):
     """Map of real-graded complexes, shifting homological degree by hdeg."""
 
     source: RGradedComplex
@@ -106,8 +103,7 @@ class RGradedMap:
             for k in self.source.degrees()}, self.hdeg)
 
 
-@dataclass(frozen=True)
-class DoubleConeVerdict:
+class DoubleConeVerdict(NamedTuple):
     """Outcome of the double mapping cone check."""
 
     failed_hypothesis: str | None

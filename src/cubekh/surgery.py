@@ -10,8 +10,7 @@ is checked and what gets re-verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagram import _UnionFind
 from .errors import (
@@ -45,11 +44,22 @@ def _norm_framing(v) -> int | str:
     raise DimensionMismatch(f"framing entry {v!r} not in {{0, 1, inf}}")
 
 
-@dataclass(frozen=True)
-class FramedLinkPresentation:
+class FramedLinkPresentation(NamedTuple("FramedLinkPresentation",
+                                         [("linking_matrix", tuple)])):
     """Symmetric linking matrix with framings on the diagonal."""
 
-    linking_matrix: tuple
+    __slots__ = ()
+
+    def __new__(cls, linking_matrix: tuple):
+        n = len(linking_matrix)
+        for row in linking_matrix:
+            if len(row) != n:
+                raise DimensionMismatch("linking matrix must be square")
+        for i in range(n):
+            for j in range(n):
+                if linking_matrix[i][j] != linking_matrix[j][i]:
+                    raise DimensionMismatch("linking matrix must be symmetric")
+        return tuple.__new__(cls, (linking_matrix,))
 
     @staticmethod
     def from_lists(m: Sequence[Sequence[int]]) -> "FramedLinkPresentation":
@@ -64,16 +74,6 @@ class FramedLinkPresentation:
         for i, f in enumerate(frames):
             m[i][i] = int(f)
         return FramedLinkPresentation.from_lists(m)
-
-    def __post_init__(self):
-        n = len(self.linking_matrix)
-        for row in self.linking_matrix:
-            if len(row) != n:
-                raise DimensionMismatch("linking matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.linking_matrix[i][j] != self.linking_matrix[j][i]:
-                    raise DimensionMismatch("linking matrix must be symmetric")
 
     @property
     def components(self) -> int:
@@ -102,8 +102,7 @@ def h1_order(p: FramedLinkPresentation, v: Sequence) -> int:
     return abs(det_bareiss(p.filled_matrix(v)))
 
 
-@dataclass(frozen=True)
-class TriadReport:
+class TriadReport(NamedTuple):
     orders: tuple            # |H1| for the infinity-, 0-, 1-fillings
     additive: bool           # a = b + c under some cyclic rotation
     applicable: bool         # no member has b1 > 0
@@ -129,25 +128,33 @@ def triad_additivity_check(p: FramedLinkPresentation, k: int) -> TriadReport:
 # Plumbing graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PlumbingGraph:
-    """Vertices carry integer multiplicities; edges are index pairs."""
+    """Vertices carry integer multiplicities; edges are index pairs.  Equal
+    and hashed by value: the leaf induction keys its plan on graphs."""
 
-    multiplicities: tuple
-    edges: tuple
+    __slots__ = ("multiplicities", "edges")
+
+    def __init__(self, multiplicities: tuple, edges: tuple):
+        n = len(multiplicities)
+        for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise DimensionMismatch(f"edge ({a},{b}) out of range")
+            if a == b:
+                raise DimensionMismatch("plumbing graphs here have no self-loops")
+        self.multiplicities, self.edges = multiplicities, edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.multiplicities == other.multiplicities and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.multiplicities, self.edges))
 
     @staticmethod
     def from_lists(mult: Sequence[int], edges: Sequence[Sequence[int]]) -> "PlumbingGraph":
         return PlumbingGraph(tuple(int(x) for x in mult),
                              tuple(tuple(sorted((int(a), int(b)))) for a, b in edges))
-
-    def __post_init__(self):
-        n = len(self.multiplicities)
-        for a, b in self.edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise DimensionMismatch(f"edge ({a},{b}) out of range")
-            if a == b:
-                raise DimensionMismatch("plumbing graphs here have no self-loops")
 
     @property
     def vertices(self) -> int:
@@ -197,18 +204,22 @@ def plumbing_h1_order(g: PlumbingGraph) -> int:
     return abs(det_bareiss(plumbing_linking_matrix(g)))
 
 
-@dataclass(frozen=True)
 class DerivationStep:
-    kind: str                # "lens-seed", "contract-leaf", "triad", "connected-sum"
-    description: str
-    orders: tuple            # (|H1|,) or the additive triple (parent, child1, child2)
+    __slots__ = ("kind", "description", "orders")
+
+    def __init__(self, kind: str, description: str, orders: tuple):
+        self.kind = kind                 # "lens-seed", "contract-leaf", "triad", "connected-sum"
+        self.description = description
+        self.orders = orders             # (|H1|,) or the additive triple (parent, child1, child2)
 
 
-@dataclass(frozen=True)
 class LSpaceVerdict:
-    verdict: str             # "certified", "not-applicable", "unknown"
-    h1_order: int
-    derivation: tuple = ()
+    __slots__ = ("verdict", "h1_order", "derivation")
+
+    def __init__(self, verdict: str, h1_order: int, derivation: tuple = ()):
+        self.verdict = verdict           # "certified", "not-applicable", "unknown"
+        self.h1_order = h1_order
+        self.derivation = derivation
 
     def reverify(self) -> bool:
         """Triad steps must be exactly additive, contractions order-preserving,

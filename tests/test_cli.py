@@ -610,6 +610,18 @@ def test_non_integer_inputs_rejected(capsys, monkeypatch, cmd, payload):
     ("lspace", {"plumbing": {"mult": [2, 2], "edges": [[0, 1]]},
                 "large_surgery": {"p": 2, "q": 3, "n": 6}}, "JobError",
      "lspace payload takes 'plumbing' or 'large_surgery', not both"),
+    # refused by the constructors of ArcMarking, FramedLinkPresentation and
+    # PlumbingGraph
+    ("twisted", dict(TREFOIL, marking={"arcs": [2, 0, 0, 0, 0, 0]}),
+     "IncompatibleMarking", "marking bits must be 0 or 1"),
+    ("surgery", {"linking": [[0, 1]], "v": [0]}, "DimensionMismatch",
+     "linking matrix must be square"),
+    ("surgery", {"linking": [[0, 1], [2, 0]], "v": [0, 0]}, "DimensionMismatch",
+     "linking matrix must be symmetric"),
+    ("plumbing", {"plumbing": {"mult": [2, 2], "edges": [[1, 1]]}}, "DimensionMismatch",
+     "plumbing graphs here have no self-loops"),
+    ("lspace", {"plumbing": {"mult": [2, 2], "edges": [[0, 5]]}}, "DimensionMismatch",
+     "edge (0,5) out of range"),
 ])
 def test_wrongly_shaped_inputs_rejected(capsys, monkeypatch, cmd, payload, kind, detail):
     # refused with a reason that names the key, not a Python error
@@ -664,13 +676,46 @@ def test_qa_unknown_says_why(capsys, monkeypatch, payload, reason):
     ("lspace", {"large_surgery": {"p": 2, "q": 3, "n": 6}},
      "cubekh.surgery.LSpaceVerdict.reverify", lambda self: False,
      "large surgery chain failed re-verification"),
-], ids=["certify_tree", "plumbing_reverify", "large_surgery_reverify"])
+], ids=["plumbing_triad_additivity", "plumbing_reverify", "large_surgery_reverify"])
 def test_failed_surgery_cross_checks_exit_internal(capsys, monkeypatch, cmd,
                                                    payload, target, fake, detail):
     monkeypatch.setattr(target, fake)
     code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 1
     assert json.loads(out)["error"] == {"kind": "internal", "detail": detail}
+
+
+def test_plumbing_job_renders_each_distinct_step_once():
+    # the ten-vertex chain's 17709 steps share 29 distinct steps, so its
+    # derivation lists 29 dicts, and encodes as one dict per occurrence would
+    from cubekh.surgery import PlumbingGraph, plumbing_lspace_check
+    mult, edges = [3] * 10, [[i, i + 1] for i in range(9)]
+    out = run_job("plumbing", {"plumbing": {"mult": mult, "edges": edges}})
+    assert len(out["derivation"]) == 17709
+    assert len({id(step) for step in out["derivation"]}) == 29
+    verdict = plumbing_lspace_check(PlumbingGraph.from_lists(mult, edges))
+    per_occurrence = [{"kind": s.kind, "description": s.description,
+                       "orders": list(s.orders)} for s in verdict.derivation]
+    assert json.dumps(out["derivation"]) == json.dumps(per_occurrence)
+
+
+def test_cli_import_loads_what_jobs_reach_and_nothing_else():
+    # every module some command's run_job reaches is imported up front; the
+    # command line parser, dataclasses and the modules only selftest and the
+    # tests use are not
+    import os
+    import subprocess
+    import sys
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(here), "src"))
+    out = subprocess.run([sys.executable, "-c", "import sys, cubekh.cli; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert loaded >= {f"cubekh.{m}" for m in ("diagram", "linalg", "complexes", "khovanov",
+                                             "branched", "surgery")}
+    assert not loaded & {"dataclasses", "argparse", "fractions", "cubekh.rgraded",
+                         "cubekh.corpus", "cubekh.acceptance"}
 
 
 def test_free_loops_reach_cube_budget_before_allocating(capsys, monkeypatch):

@@ -171,7 +171,7 @@ def test_quasi_iso_iff_cone_acyclic():
 def test_chain_map_validation():
     a = GradedComplexF2({0: 1, 1: 1}, {0: f2_identity(1)})
     b = GradedComplexF2({0: 1, 1: 1}, {})
-    with pytest.raises(NotChainMap):
+    with pytest.raises(NotChainMap, match="^square at degree 0 does not commute$"):
         ChainMap(a, b, {0: f2_identity(1), 1: f2_identity(1)})
 
 

@@ -207,6 +207,13 @@ def test_row_width_checked(ncols, rows, accepted):
             MatF2(len(rows), ncols, rows)
 
 
+def test_row_count_checked():
+    with pytest.raises(DimensionMismatch, match="^expected 2 rows, got 1$"):
+        MatF2(2, 3, (1,))
+    with pytest.raises(DimensionMismatch, match="^expected 1 rows, got 0$"):
+        MatF2(1, 3)
+
+
 # --- Smith normal form ------------------------------------------------------
 
 def check_snf(a):
@@ -299,9 +306,9 @@ def test_cokernel_diagonal_checked_mod_2(monkeypatch):
 
 
 def test_abelian_group_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invariant factors must be >= 2$"):
         AbelianGroup((1,), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invariant factors must form a divisibility chain$"):
         AbelianGroup((4, 6), 0)
     assert str(AbelianGroup((2, 4), 1)) == "Z/2 + Z/4 + Z"
     assert str(AbelianGroup((), 0)) == "0"

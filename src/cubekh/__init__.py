@@ -19,7 +19,6 @@ from .branched import (
     verify_certificate,
 )
 from .complexes import (
-    ChainMap,
     DoubleComplexF2,
     FilteredComplexF2,
     GradedComplexF2,
@@ -35,7 +34,6 @@ from .diagram import (
     PlanarMap,
     ResolvedState,
     canonical_key,
-    connect_sum,
     mirror,
     parse_pd,
     planar_map,

@@ -4,10 +4,12 @@ mapping cones, and the spectral sequence of a filtered complex.
 The internal homological degree convention is that differentials raise
 degree by one (cube weight in the Khovanov application).  Every complex is
 checked when it is built: d^2 = 0, and for a double complex that d_h and
-d_v commute.  Homology and the spectral sequence pages share one cleared
-row elimination (`_cleared_pivots`), valid because d^2 = 0 was checked
-when the complex was built; the pages are read off the persistence pairing
-it gives, which yields every page and every d^r rank exactly.
+d_v commute.  A mapping cone is the total complex of a two-column double
+complex, so that check is also the one that a map is a chain map.
+Homology and the spectral sequence pages share one cleared row elimination
+(`_cleared_pivots`), valid because d^2 = 0 was checked when the complex
+was built; the pages are read off the persistence pairing it gives, which
+yields every page and every d^r rank exactly.
 """
 
 from __future__ import annotations
@@ -130,55 +132,6 @@ def homology_ranks(c: GradedComplexF2) -> dict:
     return out
 
 
-class ChainMap(NamedTuple("ChainMap", [("source", GradedComplexF2),
-                                       ("target", GradedComplexF2),
-                                       ("blocks", dict)])):
-    """Degree-preserving chain map between GradedComplexF2's."""
-
-    __slots__ = ()
-
-    def __new__(cls, source: GradedComplexF2, target: GradedComplexF2, blocks: dict):
-        self = tuple.__new__(cls, (source, target, blocks))
-        for k in set(source.dims) | set(target.dims):
-            f_k = self.block(k)
-            f_k1 = self.block(k + 1)
-            lhs = target.d(k) @ f_k
-            rhs = f_k1 @ source.d(k)
-            if lhs.rows != rhs.rows:
-                raise NotChainMap(f"square at degree {k} does not commute")
-        return self
-
-    def block(self, k: int) -> MatF2:
-        m = self.blocks.get(k)
-        if m is None:
-            return MatF2.zero(self.target.dim(k), self.source.dim(k))
-        if (m.nrows, m.ncols) != (self.target.dim(k), self.source.dim(k)):
-            raise DimensionMismatch(f"chain map block at degree {k} has wrong shape")
-        return m
-
-
-def mapping_cone(f: ChainMap) -> GradedComplexF2:
-    """Cone(f)_k = S_{k+1} + T_k with d(s, t) = (d s, f s + d t)."""
-    s, t = f.source, f.target
-    degrees = set()
-    for k in s.dims:
-        degrees.add(k - 1)
-    degrees.update(t.dims)
-    dims = {k: s.dim(k + 1) + t.dim(k) for k in degrees}
-    diffs = {}
-    for k in sorted(degrees):
-        blocks = {}
-        if s.dim(k + 2) and s.dim(k + 1):
-            blocks[(0, 0)] = s.d(k + 1)
-        if t.dim(k + 1) and s.dim(k + 1):
-            blocks[(1, 0)] = f.block(k + 1)
-        if t.dim(k + 1) and t.dim(k):
-            blocks[(1, 1)] = t.d(k)
-        diffs[k] = block_matrix(blocks, [s.dim(k + 2), t.dim(k + 1)],
-                                [s.dim(k + 1), t.dim(k)])
-    return GradedComplexF2(dims, diffs)
-
-
 class DoubleComplexF2:
     """Bigraded complex with d_h : (p,q) -> (p+1,q), d_v : (p,q) -> (p,q+1).
 
@@ -186,7 +139,8 @@ class DoubleComplexF2:
     and d_v commute.  Out of each cell, D = d_h + d_v has D^2 made of exactly
     those three blocks, so the condition is checked once, as D^2 = 0 on the
     total complex, which is built at construction and kept as `total` (with
-    `positions`, see `total_complex`).
+    `positions`, see `total_complex`).  Building it passes every stored
+    block to `block_matrix`, which refuses a block of the wrong shape.
     """
 
     def __init__(self, dims: Mapping[tuple, int], d_h: Mapping[tuple, MatF2],
@@ -196,14 +150,6 @@ class DoubleComplexF2:
                     if self.dims.get(pq) and self.dims.get((pq[0] + 1, pq[1]))}
         self.d_v = {pq: m for pq, m in d_v.items()
                     if self.dims.get(pq) and self.dims.get((pq[0], pq[1] + 1))}
-        for pq, m in self.d_h.items():
-            exp = (self.dim((pq[0] + 1, pq[1])), self.dim(pq))
-            if (m.nrows, m.ncols) != exp:
-                raise DimensionMismatch(f"d_h at {pq} has shape {(m.nrows, m.ncols)}")
-        for pq, m in self.d_v.items():
-            exp = (self.dim((pq[0], pq[1] + 1)), self.dim(pq))
-            if (m.nrows, m.ncols) != exp:
-                raise DimensionMismatch(f"d_v at {pq} has shape {(m.nrows, m.ncols)}")
         try:
             self.total, self.positions = total_complex(self)
         except NotAComplex as e:
@@ -259,6 +205,24 @@ def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
         diffs[t] = block_matrix(blocks, [dc.dim(pq) for pq in tgt_cells],
                                 [dc.dim(pq) for pq in cells])
     return GradedComplexF2(dims, diffs), positions
+
+
+def mapping_cone(source: GradedComplexF2, target: GradedComplexF2,
+                 blocks: Mapping[int, MatF2]) -> GradedComplexF2:
+    """Cone(f) of the map f : source -> target with f_k = blocks[k] (zero
+    where absent): the total complex of the double complex with source_k at
+    (-1, k), target_k at (0, k), d_h = f and d_v the two differentials, so
+    Cone(f)_k holds target_k and then source_{k+1}.  Both differentials
+    square to zero already, so D^2 = 0 on the cone is exactly f commuting
+    with them, and a map that does not raises NotChainMap."""
+    dims = {(-1, k): n for k, n in source.dims.items()}
+    dims.update(((0, k), n) for k, n in target.dims.items())
+    d_v = {(-1, k): m for k, m in source.differentials.items()}
+    d_v.update(((0, k), m) for k, m in target.differentials.items())
+    try:
+        return DoubleComplexF2(dims, {(-1, k): m for k, m in blocks.items()}, d_v).total
+    except NotBicomplex as e:
+        raise NotChainMap(f"Cone(f): {e}") from None
 
 
 class FilteredComplexF2:

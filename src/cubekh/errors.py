@@ -51,7 +51,8 @@ class NotBicomplex(ValidationError):
 
 
 class NotChainMap(ValidationError):
-    """A purported chain map does not commute with the differentials."""
+    """A purported chain map does not commute with the differentials, so
+    the differential of its mapping cone does not square to zero."""
 
 
 class FiltrationViolation(ValidationError):

@@ -12,10 +12,11 @@ nullhomotopy h of g o f such that
 
 the combined map (h, g) : Cone(f) -> E2 is a quasi-isomorphism.  The checker
 verifies the hypotheses, names the first one that fails, and only asserts
-the conclusion when all hold.  Once f and g are chain maps, (h, g) commutes
-with the differentials exactly when d h + h d = g o f, so (h, g) is built
-and checked once, as a chain map, and serves the nullhomotopy check and the
-conclusion alike.
+the conclusion when all hold.  A map is checked as a chain map by building
+its cone (`mapping_cone`).  Once f and g are chain maps, (h, g) commutes
+with the differentials exactly when d h + h d = g o f, so Cone((h, g)) is
+built once: building it is the nullhomotopy check, and its homology is the
+conclusion.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .complexes import ChainMap, GradedComplexF2, block_matrix, homology_ranks, mapping_cone
+from .complexes import GradedComplexF2, block_matrix, homology_ranks, mapping_cone
 from .errors import DimensionMismatch, NotChainMap
 from .linalg import MatF2, f2_kernel_basis, f2_rank
 
@@ -126,25 +127,25 @@ def check_double_mapping_cone(e0: RGradedComplex, e1: RGradedComplex,
     leading_f = Interval(Fraction(0), eps)
     zero_only = Interval(Fraction(0), Fraction(0), hi_closed=True)
 
-    chain_maps = []
+    cones = []
     for m in (f, g):
         if m.hdeg != 0:
             raise NotChainMap("chain map check requires degree 0")
         try:
-            chain_maps.append(ChainMap(m.source, m.target,
-                                       {k: m.block(k) for k in m.source.degrees()}))
+            cones.append(mapping_cone(m.source, m.target,
+                                      {k: m.block(k) for k in m.source.degrees()}))
         except NotChainMap:
             return DoubleConeVerdict("chain-maps", None)
     if h.hdeg != -1:
         return DoubleConeVerdict("nullhomotopy", None)
-    # phi = (h, g) : Cone(f) -> E2; with f and g chain maps, phi commutes
-    # exactly when d h + h d = g f
-    cone = mapping_cone(chain_maps[0])
-    phi_blocks = {k: block_matrix({(0, 0): h.block(k + 1), (0, 1): g.block(k)},
-                                  [g.target.dim(k)], [f.source.dim(k + 1), f.target.dim(k)])
-                  for k in cone.degrees()}
+    # phi = (h, g) : Cone(f) -> E2, in the cone's layout (E1_k, then
+    # E0_{k+1}); with f and g chain maps, phi commutes exactly when
+    # d h + h d = g f
+    phi_blocks = {k: block_matrix({(0, 0): g.block(k), (0, 1): h.block(k + 1)},
+                                  [g.target.dim(k)], [f.target.dim(k), f.source.dim(k + 1)])
+                  for k in cones[0].degrees()}
     try:
-        phi = ChainMap(cone, g.target, phi_blocks)
+        cone_phi = mapping_cone(cones[0], g.target, phi_blocks)
     except NotChainMap:
         return DoubleConeVerdict("nullhomotopy", None)
 
@@ -171,7 +172,7 @@ def check_double_mapping_cone(e0: RGradedComplex, e1: RGradedComplex,
         if not (mg @ mf).is_zero() or rf + rg != e1.dim(k):
             return DoubleConeVerdict("(3) exactness (middle)", None)
 
-    return DoubleConeVerdict(None, not homology_ranks(mapping_cone(phi)))
+    return DoubleConeVerdict(None, not homology_ranks(cone_phi))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def induce_marking(d, m, s) -> tuple[int, ...]:
     if len(m.bits) != d.arc_count:
         raise IncompatibleMarking(
             f"marking has {len(m.bits)} bits for {d.arc_count} arcs")
-    return tuple(sum(m.bit(a) for a in circ) % 2 for circ in s.circles)
+    return tuple(sum(m.bits[a - 1] for a in circ) % 2 for circ in s.circles)
 
 
 def marking_parities(cube, marking) -> list[tuple]:

@@ -1,0 +1,27 @@
+"""Diagram builders that only tests use: the connected sum of two
+diagrams, which the determinant, branched-cover and diagram tests use to
+build composite knots and to add Reidemeister-1 kinks."""
+
+from cubekh.diagram import Diagram
+from cubekh.errors import MalformedPD
+
+
+def connect_sum(d1: Diagram, d2: Diagram, arc1: int = 1, arc2: int = 1) -> Diagram:
+    """Connected sum splicing arc1 of d1 with arc2 of d2 (orientations chain)."""
+    if not d1.arc_count or not d2.arc_count:
+        raise MalformedPD("connect_sum requires diagrams with crossings")
+    shift = d1.arc_count
+    labels = ([a for c in d1.crossings for a in c]
+              + [a + shift for c in d2.crossings for a in c])
+    # splice: tail(arc1) -> head(arc2') and tail(arc2') -> head(arc1)
+    (c1, s1), (c2, s2) = d1.arc_head[arc1], d2.arc_head[arc2]
+    h1, h2, off = 4 * c1 + s1, 4 * c2 + s2, 4 * d1.n
+    labels[h2 + off] = arc1                     # tail of arc1 .. head of arc2'
+    labels[d2._other[h2] + off] = arc2 + shift  # tail of arc2' .. head of arc1
+    labels[h1] = arc2 + shift
+    labels[d1._other[h1]] = arc1
+    # relabel to consecutive integers
+    relabel = {a: i + 1 for i, a in enumerate(sorted(set(labels)))}
+    out = [tuple(relabel[a] for a in labels[x:x + 4])
+           for x in range(0, len(labels), 4)]
+    return Diagram(out, free_loops=d1.free_loops + d2.free_loops)

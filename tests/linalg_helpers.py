@@ -11,7 +11,7 @@ weight of a multi-framing of a filled linking matrix."""
 
 from typing import Sequence
 
-from cubekh.complexes import ChainMap, _shift, homology_ranks, mapping_cone
+from cubekh.complexes import _shift, homology_ranks, mapping_cone
 from cubekh.errors import DimensionMismatch
 from cubekh.linalg import MatF2, _check_rect, _gcdext, _pivots, det_bareiss, f2_rank
 from cubekh.surgery import _norm_framing
@@ -308,8 +308,8 @@ def smith_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def is_quasi_isomorphism(f: ChainMap) -> bool:
-    return not homology_ranks(mapping_cone(f))
+def is_quasi_isomorphism(source, target, blocks) -> bool:
+    return not homology_ranks(mapping_cone(source, target, blocks))
 
 
 def framing_weight(v: Sequence) -> int:

@@ -20,13 +20,13 @@ from cubekh.acceptance import corpus
 from cubekh.corpus import braid_closure, random_braid_diagram, small_knot
 from cubekh.diagram import (
     canonical_key,
-    connect_sum,
     parse_pd,
     simplify_greedy,
     smooth_crossing,
 )
 from cubekh.errors import NonPlanarTrace
 from cubekh.khovanov import state_sum_det
+from diagram_helpers import connect_sum
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF = [[1, 3, 2, 4], [3, 1, 4, 2]]

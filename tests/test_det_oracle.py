@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import det_oracle as oracle
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.corpus import braid_closure, diagram_corpus, random_braid_diagram
-from cubekh.diagram import Diagram, connect_sum
+from cubekh.diagram import Diagram
+from diagram_helpers import connect_sum
 from cubekh.khovanov import _zeta8_bracket, state_sum_det
 
 

@@ -12,7 +12,6 @@ from cubekh.diagram import (
     ArcMarking,
     Diagram,
     canonical_key,
-    connect_sum,
     mirror,
     parse_pd,
     planar_map,
@@ -21,6 +20,7 @@ from cubekh.diagram import (
     smooth_crossing,
 )
 from cube_oracle import induce_marking
+from diagram_helpers import connect_sum
 from cubekh.errors import (
     DisconnectedTrace,
     LengthMismatch,

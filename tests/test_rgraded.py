@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import cubekh.rgraded as rgraded
+from cubekh import complexes
+from cubekh.errors import NotChainMap
 from cubekh.rgraded import (
     Interval,
     RGradedComplex,
@@ -112,6 +115,51 @@ def test_chain_map_failures_detected():
     f = RGradedMap(e, e, {0: one, 1: one})
     h = RGradedMap(e, e, {}, hdeg=-1)
     assert _check(e, e, e, f, RGradedMap(e, e, {0: one}), h) == "chain-maps"
+
+
+def _cone_cells(src, tgt) -> dict:
+    cells = {(-1, k): n for k, n in src.dims.items()}
+    cells.update(((0, k), n) for k, n in tgt.dims.items())
+    return cells
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_chain_map_of_nonzero_degree_refused(which):
+    e, empty = _two_term(), RGradedComplex({}, {})
+    one = f2_identity(1)
+    f = RGradedMap(e, e, {0: one, 1: one})
+    g = RGradedMap(e, empty, {})
+    h = RGradedMap(e, empty, {}, hdeg=-1)
+    if which == "f":
+        f = RGradedMap(e, e, {0: one}, hdeg=1)
+    else:
+        g = RGradedMap(e, empty, {}, hdeg=1)
+    with pytest.raises(NotChainMap, match="^chain map check requires degree 0$"):
+        _check(e, e, empty, f, g, h)
+
+
+def test_positive_check_builds_each_cone_once(monkeypatch):
+    # Cone(f), Cone(g) and Cone((h, g)), one double complex each; the
+    # conclusion is the homology of the last, the cone whose build checked
+    # the nullhomotopy
+    built, ranked = [], []
+
+    class Counted(complexes.DoubleComplexF2):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    real_ranks = rgraded.homology_ranks
+    monkeypatch.setattr(complexes, "DoubleComplexF2", Counted)
+    monkeypatch.setattr(rgraded, "homology_ranks",
+                        lambda c: ranked.append(c) or real_ranks(c))
+    e0, e1, e2, f, g, h = random_lemma_instance(random.Random(2024), 1)
+    v = check_double_mapping_cone(e0, e1, e2, f, g, h, 1)
+    assert v == (None, True)
+    cone_f = built[0].total
+    assert [dc.dims for dc in built] == [
+        _cone_cells(src, tgt) for src, tgt in ((e0, e1), (e1, e2), (cone_f, e2))]
+    assert ranked == [built[2].total]
 
 
 def test_nullhomotopy_failures_detected():

@@ -216,7 +216,11 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
         pres = _presentation_from(payload)
         v = _framing_from(payload)
         g = surgered_h1(pres, v)
-        return {"h1": _group_json(g), "euler": h1_order(pres, v)}
+        order, euler = g.order() or 0, h1_order(pres, v)
+        if order != euler:
+            raise InternalInconsistency(
+                f"|H1| from the Smith form disagrees with the determinant: {order} vs {euler}")
+        return {"h1": _group_json(g), "euler": euler}
     if command == "plumbing":
         return _plumbing_job(payload)
     if command == "lspace":

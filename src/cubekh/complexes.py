@@ -139,36 +139,19 @@ class DoubleComplexF2:
     and d_v commute.  Out of each cell, D = d_h + d_v has D^2 made of exactly
     those three blocks, so the condition is checked once, as D^2 = 0 on the
     total complex, which is built at construction and kept as `total` (with
-    `positions`, see `total_complex`).  Building it passes every stored
-    block to `block_matrix`, which refuses a block of the wrong shape.
+    `positions`, see `total_complex`).  The blocks d_h and d_v are kept as
+    given; building the total complex refuses one of the wrong shape, also
+    at an empty cell.
     """
 
     def __init__(self, dims: Mapping[tuple, int], d_h: Mapping[tuple, MatF2],
                  d_v: Mapping[tuple, MatF2]):
         self.dims = {pq: int(v) for pq, v in dims.items() if v}
-        self.d_h = {pq: m for pq, m in d_h.items()
-                    if self.dims.get(pq) and self.dims.get((pq[0] + 1, pq[1]))}
-        self.d_v = {pq: m for pq, m in d_v.items()
-                    if self.dims.get(pq) and self.dims.get((pq[0], pq[1] + 1))}
+        self.d_h, self.d_v = d_h, d_v
         try:
             self.total, self.positions = total_complex(self)
         except NotAComplex as e:
             raise NotBicomplex(f"total differential d_h + d_v: {e}") from None
-
-    def dim(self, pq) -> int:
-        return self.dims.get(tuple(pq), 0)
-
-    def dh(self, pq) -> MatF2:
-        m = self.d_h.get(tuple(pq))
-        if m is None:
-            return MatF2.zero(self.dim((pq[0] + 1, pq[1])), self.dim(pq))
-        return m
-
-    def dv(self, pq) -> MatF2:
-        m = self.d_v.get(tuple(pq))
-        if m is None:
-            return MatF2.zero(self.dim((pq[0], pq[1] + 1)), self.dim(pq))
-        return m
 
 
 def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
@@ -177,33 +160,30 @@ def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
     filtration level never rises within a degree (`FilteredComplexF2`).
 
     Returns (complex, positions) where positions maps (p, q) to the
-    coordinate offset of that summand inside its total degree.
+    coordinate offset of that summand inside its total degree.  One loop
+    places the blocks of d_h and of d_v alike: each is checked against the
+    dimensions of its source and target cells (0 for an absent cell,
+    DimensionMismatch naming the block if not), then its rows are ORed in
+    at the two cells' offsets.
     """
-    by_total: dict[int, list[tuple]] = {}
-    for p, q in sorted(dc.dims, reverse=True):
-        by_total.setdefault(p + q, []).append((p, q))
-    dims = {t: sum(dc.dim(pq) for pq in cells) for t, cells in by_total.items()}
+    dims: dict = {}
     positions = {}
-    for t, cells in by_total.items():
-        off = 0
-        for pq in cells:
-            positions[pq] = off
-            off += dc.dim(pq)
-    diffs = {}
-    for t, cells in sorted(by_total.items()):
-        tgt_cells = by_total.get(t + 1, [])
-        if not tgt_cells:
-            continue
-        blocks = {}
-        for j, pq in enumerate(cells):
-            p, q = pq
-            for i, rs in enumerate(tgt_cells):
-                if rs == (p + 1, q):
-                    blocks[(i, j)] = dc.dh(pq)
-                elif rs == (p, q + 1):
-                    blocks[(i, j)] = dc.dv(pq)
-        diffs[t] = block_matrix(blocks, [dc.dim(pq) for pq in tgt_cells],
-                                [dc.dim(pq) for pq in cells])
+    for p, q in sorted(dc.dims, reverse=True):
+        positions[(p, q)] = dims.get(p + q, 0)
+        dims[p + q] = positions[(p, q)] + dc.dims[(p, q)]
+    rows = {t: [0] * dims[t + 1] for t in sorted(dims) if t + 1 in dims}
+    for name, blocks, (dp, dq) in (("d_h", dc.d_h, (1, 0)), ("d_v", dc.d_v, (0, 1))):
+        for (p, q), m in blocks.items():
+            tgt = (p + dp, q + dq)
+            shape = (dc.dims.get(tgt, 0), dc.dims.get((p, q), 0))
+            if (m.nrows, m.ncols) != shape:
+                raise DimensionMismatch(f"{name} at {(p, q)} is {m.nrows}x{m.ncols}, "
+                                        f"expected {shape[0]}x{shape[1]}")
+            if all(shape):
+                out, r0, c0 = rows[p + q], positions[tgt], positions[(p, q)]
+                for i, r in enumerate(m.rows, r0):
+                    out[i] |= r << c0
+    diffs = {t: MatF2(dims[t + 1], dims[t], tuple(r)) for t, r in rows.items()}
     return GradedComplexF2(dims, diffs), positions
 
 

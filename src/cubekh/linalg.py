@@ -201,95 +201,61 @@ def _gcdext(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _clear_column(d: list, t: int) -> None:
+    """Extended-gcd 2x2 unimodular row operations on rows t and i > t that
+    leave d[i][t] = 0 below row t, and d[t][t] the gcd of column t from
+    row t down."""
+    for i in range(t + 1, len(d)):
+        p, q = d[t][t], d[i][t]
+        if q == 0:
+            continue
+        dt, di = d[t], d[i]
+        if p and q % p == 0:
+            c = q // p
+            d[i] = [b - c * a for a, b in zip(dt, di)]
+            continue
+        g, x, y = _gcdext(p, q)
+        pg, qg = p // g, q // g
+        d[t] = [x * a + y * b for a, b in zip(dt, di)]
+        d[i] = [pg * b - qg * a for a, b in zip(dt, di)]
+
+
 def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
     """Invariant diagonal of the Smith normal form over the integers.
 
     Returns the min(rows, cols) diagonal entries d[0] | d[1] | ..., all
-    non-negative, zeros last.  Entries are cleared with extended-gcd 2x2
-    unimodular row and column operations, which keeps coefficient growth
-    tame; the transforms themselves are not kept.
+    non-negative, zeros last.  Step t moves the least nonzero entry of the
+    block from (t, t) on to (t, t), then clears column t with `_clear_column`
+    and row t with the same routine on the transpose, which has the same
+    invariant factors, until both are zero off the pivot; each gcd that is
+    not the pivot itself makes the pivot smaller.  A row of the block that
+    the pivot does not divide is added to row t and the step repeats.  The
+    transforms themselves are not kept.
     """
     n, m = _check_rect(a)
     d = [list(map(int, row)) for row in a]
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-
-    def row_gcd_transform(t, i):
-        # unimodular on rows t, i making d[t][t] = gcd and d[i][t] = 0
-        p, q = d[t][t], d[i][t]
-        if q == 0:
-            return
-        if p and q % p == 0:
-            c = -(q // p)
-            d[i] = [x + c * y for x, y in zip(d[i], d[t])]
-            return
-        g, x, y = _gcdext(p, q)
-        pg, qg = p // g, q // g
-        dt, di = d[t], d[i]
-        d[t] = [x * a_ + y * b_ for a_, b_ in zip(dt, di)]
-        d[i] = [-qg * a_ + pg * b_ for a_, b_ in zip(dt, di)]
-
-    def col_gcd_transform(t, j):
-        p, q = d[t][t], d[t][j]
-        if q == 0:
-            return
-        if p and q % p == 0:
-            c = -(q // p)
-            for row in d:
-                row[j] += c * row[t]
-            return
-        g, x, y = _gcdext(p, q)
-        pg, qg = p // g, q // g
-        for row in d:
-            a_, b_ = row[t], row[j]
-            row[t] = x * a_ + y * b_
-            row[j] = -qg * a_ + pg * b_
-
-    t = 0
     rank_bound = min(n, m)
+    t = 0
     while t < rank_bound:
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                e = abs(d[i][j])
-                if e and (best is None or e < best):
-                    best = e
-                    pivot = (i, j)
-        if pivot is None:
+        block = [(abs(x), i, j) for i in range(t, len(d))
+                 for j, x in enumerate(d[i][t:], t) if x]
+        if not block:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, n):
-                row_gcd_transform(t, i)
-            if all(d[t][j] == 0 for j in range(t + 1, m)):
-                break
-            for j in range(t + 1, m):
-                col_gcd_transform(t, j)
-            if all(d[i][t] == 0 for i in range(t + 1, n)):
-                break
-        # force divisibility of the remaining block by the pivot
-        offending = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if d[i][j] % d[t][t]:
-                    offending = i
-                    break
-            if offending is not None:
-                break
-        if offending is not None:
-            d[t] = [x + y for x, y in zip(d[t], d[offending])]
-            continue
-        t += 1
-    return [abs(d[i][i]) for i in range(rank_bound)]
+        _, i, j = min(block)      # a tie keeps (t, t): a repeated step then shrinks it
+        d[t], d[i] = d[i], d[t]
+        for row in d:
+            row[t], row[j] = row[j], row[t]
+        _clear_column(d, t)
+        while any(d[t][t + 1:]):
+            d = [list(c) for c in zip(*d)]
+            _clear_column(d, t)
+        p = d[t][t]
+        bad = next((row for row in d[t + 1:] if any(x % p for x in row[t + 1:])), None)
+        if bad is None:
+            t += 1
+        else:
+            d[t] = [x + y for x, y in zip(d[t], bad)]
+    return [abs(d[i][i]) for i in range(t)] + [0] * (rank_bound - t)
 
 
 def cokernel_group(a: Sequence[Sequence[int]]) -> AbelianGroup:

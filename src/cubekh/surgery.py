@@ -199,8 +199,6 @@ def plumbing_linking_matrix(g: PlumbingGraph) -> list[list[int]]:
 
 
 def plumbing_h1_order(g: PlumbingGraph) -> int:
-    if g.vertices == 0:
-        return 1
     return abs(det_bareiss(plumbing_linking_matrix(g)))
 
 

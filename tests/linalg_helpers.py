@@ -4,10 +4,15 @@ with nothing cleared (the oracles for the clearing in `cubekh.complexes`),
 the identity and list forms of a GF(2) matrix, its entries, its product
 with a vector and the stack of two, echelon row spaces, solving,
 row-space membership, subspace sum and intersection, the Smith normal form
-with its unimodular transforms (the oracle for `linalg.smith_normal_form`,
-which keeps only the diagonal) and the integer product and unimodularity
+with its unimodular transforms and the integer product and unimodularity
 test that check it, the quasi-isomorphism test by mapping cone, and the
-weight of a multi-framing of a filled linking matrix."""
+weight of a multi-framing of a filled linking matrix.
+
+The Smith form oracle is the oracle for `linalg.smith_normal_form`, which
+keeps only the diagonal.  It shares no loop with it: the oracle clears rows
+and columns with separate transforms that it carries along, while
+`linalg` clears rows and columns with one column routine, run on the
+matrix and on its transpose."""
 
 from typing import Sequence
 
@@ -301,11 +306,6 @@ def smith_normal_form_oracle(a: Sequence[Sequence[int]]):
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
     return d, u, v
-
-
-def smith_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def is_quasi_isomorphism(source, target, blocks) -> bool:

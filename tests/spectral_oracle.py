@@ -6,7 +6,9 @@ kernel per (r, p, t) for Z^r, and each E^r as a subquotient of ranks.
 `filtration_violation` checks the filtration entry by entry, column by
 column.  `vertical_then_horizontal_ranks` computes the homology of vertical
 homology of a double complex from class representatives and induced ranks,
-where `cubekh.khovanov` reads it off the E^2 page.
+where `cubekh.khovanov` reads it off the E^2 page; `dim`, `dh` and `dv`
+read a double complex's cells and blocks for it, a zero block where none
+is stored.
 """
 
 from cubekh.complexes import SpectralPages
@@ -137,6 +139,24 @@ def spectral_pages(fc) -> SpectralPages:
     return SpectralPages(tuple(pages), tuple(d_ranks), stab)
 
 
+def dim(dc, pq) -> int:
+    return dc.dims.get(tuple(pq), 0)
+
+
+def dh(dc, pq) -> MatF2:
+    m = dc.d_h.get(tuple(pq))
+    if m is None:
+        return MatF2.zero(dim(dc, (pq[0] + 1, pq[1])), dim(dc, pq))
+    return m
+
+
+def dv(dc, pq) -> MatF2:
+    m = dc.d_v.get(tuple(pq))
+    if m is None:
+        return MatF2.zero(dim(dc, (pq[0], pq[1] + 1)), dim(dc, pq))
+    return m
+
+
 def vertical_then_horizontal_ranks(dc) -> dict[tuple, int]:
     """Homology of vertical homology: generic double-complex computation.
 
@@ -148,10 +168,10 @@ def vertical_then_horizontal_ranks(dc) -> dict[tuple, int]:
     boundaries: dict[tuple, MatF2] = {}
     for cell in dc.dims:
         p, q = cell
-        dv_out = dc.dv(cell)
-        kernel = _kernel_rows(dv_out, dc.dim(cell))
+        dv_out = dv(dc, cell)
+        kernel = _kernel_rows(dv_out, dim(dc, cell))
         # rows of the transpose are the images of the basis vectors below
-        b_space = f2_row_space(dc.dv((p, q - 1)).transpose())
+        b_space = f2_row_space(dv(dc, (p, q - 1)).transpose())
         boundaries[cell] = b_space
         comp = []
         pivots = {(b & -b): b for b in b_space.rows}
@@ -165,7 +185,7 @@ def vertical_then_horizontal_ranks(dc) -> dict[tuple, int]:
                     comp.append(v)
                     break
                 red ^= piv
-        reps[cell] = MatF2(len(comp), dc.dim(cell), tuple(comp))
+        reps[cell] = MatF2(len(comp), dim(dc, cell), tuple(comp))
 
     out: dict[tuple, int] = {}
     induced: dict[tuple, int] = {}
@@ -203,6 +223,6 @@ def _induced_rank(dc, reps, boundaries, cell) -> int:
     if tgt not in dc.dims or cell not in reps or reps[cell].nrows == 0:
         return 0
     # each image is the XOR of the columns of d_h a representative picks
-    images = reps[cell] @ dc.dh(cell).transpose()
-    tgt_b = boundaries.get(tgt, MatF2.zero(0, dc.dim(tgt)))
+    images = reps[cell] @ dh(dc, cell).transpose()
+    tgt_b = boundaries.get(tgt, MatF2.zero(0, dim(dc, tgt)))
     return f2_rank(f2_stack(images, tgt_b)) - f2_rank(tgt_b)

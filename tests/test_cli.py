@@ -371,6 +371,22 @@ def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
         "kind": "internal", "detail": "det oracles disagree: 5 vs 3"}
 
 
+@pytest.mark.parametrize("target, fake, detail", [
+    # 9 is odd like 7, so the cokernel's mod-2 check passes and only the
+    # determinant catches the misread Smith form
+    ("cubekh.linalg.smith_normal_form", lambda a: [9], "9 vs 7"),
+    ("cubekh.cli.h1_order", lambda p, v: 8, "7 vs 8"),
+], ids=["smith_form", "determinant"])
+def test_disagreeing_surgery_orders_exit_internal(capsys, monkeypatch, target, fake, detail):
+    monkeypatch.setattr(target, fake)
+    code, out = run_cli(capsys, monkeypatch, ["--command", "surgery"],
+                        {"linking": [[0]], "frames": [7], "v": [0]})
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "internal",
+        "detail": f"|H1| from the Smith form disagrees with the determinant: {detail}"}
+
+
 def test_two_coefficient_bracket_exits_internal(capsys, monkeypatch):
     # the bracket at zeta8 is +-x^k det; 3 + 4x^2 has norm 25, a perfect
     # square, but two nonzero coefficients

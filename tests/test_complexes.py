@@ -212,12 +212,20 @@ def test_bicomplex_squares_enforced():
 
 
 def test_wrongly_shaped_blocks_refused():
-    # every stored block reaches block_matrix when the total is built
+    # every stored block is checked against its two cells when the total is
+    # built, an absent cell counting as dimension 0
     square = {(0, 0): 1, (1, 0): 2, (0, 1): 1, (1, 1): 2}
-    with pytest.raises(DimensionMismatch, match=r"^block \(0,0\) is 1x1, expected 2x1$"):
+    with pytest.raises(DimensionMismatch, match=r"^d_h at \(0, 0\) is 1x1, expected 2x1$"):
         DoubleComplexF2(square, {(0, 0): f2_identity(1)}, {})
-    with pytest.raises(DimensionMismatch, match=r"^block \(0,0\) is 1x2, expected 2x2$"):
+    with pytest.raises(DimensionMismatch, match=r"^d_v at \(1, 0\) is 1x2, expected 2x2$"):
         DoubleComplexF2(square, {}, {(1, 0): MatF2.zero(1, 2)})
+    # a block into an empty cell
+    with pytest.raises(DimensionMismatch, match=r"^d_h at \(1, 0\) is 1x2, expected 0x2$"):
+        DoubleComplexF2(square, {(1, 0): MatF2.zero(1, 2)}, {})
+    # a cone block at a degree where both complexes are empty
+    point = GradedComplexF2({0: 1}, {})
+    with pytest.raises(DimensionMismatch, match=r"^d_h at \(-1, 5\) is 1x1, expected 0x0$"):
+        mapping_cone(point, point, {0: f2_identity(1), 5: f2_identity(1)})
 
 
 # --- filtered complexes and spectral pages -------------------------------------

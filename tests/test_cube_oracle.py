@@ -211,7 +211,7 @@ def check_complexes_against_oracle(d, rng):
         assert (tw.total.dims, tw.total.differentials) == (total.dims, total.differentials)
         weights = {t: [] for t in total.dims}
         for (p, q), off in sorted(positions.items(), key=lambda cell: cell[1]):
-            weights[p + q] += [p] * odc.dim((p, q))
+            weights[p + q] += [p] * odc.dims[(p, q)]
         assert tw.weights == weights
         assert {cell: off for cell, (off, _) in tw.cells.items()} == positions
         assert {cell: n for cell, (_, n) in tw.cells.items() if n} == oeven

@@ -1,5 +1,6 @@
 """GF(2) and Smith form tests, each checked against a naive oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -267,6 +268,10 @@ def test_snf_random_det_product():
         for x in diag:
             prod *= x
         assert abs(det) == prod
+    for _ in range(20):
+        n = rng.randint(1, 9)
+        a = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        assert abs(det_bareiss(a)) == math.prod(check_snf(a))
 
 
 def test_snf_rectangular():
@@ -274,6 +279,13 @@ def test_snf_rectangular():
     for _ in range(30):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+        check_snf(a)
+    # no rows (a list of rows cannot tell 0x3 from 0x0), then no columns
+    for a in ([], [[]], [[], [], []]):
+        assert check_snf(a) == []
+    for _ in range(40):
+        n, m = rng.sample(range(1, 10), 2)
+        a = [[rng.randint(-50, 50) for _ in range(m)] for _ in range(n)]
         check_snf(a)
 
 

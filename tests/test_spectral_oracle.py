@@ -76,7 +76,7 @@ def test_corpus_weight_filtration_pages_match_oracle(i):
     # filtered by cube weight: cell (p, q) sits at its offset in degree p + q
     levels = {t: [None] * n for t, n in total.dims.items()}
     for (p, q), off in positions.items():
-        levels[p + q][off:off + dc.dim((p, q))] = [p] * dc.dim((p, q))
+        levels[p + q][off:off + dc.dims[(p, q)]] = [p] * dc.dims[(p, q)]
     check_pages(FilteredComplexF2(total, levels))
 
 

@@ -279,6 +279,16 @@ def test_derivation_orders_match_fresh_determinants(mult, edges):
     assert got == _derivation_by_fresh_orders(g)
 
 
+def test_empty_plumbing_is_the_three_sphere():
+    # no vertices: the 0x0 linking matrix has determinant 1, and the empty
+    # derivation certifies S^3
+    from cubekh.cli import run_job
+    assert plumbing_h1_order(PlumbingGraph.from_lists([], [])) == 1
+    assert run_job("plumbing", {"plumbing": {"mult": [], "edges": []}}) == {
+        "verdict": "certified", "h1_order": 1, "h1": 1, "derivation": [],
+        "reverified": True}
+
+
 def test_plumbing_job_computes_each_graph_order_once(monkeypatch):
     # the ten-vertex chain has 17709 steps over 29 distinct linking
     # matrices; each graph's order is at most one Bareiss determinant

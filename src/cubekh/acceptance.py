@@ -286,11 +286,11 @@ class CriterionResult(NamedTuple):
     detail: str
 
 
-def run_all(report=print) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for number, name, fn in CRITERIA:
         passed, detail = fn()
         results.append(CriterionResult(number, name, passed, detail))
         status = "PASS" if passed else "FAIL"
-        report(f"[{status}] criterion {number}: {name} ({detail})")
+        print(f"[{status}] criterion {number}: {name} ({detail})")
     return results

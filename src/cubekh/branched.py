@@ -4,12 +4,13 @@ inequality, quasi-alternating certification, and the oriented-resolution
 filling check.
 
 The Goeritz determinant and the Kauffman state sum give two fully
-independent routes to det(L); every consumer here checks them against each
-other.
+independent routes to det(L); `checked_det` is the one place they are
+compared.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .diagram import (
@@ -17,7 +18,6 @@ from .diagram import (
     RES1_PAIRS,
     Diagram,
     PlanarMap,
-    _fuse_and_relabel,
     canonical_key,
     mirror,
     planar_map,
@@ -35,18 +35,23 @@ from .linalg import AbelianGroup, cokernel_group, det_bareiss
 # ---------------------------------------------------------------------------
 
 class GoeritzData(NamedTuple):
-    """Checkerboard coloring and the (reduced) Goeritz matrix of a connected
-    PD diagram; free loops force det = 0."""
+    """Checkerboard coloring and reduced Goeritz matrix of a PD diagram:
+    the block sum over the projection's pieces, one white face deleted per
+    piece.  `white_faces` lists the white faces piece by piece, the deleted
+    ones included; `pieces` counts the projection's pieces and the free
+    loops."""
 
     white_faces: tuple
     colors: tuple
     matrix: tuple
-    free_loops: int
+    pieces: int
 
     def det(self) -> int:
-        if self.free_loops:
+        """det(L): 0 for a split diagram, else |det| of the matrix (1 for
+        the unknot and the empty diagram, whose matrix is 0x0)."""
+        if self.pieces > 1:
             return 0
-        return abs(det_bareiss([list(r) for r in self.matrix]))
+        return abs(det_bareiss(self.matrix))
 
 
 def _face_parities(d: Diagram, pm: PlanarMap, label, clash: str) -> list[int]:
@@ -79,31 +84,33 @@ def _face_parities(d: Diagram, pm: PlanarMap, label, clash: str) -> list[int]:
 
 
 def goeritz(d: Diagram) -> GoeritzData:
-    """Goeritz matrix of the white regions, one region deleted.
+    """Goeritz matrix of the white regions, read off the diagram's one
+    planar map: the block sum of the pieces' matrices in order of their
+    least crossing, with the first white face of each piece deleted.
 
-    White is the larger color class (ties broken toward the class of face 0),
-    which keeps the matrix small and matches the 1x1 matrix of a kink.
+    White is the larger color class of each piece (a tie goes to the class
+    of the piece's first face, where the parity walk starts at 0), which
+    keeps the matrix small and matches the 1x1 matrix of a kink.
     """
     if d.n == 0:
         return GoeritzData((), (), (), d.free_loops)
-    if not d.is_pd_connected():
-        raise NonPlanarTrace("Goeritz matrix requires a connected diagram")
+    pieces = d.pd_components()
     pm = planar_map(d)
     # 2-coloring of faces: adjacent faces across an arc get opposite colors
     colors = tuple(_face_parities(d, pm, lambda arc: 1,
                                   "projection is not checkerboard colorable"))
-    per_class = [sum(1 for c in colors if c == 0), sum(1 for c in colors if c == 1)]
-    if per_class[0] == per_class[1]:
-        white = colors[0]
-    else:
-        white = 0 if per_class[0] > per_class[1] else 1
-    white_faces = tuple(f for f, c in enumerate(colors) if c == white)
+    piece_of = {ci: k for k, piece in enumerate(pieces) for ci in piece}
+    face_piece = [piece_of[orbit[0][0]] for orbit in pm.faces]
+    tally = Counter(zip(face_piece, colors))
+    white = [int(tally[k, 1] > tally[k, 0]) for k in range(len(pieces))]
+    white_faces = tuple(sorted((f for f, c in enumerate(colors) if c == white[face_piece[f]]),
+                               key=lambda f: (face_piece[f], f)))
     w_index = {f: i for i, f in enumerate(white_faces)}
     size = len(white_faces)
     pre = [[0] * size for _ in range(size)]
     for ci in range(d.n):
         corners = [pm.face_of_corner(ci, s) for s in range(4)]
-        whites = [s for s in range(4) if colors[corners[s]] == white]
+        whites = [s for s in range(4) if corners[s] in w_index]
         if len(whites) != 2 or (whites[1] - whites[0]) != 2:
             raise NonPlanarTrace("crossing does not see two opposite white corners")
         # corners (1,2)&(3,0) are the pair the under-strand sweeps toward the
@@ -116,47 +123,37 @@ def goeritz(d: Diagram) -> GoeritzData:
             pre[j][i] -= eta
             pre[i][i] += eta
             pre[j][j] += eta
-    reduced = tuple(tuple(row[1:]) for row in pre[1:])
-    return GoeritzData(white_faces, colors, reduced, d.free_loops)
-
-
-def _pd_pieces(d: Diagram) -> list[Diagram]:
-    """Connected pieces of the projection as standalone diagrams: d itself
-    when it has one piece, so its planar map and pieces are traced once."""
-    pieces = d.pd_components()
-    if len(pieces) == 1:
-        return [d]
-    out = []
-    for piece in pieces:
-        sub = [d.crossings[ci] for ci in piece]
-        out.append(_fuse_and_relabel(sub, {a for c in sub for a in c}, ()))
-    return out
+    # the white faces after the first of their piece
+    keep = [i for i in range(1, size)
+            if face_piece[white_faces[i]] == face_piece[white_faces[i - 1]]]
+    reduced = tuple(tuple(pre[i][j] for j in keep) for i in keep)
+    return GoeritzData(white_faces, colors, reduced, len(pieces) + d.free_loops)
 
 
 def link_det(d: Diagram) -> int:
     """det(L) from the Goeritz matrix; split diagrams have det 0."""
-    if d.n == 0:
-        return 1 if d.free_loops == 1 else (0 if d.free_loops else 1)
-    if d.free_loops or not d.is_pd_connected():
-        return 0
     return goeritz(d).det()
 
 
+def checked_det(d: Diagram, max_crossings: int | None = None) -> int:
+    """det(L) by the Kauffman state sum, checked against the Goeritz
+    determinant (InternalInconsistency if they differ).  The state sum runs
+    first, so a diagram over the cube budget is refused before any Goeritz
+    work."""
+    ds = state_sum_det(d, max_crossings=max_crossings)
+    dg = link_det(d)
+    if dg != ds:
+        raise InternalInconsistency(f"det oracles disagree: {dg} vs {ds}")
+    return ds
+
+
 def h1_sigma(d: Diagram) -> AbelianGroup:
-    """H1 of the double branched cover: cokernel of the block sum of the
-    pieces' Goeritz matrices, one S^2 x S^1 summand per extra split piece."""
-    pieces = _pd_pieces(d)
-    blocks = [goeritz(piece).matrix for piece in pieces]
-    size = sum(len(b) for b in blocks)
-    block_sum = [[0] * size for _ in range(size)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            block_sum[at + i][at:at + len(row)] = row
-        at += len(b)
-    grp = cokernel_group(block_sum)
-    split = max(len(pieces) + d.free_loops - 1, 0)
-    return AbelianGroup(grp.invariant_factors, grp.free_rank + split)
+    """H1 of the double branched cover: cokernel of the Goeritz matrix, the
+    block sum of the pieces' matrices, plus one S^2 x S^1 summand per piece
+    or free loop past the first."""
+    g = goeritz(d)
+    grp = cokernel_group(g.matrix)
+    return AbelianGroup(grp.invariant_factors, grp.free_rank + max(g.pieces - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +161,18 @@ def h1_sigma(d: Diagram) -> AbelianGroup:
 # ---------------------------------------------------------------------------
 
 class RankInequalityReport(NamedTuple):
-    det_goeritz: int
-    det_state_sum: int
+    det: int
     khr_mirror_rank: int
     holds: bool
     equality: bool
-
-    @property
-    def det(self) -> int:
-        return self.det_goeritz
 
 
 def rank_inequality_check(d: Diagram, max_crossings: int | None = None) -> RankInequalityReport:
     """det(L) <= total reduced rank of the mirror diagram, with both det
     oracles compared."""
-    dg = link_det(d)
-    ds = state_sum_det(d, max_crossings=max_crossings)
-    if dg != ds:
-        raise InternalInconsistency(f"det oracles disagree: goeritz {dg}, state sum {ds}")
+    det = checked_det(d, max_crossings=max_crossings)
     rk = sum(khr_ranks(mirror(d), max_crossings=max_crossings).values())
-    return RankInequalityReport(dg, ds, rk, dg <= rk, dg == rk)
+    return RankInequalityReport(det, rk, det <= rk, det == rk)
 
 
 # ---------------------------------------------------------------------------

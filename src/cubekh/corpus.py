@@ -61,22 +61,18 @@ class _Tangle:
         self.next += 1
         return x
 
-    def twist_right(self, hand: int = 1):
+    def twist_right(self):
         a, b = self.ne, self.se
         x, y = self._fresh(), self._fresh()
-        if hand > 0:
-            self.crossings.append((a, b, y, x))
-        else:
-            self.crossings.append((b, y, x, a))
+        self.crossings.append((a, b, y, x))
         self.ne, self.se = x, y
 
-    def twist_bottom(self, hand: int = 1):
+    def twist_bottom(self):
+        # the opposite handedness to twist_right, so alternating twist
+        # regions give an alternating diagram
         a, b = self.sw, self.se
         x, y = self._fresh(), self._fresh()
-        if hand > 0:
-            self.crossings.append((b, a, x, y))
-        else:
-            self.crossings.append((a, x, y, b))
+        self.crossings.append((a, x, y, b))
         self.sw, self.se = x, y
 
     def numerator_closure(self) -> Diagram:
@@ -85,12 +81,12 @@ class _Tangle:
                                  unions)
 
 
-def rational_link(coeffs: Sequence[int], hand: int = 1) -> Diagram:
+def rational_link(coeffs: Sequence[int]) -> Diagram:
     """Numerator closure of the rational tangle with the given twist counts.
 
-    Twist regions alternate bottom/right starting with bottom; with a single
-    handedness throughout, the diagram is alternating and its determinant is
-    the continued fraction numerator of the coefficients.
+    Twist regions alternate bottom/right starting with bottom; the diagram is
+    alternating and its determinant is the continued fraction numerator of
+    the coefficients.
     """
     if not coeffs or any(c < 0 for c in coeffs):
         raise MalformedPD("twist counts must be positive")
@@ -103,14 +99,13 @@ def rational_link(coeffs: Sequence[int], hand: int = 1) -> Diagram:
         else:
             c = c[:-2] + [c[-2] + 1]
     t = _Tangle()
-    # inside out: level j uses right twists when j is odd, bottom when even;
-    # the two families take opposite handedness to keep the diagram alternating
+    # inside out: level j uses right twists when j is odd, bottom when even
     for j in range(len(c), 0, -1):
         for _ in range(c[j - 1]):
             if j % 2 == 1:
-                t.twist_right(hand)
+                t.twist_right()
             else:
-                t.twist_bottom(-hand)
+                t.twist_bottom()
     return t.numerator_closure()
 
 

@@ -192,15 +192,11 @@ class Diagram:
     def n(self) -> int:
         return len(self.crossings)
 
-    def is_pd_connected(self) -> bool:
-        """True when the underlying 4-valent graph is connected."""
-        return len(self.pd_components()) <= 1
-
     def pd_components(self) -> list[list[int]]:
         """Connected components of the diagram graph, as crossing index
-        lists.  The union-find pass runs on the first call and its classes
-        are kept, so parsing, `is_pd_connected` and the Goeritz matrix of one
-        diagram share it."""
+        lists in order of their least crossing.  The union-find pass runs on
+        the first call and its classes are kept, so parsing and the Goeritz
+        matrix of one diagram share it."""
         if self._pieces is None:
             uf = _UnionFind(range(self.n))
             for x in self._first.values():

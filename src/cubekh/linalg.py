@@ -8,6 +8,7 @@ overflow concern.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InternalInconsistency
@@ -263,8 +264,10 @@ def cokernel_group(a: Sequence[Sequence[int]]) -> AbelianGroup:
     entries above 1 are the invariant factors and each column past the
     nonzero entries adds one free summand.  The diagonal is checked against
     a GF(2) elimination: unimodular operations stay invertible mod 2, so the
-    rank of a mod 2 is the number of odd entries (InternalInconsistency if
-    not)."""
+    rank of a mod 2 is the number of odd entries.  For a square a, the
+    product of the diagonal, the cokernel's order (0 if infinite), is also
+    checked against |det a| by Bareiss elimination.  Either check raises
+    InternalInconsistency when it fails."""
     n, m = _check_rect(a)
     if m == 0:
         return AbelianGroup((), 0)
@@ -274,6 +277,11 @@ def cokernel_group(a: Sequence[Sequence[int]]) -> AbelianGroup:
     mod2 = MatF2(n, m, tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in a))
     if f2_rank(mod2) != sum(x & 1 for x in diag):
         raise InternalInconsistency("Smith normal form disagrees with the rank mod 2")
+    if n == m:
+        order, det = prod(diag), abs(det_bareiss(a))
+        if order != det:
+            raise InternalInconsistency(
+                f"|H1| from the Smith form disagrees with the determinant: {order} vs {det}")
     factors = tuple(x for x in diag if x > 1)
     nonzero = sum(1 for x in diag if x != 0)
     return AbelianGroup(factors, m - nonzero)

@@ -36,11 +36,9 @@ MAX_PLUMBING_STEPS = 200_000
 
 
 def _norm_framing(v) -> int | str:
-    """Multi-framing entries: 0, 1, or infinity (written 'inf' or -1)."""
-    if v in (0, 1):
+    """Multi-framing entries: 0, 1, or infinity (written 'inf')."""
+    if v in (0, 1, INF):
         return v
-    if v in (INF, -1, float("inf"), "infinity", "oo"):
-        return INF
     raise DimensionMismatch(f"framing entry {v!r} not in {{0, 1, inf}}")
 
 
@@ -222,7 +220,8 @@ class LSpaceVerdict:
     def reverify(self) -> bool:
         """Triad steps must be exactly additive, contractions order-preserving,
         connected sums multiplicative."""
-        for step in self.derivation:
+        # a plumbing derivation repeats its distinct steps: check each once
+        for step in dict.fromkeys(self.derivation):
             if step.kind == "triad" and step.orders[0] != step.orders[1] + step.orders[2]:
                 return False
             if step.kind == "contract-leaf" and step.orders[0] != step.orders[1]:

@@ -24,7 +24,6 @@ from cubekh.diagram import (
     simplify_greedy,
     smooth_crossing,
 )
-from cubekh.errors import NonPlanarTrace
 from cubekh.khovanov import state_sum_det
 from diagram_helpers import connect_sum
 
@@ -54,14 +53,24 @@ def test_goeritz_random_braids_match_state_sum():
         assert link_det(d) == state_sum_det(d)
 
 
-def test_goeritz_requires_connected():
-    # two split trefoil pieces in one PD code
-    d1 = parse_pd(TREFOIL)
-    pd2 = [[a + 6 for a in c] for c in TREFOIL]
-    d = parse_pd([list(c) for c in d1.crossings] + pd2)
-    with pytest.raises(NonPlanarTrace):
-        goeritz(d)
-    assert link_det(d) == 0  # split link
+def test_split_goeritz_is_block_sum_of_pieces():
+    # a trefoil and a split Hopf link in one PD code, plus a free loop
+    hopf = [[a + 6 for a in c] for c in HOPF]
+    d = parse_pd(TREFOIL + hopf, free_loops=1)
+    g = goeritz(d)
+    a, b = goeritz(parse_pd(TREFOIL)).matrix, goeritz(parse_pd(HOPF)).matrix
+    block_sum = tuple(row + (0,) * len(b) for row in a) + tuple((0,) * len(a) + row
+                                                                for row in b)
+    assert g.matrix == block_sum
+    assert g.pieces == 3
+    assert link_det(d) == g.det() == 0  # split link
+
+
+def test_goeritz_det_of_crossingless_diagrams():
+    # the 0x0 matrix has determinant 1: the unknot and the empty diagram
+    assert goeritz(parse_pd([], free_loops=1)).det() == 1
+    assert goeritz(parse_pd([])).det() == 1
+    assert goeritz(parse_pd([], free_loops=2)).det() == 0
 
 
 # --- H1 ------------------------------------------------------------------------

@@ -154,12 +154,12 @@ def test_det_job_makes_one_union_find_pass(capsys, monkeypatch):
     (TREFOIL, {"free_rank": 0, "invariant_factors": [3], "order": 3, "pretty": "Z/3"}, [1, 1, 1]),
     ({"pd": TREFOIL["pd"] + [[7, 9, 8, 10], [9, 7, 10, 8]]},
      {"free_rank": 1, "invariant_factors": [6], "order": None, "pretty": "Z/6 + Z"},
-     [3, 5, 3]),
+     [1, 1, 1]),
 ], ids=["trefoil", "trefoil_split_hopf"])
 def test_h1_job_builds_each_diagram_fact_once(capsys, monkeypatch, payload, h1, built):
-    # built: Diagrams, union-find passes and planar maps.  A connected
-    # diagram is its own piece, so it makes one of each; a split one also
-    # rebuilds each of its two pieces, gluing arcs by a union-find pass
+    # built: Diagrams, union-find passes and planar maps.  The Goeritz
+    # matrix of a split diagram is read off its one planar map, so it too
+    # makes one of each
     made = _count_diagram_facts(monkeypatch)
     code, out = run_cli(capsys, monkeypatch, ["--command", "h1"], payload)
     assert code == 0
@@ -226,6 +226,42 @@ def test_malformed_inputs_fuzz(capsys, monkeypatch):
         if code != 0:
             assert code in (1, 2, 3), (raw, cmd, code)
             assert "error" in blob and "kind" in blob["error"], (raw, cmd)
+
+
+@pytest.mark.parametrize("raw, detail", [
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    ('{"pd": [], "free_loops": ' + "1" * 5000 + "}", "Exceeds the limit"),
+], ids=["nested", "long_int"])
+def test_undecodable_json_is_invalid_input(capsys, monkeypatch, raw, detail):
+    # the decoder's recursion and digit limits are bad input, not a fault
+    monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+    code = main(["--command", "det"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["kind"] == "JobError"
+    assert error["detail"].startswith("input is not valid JSON: ")
+    assert detail in error["detail"]
+
+
+def test_non_utf8_input_file_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "payload.json"
+    path.write_bytes(b'{"pd": [], "free_loops": 1, "note": "\xff"}')
+    code = main(["--command", "det", "--input", str(path)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["kind"] == "JobError"
+    assert error["detail"].startswith("input is not valid JSON: 'utf-8' codec can't decode")
+
+
+def test_key_error_inside_a_job_exits_internal(capsys, monkeypatch):
+    # a KeyError a job raises is a fault of the library, not bad input
+    def broken(d, max_crossings=None):
+        raise KeyError(7)
+
+    monkeypatch.setattr("cubekh.cli.checked_det", broken)
+    code, out = run_cli(capsys, monkeypatch, ["--command", "det"], TREFOIL)
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "internal", "detail": "KeyError: 7"}
 
 
 def test_run_job_twisted_matches_khr_total():
@@ -363,8 +399,7 @@ def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
 
 
 def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
-    import cubekh.cli as cli
-    monkeypatch.setattr(cli, "link_det", lambda d: 5)
+    monkeypatch.setattr("cubekh.branched.link_det", lambda d: 5)
     code, out = run_cli(capsys, monkeypatch, ["--command", "det"], TREFOIL)
     assert code == 1
     assert json.loads(out)["error"] == {
@@ -375,7 +410,7 @@ def test_disagreeing_det_oracles_exit_internal(capsys, monkeypatch):
     # 9 is odd like 7, so the cokernel's mod-2 check passes and only the
     # determinant catches the misread Smith form
     ("cubekh.linalg.smith_normal_form", lambda a: [9], "9 vs 7"),
-    ("cubekh.cli.h1_order", lambda p, v: 8, "7 vs 8"),
+    ("cubekh.linalg.det_bareiss", lambda a: 8, "7 vs 8"),
 ], ids=["smith_form", "determinant"])
 def test_disagreeing_surgery_orders_exit_internal(capsys, monkeypatch, target, fake, detail):
     monkeypatch.setattr(target, fake)
@@ -385,6 +420,18 @@ def test_disagreeing_surgery_orders_exit_internal(capsys, monkeypatch, target, f
     assert json.loads(out)["error"] == {
         "kind": "internal",
         "detail": f"|H1| from the Smith form disagrees with the determinant: {detail}"}
+
+
+def test_wrong_odd_smith_form_exits_h1_internal(capsys, monkeypatch):
+    # the trefoil's Goeritz matrix [[-2, 1], [1, -2]] has rank 2 mod 2 and
+    # determinant 3; the diagonal [1, 5] has two odd entries, so only the
+    # determinant catches it
+    monkeypatch.setattr("cubekh.linalg.smith_normal_form", lambda a: [1, 5])
+    code, out = run_cli(capsys, monkeypatch, ["--command", "h1"], TREFOIL)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "internal",
+        "detail": "|H1| from the Smith form disagrees with the determinant: 5 vs 3"}
 
 
 def test_two_coefficient_bracket_exits_internal(capsys, monkeypatch):

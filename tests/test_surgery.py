@@ -42,7 +42,6 @@ def test_lens_space_h1():
 def test_infinity_filling_is_sphere():
     pres = FramedLinkPresentation.from_lists([[123]])
     assert surgered_h1(pres, ["inf"]) == AbelianGroup((), 0)
-    assert surgered_h1(pres, [-1]) == AbelianGroup((), 0)
 
 
 def test_zero_framed_unknot():
@@ -58,6 +57,11 @@ def test_framing_validation():
         surgered_h1(pres, [0])
     with pytest.raises(DimensionMismatch):
         surgered_h1(pres, [0, 2])
+    # infinity is spelled "inf" only
+    for bad in (-1, "oo", "infinity", float("inf")):
+        with pytest.raises(DimensionMismatch) as e:
+            surgered_h1(pres, [0, bad])
+        assert str(e.value) == f"framing entry {bad!r} not in {{0, 1, inf}}"
     with pytest.raises(DimensionMismatch):
         FramedLinkPresentation.from_lists([[0, 1], [2, 0]])
 
@@ -69,7 +73,7 @@ def test_from_linking_and_frames():
 
 
 def test_framing_weight():
-    assert framing_weight([0, 1, "inf", -1, 0]) == 3
+    assert framing_weight([0, 1, "inf", "inf", 0]) == 3
 
 
 def test_h1_matches_det_oracle_random():

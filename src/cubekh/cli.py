@@ -249,7 +249,10 @@ def _plumbing_job(payload: dict) -> dict:
 
 def _verdict_json(verdict) -> dict:
     # a plumbing derivation shares each distinct step among its occurrences:
-    # render each once and list the same dict at every occurrence
+    # render each once and list the same dict at every occurrence.  Every
+    # verdict with a derivation was re-verified where it was made (a failure
+    # raises InternalInconsistency there), and one without has nothing to
+    # check, so the field is true
     steps = verdict.derivation
     rendered = {s: {"kind": s.kind, "description": s.description, "orders": list(s.orders)}
                 for s in set(steps)}
@@ -257,7 +260,7 @@ def _verdict_json(verdict) -> dict:
         "verdict": verdict.verdict,
         "h1_order": verdict.h1_order,
         "derivation": list(map(rendered.__getitem__, steps)),
-        "reverified": verdict.reverify(),
+        "reverified": True,
     }
 
 

@@ -11,9 +11,11 @@ two pieces.  The internal homological grading is cube weight; callers can
 translate with `grading_tables`.
 
 The cube is flat: `states[bits]` is the state resolving crossing t by bit
-(bits >> t) & 1, one `diagram.resolve` call each, and every edge is an int
-triple (source, target, shape), where `shapes[shape]` is the edge's
-`EdgeShape`, interned and checked once per cube.  A state is flat too: it
+(bits >> t) & 1, one `diagram.resolve` call each, and `edges` holds one
+int per edge, its shape, where `shapes[shape]` is the edge's `EdgeShape`,
+interned and checked once per cube.  The edges come in vertex order and
+then by ascending unset crossing, so an edge's source and target follow
+from its place in the list and are not stored.  A state is flat too: it
 holds the circle of each arc in a list indexed by arc label, the least arc
 of each circle and the circle count, and no per-circle arc lists.
 
@@ -156,8 +158,10 @@ class CubeComplex:
     `states[bits]` is the state whose crossing t has resolution bit
     (bits >> t) & 1, and `vertices` lists the bit masks by cube weight, then
     by bit-reversed mask, which orders them as their bit vectors.  `edges`
-    holds one (source, target, shape) triple of ints per edge, in vertex
-    order and then by crossing, with `shapes[shape]` its `EdgeShape`.  Its
+    holds the shape of each edge, an int with `shapes[shape]` its
+    `EdgeShape`, in vertex order and then by ascending unset crossing t, so
+    the k-th edge out of `bits` is bits -> bits | 1 << t for the k-th t
+    with bit t of `bits` unset (`_d_h` walks them so).  Its
     complexes share one slot basis: positions[x] is the position of basis
     index x among the indices of its bit count, ascending, and `blocks`
     holds each (shape, marked pair)'s map in those positions (`_edge_block`)."""
@@ -183,7 +187,7 @@ class CubeComplex:
             seen[x.bit_count()] += 1
         self.blocks: dict = {}
         self.shapes: list[EdgeShape] = []
-        self.edges: list[tuple[int, int, int]] = []
+        self.edges: list[int] = []
         self._classify()
 
     def _classify(self) -> None:
@@ -216,7 +220,7 @@ class CubeComplex:
                 if shape is None:
                     shape = interned[key] = len(shapes)
                     shapes.append(self._first_shape(bits, target, key))
-                edges.append((bits, target, shape))
+                edges.append(shape)
 
     def _first_shape(self, source: int, target: int, key: tuple) -> EdgeShape:
         """The shape of the edge source -> target, the first of its key: the
@@ -360,48 +364,68 @@ def _edge_block(cube: CubeComplex, shape: int, ms, mt) -> list:
 
 
 def _place(cube: CubeComplex, vertices, mark, cell_of, dims: dict,
-           slots: list) -> None:
-    """Each vertex's slots: slots[bits] is the list whose entry j is the
-    (cell, offset) of the vertex's generators of exterior degree j (the
+           cells: list, offsets: list) -> None:
+    """Each vertex's slots: entry j of cells[bits] and offsets[bits] is the
+    cell and offset of the vertex's generators of exterior degree j (the
     marked circle not counted), which share the quantum grading q and so
-    the cell cell_of(w, q).  Vertices take their slots in the given order,
-    extending `dims`, the size of each cell."""
+    the cell cell_of(w, q).  offsets[bits] is one tuple per vertex, and
+    cells[bits] one tuple shared by every vertex of its (circle count, cube
+    weight).  Vertices take their slots in the given order, extending
+    `dims`, the size of each cell."""
     reduced = mark is not None
-    sizes: dict = {}            # (k, w) -> (cell, size) of each degree j
+    sizes: dict = {}            # (k, w) -> (cells, (cell, size) of each degree j)
     for bits in vertices:
         k, w = cube.states[bits].n_circles, bits.bit_count()
         if (k, w) not in sizes:
             m = k - reduced     # circles with a bit in a basis index
-            sizes[(k, w)] = [(cell_of(w, k - 2 * (j + reduced) + w), math.comb(m, j))
-                             for j in range(m + 1)]
-        slots[bits] = out = []
-        for cell, size in sizes[(k, w)]:
+            kw_cells = tuple(cell_of(w, k - 2 * (j + reduced) + w) for j in range(m + 1))
+            sizes[(k, w)] = (kw_cells, [(cell, math.comb(m, j))
+                                        for j, cell in enumerate(kw_cells)])
+        cells[bits], slots = sizes[(k, w)]
+        out = []
+        for cell, size in slots:
             offset = dims.get(cell, 0)
-            out.append((cell, offset))
+            out.append(offset)
             dims[cell] = offset + size
+        offsets[bits] = tuple(out)
 
 
-def _d_h(cube: CubeComplex, mark, dims: dict, slots: list) -> dict:
+def _d_h(cube: CubeComplex, mark, dims: dict, cells: list, offsets: list) -> dict:
     """The rows of the differential of the cells `_place` laid out, one list
     per cell, into the next cell (w, r) -> (w + 1, r), or t -> t + 1 for
     total degrees: each edge XORs its (shape, marked pair)'s block
     (`_edge_block`) into its source cell's rows, shifted to the offsets of
-    its source and target slots."""
+    its source and target slots.  The edges are walked as `cube.edges`
+    lists them, vertex by vertex and then by ascending unset crossing,
+    reading each edge's shape beside the walk."""
     rows = {cell: [0] * dims.get(_shift(cell, 1), 0) for cell in dims}
     marks = ([None] * len(cube.states) if mark is None
              else [mark(st) for st in cube.states])
-    blocks = cube.blocks
-    for s, t, shape in cube.edges:
-        ms, mt = marks[s], marks[t]
-        block = blocks.get((shape, ms, mt))
-        if block is None:
-            block = _edge_block(cube, shape, ms, mt)
-        src, tgt = slots[s], slots[t]
-        for (js, jt), entries in block:
-            cell, so = src[js]
-            to, out = tgt[jt][1], rows[cell]
-            for i, bits in entries:
-                out[to + i] ^= bits << so
+    blocks, shapes = cube.blocks, cube.edges
+    crossing_bits = [1 << t for t in range(cube.diagram.n)]
+    # a cells tuple is shared by the vertices of one (k, w), so its row
+    # lists are looked up once for all of them
+    rows_of: dict = {}
+    e = 0
+    for s in cube.vertices:
+        ms, src = marks[s], offsets[s]
+        src_rows = rows_of.get(cells[s])
+        if src_rows is None:
+            src_rows = rows_of[cells[s]] = [rows[cell] for cell in cells[s]]
+        for bit in crossing_bits:
+            if s & bit:
+                continue
+            t, shape = s | bit, shapes[e]
+            e += 1
+            mt = marks[t]
+            block = blocks.get((shape, ms, mt))
+            if block is None:
+                block = _edge_block(cube, shape, ms, mt)
+            tgt = offsets[t]
+            for (js, jt), entries in block:
+                so, to, out = src[js], tgt[jt], src_rows[js]
+                for i, bits in entries:
+                    out[to + i] ^= bits << so
     return rows
 
 
@@ -431,9 +455,10 @@ def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
     """The cube complex, reduced unless basepoint is None, in (w, q) cells."""
     mark = _marked_circles(cube.diagram, basepoint)
     dims: dict[tuple, int] = {}
-    slots: list = [None] * len(cube.states)
-    _place(cube, cube.vertices, mark, lambda w, q: (w, q), dims, slots)
-    return GradedComplexF2(dims, _matrices(dims, _d_h(cube, mark, dims, slots)))
+    cells: list = [None] * len(cube.states)
+    offsets: list = [None] * len(cube.states)
+    _place(cube, cube.vertices, mark, lambda w, q: (w, q), dims, cells, offsets)
+    return GradedComplexF2(dims, _matrices(dims, _d_h(cube, mark, dims, cells, offsets)))
 
 
 def weight_totals(ranks: dict[tuple, int]) -> dict[int, int]:
@@ -536,11 +561,12 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
     dims: dict[int, int] = {}
     weights: dict[int, list] = {}
     cells: dict[tuple, tuple] = {}
-    slots: list = [None] * len(cube.states)
+    slot_cells: list = [None] * len(cube.states)
+    offsets: list = [None] * len(cube.states)
     order = sorted(cube.vertices, key=group)
     for (minus_w, has_odd), vertices in groupby(order, key=group):
         w, start = -minus_w, dict(dims)
-        _place(cube, vertices, mark, total_of, dims, slots)
+        _place(cube, vertices, mark, total_of, dims, slot_cells, offsets)
         for t, end in dims.items():
             n = end - start.get(t, 0)
             if n:
@@ -549,19 +575,19 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
     # ascending degrees, so a failed D^2 = 0 names the lowest one first
     dims = dict(sorted(dims.items()))
 
-    rows = _d_h(cube, mark, dims, slots)
+    rows = _d_h(cube, mark, dims, slot_cells, offsets)
     pos = cube.positions
     for index in (ix for ix in order if odd[ix]):
-        mc, slot = mark(cube.states[index]), slots[index]
+        mc, cell, off = mark(cube.states[index]), slot_cells[index], offsets[index]
         # wedging an odd circle c sets its bit in the reduced position
         wedges = [1 << (c - (c > mc)) for c, p in enumerate(parities[index])
                   if p and c != mc]
-        for x in range(1 << (len(slot) - 1)):
-            t, col = slot[x.bit_count()]
-            bit = 1 << (col + pos[x])
+        for x in range(1 << (len(off) - 1)):
+            j = x.bit_count()
+            out, bit = rows[cell[j]], 1 << (off[j] + pos[x])
             for g in wedges:
                 if not x & g:
-                    rows[t][slot[x.bit_count() + 1][1] + pos[x | g]] ^= bit
+                    out[off[j + 1] + pos[x | g]] ^= bit
     try:
         total = GradedComplexF2(dims, _matrices(dims, rows))
     except NotAComplex as e:

@@ -37,6 +37,16 @@ def marking_parities(cube, marking) -> list[tuple]:
     return [induce_marking(cube.diagram, marking, st) for st in cube.states]
 
 
+def edge_triples(cube) -> list[tuple[int, int, int]]:
+    """The cube's edges as (source, target, shape) triples: `cube.edges`
+    holds only each edge's shape, in vertex order and then by ascending
+    unset crossing t, the edge bits -> bits | 1 << t."""
+    pairs = [(bits, bits | 1 << t) for bits in cube.vertices
+             for t in range(cube.diagram.n) if not bits >> t & 1]
+    assert len(pairs) == len(cube.edges)
+    return [(s, t, shape) for (s, t), shape in zip(pairs, cube.edges)]
+
+
 def reduced_masks(state, marked: int) -> list[int]:
     """Circle subsets containing the marked circle, ascending (none when the
     state has no circle)."""
@@ -220,7 +230,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
     rows = {v: {w: [0] * dv.get(w + 1, 0) for w in dv} for v, dv in dims.items()}
 
     even_set = set(even)
-    for source, target, shape in cube.edges:
+    for source, target, shape in edge_triples(cube):
         if source not in even_set or target not in even_set:
             continue
         s, t = cube.states[source], cube.states[target]
@@ -262,7 +272,7 @@ def assemble_per_edge(cube, basepoint):
         offsets[index] = dims.get(w, 0)
         dims[w] = offsets[index] + size
     by_weight: dict[int, list[tuple]] = {}
-    for edge in cube.edges:
+    for edge in edge_triples(cube):
         by_weight.setdefault(edge[0].bit_count(), []).append(edge)
     diffs = {}
     for w in range(cube.diagram.n):
@@ -341,7 +351,7 @@ def twisted_per_edge(cube, marking, basepoint):
     d_v: dict[tuple, list] = {cell: [0] * dims.get((cell[0], cell[1] + 1), 0)
                               for cell in dims}
 
-    for source, target, shape in cube.edges:
+    for source, target, shape in edge_triples(cube):
         s, t = cube.states[source], cube.states[target]
         m = edge_map(cube.shapes[shape], (mark(s), mark(t)))
         src, tgt = place[source], place[target]

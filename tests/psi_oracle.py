@@ -12,7 +12,7 @@ it off each state as `arc_to_circle[basepoint]`.
 from dataclasses import dataclass
 
 from cubekh.errors import InternalInconsistency
-from cube_oracle import reduced_masks
+from cube_oracle import edge_triples, reduced_masks
 from cubekh.khovanov import edge_map
 from cubekh.linalg import MatF2
 
@@ -125,7 +125,7 @@ def model_edge_map(shape, src, tgt, marked: tuple[int, int]) -> MatF2:
 def check_psi_naturality(cube, basepoint: int = 1) -> bool:
     """Every cube edge: the reduced Khovanov map at the circle through the
     basepoint arc equals the model map through the psi identifications."""
-    for source, target, shape in cube.edges:
+    for source, target, shape in edge_triples(cube):
         s, t = cube.states[source], cube.states[target]
         marked = (s.arc_to_circle[basepoint], t.arc_to_circle[basepoint])
         kh_side = edge_map(cube.shapes[shape], marked)

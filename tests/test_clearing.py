@@ -20,6 +20,7 @@ from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatibl
 from cubekh.diagram import Diagram
 from cubekh.errors import NotAComplex, NotBicomplex
 from cubekh.linalg import MatF2
+from cube_oracle import edge_triples
 from linalg_helpers import plain_homology_ranks, plain_pairing
 from test_det_oracle import add_kinks
 
@@ -106,7 +107,7 @@ def test_broken_cube_refused_before_any_rank(monkeypatch, cmd):
     import cubekh.linalg as la
     pd = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
     cube = kh.build_cube(Diagram(pd))
-    victim = next(cube.shapes[shape] for s, t, shape in cube.edges if (s, t) == (0, 1))
+    victim = next(cube.shapes[shape] for s, t, shape in edge_triples(cube) if (s, t) == (0, 1))
     real_edge_map = kh.edge_map
 
     def broken_edge_map(shape, marked=None):

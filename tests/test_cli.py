@@ -376,6 +376,7 @@ def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
     # complex, which builds the map of each (shape, marked pair) once: no two
     # calls share a key, and every key of the cube gets its call
     import cubekh.khovanov as kh
+    from cube_oracle import edge_triples
     from cubekh.diagram import parse_pd
     real_edge_map = kh.edge_map
     calls = []
@@ -391,7 +392,7 @@ def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
     d = parse_pd(payload["pd"])
     cube, mark = kh.build_cube(d), kh._marked_circles(d, 1)
     keys = set()
-    for source, target, shape in cube.edges:
+    for source, target, shape in edge_triples(cube):
         s, t = cube.states[source], cube.states[target]
         keys.add((cube.shapes[shape], (mark(s), mark(t))))
     assert set(calls) == keys
@@ -454,11 +455,12 @@ def test_failed_complex_checks_exit_internal(capsys, monkeypatch, cmd, check):
     # crossing 0 breaks a face of the cube; the diagram is valid, so this is
     # a bug and not bad input
     import cubekh.khovanov as kh
+    from cube_oracle import edge_triples
     from cubekh.diagram import parse_pd
     from cubekh.linalg import MatF2
     real_edge_map = kh.edge_map
     cube = kh.build_cube(parse_pd(TREFOIL["pd"]))
-    victim = next(cube.shapes[shape] for s, t, shape in cube.edges if (s, t) == (0, 1))
+    victim = next(cube.shapes[shape] for s, t, shape in edge_triples(cube) if (s, t) == (0, 1))
 
     def broken_edge_map(shape, marked=None):
         m = real_edge_map(shape, marked)
@@ -746,6 +748,29 @@ def test_failed_surgery_cross_checks_exit_internal(capsys, monkeypatch, cmd,
     code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
     assert code == 1
     assert json.loads(out)["error"] == {"kind": "internal", "detail": detail}
+
+
+@pytest.mark.parametrize("cmd, payload", [
+    ("plumbing", {"plumbing": {"mult": [3] * 4, "edges": [[0, 1], [1, 2], [2, 3]]}}),
+    ("lspace", {"plumbing": {"mult": [2, 2], "edges": [[0, 1]]}}),
+    ("lspace", {"large_surgery": {"p": 2, "q": 3, "n": 9}}),
+], ids=["plumbing", "lspace_plumbing", "lspace_large_surgery"])
+def test_each_verdict_is_reverified_once(capsys, monkeypatch, cmd, payload):
+    # the check that made the verdict re-verified it; the output's
+    # "reverified" field does not walk the derivation a second time
+    from cubekh.surgery import LSpaceVerdict
+    calls, real = [], LSpaceVerdict.reverify
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LSpaceVerdict, "reverify", counted)
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], payload)
+    assert code == 0
+    result = json.loads(out)
+    assert result["verdict"] == "certified" and result["reverified"] is True
+    assert len(calls) == 1
 
 
 def test_plumbing_job_renders_each_distinct_step_once():

@@ -57,12 +57,12 @@ def check_cube_against_oracle(d):
         check_state_against_oracle(d, state, bit_vector(bits, n))
     assert cube.vertices == sorted(range(1 << n), key=lambda bits: (
         bits.bit_count(), bit_vector(bits, n)))
-    assert [(s, t) for s, t, _ in cube.edges] == [
+    assert [(s, t) for s, t, _ in oracle.edge_triples(cube)] == [
         (bits, bits | 1 << t) for bits in cube.vertices for t in range(n)
         if not bits >> t & 1]
     assert len(set(cube.shapes)) == len(cube.shapes)
-    assert {shape for _, _, shape in cube.edges} == set(range(len(cube.shapes)))
-    for source, target, shape in cube.edges:
+    assert {shape for _, _, shape in oracle.edge_triples(cube)} == set(range(len(cube.shapes)))
+    for source, target, shape in oracle.edge_triples(cube):
         s, t = cube.states[source], cube.states[target]
         want = oracle.classify(d, s, t)
         assert cube.shapes[shape] == want
@@ -243,7 +243,7 @@ def test_equal_shapes_have_equal_edge_maps(seed, free_loops):
     marks = [(None, None)] + [(arc, _marked_circles(d, arc))
                               for arc in _basepoint_classes(cube)]
     maps = {}
-    for source, target, shape in cube.edges:
+    for source, target, shape in oracle.edge_triples(cube):
         s, t = cube.states[source], cube.states[target]
         full = oracle.full_edge_map(oracle.classify(d, s, t), s, t)
         for arc, mark in marks:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cubekh.khovanov as kh
 import spectral_oracle
-from cube_oracle import hd_even_oracle, induce_marking, twisted_per_edge
+from cube_oracle import edge_triples, hd_even_oracle, induce_marking, twisted_per_edge
 from det_oracle import continued_fraction_numerator
 from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.complexes import homology_ranks
@@ -181,7 +181,7 @@ def test_edge_kinds_change_k_by_one():
     for _ in range(30):
         d = random_braid_diagram(rng, max_crossings=6)
         cube = build_cube(d)
-        for source, target, shape in cube.edges:
+        for source, target, shape in edge_triples(cube):
             ks = cube.states[source].n_circles
             kt = cube.states[target].n_circles
             assert abs(kt - ks) == 1
@@ -212,7 +212,7 @@ def test_flat_cube_of_twelve_crossings(monkeypatch):
     for basepoint in basepoints:
         kh._assemble(cube, basepoint)
         mark = kh._marked_circles(d, basepoint)
-        for s, t, shape in cube.edges:
+        for s, t, shape in edge_triples(cube):
             marked = None if mark is None else (mark(cube.states[s]),
                                                 mark(cube.states[t]))
             keys.add((cube.shapes[shape], marked))
@@ -220,6 +220,32 @@ def test_flat_cube_of_twelve_crossings(monkeypatch):
     for basepoint in basepoints:
         kh._assemble(cube, basepoint)
     assert sum(calls.values()) == len(keys)
+
+
+def test_lean_cube_of_twelve_crossings():
+    # each edge is stored as its shape id alone, no (source, target, shape)
+    # tuple, and a whole Khr assembly of the 12-crossing 3-braid closure
+    # peaks below 6.5 MB under tracemalloc (8.3 MB with edge triples and
+    # per-slot (cell, offset) tuples)
+    import gc
+    import tracemalloc
+    d = braid_closure([1, -2] * 6, 3)
+    cube = build_cube(d)
+    assert len(cube.edges) == 24576
+    assert all(type(shape) is int for shape in cube.edges)
+    del cube
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        khr_complex(d)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 6.5e6
 
 
 def test_split_then_merge_composition_vanishes():
@@ -487,7 +513,7 @@ def test_psi_naturality_random():
 
 def test_model_edge_dimensions():
     cube = build_cube(parse_pd(TREFOIL))
-    for source, target, shape in cube.edges:
+    for source, target, shape in edge_triples(cube):
         s, t = cube.states[source], cube.states[target]
         m = model_edge_map(cube.shapes[shape], s, t,
                            (s.arc_to_circle[1], t.arc_to_circle[1]))

@@ -1,4 +1,5 @@
-"""Planar link diagrams as PD codes: parsing, tracing, resolutions, markings.
+"""Planar link diagrams as PD codes: parsing, tracing, resolutions, markings,
+and the frontier state sums over a diagram's smoothings.
 
 Conventions fixed here and used everywhere else:
 
@@ -568,3 +569,86 @@ def planar_map(d: Diagram) -> PlanarMap:
                 f"face count {len(faces)} != {expected}; PD code is not planar")
     d._map = PlanarMap(tuple(faces), face_of)
     return d._map
+
+
+# ---------------------------------------------------------------------------
+# Frontier state sums
+# ---------------------------------------------------------------------------
+# A state sum over the 2^n states runs as a dynamic program over the
+# crossings in PD order (`_frontier_steps`): the frontier is the set of arcs
+# met exactly once so far, and every partial state is summarized by its key,
+# the connectivity labelling of the frontier arcs with labels in order of
+# first occurrence.  Each crossing extends every key by its two smoothings
+# (`_smooth`), which also count the components they close.  The walk reads
+# the PD code alone, not `resolve`'s dart table.  It serves
+# `khovanov.state_sum_det`, where a closed circle weighs zero at A = zeta8,
+# and Khovanov's graded Euler characteristic (`_euler_state_sum`), where it
+# weighs q + q^-1, which checks the cells of every kh and Khr complex.
+
+def _frontier_steps(d: Diagram):
+    """The frontier walk, one step per crossing in PD order: (tail, kept,
+    joins).  A key extended by `tail` labels the positions of the
+    crossing's walk, the frontier in order and then the arcs first met
+    here; `kept` lists the positions of the frontier after the crossing,
+    and joins[bit] the position pairs that the crossing's bit-smoothing
+    joins (RES0_PAIRS for bit 0 and RES1_PAIRS for bit 1, as in `resolve`)."""
+    frontier: list[int] = []
+    for c in d.crossings:
+        pos = {a: i for i, a in enumerate(frontier)}
+        fresh = [a for a in dict.fromkeys(c) if a not in pos]
+        pos.update((a, len(frontier) + j) for j, a in enumerate(fresh))
+        tail = tuple(range(len(frontier), len(pos)))
+        frontier = ([a for a in frontier if a not in c]
+                    + [a for a in fresh if c.count(a) == 1])
+        kept = [pos[a] for a in frontier]
+        joins = [[(pos[c[i]], pos[c[j]]) for i, j in pairs]
+                 for pairs in (RES0_PAIRS, RES1_PAIRS)]
+        yield tail, kept, joins
+
+
+def _smooth(key: tuple, tail: tuple, joins: list, kept: list) -> tuple[tuple, int]:
+    """The key that a smoothing with `joins` makes of `key` (see
+    `_frontier_steps`), and the count of components it closes, those with
+    no arc left on the frontier."""
+    lab = list(key + tail)
+    for i, j in joins:
+        a, b = lab[i], lab[j]
+        if a != b:
+            lab = [a if x == b else x for x in lab]
+    canon: dict[int, int] = {}
+    new = tuple(canon.setdefault(lab[i], len(canon)) for i in kept)
+    return new, len(set(lab)) - len(canon)
+
+
+def _euler_state_sum(d: Diagram) -> dict[int, int]:
+    """Khovanov's graded Euler characteristic of the unreduced complex, the
+    sum over the 2^n states of (-1)^w q^w (q + q^-1)^k, w the state's count
+    of 1-smoothings and k its circle count, in cubekh's internal grading
+    (q = k - 2|S| + w), as {q: coefficient} without zero coefficients.  It
+    is the frontier walk of `khovanov.state_sum_det` with a closed circle
+    weighed by q + q^-1 instead of dropped, and each free loop one more such
+    factor, so it reads neither `resolve` nor the placement."""
+    keys: dict[tuple, dict] = {(): {0: 1}}
+    for tail, kept, joins in _frontier_steps(d):
+        out: dict[tuple, dict] = {}
+        for key, poly in keys.items():
+            for bit, smoothing in enumerate(joins):
+                new, closed = _smooth(key, tail, smoothing, kept)
+                acc = out.setdefault(new, {})
+                for e, c in _times_circles(poly, closed).items():
+                    e += bit
+                    acc[e] = acc.get(e, 0) + (-c if bit else c)
+        keys = out
+    poly = _times_circles(keys[()], d.free_loops)
+    return {e: c for e, c in sorted(poly.items()) if c}
+
+
+def _times_circles(poly: dict, k: int) -> dict:
+    """poly * (q + q^-1)^k, polynomials as {exponent: coefficient}."""
+    for _ in range(k):
+        out: dict[int, int] = {}
+        for e, c in poly.items():
+            out[e - 1] = out.get(e - 1, 0) + c
+            out[e + 1] = out.get(e + 1, 0) + c
+        poly = out
+    return poly

@@ -22,6 +22,12 @@ of each circle and the circle count, and no per-circle arc lists.
 The cube is basepoint-free, so one cube serves kh and Khr at every
 basepoint: the basepoint only selects each state's marked circle,
 `arc_to_circle[basepoint]`, when a complex is reduced (`_marked_circles`).
+A kh job builds no unreduced complex: over GF(2), Kh = Khr (x) V, so
+`kh_ranks` doubles Khr at basepoint 1 per cube weight, and `kh_complex`
+serves the tests and the acceptance suite.  Every kh and Khr job checks
+the reduced cells against Khovanov's graded Euler characteristic, summed
+over the diagram by a frontier walk that reads neither `resolve` nor the
+placement (`_check_euler`), before it takes a rank.
 
 Every differential preserves the quantum grading q = k - 2|S| + w of a
 generator: k is its state's circle count, S its subset (the marked circle
@@ -81,10 +87,11 @@ from .complexes import (
     spectral_pages,
 )
 from .diagram import (
-    RES0_PAIRS,
-    RES1_PAIRS,
     ArcMarking,
     Diagram,
+    _euler_state_sum,
+    _frontier_steps,
+    _smooth,
     resolve,
 )
 from .errors import (
@@ -470,13 +477,53 @@ def weight_totals(ranks: dict[tuple, int]) -> dict[int, int]:
 
 
 def kh_ranks(d: Diagram, max_crossings: int | None = None) -> dict[int, int]:
-    return weight_totals(homology_ranks(kh_complex(d, max_crossings=max_crossings)))
+    """Unreduced Khovanov ranks keyed by cube weight, read off the reduced
+    complex at basepoint 1 (`khr_ranks`, with its checks): over GF(2),
+    Kh(L) = Khr(L) (x) V with V in cube weight 0 and q-degrees +-1
+    (Shumakovitch, *Torsion of Khovanov homology*), so each weight has
+    twice Khr's rank.  The empty link has no circle to mark: its Khr is 0
+    and its Kh one generator at weight 0.  `kh_complex` stays the tests'
+    and the acceptance suite's unreduced oracle."""
+    ranks = khr_ranks(d, max_crossings=max_crossings)
+    if _empty_link(d):
+        return {0: 1}
+    return {w: 2 * r for w, r in ranks.items()}
 
 
 def khr_ranks(d: Diagram, basepoint: int = 1,
               max_crossings: int | None = None) -> dict[int, int]:
-    return weight_totals(homology_ranks(khr_complex(d, basepoint=basepoint,
-                                                    max_crossings=max_crossings)))
+    """Reduced Khovanov ranks keyed by cube weight, the one path of kh and
+    Khr.  Besides d^2 = 0 and the grading checks made in building the
+    complex, its cell dimensions are checked against the frontier state sum
+    (`_check_euler`) before any rank is taken."""
+    c = khr_complex(d, basepoint=basepoint, max_crossings=max_crossings)
+    _check_euler(d, c.dims)
+    return weight_totals(homology_ranks(c))
+
+
+def _empty_link(d: Diagram) -> bool:
+    return not d.crossings and not d.free_loops
+
+
+def _check_euler(d: Diagram, dims: dict) -> None:
+    """The reduced complex's cell dimensions against the unreduced graded
+    Euler characteristic (`_euler_state_sum`): (1 + q^2) times
+    sum_w (-1)^w dim C_{w,q} must match it at every q, as a reduced
+    generator at q, a subset S holding the marked circle, stands for the
+    two unreduced generators S at q and S without the marked circle at
+    q + 2.  The empty link, with no circle to mark, has no reduced cells
+    and one unreduced generator at (0, 0).  A mismatch raises
+    InternalInconsistency naming the first q-block that differs."""
+    found: dict[int, int] = {0: 1} if _empty_link(d) else {}
+    for (w, q), size in dims.items():
+        for e in (q, q + 2):
+            found[e] = found.get(e, 0) + (-size if w & 1 else size)
+    want = _euler_state_sum(d)
+    for q in sorted(found.keys() | want.keys()):
+        if found.get(q, 0) != want.get(q, 0):
+            raise InternalInconsistency(
+                f"graded Euler characteristic at q-block {q}: the cells give "
+                f"{found.get(q, 0)}, the state sum {want.get(q, 0)}")
 
 
 def grading_tables(d: Diagram, ranks: dict[int, int]) -> dict[str, dict[int, int]]:
@@ -689,37 +736,19 @@ def _zeta8_bracket(d: Diagram) -> tuple:
     """The single-circle state sum at A = zeta8 as the coefficients of 1, x,
     x^2, x^3 in Z[x]/(x^4+1), by the frontier dynamic program described in
     `state_sum_det` (at least one crossing, no free loops)."""
-    frontier: list[int] = []
     keys = {(): (1, 0, 0, 0)}
     last = d.n - 1
-    for t, c in enumerate(d.crossings):
-        # positions: the frontier in order, then the arcs first met here
-        pos = {a: i for i, a in enumerate(frontier)}
-        fresh = [a for a in dict.fromkeys(c) if a not in pos]
-        pos.update((a, len(frontier) + j) for j, a in enumerate(fresh))
-        tail = tuple(range(len(frontier), len(pos)))
-        frontier = ([a for a in frontier if a not in c]
-                    + [a for a in fresh if c.count(a) == 1])
-        kept = [pos[a] for a in frontier]
-        smoothings = [([(pos[c[i]], pos[c[j]]) for i, j in pairs], shift)
-                      for pairs, shift in ((RES0_PAIRS, 1), (RES1_PAIRS, -1))]
+    for t, (tail, kept, joins) in enumerate(_frontier_steps(d)):
         out: dict[tuple, tuple] = {}
         for key, z in keys.items():
-            for joins, shift in smoothings:
-                lab = list(key + tail)
-                for i, j in joins:
-                    a, b = lab[i], lab[j]
-                    if a != b:
-                        lab = [a if x == b else x for x in lab]
-                if t == last:
-                    if len(set(lab)) != 1:
-                        continue
-                elif not set(lab) <= {lab[i] for i in kept}:
-                    continue        # a closed circle: weight delta(zeta8) = 0
-                canon: dict[int, int] = {}
-                new = tuple(canon.setdefault(lab[i], len(canon)) for i in kept)
+            for bit, smoothing in enumerate(joins):
+                new, closed = _smooth(key, tail, smoothing, kept)
+                # a circle closed before the last crossing has weight
+                # delta(zeta8) = 0; the last crossing closes all of them
+                if closed != (t == last):
+                    continue
                 z0, z1, z2, z3 = z
-                w = (-z3, z0, z1, z2) if shift == 1 else (z1, z2, z3, -z0)
+                w = (-z3, z0, z1, z2) if bit == 0 else (z1, z2, z3, -z0)
                 old = out.get(new)
                 out[new] = w if old is None else tuple(map(sum, zip(old, w)))
         keys = out
@@ -737,18 +766,13 @@ def state_sum_det(d: Diagram, max_crossings: int | None = None) -> int:
 
     The circle weight delta = -A^2 - A^-2 vanishes at zeta8, so only the
     states that close into a single circle contribute, each with weight
-    A^(#0-smoothings - #1-smoothings).  The sum runs as a dynamic program
-    over the crossings in PD order.  The frontier is the set of arcs met
-    exactly once so far; every partial state is summarized by its key, the
-    connectivity labelling of the frontier arcs with labels in order of
-    first occurrence, and the key's value is the summed weight of its
-    partial states.  Each crossing extends every key by its 0-smoothing,
-    which joins slots (0,1) and (2,3) with weight A, and by its
-    1-smoothing, which joins (0,3) and (1,2) with weight A^-1.  A key whose
-    component leaves the frontier before the last crossing carries a closed
-    circle; the crossings still to come make another one, so every
-    completion has delta = 0 as a factor and the key is dropped.  At the
-    last crossing only the one-component key is kept.
+    A^(#0-smoothings - #1-smoothings).  The sum runs on the frontier walk
+    of `diagram._frontier_steps`, each key valued by the summed weight of
+    its partial states: a 0-smoothing weighs A and a 1-smoothing A^-1.  A
+    key whose component leaves the frontier before the last crossing
+    carries a closed circle; the crossings still to come make another one,
+    so every completion has delta = 0 as a factor and the key is dropped.
+    At the last crossing only the one-component key is kept.
 
     Every key comes from at least one partial state, so after t crossings
     there are at most 2^t keys, the count of the 2^n-state sum.  Each

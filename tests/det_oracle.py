@@ -1,10 +1,13 @@
-"""Reference version of the Kauffman state sum, kept as the oracle for the
-frontier dynamic program in `cubekh.khovanov.state_sum_det`.
+"""Reference versions of the frontier state sums: the Kauffman state sum of
+`cubekh.khovanov.state_sum_det` and the graded Euler characteristic of
+`cubekh.diagram._euler_state_sum`.
 
-It is the straightforward form the dynamic program replaced: all 2^n states,
-each resolved by a fresh dict union-find over the arcs, and every state that
-closes into a single circle added with weight A^(#0-smoothings - #1-smoothings)
-at A = zeta8, in Z[x]/(x^4+1).  `continued_fraction_numerator` gives the
+They are the straightforward form the dynamic program replaced: all 2^n
+states, each resolved by a fresh dict union-find over the arcs.  For the
+determinant, every state that closes into a single circle is added with
+weight A^(#0-smoothings - #1-smoothings) at A = zeta8, in Z[x]/(x^4+1); for
+the Euler characteristic, every state with w 1-smoothings and k circles adds
+(-1)^w q^w (q + q^-1)^k.  `continued_fraction_numerator` gives the
 determinant of a rational link from its continued fraction.
 """
 
@@ -34,26 +37,42 @@ def _zeta8_mul(a, b):
     return out
 
 
+def _circles(d, bits):
+    """(circle count without free loops, count of 1-smoothings) of a state."""
+    uf = _UnionFind(range(1, d.arc_count + 1))
+    for t, c in enumerate(d.crossings):
+        if (bits >> t) & 1:
+            uf.union(c[0], c[3])
+            uf.union(c[1], c[2])
+        else:
+            uf.union(c[0], c[1])
+            uf.union(c[2], c[3])
+    return len({uf.find(a) for a in range(1, d.arc_count + 1)}), bits.bit_count()
+
+
+def euler_state_sum(d):
+    """The sum over states of (-1)^w q^w (q + q^-1)^k as {q: coefficient},
+    zero coefficients left out, k counting the free loops."""
+    out = {}
+    for bits in range(1 << d.n):
+        k, w = _circles(d, bits)
+        k += d.free_loops
+        for j in range(k + 1):
+            e = w + k - 2 * j
+            out[e] = out.get(e, 0) + (-1) ** w * math.comb(k, j)
+    return {e: c for e, c in sorted(out.items()) if c}
+
+
 def zeta8_bracket(d):
     """The single-circle state sum as the 4 coefficients of 1, x, x^2, x^3
     (diagrams with at least one crossing and no free loops)."""
     n = d.n
     z = [0, 0, 0, 0]
     for bits in range(1 << n):
-        uf = _UnionFind(range(1, d.arc_count + 1))
-        zeros = 0
-        for t in range(n):
-            c = d.crossings[t]
-            if (bits >> t) & 1:
-                uf.union(c[0], c[3])
-                uf.union(c[1], c[2])
-            else:
-                zeros += 1
-                uf.union(c[0], c[1])
-                uf.union(c[2], c[3])
-        roots = {uf.find(a) for a in range(1, d.arc_count + 1)}
-        if len(roots) != 1:
+        circles, ones = _circles(d, bits)
+        if circles != 1:
             continue
+        zeros = n - ones
         e = (zeros - (n - zeros)) % 8
         if e >= 4:
             z[e - 4] -= 1

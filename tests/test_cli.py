@@ -502,6 +502,43 @@ def test_quantum_grading_check_exits_internal(capsys, monkeypatch, cmd):
         "kind": "internal", "detail": "d_h must preserve the quantum grading"}
 
 
+@pytest.mark.parametrize("cmd", ["kh", "khr"])
+def test_euler_check_exits_internal(capsys, monkeypatch, cmd):
+    # one coefficient of the state sum moved by one: the cells no longer
+    # match it at that q, which the error names
+    import cubekh.khovanov as kh
+    real_sum = kh._euler_state_sum
+    checked = []
+
+    def moved_sum(d):
+        poly = real_sum(d)
+        checked.append(d)
+        poly[3] = poly.get(3, 0) + 1
+        return poly
+
+    monkeypatch.setattr(kh, "_euler_state_sum", moved_sum)
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
+    assert code == 1 and len(checked) == 1
+    assert json.loads(out)["error"] == {
+        "kind": "internal",
+        "detail": "graded Euler characteristic at q-block 3: the cells give -1, "
+                  "the state sum 0"}
+
+
+@pytest.mark.parametrize("payload, kh_total, khr_total", [
+    ({"pd": []}, 1, 0), ({"pd": [], "free_loops": 2}, 4, 2)],
+    ids=["empty", "two_loops"])
+def test_kh_and_khr_without_crossings(capsys, monkeypatch, payload, kh_total, khr_total):
+    # the empty link has no circle to mark, so its kh is not twice its khr
+    for args, total in ((["--command", "kh"], kh_total),
+                        (["--command", "kh", "--basepoint", "99"], kh_total),
+                        (["--command", "khr"], khr_total)):
+        code, out = run_cli(capsys, monkeypatch, args, payload)
+        assert code == 0 and json.loads(out)["total"] == total, args
+    code, out = run_cli(capsys, monkeypatch, ["--command", "kh"], {"pd": []})
+    assert json.loads(out)["ranks"] == {"h": {"0": 1}, "i": {"0": 1}}
+
+
 def test_internal_checks_survive_optimize_flag():
     # the invariant checks in twisted_complex and in the psi oracle's
     # check_psi_naturality are explicit raises, so `python -O` keeps them

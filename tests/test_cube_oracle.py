@@ -9,6 +9,7 @@ Khr block by block in (w, q) cells), on the first acceptance-corpus
 diagrams and on random braid closures, some with kinks and free loops."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,10 @@ def bit_vector(bits, n):
     return tuple((bits >> t) & 1 for t in range(n))
 
 
+def mask(vector):
+    return sum(b << t for t, b in enumerate(vector))
+
+
 def check_state_against_oracle(d, state, index):
     # the flat arc table, least arcs and circle count, and the circles
     # derived from them, arc by arc against the union-find
@@ -57,9 +62,12 @@ def check_cube_against_oracle(d):
         check_state_against_oracle(d, state, bit_vector(bits, n))
     assert cube.vertices == sorted(range(1 << n), key=lambda bits: (
         bits.bit_count(), bit_vector(bits, n)))
+    # the oracle's own vertex order, by (weight, bit vector), then the
+    # ascending unset crossing
+    by_vector = sorted(product((0, 1), repeat=n), key=lambda v: (sum(v), v))
     assert [(s, t) for s, t, _ in oracle.edge_triples(cube)] == [
-        (bits, bits | 1 << t) for bits in cube.vertices for t in range(n)
-        if not bits >> t & 1]
+        (mask(v), mask(v) | 1 << t) for v in by_vector
+        for t in range(n) if not v[t]]
     assert len(set(cube.shapes)) == len(cube.shapes)
     assert {shape for _, _, shape in oracle.edge_triples(cube)} == set(range(len(cube.shapes)))
     for source, target, shape in oracle.edge_triples(cube):

@@ -1,5 +1,6 @@
-"""The frontier dynamic program of `state_sum_det` against the 2^n-state
-union-find sum in det_oracle: the bracket at zeta8 and the determinant, on
+"""The frontier dynamic programs of `state_sum_det` and `_euler_state_sum`
+against the 2^n-state union-find sums in det_oracle: the bracket at zeta8,
+the determinant and the graded Euler characteristic, on
 acceptance-corpus diagrams, random braid closures with free loops, split
 diagrams, diagrams with Reidemeister-1 kinks, and shuffled crossing orders."""
 
@@ -15,12 +16,14 @@ from cubekh.corpus import braid_closure, diagram_corpus, random_braid_diagram
 from cubekh.diagram import Diagram
 from diagram_helpers import connect_sum
 from cubekh.khovanov import _zeta8_bracket, state_sum_det
+from cubekh.diagram import _euler_state_sum
 
 
 def check_against_oracle(d):
     if d.n and not d.free_loops:
         assert _zeta8_bracket(d) == oracle.zeta8_bracket(d)
     assert state_sum_det(d) == oracle.state_sum_det(d)
+    assert _euler_state_sum(d) == oracle.euler_state_sum(d)
 
 
 def split_union(d1, d2, rng):

@@ -42,6 +42,7 @@ from cubekh.khovanov import (
     twisted_total_ranks,
     vertical_then_horizontal_ranks,
     weight_ss,
+    weight_totals,
 )
 from psi_oracle import check_psi_naturality, model_edge_map, psi_identification
 
@@ -348,6 +349,36 @@ def test_bigraded_shumakovitch_corpus():
 def test_bigraded_shumakovitch_random_braids(seed, free_loops):
     d = random_braid_diagram(random.Random(seed), max_crossings=7)
     check_shumakovitch_bigraded(Diagram(d.crossings, free_loops=d.free_loops + free_loops))
+
+
+# --- kh read off Khr, against the unreduced complex ----------------------------
+# kh_ranks reads twice Khr per cube weight, so these compare it with the
+# homology of the unreduced complex, which it no longer builds
+
+def unreduced_ranks(d):
+    return weight_totals(homology_ranks(kh_complex(d)))
+
+
+def test_kh_ranks_match_unreduced_complex_corpus():
+    for d in SHUMAKOVITCH_CORPUS:
+        assert kh_ranks(d) == unreduced_ranks(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_kh_ranks_match_unreduced_complex_random_braids(seed, free_loops):
+    d = random_braid_diagram(random.Random(seed), max_crossings=7)
+    d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
+    assert kh_ranks(d) == unreduced_ranks(d)
+
+
+@pytest.mark.parametrize("free_loops, kh, khr", [
+    (0, {0: 1}, {}), (1, {0: 2}, {0: 1}), (2, {0: 4}, {0: 2})])
+def test_kh_ranks_without_crossings(free_loops, kh, khr):
+    # the empty link has no circle to mark: Khr is 0 and Kh one generator
+    d = Diagram([], free_loops=free_loops)
+    assert kh_ranks(d) == kh == unreduced_ranks(d)
+    assert khr_ranks(d) == khr
 
 
 def test_basepoint_independence():

@@ -3,9 +3,10 @@ matrices, link determinants, first homology, the determinant/reduced-rank
 inequality, quasi-alternating certification, and the oriented-resolution
 filling check.
 
-The Goeritz determinant and the Kauffman state sum give two fully
-independent routes to det(L); `checked_det` is the one place they are
-compared.
+The Goeritz determinant and the Kauffman bracket, read at q = i off the
+graded Euler characteristic's frontier state sum (`state_sum_det`), give
+two fully independent routes to det(L); `checked_det` is the one place
+they are compared, so every det job also checks that sum.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def link_det(d: Diagram) -> int:
 
 
 def checked_det(d: Diagram, max_crossings: int | None = None) -> int:
-    """det(L) by the Kauffman state sum, checked against the Goeritz
+    """det(L) by the frontier state sum, checked against the Goeritz
     determinant (InternalInconsistency if they differ).  The state sum runs
     first, so a diagram over the cube budget is refused before any Goeritz
     work."""

@@ -572,18 +572,18 @@ def planar_map(d: Diagram) -> PlanarMap:
 
 
 # ---------------------------------------------------------------------------
-# Frontier state sums
+# Frontier state sum
 # ---------------------------------------------------------------------------
-# A state sum over the 2^n states runs as a dynamic program over the
-# crossings in PD order (`_frontier_steps`): the frontier is the set of arcs
-# met exactly once so far, and every partial state is summarized by its key,
-# the connectivity labelling of the frontier arcs with labels in order of
-# first occurrence.  Each crossing extends every key by its two smoothings
-# (`_smooth`), which also count the components they close.  The walk reads
-# the PD code alone, not `resolve`'s dart table.  It serves
-# `khovanov.state_sum_det`, where a closed circle weighs zero at A = zeta8,
-# and Khovanov's graded Euler characteristic (`_euler_state_sum`), where it
-# weighs q + q^-1, which checks the cells of every kh and Khr complex.
+# Khovanov's graded Euler characteristic, a state sum over the 2^n states,
+# runs as a dynamic program over the crossings in PD order
+# (`_frontier_steps`): the frontier is the set of arcs met exactly once so
+# far, and every partial state is summarized by its key, the connectivity
+# labelling of the frontier arcs with labels in order of first occurrence.
+# Each crossing extends every key by its two smoothings (`_smooth`), which
+# also count the components they close.  The walk reads the PD code alone,
+# not `resolve`'s dart table.  Its one sum (`_euler_state_sum`) checks the
+# cells of every kh, Khr and twisted complex, and `khovanov.state_sum_det`
+# reads the determinant off it at q = i.
 
 def _frontier_steps(d: Diagram):
     """The frontier walk, one step per crossing in PD order: (tail, kept,
@@ -616,30 +616,45 @@ def _smooth(key: tuple, tail: tuple, joins: list, kept: list) -> tuple[tuple, in
         if a != b:
             lab = [a if x == b else x for x in lab]
     canon: dict[int, int] = {}
-    new = tuple(canon.setdefault(lab[i], len(canon)) for i in kept)
+    new = tuple([canon.setdefault(lab[i], len(canon)) for i in kept])
     return new, len(set(lab)) - len(canon)
 
 
 def _euler_state_sum(d: Diagram) -> dict[int, int]:
     """Khovanov's graded Euler characteristic of the unreduced complex, the
     sum over the 2^n states of (-1)^w q^w (q + q^-1)^k, w the state's count
-    of 1-smoothings and k its circle count, in cubekh's internal grading
-    (q = k - 2|S| + w), as {q: coefficient} without zero coefficients.  It
-    is the frontier walk of `khovanov.state_sum_det` with a closed circle
-    weighed by q + q^-1 instead of dropped, and each free loop one more such
-    factor, so it reads neither `resolve` nor the placement."""
-    keys: dict[tuple, dict] = {(): {0: 1}}
+    of 1-smoothings and k its circle count, free loops included, in
+    cubekh's internal grading (q = k - 2|S| + w), as {q: coefficient}
+    without zero coefficients; it reads neither `resolve` nor the placement.
+
+    A key's polynomial is one integer, its value times q^(2n+1) at q = 2^W
+    in signed base-2^W digits: a 1-smoothing multiplies it by -q, a closed
+    circle by (1 + q^2)/q.  A circle takes two of the four slots of some
+    crossing, so a state has at most 2n circles and every exponent is >= 1
+    when a circle divides by q.  A key's coefficients sum in absolute value
+    to at most 2^t * 2^(closed circles) <= 2^(3n), below 2^(W-1) for
+    W = 3n + 4, so no digit spills into the next."""
+    n = d.n
+    W = 3 * n + 4
+    keys: dict[tuple, int] = {(): 1 << W * (2 * n + 1)}
     for tail, kept, joins in _frontier_steps(d):
-        out: dict[tuple, dict] = {}
-        for key, poly in keys.items():
+        out: dict[tuple, int] = {}
+        for key, x in keys.items():
             for bit, smoothing in enumerate(joins):
                 new, closed = _smooth(key, tail, smoothing, kept)
-                acc = out.setdefault(new, {})
-                for e, c in _times_circles(poly, closed).items():
-                    e += bit
-                    acc[e] = acc.get(e, 0) + (-c if bit else c)
+                y = -(x << W) if bit else x
+                for _ in range(closed):
+                    y = (y + (y << 2 * W)) >> W
+                out[new] = out.get(new, 0) + y
         keys = out
-    poly = _times_circles(keys[()], d.free_loops)
+    x, e = keys[()], -(2 * n + 1)
+    half, mask = 1 << (W - 1), (1 << W) - 1
+    poly: dict[int, int] = {}
+    while x:
+        poly[e] = c = ((x + half) & mask) - half
+        x = (x - c) >> W
+        e += 1
+    poly = _times_circles(poly, d.free_loops)
     return {e: c for e, c in sorted(poly.items()) if c}
 
 

@@ -24,10 +24,12 @@ basepoint: the basepoint only selects each state's marked circle,
 `arc_to_circle[basepoint]`, when a complex is reduced (`_marked_circles`).
 A kh job builds no unreduced complex: over GF(2), Kh = Khr (x) V, so
 `kh_ranks` doubles Khr at basepoint 1 per cube weight, and `kh_complex`
-serves the tests and the acceptance suite.  Every kh and Khr job checks
-the reduced cells against Khovanov's graded Euler characteristic, summed
-over the diagram by a frontier walk that reads neither `resolve` nor the
-placement (`_check_euler`), before it takes a rank.
+serves the tests and the acceptance suite.  Every kh, Khr and twisted
+job, so every hd and ss job too, checks the reduced cells against
+Khovanov's graded Euler characteristic, summed over the diagram by a
+frontier walk that reads neither `resolve` nor the placement
+(`_check_euler`), before it takes a rank; the determinant is read off the
+same sum (`state_sum_det`).
 
 Every differential preserves the quantum grading q = k - 2|S| + w of a
 generator: k is its state's circle count, S its subset (the marked circle
@@ -90,8 +92,6 @@ from .diagram import (
     ArcMarking,
     Diagram,
     _euler_state_sum,
-    _frontier_steps,
-    _smooth,
     resolve,
 )
 from .errors import (
@@ -590,7 +590,10 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
     """The twisted complex of a compatible marking, placed in total degree
     (see the module docstring).  D^2 = 0 holds exactly when d_h^2, d_v^2
     and d_h d_v + d_v d_h vanish, so it is the bicomplex check (NotBicomplex
-    if not).  d_v is zero at an all-even vertex, one with no odd circle."""
+    if not).  d_v is zero at an all-even vertex, one with no odd circle.
+    The generators are the reduced complex's, so their counts by (w, q),
+    q = par - 2v, are checked against the graded Euler characteristic
+    (`_check_euler`), as in `khr_ranks`, before any differential is built."""
     mark = _marked_circles(cube.diagram, basepoint)
     parities = _marking_parities(cube, marking)
     odd = [any(p) for p in parities]
@@ -608,6 +611,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
     dims: dict[int, int] = {}
     weights: dict[int, list] = {}
     cells: dict[tuple, tuple] = {}
+    by_wq: dict[tuple, int] = {}    # the same generators by (w, q)
     slot_cells: list = [None] * len(cube.states)
     offsets: list = [None] * len(cube.states)
     order = sorted(cube.vertices, key=group)
@@ -619,6 +623,9 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
             if n:
                 weights.setdefault(t, []).extend([w] * n)
                 cells.setdefault((w, t - w), (start.get(t, 0), 0 if has_odd else n))
+                wq = (w, par - 2 * (t - w))
+                by_wq[wq] = by_wq.get(wq, 0) + n
+    _check_euler(cube.diagram, by_wq)
     # ascending degrees, so a failed D^2 = 0 names the lowest one first
     dims = dict(sorted(dims.items()))
 
@@ -732,62 +739,34 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
 # Determinant by Kauffman state sum
 # ---------------------------------------------------------------------------
 
-def _zeta8_bracket(d: Diagram) -> tuple:
-    """The single-circle state sum at A = zeta8 as the coefficients of 1, x,
-    x^2, x^3 in Z[x]/(x^4+1), by the frontier dynamic program described in
-    `state_sum_det` (at least one crossing, no free loops)."""
-    keys = {(): (1, 0, 0, 0)}
-    last = d.n - 1
-    for t, (tail, kept, joins) in enumerate(_frontier_steps(d)):
-        out: dict[tuple, tuple] = {}
-        for key, z in keys.items():
-            for bit, smoothing in enumerate(joins):
-                new, closed = _smooth(key, tail, smoothing, kept)
-                # a circle closed before the last crossing has weight
-                # delta(zeta8) = 0; the last crossing closes all of them
-                if closed != (t == last):
-                    continue
-                z0, z1, z2, z3 = z
-                w = (-z3, z0, z1, z2) if bit == 0 else (z1, z2, z3, -z0)
-                old = out.get(new)
-                out[new] = w if old is None else tuple(map(sum, zip(old, w)))
-        keys = out
-    return keys.get((), (0, 0, 0, 0))
-
-
 def state_sum_det(d: Diagram, max_crossings: int | None = None) -> int:
-    """|det| via the Kauffman bracket evaluated at A = zeta8, a primitive 8th
-    root of unity, exact in Z[x]/(x^4+1).
+    """|det| = |V_L(-1)|, read off the graded Euler characteristic chi of
+    the frontier walk (`_euler_state_sum`).
 
-    The bracket at zeta8 is (-A^3)^w V_L(-1) with w the writhe, and V_L(-1)
-    is +-det or +-i det, so it is +-x^k det: |det| is its one nonzero
-    coefficient, or 0 when it is zero.  Two nonzero coefficients raise
-    InternalInconsistency.
-
-    The circle weight delta = -A^2 - A^-2 vanishes at zeta8, so only the
-    states that close into a single circle contribute, each with weight
-    A^(#0-smoothings - #1-smoothings).  The sum runs on the frontier walk
-    of `diagram._frontier_steps`, each key valued by the summed weight of
-    its partial states: a 0-smoothing weighs A and a 1-smoothing A^-1.  A
-    key whose component leaves the frontier before the last crossing
-    carries a closed circle; the crossings still to come make another one,
-    so every completion has delta = 0 as a factor and the key is dropped.
-    At the last crossing only the one-component key is kept.
-
-    Every key comes from at least one partial state, so after t crossings
-    there are at most 2^t keys, the count of the 2^n-state sum.  Each
-    frontier component is a path with its two ends on the frontier, so
-    there are also at most (f-1)!! keys for f frontier arcs; on the braid,
-    rational and torus closures the frontier holds a few arcs.
-    """
+    With crossings and no free loops, chi = (q + q^-1) P(q), where P at
+    q = -A^-2 is A^-n times the Kauffman bracket.  q = i is A = zeta8, so
+    P(i) = +-det or +-i det.  As q + q^-1 vanishes at i, chi(i) = 0 and
+    P(i) = chi'(i)/2.  A nonzero chi(i), an odd chi'(i) or a P(i) with two
+    nonzero parts raises InternalInconsistency.  Free loops are answered
+    before the walk: det 1 for the empty link and the unknot, else 0."""
     _check_budget(d, max_crossings)
-    n = d.n
-    if n == 0:
-        return 1 if d.free_loops == 1 else (0 if d.free_loops else 1)
+    if d.n == 0:
+        return 1 if d.free_loops <= 1 else 0
     if d.free_loops:
         return 0
-    nonzero = [abs(c) for c in _zeta8_bracket(d) if c]
-    if len(nonzero) > 1:
+    # chi(i) and chi'(i) from the sums of c and e*c over e = 0, 1, 2, 3 mod 4
+    s, t = [0] * 4, [0] * 4
+    for e, c in _euler_state_sum(d).items():
+        s[e % 4] += c
+        t[e % 4] += e * c
+    if s[0] != s[2] or s[1] != s[3]:
+        raise InternalInconsistency("graded Euler characteristic is "
+                                    f"{s[0] - s[2]}{s[1] - s[3]:+}i at q = i, not 0")
+    re, im = t[1] - t[3], t[2] - t[0]
+    if re % 2 or im % 2:
+        raise InternalInconsistency(f"chi'(i) = {re}{im:+}i is not even")
+    re, im = re // 2, im // 2
+    if re and im:
         raise InternalInconsistency(
-            f"zeta8 bracket has {len(nonzero)} nonzero coefficients, not one")
-    return nonzero[0] if nonzero else 0
+            f"bracket at q = i is {re}{im:+}i, with two nonzero parts")
+    return abs(re or im)

@@ -1,14 +1,16 @@
-"""Reference versions of the frontier state sums: the Kauffman state sum of
-`cubekh.khovanov.state_sum_det` and the graded Euler characteristic of
-`cubekh.diagram._euler_state_sum`.
+"""Reference versions of the frontier state sum: the graded Euler
+characteristic of `cubekh.diagram._euler_state_sum`, and the determinant
+that `cubekh.khovanov.state_sum_det` reads off it at q = i.
 
 They are the straightforward form the dynamic program replaced: all 2^n
 states, each resolved by a fresh dict union-find over the arcs.  For the
-determinant, every state that closes into a single circle is added with
-weight A^(#0-smoothings - #1-smoothings) at A = zeta8, in Z[x]/(x^4+1); for
-the Euler characteristic, every state with w 1-smoothings and k circles adds
-(-1)^w q^w (q + q^-1)^k.  `continued_fraction_numerator` gives the
-determinant of a rational link from its continued fraction.
+Euler characteristic, every state with w 1-smoothings and k circles adds
+(-1)^w q^w (q + q^-1)^k.  The determinant takes another route, the Kauffman
+bracket at A = zeta8, where the circle weight vanishes: every state that
+closes into a single circle is added with weight
+A^(#0-smoothings - #1-smoothings), in Z[x]/(x^4+1), and |det| is the square
+root of the norm.  `continued_fraction_numerator` gives the determinant of
+a rational link from its continued fraction.
 """
 
 import math

@@ -435,16 +435,39 @@ def test_wrong_odd_smith_form_exits_h1_internal(capsys, monkeypatch):
         "detail": "|H1| from the Smith form disagrees with the determinant: 5 vs 3"}
 
 
-def test_two_coefficient_bracket_exits_internal(capsys, monkeypatch):
-    # the bracket at zeta8 is +-x^k det; 3 + 4x^2 has norm 25, a perfect
-    # square, but two nonzero coefficients
+@pytest.mark.parametrize("chi, detail", [
+    # chi(i) = 0 and chi'(i) = 6 + 8i, so P(i) = 3 + 4i: its norm 25 is a
+    # perfect square, but P(i) must be real or imaginary
+    ({-1: 3, 0: 4, 1: 3, 2: 4}, "bracket at q = i is 3+4i, with two nonzero parts"),
+    ({0: 1}, "graded Euler characteristic is 1+0i at q = i, not 0"),
+], ids=["two_parts", "no_zero_at_i"])
+def test_bad_euler_sum_exits_det_internal(capsys, monkeypatch, chi, detail):
     import cubekh.khovanov as kh
-    monkeypatch.setattr(kh, "_zeta8_bracket", lambda d: (3, 0, 4, 0))
+    calls = []
+
+    def fake_sum(d):
+        calls.append(d)
+        return dict(chi)
+
+    monkeypatch.setattr(kh, "_euler_state_sum", fake_sum)
     code, out = run_cli(capsys, monkeypatch, ["--command", "det"], TREFOIL)
-    assert code == 1
-    assert json.loads(out)["error"] == {
-        "kind": "internal",
-        "detail": "zeta8 bracket has 2 nonzero coefficients, not one"}
+    assert code == 1 and len(calls) == 1
+    assert json.loads(out)["error"] == {"kind": "internal", "detail": detail}
+
+
+def test_det_job_walks_the_diagram_once(capsys, monkeypatch):
+    import cubekh.khovanov as kh
+    real_sum = kh._euler_state_sum
+    calls = []
+
+    def counted_sum(d):
+        calls.append(d)
+        return real_sum(d)
+
+    monkeypatch.setattr(kh, "_euler_state_sum", counted_sum)
+    code, out = run_cli(capsys, monkeypatch, ["--command", "det"], TREFOIL)
+    assert code == 0 and json.loads(out)["det"] == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cmd, check", [
@@ -502,10 +525,11 @@ def test_quantum_grading_check_exits_internal(capsys, monkeypatch, cmd):
         "kind": "internal", "detail": "d_h must preserve the quantum grading"}
 
 
-@pytest.mark.parametrize("cmd", ["kh", "khr"])
+@pytest.mark.parametrize("cmd", ["kh", "khr", "twisted", "hd", "ss"])
 def test_euler_check_exits_internal(capsys, monkeypatch, cmd):
     # one coefficient of the state sum moved by one: the cells no longer
-    # match it at that q, which the error names
+    # match it at that q, which the error names; the twisted complex holds
+    # the reduced generators, so twisted, hd and ss check them the same way
     import cubekh.khovanov as kh
     real_sum = kh._euler_state_sum
     checked = []
@@ -863,6 +887,27 @@ def test_free_loops_reach_cube_budget_before_allocating(capsys, monkeypatch):
     err = json.loads(out)["error"]
     assert err["kind"] == "budget"
     assert "1000000 free loops exceeds the cube budget" in err["detail"]
+    assert peak < 1 << 20
+
+
+def test_free_loops_answer_det_before_the_walk(capsys, monkeypatch):
+    # a million free loops would make a state sum of degree 10^6: det is 0
+    # for them without entering the frontier walk
+    import tracemalloc
+
+    def no_walk(d):
+        raise AssertionError("walked a diagram with free loops")
+
+    monkeypatch.setattr("cubekh.khovanov._euler_state_sum", no_walk)
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, monkeypatch, ["--command", "det"],
+                            {"pd": [], "free_loops": 1000000})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["det"] == 0
     assert peak < 1 << 20
 
 

@@ -20,7 +20,6 @@ from .diagram import (
     Diagram,
     PlanarMap,
     canonical_key,
-    mirror,
     planar_map,
     resolve,
     simplify_greedy,
@@ -170,9 +169,13 @@ class RankInequalityReport(NamedTuple):
 
 def rank_inequality_check(d: Diagram, max_crossings: int | None = None) -> RankInequalityReport:
     """det(L) <= total reduced rank of the mirror diagram, with both det
-    oracles compared."""
+    oracles compared.  The rank is read off d's own cube: the mirror swaps
+    the smoothings at every crossing and keeps the circles, so its complex
+    is the dual of d's (Khovanov, *A categorification of the Jones
+    polynomial*) and over GF(2) its Khr at cube weight w is d's at n - w,
+    with the same total."""
     det = checked_det(d, max_crossings=max_crossings)
-    rk = sum(khr_ranks(mirror(d), max_crossings=max_crossings).values())
+    rk = sum(khr_ranks(d, max_crossings=max_crossings).values())
     return RankInequalityReport(det, rk, det <= rk, det == rk)
 
 

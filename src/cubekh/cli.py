@@ -141,8 +141,7 @@ def _rank_payload(theory: str, d, ranks: dict) -> dict:
     }
 
 
-def run_job(command: str, payload: dict, basepoint: int = 1,
-            max_crossings: int | None = None) -> dict:
+def run_job(command: str, payload: dict, max_crossings: int | None = None) -> dict:
     # every command refuses a negative budget, also one that builds no cube
     cube_budget(max_crossings)
     if command == "kh":
@@ -150,27 +149,25 @@ def run_job(command: str, payload: dict, basepoint: int = 1,
         return _rank_payload("kh", d, kh_ranks(d, max_crossings=max_crossings))
     if command == "khr":
         d = _diagram_from(payload)
-        return _rank_payload(
-            "khr", d, khr_ranks(d, basepoint=basepoint, max_crossings=max_crossings))
+        return _rank_payload("khr", d, khr_ranks(d, max_crossings=max_crossings))
     if command == "twisted":
         d = _diagram_from(payload)
         m = _marking_from(payload, d)
-        ranks = twisted_total_ranks(d, m, basepoint=basepoint,
-                                    max_crossings=max_crossings)
+        ranks = twisted_total_ranks(d, m, max_crossings=max_crossings)
         return {"theory": "twisted",
                 "ranks": {"total_degree": {str(k): v for k, v in sorted(ranks.items())}},
                 "total": sum(ranks.values())}
     if command == "hd":
         d = _diagram_from(payload)
         m = _marking_from(payload, d)
-        hd = hd_homology(d, m, basepoint=basepoint, max_crossings=max_crossings)
+        hd = hd_homology(d, m, max_crossings=max_crossings)
         out = _rank_payload("hd", d, weight_totals(hd))
         out["bigraded"] = {f"({p},{v})": r for (p, v), r in sorted(hd.items())}
         return out
     if command == "ss":
         d = _diagram_from(payload)
         m = _marking_from(payload, d)
-        pages = weight_ss(d, m, basepoint=basepoint, max_crossings=max_crossings)
+        pages = weight_ss(d, m, max_crossings=max_crossings)
         return {
             "theory": "ss",
             "pages": [{f"({p},{t})": v for (p, t), v in sorted(table.items())}
@@ -273,7 +270,6 @@ def main(argv=None) -> int:
     ap.add_argument("--input", default="-",
                     help="JSON payload file, or - for stdin (default)")
     ap.add_argument("--max-crossings", type=int, default=None)
-    ap.add_argument("--basepoint", type=int, default=1)
     ap.add_argument("--json-indent", type=int, default=None)
     args = ap.parse_args(argv)
 
@@ -296,8 +292,7 @@ def main(argv=None) -> int:
             raise JobError(f"input is not valid JSON: {e}") from e
         if not isinstance(payload, dict):
             raise JobError("input payload must be a JSON object")
-        result = run_job(args.command, payload, basepoint=args.basepoint,
-                         max_crossings=args.max_crossings)
+        result = run_job(args.command, payload, max_crossings=args.max_crossings)
     except SizeBudgetExceeded as e:
         emit({"error": {"kind": "budget", "detail": str(e)}})
         return 3

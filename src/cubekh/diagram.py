@@ -28,7 +28,6 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -272,21 +271,14 @@ def strict_int(x, what: str, error: type = MalformedPD) -> int:
     return x
 
 
-def parse_pd(text, free_loops: int = 0,
+def parse_pd(data, free_loops: int = 0,
              orientation: Sequence[int] | None = None) -> Diagram:
-    """Parse a PD code given as a JSON-style string or a list of 4-tuples.
+    """Parse a PD code given as a list of 4-tuples.
 
     Input arriving here is checked strictly: every label, flag and the free
     loop count must be an integer, and the code must be planar (raises
     NonPlanarTrace otherwise).
     """
-    if isinstance(text, str):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise MalformedPD(f"cannot parse PD code: {e}") from e
-    else:
-        data = text
     if not isinstance(data, (list, tuple)):
         raise MalformedPD("PD code must be a list of 4-tuples")
     for c in data:

@@ -19,17 +19,20 @@ from its place in the list and are not stored.  A state is flat too: it
 holds the circle of each arc in a list indexed by arc label, the least arc
 of each circle and the circle count, and no per-circle arc lists.
 
-The cube is basepoint-free, so one cube serves kh and Khr at every
-basepoint: the basepoint only selects each state's marked circle,
-`arc_to_circle[basepoint]`, when a complex is reduced (`_marked_circles`).
-A kh job builds no unreduced complex: over GF(2), Kh = Khr (x) V, so
-`kh_ranks` doubles Khr at basepoint 1 per cube weight, and `kh_complex`
-serves the tests and the acceptance suite.  Every kh, Khr and twisted
-job, so every hd and ss job too, checks the reduced cells against
-Khovanov's graded Euler characteristic, summed over the diagram by a
-frontier walk that reads neither `resolve` nor the placement
-(`_check_euler`), before it takes a rank; the determinant is read off the
-same sum (`state_sum_det`).
+The cube is basepoint-free, so one cube serves kh and Khr: a reduced
+complex marks in each state the circle through arc 1, `arc_to_circle[1]`
+(circle 0 in a diagram without arcs; `_marked_circles`).  Over GF(2) no
+number depends on that arc (Shumakovitch, *Torsion of Khovanov
+homology*): acceptance criterion 2 checks Khr at every arc through
+`_assemble(cube, arc)`, and the tests check the twisted totals, hd and ss
+pages through `_twisted(cube, marking, arc)`.  A kh job builds no
+unreduced complex: over GF(2), Kh = Khr (x) V, so `kh_ranks` doubles Khr
+per cube weight, and `kh_complex` serves the tests and the acceptance
+suite.  Every kh, Khr and twisted job, so every hd and ss job too, checks
+the reduced cells against Khovanov's graded Euler characteristic, summed
+over the diagram by a frontier walk that reads neither `resolve` nor the
+placement (`_check_euler`), before it takes a rank; the determinant is
+read off the same sum (`state_sum_det`).
 
 Every differential preserves the quantum grading q = k - 2|S| + w of a
 generator: k is its state's circle count, S its subset (the marked circle
@@ -70,8 +73,8 @@ and every complex built on the cube places that block at each edge with
 that key (`_d_h`).
 
 Every twisted job goes through one entry, `twisted_complex`, which refuses
-a bad basepoint or marking before any state is resolved and returns a
-`TwistedComplex`; hd and ss check the E^2 page in one place, `_checked_e2`.
+a bad marking before any state is resolved and returns a `TwistedComplex`;
+hd and ss check the E^2 page in one place, `_checked_e2`.
 """
 
 from __future__ import annotations
@@ -99,7 +102,6 @@ from .errors import (
     IncompatibleMarking,
     InternalInconsistency,
     InvalidRange,
-    MalformedPD,
     NotAComplex,
     NotBicomplex,
     SizeBudgetExceeded,
@@ -262,14 +264,10 @@ def build_cube(d: Diagram, max_crossings: int | None = None) -> CubeComplex:
 
 def _marked_circles(d: Diagram, basepoint: int | None):
     """state -> its marked circle, the one through the basepoint arc (circle
-    0 in a diagram without arcs, where only the default basepoint 1 is
-    taken); None for the unreduced theory.
-    A bad basepoint raises MalformedPD from d alone, so the entry points
-    call this before `build_cube` and reject it without resolving a state."""
+    0 in a diagram without arcs); None for the unreduced theory.  The
+    public entries mark arc 1; other arcs serve the invariance checks."""
     if basepoint is None:
         return None
-    if basepoint not in range(1, max(d.arc_count, 1) + 1):
-        raise MalformedPD(f"basepoint arc {basepoint} does not exist")
     if not d.arc_count:
         return lambda state: 0
     return lambda state: state.arc_to_circle[basepoint]
@@ -450,12 +448,10 @@ def kh_complex(d: Diagram, max_crossings: int | None = None) -> GradedComplexF2:
     return _assemble(build_cube(d, max_crossings=max_crossings), None)
 
 
-def khr_complex(d: Diagram, basepoint: int = 1,
-                max_crossings: int | None = None) -> GradedComplexF2:
-    """Reduced cube complex with respect to a basepoint arc, graded by
-    (cube weight, quantum grading)."""
-    _marked_circles(d, basepoint)
-    return _assemble(build_cube(d, max_crossings=max_crossings), basepoint)
+def khr_complex(d: Diagram, max_crossings: int | None = None) -> GradedComplexF2:
+    """Reduced cube complex marked at arc 1, graded by (cube weight, quantum
+    grading)."""
+    return _assemble(build_cube(d, max_crossings=max_crossings), 1)
 
 
 def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
@@ -478,7 +474,7 @@ def weight_totals(ranks: dict[tuple, int]) -> dict[int, int]:
 
 def kh_ranks(d: Diagram, max_crossings: int | None = None) -> dict[int, int]:
     """Unreduced Khovanov ranks keyed by cube weight, read off the reduced
-    complex at basepoint 1 (`khr_ranks`, with its checks): over GF(2),
+    complex (`khr_ranks`, with its checks): over GF(2),
     Kh(L) = Khr(L) (x) V with V in cube weight 0 and q-degrees +-1
     (Shumakovitch, *Torsion of Khovanov homology*), so each weight has
     twice Khr's rank.  The empty link has no circle to mark: its Khr is 0
@@ -490,13 +486,12 @@ def kh_ranks(d: Diagram, max_crossings: int | None = None) -> dict[int, int]:
     return {w: 2 * r for w, r in ranks.items()}
 
 
-def khr_ranks(d: Diagram, basepoint: int = 1,
-              max_crossings: int | None = None) -> dict[int, int]:
+def khr_ranks(d: Diagram, max_crossings: int | None = None) -> dict[int, int]:
     """Reduced Khovanov ranks keyed by cube weight, the one path of kh and
     Khr.  Besides d^2 = 0 and the grading checks made in building the
     complex, its cell dimensions are checked against the frontier state sum
     (`_check_euler`) before any rank is taken."""
-    c = khr_complex(d, basepoint=basepoint, max_crossings=max_crossings)
+    c = khr_complex(d, max_crossings=max_crossings)
     _check_euler(d, c.dims)
     return weight_totals(homology_ranks(c))
 
@@ -567,7 +562,7 @@ class TwistedComplex(NamedTuple):
     cells: dict
 
 
-def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
+def twisted_complex(d: Diagram, marking: ArcMarking,
                     max_crossings: int | None = None) -> TwistedComplex:
     """The total complex of the twisted double complex, with its weights:
     horizontal = reduced cube differential, vertical = wedge with the sum
@@ -575,15 +570,14 @@ def twisted_complex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
 
     The bigrading is (cube weight, exterior degree normalized so both
     differentials shift by exactly one); the total degree is their sum.
-    The one entry of every twisted job: `_twisted` on d's cube, built only
-    once the basepoint and then the marking (`ArcMarking.fault`) pass
-    their checks against d alone.
+    The one entry of every twisted job: `_twisted` on d's cube, marked at
+    arc 1, built only once the marking passes its check against d alone
+    (`ArcMarking.fault`).
     """
-    _marked_circles(d, basepoint)
     fault = marking.fault(d)
     if fault:
         raise IncompatibleMarking(fault)
-    return _twisted(build_cube(d, max_crossings=max_crossings), marking, basepoint)
+    return _twisted(build_cube(d, max_crossings=max_crossings), marking, 1)
 
 
 def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedComplex:
@@ -660,10 +654,10 @@ def vertical_then_horizontal_ranks(tw: TwistedComplex) -> dict[tuple, int]:
     return {(p, t - p): rank for (p, t), rank in pages.page(2).items()}
 
 
-def hd_even_subcomplex(d: Diagram, marking: ArcMarking, basepoint: int = 1,
+def hd_even_subcomplex(d: Diagram, marking: ArcMarking,
                        max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology via the all-even-vertex subcomplex."""
-    return _hd_even(twisted_complex(d, marking, basepoint, max_crossings))
+    return _hd_even(twisted_complex(d, marking, max_crossings))
 
 
 def _hd_even(tw: TwistedComplex) -> dict[tuple, int]:
@@ -696,20 +690,20 @@ def _checked_e2(tw: TwistedComplex) -> tuple[SpectralPages, dict[tuple, int]]:
     return pages, hd
 
 
-def hd_homology(d: Diagram, marking: ArcMarking, basepoint: int = 1,
+def hd_homology(d: Diagram, marking: ArcMarking,
                 max_crossings: int | None = None) -> dict[tuple, int]:
     """Dotted-diagram homology ranks keyed by (cube weight, vertical degree),
     cross-checked against the E^2 page of the twisted complex (`_checked_e2`)."""
-    return _checked_e2(twisted_complex(d, marking, basepoint, max_crossings))[1]
+    return _checked_e2(twisted_complex(d, marking, max_crossings))[1]
 
 
-def twisted_total_ranks(d: Diagram, marking: ArcMarking, basepoint: int = 1,
+def twisted_total_ranks(d: Diagram, marking: ArcMarking,
                         max_crossings: int | None = None) -> dict[int, int]:
     """Homology of the total twisted complex, keyed by total degree."""
-    return homology_ranks(twisted_complex(d, marking, basepoint, max_crossings).total)
+    return homology_ranks(twisted_complex(d, marking, max_crossings).total)
 
 
-def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
+def weight_ss(d: Diagram, marking: ArcMarking,
               max_crossings: int | None = None) -> SpectralPages:
     """Spectral sequence of the cube-weight filtration of the twisted total
     complex.  E^1 equals the count of generators at all-even vertices (the
@@ -722,7 +716,7 @@ def weight_ss(d: Diagram, marking: ArcMarking, basepoint: int = 1,
     checks the level-run feed; the elimination itself is checked against
     an independent column reduction, `plain_pairing`, in the tests."""
     # the page computation is the memory peak; it needs no cube, so none is kept
-    tw = twisted_complex(d, marking, basepoint, max_crossings)
+    tw = twisted_complex(d, marking, max_crossings)
     pages, _ = _checked_e2(tw)
     if pages.page(1) != {(w, w + v): n for (w, v), (_, n) in tw.cells.items() if n}:
         raise InternalInconsistency("E^1 page does not match the all-even generator count")

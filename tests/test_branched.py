@@ -19,12 +19,14 @@ from cubekh.branched import (
 from cubekh.acceptance import corpus
 from cubekh.corpus import braid_closure, random_braid_diagram, small_knot
 from cubekh.diagram import (
+    Diagram,
     canonical_key,
+    mirror,
     parse_pd,
     simplify_greedy,
     smooth_crossing,
 )
-from cubekh.khovanov import state_sum_det
+from cubekh.khovanov import khr_ranks, state_sum_det
 from diagram_helpers import connect_sum
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -128,6 +130,29 @@ def test_rank_inequality_connected_sum():
     d = connect_sum(parse_pd(TREFOIL), parse_pd(TREFOIL))
     r = rank_inequality_check(d)
     assert (r.det, r.khr_mirror_rank) == (9, 9)
+
+
+def check_mirror_reverses_khr(d):
+    # the mirror's complex is the dual of d's, so its Khr at cube weight w
+    # is d's at n - w, and rankcheck reads the mirror's rank off d's cube
+    mirrored = khr_ranks(mirror(d))
+    assert mirrored == {d.n - w: r for w, r in khr_ranks(d).items()}, d
+    assert rank_inequality_check(d).khr_mirror_rank == sum(mirrored.values())
+
+
+def test_mirror_reverses_khr_corpus():
+    for d in corpus()[:300]:
+        check_mirror_reverses_khr(d)
+
+
+def test_mirror_reverses_khr_with_free_loops():
+    rng = random.Random(37)
+    cases = [Diagram([], free_loops=loops) for loops in range(3)]
+    for _ in range(100):
+        d = random_braid_diagram(rng, max_crossings=8)
+        cases.append(Diagram(d.crossings, free_loops=d.free_loops + rng.randint(0, 2)))
+    for d in cases:
+        check_mirror_reverses_khr(d)
 
 
 def test_rank_inequality_random():

@@ -555,7 +555,6 @@ def test_euler_check_exits_internal(capsys, monkeypatch, cmd):
 def test_kh_and_khr_without_crossings(capsys, monkeypatch, payload, kh_total, khr_total):
     # the empty link has no circle to mark, so its kh is not twice its khr
     for args, total in ((["--command", "kh"], kh_total),
-                        (["--command", "kh", "--basepoint", "99"], kh_total),
                         (["--command", "khr"], khr_total)):
         code, out = run_cli(capsys, monkeypatch, args, payload)
         assert code == 0 and json.loads(out)["total"] == total, args
@@ -602,30 +601,10 @@ except InternalInconsistency:
     assert out.stdout.split() == ["twisted", "psi"]
 
 
-def test_bad_basepoint_rejected_before_resolving(capsys, monkeypatch):
-    import cubekh.khovanov as kh
-    resolved = []
-    real_resolve = kh.resolve
-
-    def counting_resolve(*args, **kwargs):
-        resolved.append(args[1])
-        return real_resolve(*args, **kwargs)
-
-    monkeypatch.setattr(kh, "resolve", counting_resolve)
-    for cmd in ("khr", "twisted", "hd", "ss"):
-        code, out = run_cli(capsys, monkeypatch,
-                            ["--command", cmd, "--basepoint", "99"], TREFOIL)
-        assert code == 2, cmd
-        assert json.loads(out)["error"] == {
-            "kind": "MalformedPD", "detail": "basepoint arc 99 does not exist"}
-        assert resolved == [], cmd
-    # kh has no basepoint and ignores the flag
-    code, out = run_cli(capsys, monkeypatch,
-                        ["--command", "kh", "--basepoint", "99"], TREFOIL)
-    assert code == 0 and json.loads(out)["total"] == 6
-    # a diagram of free loops marks its first loop at the default basepoint;
-    # the empty diagram marks nothing, so its Khr is zero
-    code, out = run_cli(capsys, monkeypatch, ["--command", "khr", "--basepoint", "1"],
+def test_free_loops_mark_their_first_loop(capsys, monkeypatch):
+    # a diagram of free loops has no arcs, so its first loop is marked; the
+    # empty diagram marks nothing, so its Khr is zero
+    code, out = run_cli(capsys, monkeypatch, ["--command", "khr"],
                         {"pd": [], "free_loops": 1})
     assert code == 0 and json.loads(out)["total"] == 1
     code, out = run_cli(capsys, monkeypatch, ["--command", "khr"], {"pd": []})
@@ -635,10 +614,11 @@ def test_bad_basepoint_rejected_before_resolving(capsys, monkeypatch):
 @pytest.mark.parametrize("cmd", ["khr", "twisted", "hd", "ss"])
 @pytest.mark.parametrize("basepoint", [99, 0, -3])
 def test_bad_basepoint_rejected_without_arcs(capsys, monkeypatch, cmd, basepoint):
-    # a diagram of free loops has no arcs, so only the default basepoint 1
-    # is taken; any other is refused before a state is resolved
+    # a reduced job on a diagram of free loops marks its first loop; no
+    # basepoint reaches it, through the CLI or the command's public entry,
+    # and none gets a state resolved
     import cubekh.khovanov as kh
-    from cubekh.errors import MalformedPD
+    from cubekh.diagram import ArcMarking, Diagram
     loops = {"pd": [], "free_loops": 2}
     resolved = []
     real_resolve = kh.resolve
@@ -648,15 +628,17 @@ def test_bad_basepoint_rejected_without_arcs(capsys, monkeypatch, cmd, basepoint
         return real_resolve(*args, **kwargs)
 
     monkeypatch.setattr(kh, "resolve", counting_resolve)
-    detail = f"basepoint arc {basepoint} does not exist"
-    with pytest.raises(MalformedPD, match=f"^{detail}$"):
-        run_job(cmd, loops, basepoint=basepoint)
-    code, out = run_cli(capsys, monkeypatch,
-                        ["--command", cmd, "--basepoint", str(basepoint)], loops)
-    assert code == 2
-    assert json.loads(out)["error"] == {"kind": "MalformedPD", "detail": detail}
+    d = Diagram([], free_loops=2)
+    entry = {"khr": kh.khr_ranks, "twisted": kh.twisted_total_ranks,
+             "hd": kh.hd_homology, "ss": kh.weight_ss}[cmd]
+    args = (d,) if cmd == "khr" else (d, ArcMarking.zero(d))
+    with pytest.raises(TypeError, match="basepoint"):
+        entry(*args, basepoint=basepoint)
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(capsys, monkeypatch, ["--command", cmd, "--basepoint", str(basepoint)], loops)
+    assert exit_.value.code == 2
     assert resolved == []
-    code, out = run_cli(capsys, monkeypatch, ["--command", cmd, "--basepoint", "1"], loops)
+    code, out = run_cli(capsys, monkeypatch, ["--command", cmd], loops)
     assert code == 0 and resolved == [()]
 
 

@@ -75,14 +75,14 @@ def random_braid_pd(rng, max_crossings=8):
 # --- parsing ----------------------------------------------------------------
 
 def test_parse_trefoil():
-    d = parse_pd("[[1,4,2,5],[3,6,4,1],[5,2,6,3]]")
+    d = parse_pd([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]])
     assert d.n == 3
     assert len(d.components) == 1
     assert d.arc_count == 6
 
 
 def test_parse_empty_unknot():
-    d = parse_pd("[]", free_loops=1)
+    d = parse_pd([], free_loops=1)
     assert d.n == 0 and d.free_loops == 1
     assert len(d.components) + d.free_loops == 1
 
@@ -92,6 +92,13 @@ def test_parse_hopf_two_components():
     assert d.n == 2
     assert len(d.components) == 2
     assert d.components == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("text", ["[[1,4,2,5],[3,6,4,1],[5,2,6,3]]", "[]"])
+def test_parse_rejects_a_string(text):
+    # a PD code is a list; a JSON string of one is refused, not decoded
+    with pytest.raises(MalformedPD, match="^PD code must be a list of 4-tuples$"):
+        parse_pd(text)
 
 
 def test_parse_rejects_bad_frequency():
@@ -180,15 +187,13 @@ def test_resolve_refuses_bits_that_are_not_0_or_1(bad):
 
 def test_resolve_marks_basepoint_circle():
     # states carry no marked circle; the reduced theory reads it off
-    # arc_to_circle, and a bad basepoint is refused before resolving
+    # arc_to_circle
     from cubekh.khovanov import _marked_circles
     d = parse_pd(TREFOIL)
     s = resolve(d, (0, 0, 0))
     assert not hasattr(s, "marked_circle")
     assert _marked_circles(d, 1)(s) == s.arc_to_circle[1]
     assert _marked_circles(d, None) is None
-    with pytest.raises(MalformedPD, match="basepoint arc 7 does not exist"):
-        _marked_circles(d, 7)
 
 
 def test_resolve_against_oracle_random():

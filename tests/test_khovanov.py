@@ -15,8 +15,8 @@ import cubekh.khovanov as kh
 import spectral_oracle
 from cube_oracle import edge_triples, hd_even_oracle, induce_marking, twisted_per_edge
 from det_oracle import continued_fraction_numerator
-from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
-from cubekh.complexes import homology_ranks
+from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
+from cubekh.complexes import FilteredComplexF2, homology_ranks, spectral_pages
 from cubekh.corpus import (
     braid_closure,
     diagram_corpus,
@@ -382,10 +382,12 @@ def test_kh_ranks_without_crossings(free_loops, kh, khr):
 
 
 def test_basepoint_independence():
+    # the public entries mark arc 1; bigraded Khr is the same at every arc
     rng = random.Random(55)
     for _ in range(15):
         d = random_braid_diagram(rng, max_crossings=6)
-        tables = {tuple(sorted(khr_ranks(d, basepoint=arc).items()))
+        cube = build_cube(d)
+        tables = {tuple(sorted(homology_ranks(kh._assemble(cube, arc)).items()))
                   for arc in range(1, d.arc_count + 1)}
         assert len(tables) == 1
 
@@ -411,6 +413,35 @@ def test_trivial_marking_equals_khr():
         assert collapsed == khr_ranks(d)
         assert (sum(twisted_total_ranks(d, ArcMarking.zero(d)).values())
                 == sum(collapsed.values()))
+
+
+def check_twisted_basepoint_classes(d, m):
+    # twisted totals, hd and every ss page are the same at every basepoint
+    # class, so the public entries may mark arc 1 alone
+    cube = build_cube(d)
+    seen = set()
+    for arc in _basepoint_classes(cube):
+        tw = kh._twisted(cube, m, arc)
+        pages = spectral_pages(FilteredComplexF2(tw.total, tw.weights)).pages
+        seen.add((tuple(sorted(homology_ranks(tw.total).items())),
+                  tuple(sorted(kh._hd_even(tw).items())),
+                  tuple(tuple(sorted(page.items())) for page in pages)))
+    assert len(seen) == 1, d
+
+
+def test_twisted_basepoint_independence_corpus():
+    rng = random.Random(57)
+    for d in SHUMAKOVITCH_CORPUS:
+        check_twisted_basepoint_classes(d, random_compatible_marking(d, rng))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_twisted_basepoint_independence_random_braids(seed, free_loops):
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=7)
+    d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
+    check_twisted_basepoint_classes(d, random_compatible_marking(d, rng))
 
 
 def test_odd_total_marking_rejected():

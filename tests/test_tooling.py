@@ -1,14 +1,18 @@
 """The benchmark tracer names cubekh functions by (module, name); a renamed
 or deleted target would make its layer metrics read as missing.  The bench
 oracles must accept true outputs of every command and reject corrupted ones.
-Both are loaded from their sources without writing anything next to them."""
+Both are loaded from their sources without writing anything next to them.
+The README's flag list must match what `cubekh --help` prints."""
 
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -50,3 +54,34 @@ def test_bench_selfcheck_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout
     assert listing() == before
+
+
+README = PERFBENCH.parent / "README.md"
+
+
+def _flags(text: str) -> set:
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+
+
+def test_readme_names_every_cli_flag(capsys):
+    # the flags `cubekh --help` prints against the README's "Flags:"
+    # paragraph, so no option is added or dropped without the README
+    from cubekh.cli import main
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    printed = _flags(capsys.readouterr().out) - {"--help"}
+    (paragraph,) = re.findall(r"^Flags:.*?(?=\n\n)", README.read_text(encoding="utf-8"),
+                              re.S | re.M)
+    assert printed == _flags(paragraph)
+    assert printed == {"--command", "--input", "--max-crossings", "--json-indent"}
+
+
+def test_retired_basepoint_flag_is_refused(capsys):
+    # the reduced complexes mark arc 1; the flag that chose another arc is
+    # gone, so argparse refuses it (exit 2) before any payload is read
+    from cubekh.cli import main
+    with pytest.raises(SystemExit) as exit_:
+        main(["--command", "khr", "--basepoint", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --basepoint 1" in capsys.readouterr().err

@@ -48,7 +48,7 @@ from .khovanov import (
     build_cube,
     edge_map,
     grading_tables,
-    hd_homology,
+    hd_even_subcomplex,
     kh_complex,
     kh_ranks,
     khr_complex,

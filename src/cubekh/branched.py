@@ -35,14 +35,11 @@ from .linalg import AbelianGroup, cokernel_group, det_bareiss
 # ---------------------------------------------------------------------------
 
 class GoeritzData(NamedTuple):
-    """Checkerboard coloring and reduced Goeritz matrix of a PD diagram:
-    the block sum over the projection's pieces, one white face deleted per
-    piece.  `white_faces` lists the white faces piece by piece, the deleted
-    ones included; `pieces` counts the projection's pieces and the free
-    loops."""
+    """Reduced Goeritz matrix of a PD diagram, the block sum over the
+    projection's pieces with one white face deleted per piece, and
+    `pieces`, the count of the projection's pieces and the free loops.  The
+    checkerboard coloring it is read off is not kept."""
 
-    white_faces: tuple
-    colors: tuple
     matrix: tuple
     pieces: int
 
@@ -93,18 +90,19 @@ def goeritz(d: Diagram) -> GoeritzData:
     keeps the matrix small and matches the 1x1 matrix of a kink.
     """
     if d.n == 0:
-        return GoeritzData((), (), (), d.free_loops)
+        return GoeritzData((), d.free_loops)
     pieces = d.pd_components()
     pm = planar_map(d)
     # 2-coloring of faces: adjacent faces across an arc get opposite colors
-    colors = tuple(_face_parities(d, pm, lambda arc: 1,
-                                  "projection is not checkerboard colorable"))
+    colors = _face_parities(d, pm, lambda arc: 1,
+                            "projection is not checkerboard colorable")
     piece_of = {ci: k for k, piece in enumerate(pieces) for ci in piece}
     face_piece = [piece_of[orbit[0][0]] for orbit in pm.faces]
     tally = Counter(zip(face_piece, colors))
     white = [int(tally[k, 1] > tally[k, 0]) for k in range(len(pieces))]
-    white_faces = tuple(sorted((f for f, c in enumerate(colors) if c == white[face_piece[f]]),
-                               key=lambda f: (face_piece[f], f)))
+    # the white faces piece by piece, the ones to delete included
+    white_faces = sorted((f for f, c in enumerate(colors) if c == white[face_piece[f]]),
+                         key=lambda f: (face_piece[f], f))
     w_index = {f: i for i, f in enumerate(white_faces)}
     size = len(white_faces)
     pre = [[0] * size for _ in range(size)]
@@ -127,7 +125,7 @@ def goeritz(d: Diagram) -> GoeritzData:
     keep = [i for i in range(1, size)
             if face_piece[white_faces[i]] == face_piece[white_faces[i - 1]]]
     reduced = tuple(tuple(pre[i][j] for j in keep) for i in keep)
-    return GoeritzData(white_faces, colors, reduced, len(pieces) + d.free_loops)
+    return GoeritzData(reduced, len(pieces) + d.free_loops)
 
 
 def link_det(d: Diagram) -> int:
@@ -263,8 +261,12 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
 
 
 def verify_certificate(cert: QACertificate) -> bool:
-    """Independent re-verification: recompute every determinant by state sum
-    and re-check additivity and the unknot leaves."""
+    """Re-verification: every node's determinant by state sum against the
+    recorded one, its children against fresh smoothings of the node, their
+    additivity, and the unknot leaves.  A node whose diagram the search
+    already walked reads its state sum off the diagram's kept Euler sum,
+    the same walk; the recorded det is only compared with that sum, so a
+    tampered `cert.det` is refused."""
     det = state_sum_det(cert.diagram)
     if det != cert.det:
         return False

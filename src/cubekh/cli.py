@@ -26,7 +26,7 @@ from .errors import (
 from .khovanov import (
     cube_budget,
     grading_tables,
-    hd_homology,
+    hd_even_subcomplex,
     kh_ranks,
     khr_ranks,
     twisted_total_ranks,
@@ -160,7 +160,7 @@ def run_job(command: str, payload: dict, max_crossings: int | None = None) -> di
     if command == "hd":
         d = _diagram_from(payload)
         m = _marking_from(payload, d)
-        hd = hd_homology(d, m, max_crossings=max_crossings)
+        hd = hd_even_subcomplex(d, m, max_crossings=max_crossings)
         out = _rank_payload("hd", d, weight_totals(hd))
         out["bigraded"] = {f"({p},{v})": r for (p, v), r in sorted(hd.items())}
         return out

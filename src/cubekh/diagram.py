@@ -21,8 +21,9 @@ Conventions fixed here and used everywhere else:
   a crossing at x leaves it at x ^ 1 under the 0-smoothing and at x ^ 3
   under the 1-smoothing (`resolve`).  Public results name darts as
   (crossing, slot) pairs.
-* The projection's pieces (`Diagram.pd_components`) and planar map
-  (`planar_map`) are traced once per diagram and kept on it, and
+* The projection's pieces (`Diagram.pd_components`), planar map
+  (`planar_map`) and graded Euler characteristic (`_euler_state_sum`) are
+  found once per diagram and kept on it, and
   `ArcMarking.fault` is the one place the marking rule is written.
 """
 
@@ -139,6 +140,7 @@ class Diagram:
         self._labels = [a for c in self.crossings for a in c]   # arc of dart x
         self._pieces: list[tuple] | None = None     # see pd_components
         self._map: PlanarMap | None = None          # see planar_map
+        self._chi: dict[int, int] | None = None     # see _euler_state_sum
         self.components, natural_head = self._trace_components()
         if orientation is None:
             orientation = [1] * len(self.components)
@@ -625,7 +627,12 @@ def _euler_state_sum(d: Diagram) -> dict[int, int]:
     crossing, so a state has at most 2n circles and every exponent is >= 1
     when a circle divides by q.  A key's coefficients sum in absolute value
     to at most 2^t * 2^(closed circles) <= 2^(3n), below 2^(W-1) for
-    W = 3n + 4, so no digit spills into the next."""
+    W = 3n + 4, so no digit spills into the next.
+
+    The sum is walked once per diagram and kept on it; each caller gets a
+    copy."""
+    if d._chi is not None:
+        return dict(d._chi)
     n = d.n
     W = 3 * n + 4
     keys: dict[tuple, int] = {(): 1 << W * (2 * n + 1)}
@@ -647,7 +654,8 @@ def _euler_state_sum(d: Diagram) -> dict[int, int]:
         x = (x - c) >> W
         e += 1
     poly = _times_circles(poly, d.free_loops)
-    return {e: c for e, c in sorted(poly.items()) if c}
+    d._chi = {e: c for e, c in sorted(poly.items()) if c}
+    return dict(d._chi)
 
 
 def _times_circles(poly: dict, k: int) -> dict:

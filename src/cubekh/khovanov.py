@@ -74,7 +74,9 @@ that key (`_d_h`).
 
 Every twisted job goes through one entry, `twisted_complex`, which refuses
 a bad marking before any state is resolved and returns a `TwistedComplex`;
-hd and ss check the E^2 page in one place, `_checked_e2`.
+hd and ss check the E^2 page in one place, `_checked_e2`.  The hd job's
+one entry is `hd_even_subcomplex`, which reads dotted homology through
+`vertical_then_horizontal_ranks`, so both public entries are checked.
 """
 
 from __future__ import annotations
@@ -644,20 +646,23 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
 
 
 def vertical_then_horizontal_ranks(tw: TwistedComplex) -> dict[tuple, int]:
-    """Homology of vertical homology, H(H(C, d_v), d_h), keyed by (p, q).
+    """Homology of vertical homology, H(H(C, d_v), d_h), keyed by (p, v).
 
     Filtering the total complex by cube weight p gives E^0 = C with d_0 =
     d_v, and E^1 = H(C, d_v) with d_1 the induced d_h, so this is the E^2
-    page, whose keys (p, p + q) are moved back to (p, q).
+    page with its keys (p, p + v) moved back to (p, v).  It is read off the
+    all-even-vertex subcomplex once the two are checked to agree
+    (`_checked_e2`, InternalInconsistency if not).
     """
-    pages = spectral_pages(FilteredComplexF2(tw.total, tw.weights))
-    return {(p, t - p): rank for (p, t), rank in pages.page(2).items()}
+    return _checked_e2(tw)[1]
 
 
 def hd_even_subcomplex(d: Diagram, marking: ArcMarking,
                        max_crossings: int | None = None) -> dict[tuple, int]:
-    """Dotted-diagram homology via the all-even-vertex subcomplex."""
-    return _hd_even(twisted_complex(d, marking, max_crossings))
+    """Dotted-diagram homology ranks keyed by (cube weight, vertical degree):
+    the homology of the all-even-vertex subcomplex, checked against the E^2
+    page of the twisted complex (`vertical_then_horizontal_ranks`)."""
+    return vertical_then_horizontal_ranks(twisted_complex(d, marking, max_crossings))
 
 
 def _hd_even(tw: TwistedComplex) -> dict[tuple, int]:
@@ -688,13 +693,6 @@ def _checked_e2(tw: TwistedComplex) -> tuple[SpectralPages, dict[tuple, int]]:
         raise InternalInconsistency(
             "E^2 page and even-vertex dotted homology disagree")
     return pages, hd
-
-
-def hd_homology(d: Diagram, marking: ArcMarking,
-                max_crossings: int | None = None) -> dict[tuple, int]:
-    """Dotted-diagram homology ranks keyed by (cube weight, vertical degree),
-    cross-checked against the E^2 page of the twisted complex (`_checked_e2`)."""
-    return _checked_e2(twisted_complex(d, marking, max_crossings))[1]
 
 
 def twisted_total_ranks(d: Diagram, marking: ArcMarking,

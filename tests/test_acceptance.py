@@ -40,3 +40,14 @@ def test_one_cube_per_corpus_diagram(criterion, monkeypatch):
     passed, detail = getattr(acceptance, criterion)()
     assert passed, detail
     assert built == head
+
+
+def test_dotted_disagreement_fails_criterion_3(monkeypatch):
+    # the E^2 check inside vertical_then_horizontal_ranks is reported as a
+    # failed criterion, not raised out of the suite
+    import cubekh.acceptance as acceptance
+    import cubekh.khovanov as kh
+    monkeypatch.setattr(kh, "_hd_even", lambda tw: {})
+    passed, detail = acceptance.criterion_3_twisted_consistency()
+    assert not passed
+    assert detail.startswith("dotted constructions disagree on ")

@@ -185,6 +185,16 @@ def test_qa_trefoil_triple():
     assert verify_certificate(cert)
 
 
+def test_tampered_certificate_det_is_refused():
+    # the search leaves the node's Euler sum kept on its diagram; the
+    # recorded det is still checked against it, at the root and below
+    cert = qa_certify(parse_pd(TREFOIL))
+    assert verify_certificate(cert)
+    assert not verify_certificate(cert._replace(det=cert.det + 2))
+    for child in cert.children:
+        assert not verify_certificate(child._replace(det=child.det + 1))
+
+
 def test_qa_alternating_knots_through_six_crossings():
     for name, det in [("3_1", 3), ("4_1", 5), ("5_1", 5), ("5_2", 7),
                       ("6_1", 9), ("6_2", 11), ("6_3", 13)]:

@@ -288,13 +288,23 @@ def test_disagreeing_hd_constructions_exit_internal(capsys, monkeypatch):
 
 @pytest.mark.parametrize("cmd", ["hd", "ss"])
 def test_one_e2_check_per_job(capsys, monkeypatch, cmd):
+    # the hd job runs through both public dotted entries, once each, and
+    # every job checks its E^2 page once
+    import cubekh.cli as cli
     import cubekh.khovanov as kh
     calls = []
-    real = kh._checked_e2
-    monkeypatch.setattr(kh, "_checked_e2", lambda tw: calls.append(1) or real(tw))
+
+    def counted(name):
+        real = getattr(kh, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("hd_even_subcomplex", "vertical_then_horizontal_ranks", "_checked_e2"):
+        monkeypatch.setattr(kh, name, counted(name))
+    monkeypatch.setattr(cli, "hd_even_subcomplex", kh.hd_even_subcomplex)
     code, _ = run_cli(capsys, monkeypatch, ["--command", cmd], _braid6_marked())
     assert code == 0
-    assert len(calls) == 1
+    assert calls == (["hd_even_subcomplex", "vertical_then_horizontal_ranks", "_checked_e2"]
+                     if cmd == "hd" else ["_checked_e2"])
 
 
 def _corpus_link_marked():
@@ -470,6 +480,36 @@ def test_det_job_walks_the_diagram_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cmd, walks", [
+    ("det", 1), ("kh", 1), ("khr", 1), ("twisted", 1), ("hd", 1), ("ss", 1),
+    ("rankcheck", 1), ("qa", 5)])
+def test_frontier_walks_per_job(capsys, monkeypatch, cmd, walks):
+    # a diagram keeps its Euler sum, so a job that checks it twice (rankcheck:
+    # det, then the Khr cells) walks it once; qa walks each diagram it meets
+    import cubekh.diagram as diagram
+    real_steps = diagram._frontier_steps
+    calls = []
+
+    def counted_steps(d):
+        calls.append(d)
+        return real_steps(d)
+
+    monkeypatch.setattr(diagram, "_frontier_steps", counted_steps)
+    code, _ = run_cli(capsys, monkeypatch, ["--command", cmd], TREFOIL)
+    assert code == 0
+    assert len(calls) == walks
+    assert len({id(d) for d in calls}) == walks
+
+
+def test_kept_euler_sum_is_handed_out_as_a_copy():
+    from cubekh.diagram import _euler_state_sum, parse_pd
+    d = parse_pd(TREFOIL["pd"])
+    chi = _euler_state_sum(d)
+    chi[0] = chi.get(0, 0) + 7
+    assert _euler_state_sum(d) != chi
+    assert _euler_state_sum(d) == _euler_state_sum(parse_pd(TREFOIL["pd"]))
+
+
 @pytest.mark.parametrize("cmd, check", [
     ("kh", "NotAComplex"), ("khr", "NotAComplex"), ("twisted", "NotBicomplex"),
     ("hd", "NotBicomplex"), ("ss", "NotBicomplex")])
@@ -630,7 +670,7 @@ def test_bad_basepoint_rejected_without_arcs(capsys, monkeypatch, cmd, basepoint
     monkeypatch.setattr(kh, "resolve", counting_resolve)
     d = Diagram([], free_loops=2)
     entry = {"khr": kh.khr_ranks, "twisted": kh.twisted_total_ranks,
-             "hd": kh.hd_homology, "ss": kh.weight_ss}[cmd]
+             "hd": kh.hd_even_subcomplex, "ss": kh.weight_ss}[cmd]
     args = (d,) if cmd == "khr" else (d, ArcMarking.zero(d))
     with pytest.raises(TypeError, match="basepoint"):
         entry(*args, basepoint=basepoint)

@@ -26,13 +26,17 @@ from cubekh.corpus import (
     small_knot,
 )
 from cubekh.diagram import ArcMarking, Diagram, mirror, parse_pd, resolve
-from cubekh.errors import IncompatibleMarking, NotAComplex, SizeBudgetExceeded
+from cubekh.errors import (
+    IncompatibleMarking,
+    InternalInconsistency,
+    NotAComplex,
+    SizeBudgetExceeded,
+)
 from cubekh.khovanov import (
     build_cube,
     edge_map,
     grading_tables,
     hd_even_subcomplex,
-    hd_homology,
     kh_complex,
     kh_ranks,
     khr_complex,
@@ -406,7 +410,7 @@ def test_trivial_marking_equals_khr():
     rng = random.Random(9)
     for _ in range(10):
         d = random_braid_diagram(rng, max_crossings=5)
-        hd = hd_homology(d, ArcMarking.zero(d))
+        hd = hd_even_subcomplex(d, ArcMarking.zero(d))
         collapsed = {}
         for (p, v), r in hd.items():
             collapsed[p] = collapsed.get(p, 0) + r
@@ -481,6 +485,19 @@ def test_hd_constructions_agree_random():
         expected = hd_even_oracle(build_cube(d), m, 1)
         assert vertical_then_horizontal_ranks(twisted_complex(d, m)) == expected
         assert hd_even_subcomplex(d, m) == expected
+
+
+def test_dotted_entries_check_the_e2_page(monkeypatch):
+    # both public dotted entries compare the E^2 page with the even-vertex
+    # homology, so a wrong one is refused, not returned
+    d = parse_pd(TREFOIL)
+    m = ArcMarking.zero(d)
+    tw = twisted_complex(d, m)
+    monkeypatch.setattr(kh, "_hd_even", lambda tw: {})
+    with pytest.raises(InternalInconsistency, match="disagree"):
+        vertical_then_horizontal_ranks(tw)
+    with pytest.raises(InternalInconsistency, match="disagree"):
+        hd_even_subcomplex(d, m)
 
 
 def test_induced_horizontal_rank_once_per_cell(monkeypatch):

@@ -25,7 +25,7 @@ from .diagram import (
     simplify_greedy,
     smooth_crossing,
 )
-from .errors import BandConditionViolated, InternalInconsistency, NonPlanarTrace
+from .errors import InternalInconsistency, NonPlanarTrace
 from .khovanov import khr_ranks, state_sum_det
 from .linalg import AbelianGroup, cokernel_group, det_bareiss
 
@@ -288,27 +288,23 @@ def verify_certificate(cert: QACertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 class FillingReport(NamedTuple):
-    """Circles of the oriented resolution with winding signs, nesting signs,
-    fill assignment, and the bands joining them."""
+    """Circles of the oriented resolution, their fill assignment, and the
+    bands joining them."""
 
     circles: tuple
-    a_signs: tuple
-    b_signs: tuple
     filled: tuple
     bands: tuple
-
-    def band_condition_holds(self) -> bool:
-        return all(self.filled[x] != self.filled[y] for x, y in self.bands)
 
 
 def oriented_resolution_filling(d: Diagram) -> FillingReport:
     """The filling of the oriented-resolution circles: fill a circle when
-    its winding sign matches its nesting parity; every band must then join
-    one filled and one unfilled circle (raised as BandConditionViolated
+    "the left face of its least arc lies inside it" agrees with "an even
+    number of other circles enclose it"; every band must then join one
+    filled and one unfilled circle (raised as InternalInconsistency
     otherwise; the construction guarantees it for planar diagrams)."""
     if d.n == 0:
         n = d.free_loops
-        return FillingReport(((),) * n, (1,) * n, (1,) * n, (True,) * n, ())
+        return FillingReport(((),) * n, (True,) * n, ())
     ori = tuple(1 if s == 1 else 0 for s in d.signs)
     state = resolve(d, ori)
     pm = planar_map(d)
@@ -318,20 +314,15 @@ def oriented_resolution_filling(d: Diagram) -> FillingReport:
     parity = _face_parities(d, pm, lambda arc: 1 << state.arc_to_circle[arc],
                             "inconsistent circle parity; diagram not planar")
 
-    a_signs = []
-    b_signs = []
+    filled = []
     for c, arc in enumerate(state.least_arcs):
         ci, s = d.arc_head[arc]
-        left = pm.face_of[(ci, s)]
-        a_signs.append(1 if (parity[left] >> c) & 1 else -1)
+        inside = (parity[pm.face_of[(ci, s)]] >> c) & 1
         f1, _f2 = pm.arc_faces(d, arc)
-        m = int.bit_count(parity[f1] & ~(1 << c))
-        b_signs.append(1 if m % 2 == 0 else -1)
+        even = int.bit_count(parity[f1] & ~(1 << c)) % 2 == 0
+        filled.append(bool(inside) == even)
     # free loops: vacuously filled, no bands touch them
-    for _ in range(d.free_loops):
-        a_signs.append(1)
-        b_signs.append(1)
-    filled = tuple(a * b == 1 for a, b in zip(a_signs, b_signs))
+    filled += [True] * d.free_loops
 
     bands = []
     for t in range(d.n):
@@ -339,12 +330,9 @@ def oriented_resolution_filling(d: Diagram) -> FillingReport:
         pairs = RES1_PAIRS if ori[t] else RES0_PAIRS
         x = state.arc_to_circle[c[pairs[0][0]]]
         y = state.arc_to_circle[c[pairs[1][0]]]
-        bands.append((x, y))
-    report = FillingReport(state.circles, tuple(a_signs), tuple(b_signs),
-                           filled, tuple(bands))
-    for x, y in report.bands:
-        if x == y or report.filled[x] == report.filled[y]:
-            raise BandConditionViolated(
+        if x == y or filled[x] == filled[y]:
+            raise InternalInconsistency(
                 f"band joins circles {x}, {y} with fill status "
-                f"{report.filled[x]}, {report.filled[y]}")
-    return report
+                f"{filled[x]}, {filled[y]}")
+        bands.append((x, y))
+    return FillingReport(state.circles, tuple(filled), tuple(bands))

@@ -73,7 +73,3 @@ class SizeBudgetExceeded(CubekhError):
     """Input exceeds a size budget: crossings and free loops against the
     cube budget, or the length of a large-surgery derivation."""
 
-
-class BandConditionViolated(CubekhError):
-    """A band in the oriented-resolution filling joins two circles with the
-    same fill status.  Indicates an implementation bug, never valid input."""

@@ -22,29 +22,11 @@ conclusion.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .complexes import GradedComplexF2, block_matrix, homology_ranks, mapping_cone
 from .errors import DimensionMismatch, NotChainMap
-from .linalg import MatF2, f2_kernel_basis, f2_rank
-
-
-class Interval(NamedTuple):
-    """Grade interval containing lo; hi=None means +infinity, and hi is
-    contained only when hi_closed."""
-
-    lo: Fraction
-    hi: Fraction | None = None
-    hi_closed: bool = False
-
-    def contains(self, x: Fraction) -> bool:
-        if x < self.lo:
-            return False
-        if self.hi is None:
-            return True
-        if self.hi_closed:
-            return x <= self.hi
-        return x < self.hi
+from .linalg import MatF2, f2_kernel_basis, f2_rank, product_is_zero
 
 
 def _gr(x) -> Fraction:
@@ -60,19 +42,18 @@ class RGradedComplex(GradedComplexF2):
         super().__init__({k: len(v) for k, v in self.grades.items()}, diff)
 
 
-def _keep(m: MatF2, src_grades, tgt_grades, *intervals: Interval) -> MatF2:
-    """The entries of m whose shift (target grade - source grade) lies in one
-    of the intervals; only the set bits are visited."""
+def _keep(m: MatF2, src_grades, tgt_grades, *windows: Callable) -> MatF2:
+    """The entries of m whose shift (target grade - source grade) one of the
+    windows, a predicate on the shift, accepts; only the set bits are
+    visited."""
     rows = []
     for t, row in zip(tgt_grades, m.rows):
         keep, r = 0, row
         while r:
             low = r & -r
             shift = t - src_grades[low.bit_length() - 1]
-            for iv in intervals:
-                if iv.contains(shift):
-                    keep |= low
-                    break
+            if any(w(shift) for w in windows):
+                keep |= low
             r ^= low
         rows.append(keep)
     return MatF2(m.nrows, m.ncols, tuple(rows))
@@ -95,12 +76,12 @@ class RGradedMap(NamedTuple):
             raise DimensionMismatch(f"map block at degree {k} has wrong shape")
         return m
 
-    def part(self, *intervals: Interval) -> "RGradedMap":
-        """The entries whose shift lies in one of the intervals, as a map with
+    def part(self, *windows: Callable) -> "RGradedMap":
+        """The entries whose shift one of the windows accepts, as a map with
         one block per source degree."""
         return RGradedMap(self.source, self.target, {
             k: _keep(self.block(k), self.source.grades[k],
-                     self.target.grades.get(k + self.hdeg, ()), *intervals)
+                     self.target.grades.get(k + self.hdeg, ()), *windows)
             for k in self.source.degrees()}, self.hdeg)
 
 
@@ -123,9 +104,16 @@ def check_double_mapping_cone(e0: RGradedComplex, e1: RGradedComplex,
     eps = _gr(eps)
     if eps <= 0:
         raise DimensionMismatch("eps must be positive")
-    tail = Interval(2 * eps, None)
-    leading_f = Interval(Fraction(0), eps)
-    zero_only = Interval(Fraction(0), Fraction(0), hi_closed=True)
+
+    # the grade windows, as predicates on the shift s of an entry
+    def tail(s):
+        return s >= 2 * eps
+
+    def leading_f(s):
+        return 0 <= s < eps
+
+    def zero_only(s):
+        return s == 0
 
     cones = []
     for m in (f, g):
@@ -169,7 +157,7 @@ def check_double_mapping_cone(e0: RGradedComplex, e1: RGradedComplex,
             return DoubleConeVerdict("(3) exactness (f0 not injective)", None)
         if rg != e2.dim(k):
             return DoubleConeVerdict("(3) exactness (g0 not surjective)", None)
-        if not (mg @ mf).is_zero() or rf + rg != e1.dim(k):
+        if not product_is_zero(mg, mf) or rf + rg != e1.dim(k):
             return DoubleConeVerdict("(3) exactness (middle)", None)
 
     return DoubleConeVerdict(None, not homology_ranks(cone_phi))
@@ -191,7 +179,7 @@ def _positions(src_grades, tgt_grades, eps) -> list:
     """Entries (i, j), row by row, that a map of shifts >= 2*eps may use."""
     ones = MatF2(len(tgt_grades), len(src_grades),
                  ((1 << len(src_grades)) - 1,) * len(tgt_grades))
-    kept = _keep(ones, src_grades, tgt_grades, Interval(2 * eps))
+    kept = _keep(ones, src_grades, tgt_grades, lambda s: s >= 2 * eps)
     return [(i, j) for i, r in enumerate(kept.rows)
             for j in range(len(src_grades)) if (r >> j) & 1]
 
@@ -221,7 +209,7 @@ def _random_graded_complex(rng, eps, max_dim=4) -> RGradedComplex:
               for k in range(3)}
     n0, n1, n2 = (len(grades[k]) for k in range(3))
     d0 = _keep(MatF2(n1, n0, tuple(rng.getrandbits(n0) for _ in range(n1))),
-               grades[0], grades[1], Interval(2 * eps))
+               grades[0], grades[1], lambda s: s >= 2 * eps)
     # d1 with shifts >= 2*eps and d1 @ d0 = 0
     d1 = _matrix(n2, n1, _random_solution(
         rng, _positions(grades[1], grades[2], eps),

@@ -161,10 +161,6 @@ class PlumbingGraph:
     def degree(self, v: int) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))
 
-    def is_forest(self) -> bool:
-        """No cycle: each component has one edge fewer than vertices."""
-        return len(self.edges) == self.vertices - len(self.component_vertices())
-
     def component_vertices(self) -> list[list[int]]:
         """Components in order of their least vertex, each ascending."""
         uf = _UnionFind(range(self.vertices))
@@ -172,12 +168,16 @@ class PlumbingGraph:
             uf.union(a, b)
         return [list(c) for c in uf.classes()]
 
-    def remove_vertex(self, v: int) -> "PlumbingGraph":
-        keep = [u for u in range(self.vertices) if u != v]
-        idx = {u: i for i, u in enumerate(keep)}
-        return PlumbingGraph(tuple(self.multiplicities[u] for u in keep),
+    def induced(self, vertices: Sequence[int]) -> "PlumbingGraph":
+        """The subgraph on the given ascending vertices, re-indexed from 0
+        in their order, with the edges that join two of them."""
+        idx = {u: i for i, u in enumerate(vertices)}
+        return PlumbingGraph(tuple(self.multiplicities[u] for u in vertices),
                              tuple((idx[a], idx[b]) for a, b in self.edges
-                                   if v not in (a, b)))
+                                   if a in idx and b in idx))
+
+    def remove_vertex(self, v: int) -> "PlumbingGraph":
+        return self.induced([u for u in range(self.vertices) if u != v])
 
     def with_multiplicity(self, v: int, m: int) -> "PlumbingGraph":
         mult = list(self.multiplicities)
@@ -236,11 +236,12 @@ class LSpaceVerdict:
         return True
 
 
-def _plumbing_hypotheses_hold(g: PlumbingGraph) -> bool:
-    """Forest, deg <= mult everywhere, strict somewhere in each component."""
-    if not g.is_forest():
+def _plumbing_hypotheses_hold(g: PlumbingGraph, comps: list[list[int]]) -> bool:
+    """Forest (each of the components `comps` has one edge fewer than
+    vertices), deg <= mult everywhere, strict somewhere in each component."""
+    if len(g.edges) != g.vertices - len(comps):
         return False
-    for comp in g.component_vertices():
+    for comp in comps:
         strict = False
         for v in comp:
             if g.degree(v) > g.multiplicities[v]:
@@ -310,20 +311,15 @@ def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
     at the cost of its distinct graphs, not of its steps, and each distinct
     graph gets one step, shared by all its occurrences in the derivation."""
     order = plumbing_h1_order(g)
-    if not _plumbing_hypotheses_hold(g):
-        return LSpaceVerdict("not-applicable", order)
     comps = g.component_vertices()
+    if not _plumbing_hypotheses_hold(g, comps):
+        return LSpaceVerdict("not-applicable", order)
     depth = max((sum(g.multiplicities[u] for u in comp) for comp in comps), default=0)
     if depth > MAX_PLUMBING_DEPTH:
         raise SizeBudgetExceeded(
             f"plumbing component multiplicity sum {depth} exceeds the "
             f"leaf-induction depth budget of {MAX_PLUMBING_DEPTH}")
-    subs = []
-    for comp in comps:
-        idx = {u: i for i, u in enumerate(comp)}
-        subs.append(PlumbingGraph(tuple(g.multiplicities[u] for u in comp),
-                                  tuple((idx[a], idx[b]) for a, b in g.edges
-                                        if a in idx and b in idx)))
+    subs = [g.induced(comp) for comp in comps]
     plan: dict = {}
     if sum(_step_count(sub, plan) for sub in subs) > MAX_PLUMBING_STEPS:
         raise SizeBudgetExceeded(

@@ -51,3 +51,15 @@ def test_dotted_disagreement_fails_criterion_3(monkeypatch):
     passed, detail = acceptance.criterion_3_twisted_consistency()
     assert not passed
     assert detail.startswith("dotted constructions disagree on ")
+
+
+def test_band_violation_fails_criterion_10(monkeypatch):
+    # a band joining two circles of the same fill is reported as a failed
+    # criterion, not raised out of the suite
+    import cubekh.acceptance as acceptance
+    import cubekh.branched as branched
+    monkeypatch.setattr(branched, "_face_parities",
+                        lambda d, pm, label, clash: [0] * len(pm.faces))
+    passed, detail = acceptance.criterion_10_filling()
+    assert not passed
+    assert detail.startswith("band condition violated on ")

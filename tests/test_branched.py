@@ -320,10 +320,15 @@ def test_certificate_json_roundtrip():
 
 # --- oriented resolution filling -----------------------------------------------------
 
+def _bands_join_filled_to_unfilled(rep) -> bool:
+    """Every band joins two circles, one filled and one not."""
+    return all(x != y and rep.filled[x] != rep.filled[y] for x, y in rep.bands)
+
+
 def test_filling_unknot_kink():
     rep = oriented_resolution_filling(parse_pd([[1, 2, 2, 1]]))
     assert len(rep.circles) == 2
-    assert rep.band_condition_holds()
+    assert _bands_join_filled_to_unfilled(rep)
     assert sum(rep.filled) == 1
 
 
@@ -331,23 +336,31 @@ def test_filling_trefoil():
     rep = oriented_resolution_filling(parse_pd(TREFOIL))
     assert len(rep.circles) == 2
     assert len(rep.bands) == 3
-    assert rep.band_condition_holds()
+    assert _bands_join_filled_to_unfilled(rep)
 
 
 def test_filling_figure_eight():
     rep = oriented_resolution_filling(small_knot("4_1"))
     assert len(rep.circles) == 3
     assert len(rep.bands) == 4
-    assert rep.band_condition_holds()
+    assert _bands_join_filled_to_unfilled(rep)
 
 
 def test_filling_zero_crossing():
     rep = oriented_resolution_filling(parse_pd([], free_loops=1))
     assert rep.bands == ()
+    assert rep.filled == (True,)
+
+
+def test_filling_corpus_head_bands():
+    for d in corpus()[:50]:
+        rep = oriented_resolution_filling(d)
+        assert len(rep.bands) == d.n
+        assert _bands_join_filled_to_unfilled(rep)
 
 
 def test_filling_random_never_violates():
     rng = random.Random(51)
     for _ in range(200):
         d = random_braid_diagram(rng, max_crossings=7)
-        assert oriented_resolution_filling(d).band_condition_holds()
+        assert _bands_join_filled_to_unfilled(oriented_resolution_filling(d))

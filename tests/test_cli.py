@@ -870,6 +870,43 @@ def test_plumbing_job_renders_each_distinct_step_once():
     assert json.dumps(out["derivation"]) == json.dumps(per_occurrence)
 
 
+def test_plumbing_job_finds_components_once(monkeypatch):
+    # the forest test, the hypotheses and the split into components share
+    # one union-find pass
+    from cubekh.surgery import PlumbingGraph
+    calls, real = [], PlumbingGraph.component_vertices
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PlumbingGraph, "component_vertices", counted)
+    out = run_job("plumbing", {"plumbing": {"mult": [3, 2, 2, 2],
+                                            "edges": [[0, 1], [2, 3]]}})
+    assert out["verdict"] == "certified" and out["h1"] == 5 * 3
+    assert len(calls) == 1
+    for spec in ({"mult": [3, 3, 3], "edges": [[0, 1], [1, 2], [0, 2]]},   # a cycle
+                 {"mult": [1, 1, 1], "edges": [[0, 1], [1, 2]]}):          # deg > mult
+        calls.clear()
+        out = run_job("plumbing", {"plumbing": spec})
+        assert out["verdict"] == "not-applicable"
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
+def test_selftest_writes_one_json_document(capsys, monkeypatch, passed, code):
+    # criterion 1 alone, or a stand-in that fails
+    import cubekh.acceptance as acceptance
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:1] if passed
+                        else (("1", "stand-in", lambda: (False, "x")),))
+    got, out = run_cli(capsys, monkeypatch, ["--command", "selftest"])
+    assert got == code
+    blob = json.loads(out)                  # the whole of stdout, one document
+    assert blob["passed"] is passed
+    assert [c["number"] for c in blob["criteria"]] == ["1"]
+    assert blob["criteria"][0]["passed"] is passed
+
+
 def test_cli_import_loads_what_jobs_reach_and_nothing_else():
     # every module some command's run_job reaches is imported up front; the
     # command line parser, dataclasses and the modules only selftest and the

@@ -11,7 +11,6 @@ import cubekh.rgraded as rgraded
 from cubekh import complexes
 from cubekh.errors import NotChainMap
 from cubekh.rgraded import (
-    Interval,
     RGradedComplex,
     RGradedMap,
     check_double_mapping_cone,
@@ -19,15 +18,6 @@ from cubekh.rgraded import (
     random_violating_instance,
 )
 from linalg_helpers import f2_identity
-
-
-def test_interval_membership():
-    i = Interval(Fraction(0), Fraction(1))
-    assert i.contains(Fraction(0)) and i.contains(Fraction(1, 2))
-    assert not i.contains(Fraction(1))
-    tail = Interval(Fraction(2), None)
-    assert tail.contains(Fraction(2)) and tail.contains(Fraction(100))
-    assert not tail.contains(Fraction(3, 2))
 
 
 def test_identity_with_zero_e2():
@@ -66,6 +56,53 @@ def test_order_decomposition_violation_detected():
     h = RGradedMap(e0, e2, {}, hdeg=-1)
     v = check_double_mapping_cone(e0, e1, e2, f, g, h, 1)
     assert v.failed_hypothesis == "(2) order decomposition"
+
+
+EPS = Fraction(1, 3)
+TINY = Fraction(1, 1000)
+
+
+@pytest.mark.parametrize("shift,failed", [
+    (2 * EPS, None),                                # tail window: closed at 2 eps
+    (2 * EPS - TINY, "(1) differential order"),     # just below it
+])
+def test_differential_window_ends(shift, failed):
+    e = RGradedComplex({0: [0], 1: [shift]}, {0: f2_identity(1)})
+    empty = RGradedComplex({}, {})
+    f = RGradedMap(e, e, {k: f2_identity(1) for k in (0, 1)})
+    v = check_double_mapping_cone(e, e, empty, f, RGradedMap(e, empty, {}),
+                                  RGradedMap(e, empty, {}, hdeg=-1), EPS)
+    assert v.failed_hypothesis == failed
+
+
+@pytest.mark.parametrize("shift,failed", [
+    (Fraction(0), None),                            # leading window: closed at 0
+    (EPS - TINY, None),
+    (EPS, "(2) order decomposition"),               # open at eps
+    (-TINY, "(2) order decomposition"),
+])
+def test_f_leading_window_ends(shift, failed):
+    e0 = RGradedComplex({0: [0]}, {})
+    e1 = RGradedComplex({0: [shift]}, {})
+    empty = RGradedComplex({}, {})
+    f = RGradedMap(e0, e1, {0: f2_identity(1)})
+    v = check_double_mapping_cone(e0, e1, empty, f, RGradedMap(e1, empty, {}),
+                                  RGradedMap(e0, empty, {}, hdeg=-1), EPS)
+    assert v.failed_hypothesis == failed
+
+
+@pytest.mark.parametrize("shift,failed", [
+    (Fraction(0), None),                            # g's leading window is {0}
+    (TINY, "(2) order decomposition"),
+])
+def test_g_zero_window(shift, failed):
+    e1 = RGradedComplex({0: [0]}, {})
+    e2 = RGradedComplex({0: [shift]}, {})
+    empty = RGradedComplex({}, {})
+    g = RGradedMap(e1, e2, {0: f2_identity(1)})
+    v = check_double_mapping_cone(empty, e1, e2, RGradedMap(empty, e1, {}), g,
+                                  RGradedMap(empty, e2, {}, hdeg=-1), EPS)
+    assert v.failed_hypothesis == failed
 
 
 def test_random_positive_instances():

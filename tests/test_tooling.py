@@ -1,9 +1,11 @@
 """The benchmark tracer names cubekh functions by (module, name); a renamed
-or deleted target would make its layer metrics read as missing.  The bench
+or deleted target would make its layer metrics read as missing, and a
+renamed or deleted name the bench scripts import would break the bench.  The bench
 oracles must accept true outputs of every command and reject corrupted ones.
 Both are loaded from their sources without writing anything next to them.
 The README's flag list must match what `cubekh --help` prints."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -37,6 +39,30 @@ def test_every_trace_target_resolves():
                if not callable(getattr(importlib.import_module(f"cubekh.{mod}"),
                                        name, None))]
     assert not missing, f"trace targets without a callable in cubekh: {missing}"
+
+
+def test_every_name_perfbench_imports_resolves():
+    # read-only: the bench scripts are parsed, not run
+    imports = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "cubekh":
+                imports += [(path.name, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                imports += [(path.name, a.name, None) for a in node.names
+                            if a.name.split(".")[0] == "cubekh"]
+    assert any(name is not None for _, _, name in imports)
+
+    def resolves(mod, name):
+        try:
+            module = importlib.import_module(mod)
+        except ImportError:
+            return False
+        return name is None or hasattr(module, name)
+
+    missing = [entry for entry in imports if not resolves(*entry[1:])]
+    assert not missing, f"names perfbench imports that cubekh lacks: {missing}"
 
 
 def test_bench_selfcheck_passes():

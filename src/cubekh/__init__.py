@@ -34,7 +34,6 @@ from .diagram import (
     PlanarMap,
     ResolvedState,
     canonical_key,
-    mirror,
     parse_pd,
     planar_map,
     resolve,

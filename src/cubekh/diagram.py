@@ -315,10 +315,10 @@ def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
     their least arc; free loops count as extra circles, numbered last.  The
     state is flat (`ResolvedState`): the circle of each arc and the least
     arc of each circle, with no per-circle arc lists.  A bit that is not 0
-    or 1 raises LengthMismatch.  No circle is marked here: the reduced
-    theory reads its marked circle out of `arc_to_circle` only when it
-    reduces, so one resolution serves the unreduced theory and every
-    choice of marked arc.
+    or 1 raises LengthMismatch.  No circle is marked here, but the first
+    walk starts at arc 1, so circle 0 is the circle through arc 1 (the
+    first free loop when d has no arcs) in every state: the circle that
+    every reduced complex marks.
     """
     if len(index) != d.n:
         raise LengthMismatch(f"expected {d.n} bits, got {len(index)}")
@@ -344,27 +344,6 @@ def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
             if x == start:
                 break
     return ResolvedState(arc_to_circle, least, len(least) + d.free_loops)
-
-
-def mirror(d: Diagram) -> Diagram:
-    """Swap over/under at every crossing, preserving component orientations."""
-    new_crossings = []
-    shift = []  # old slot s sits at new slot (s + shift) % 4
-    for ci, c in enumerate(d.crossings):
-        if d.arc_head[c[1]] == (ci, 1):
-            # over-strand runs slot1 -> slot3; it becomes the incoming under
-            new_crossings.append((c[1], c[2], c[3], c[0]))
-            shift.append(3)
-        else:
-            new_crossings.append((c[3], c[0], c[1], c[2]))
-            shift.append(1)
-    m = Diagram(new_crossings, free_loops=d.free_loops)
-    flags = []
-    for comp in m.components:
-        a = min(comp)
-        ci, s = d.arc_head[a]
-        flags.append(1 if m.arc_head[a] == (ci, (s + shift[ci]) % 4) else -1)
-    return Diagram(new_crossings, free_loops=d.free_loops, orientation=flags)
 
 
 # ---------------------------------------------------------------------------

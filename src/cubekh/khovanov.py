@@ -19,13 +19,14 @@ from its place in the list and are not stored.  A state is flat too: it
 holds the circle of each arc in a list indexed by arc label, the least arc
 of each circle and the circle count, and no per-circle arc lists.
 
-The cube is basepoint-free, so one cube serves kh and Khr: a reduced
-complex marks in each state the circle through arc 1, `arc_to_circle[1]`
-(circle 0 in a diagram without arcs; `_marked_circles`).  Over GF(2) no
-number depends on that arc (Shumakovitch, *Torsion of Khovanov
-homology*): acceptance criterion 2 checks Khr at every arc through
-`_assemble(cube, arc)`, and the tests check the twisted totals, hd and ss
-pages through `_twisted(cube, marking, arc)`.  A kh job builds no
+The cube is basepoint-free, so one cube serves kh and Khr: every reduced
+complex marks circle 0 in each state.  `resolve` numbers circles by their
+least arc, so circle 0 is the circle through arc 1 (the first free loop
+in a diagram without arcs).  Over GF(2) no number depends on the marked
+arc (Shumakovitch, *Torsion of Khovanov homology*): marking arc a of a
+diagram is marking arc 1 of its relabelling that sends a to 1, on which
+acceptance criterion 2 checks Khr, and the tests the twisted totals, hd
+and ss pages, at every arc.  A kh job builds no
 unreduced complex: over GF(2), Kh = Khr (x) V, so `kh_ranks` doubles Khr
 per cube weight, and `kh_complex` serves the tests and the acceptance
 suite.  Every kh, Khr and twisted job, so every hd and ss job too, checks
@@ -49,11 +50,12 @@ within a degree, as the cube-weight filtration needs
 
 An edge's map depends only on its shape (merge or split, the circles
 involved, the circle correspondence as a tuple indexed by source circle,
-None at a split circle, and the target's circle count) and the marked
-pair.  The shape follows from a short key, read with two arc lookups per
-edge: `resolve` numbers the circles of a state by their least arc, with
-free loops last, and an edge changes only the one or two circles through
-its crossing.  A merge of source circles a < b gives one circle whose
+None at a split circle, and the target's circle count) and whether it is
+reduced: the least-arc rule below carries circle 0 to circle 0, so the
+marked pair is always (0, 0).  The shape follows from a short key, read
+with two arc lookups per edge: `resolve` numbers the circles of a state
+by their least arc, with free loops last, and an edge changes only the
+one or two circles through its crossing.  A merge of source circles a < b gives one circle whose
 least arc is a's, so the target numbers it a and keeps the others in
 order: c -> c for c < b, b -> a and c -> c - 1 for c > b.  A split of a
 leaves the piece with a's least arc at a, and the other piece p2 comes in
@@ -67,10 +69,10 @@ stays one, and then p1 = p2 gives a key of its own, refused on its first
 edge.
 
 The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576 edges of
-a 12-crossing 3-braid closure), so a cube builds the map of every
-(shape, marked pair) once, rewritten into the slot basis (`_edge_block`),
-and every complex built on the cube places that block at each edge with
-that key (`_d_h`).
+a 12-crossing 3-braid closure), so a cube builds the full and the reduced
+map of each shape once, rewritten into the slot basis (`_edge_block`),
+and every complex built on the cube places that block at each edge of the
+shape (`_d_h`).
 
 Every twisted job goes through one entry, `twisted_complex`, which refuses
 a bad marking before any state is resolved and returns a `TwistedComplex`;
@@ -175,7 +177,7 @@ class CubeComplex:
     with bit t of `bits` unset (`_d_h` walks them so).  Its
     complexes share one slot basis: positions[x] is the position of basis
     index x among the indices of its bit count, ascending, and `blocks`
-    holds each (shape, marked pair)'s map in those positions (`_edge_block`)."""
+    holds each (shape, reduced)'s map in those positions (`_edge_block`)."""
 
     def __init__(self, d: Diagram, max_crossings: int | None = None):
         _check_budget(d, max_crossings, d.free_loops)
@@ -264,25 +266,15 @@ def build_cube(d: Diagram, max_crossings: int | None = None) -> CubeComplex:
     return CubeComplex(d, max_crossings=max_crossings)
 
 
-def _marked_circles(d: Diagram, basepoint: int | None):
-    """state -> its marked circle, the one through the basepoint arc (circle
-    0 in a diagram without arcs); None for the unreduced theory.  The
-    public entries mark arc 1; other arcs serve the invariance checks."""
-    if basepoint is None:
-        return None
-    if not d.arc_count:
-        return lambda state: 0
-    return lambda state: state.arc_to_circle[basepoint]
-
-
 def edge_map(shape: EdgeShape, marked: tuple[int, int] | None = None) -> MatF2:
     """Matrix of an edge's merge or split map on the full exterior-algebra
     bases of its source and target, or, given the marked circles (of the
     source, of the target), on the subsets containing each state's marked
     circle, in ascending order.
 
-    The matrix is a function of the shape and the marked pair alone, so a
-    cube builds it once per (shape, marked pair) through `_edge_block`.
+    The matrix is a function of the shape and the marked pair alone.  The
+    cube complexes mark circle 0 in every state, so a cube builds it once
+    per shape and per marked pair None or (0, 0) through `_edge_block`.
 
     The image of each source subset is the image of the subset without its
     highest circle plus that circle's image, so the work grows with the
@@ -338,22 +330,23 @@ def edge_map(shape: EdgeShape, marked: tuple[int, int] | None = None) -> MatF2:
     return MatF2(len(rows), len(out), tuple(rows))
 
 
-def _edge_block(cube: CubeComplex, shape: int, ms, mt) -> list:
-    """`edge_map(cube.shapes[shape], (ms, mt))` (unreduced when ms is None)
-    in the slot basis of `_place`, as ((source degree, target degree),
-    [(i, bits)]) pairs, with i and the bits of bits positions within the two
-    slots.  The map is built on the first edge of its (shape, marked pair)
-    and kept in `cube.blocks`, which every complex built on the cube shares;
-    a cube has far fewer shapes than edges.  An entry whose source and
-    target have different quantum gradings raises InternalInconsistency."""
-    key = (shape, ms, mt)
+def _edge_block(cube: CubeComplex, shape: int, reduced: bool) -> list:
+    """`edge_map(cube.shapes[shape])`, or its reduced map at the marked
+    circles (0, 0), in the slot basis of `_place`, as ((source degree,
+    target degree), [(i, bits)]) pairs, with i and the bits of bits
+    positions within the two slots.  The map is built once per (shape,
+    reduced) and kept in `cube.blocks`, which every complex built on the
+    cube shares; a cube has far fewer shapes than edges.  An entry whose
+    source and target have different quantum gradings raises
+    InternalInconsistency."""
+    key = (shape, reduced)
     block = cube.blocks.get(key)
     if block is None:
         pos, sh = cube.positions, cube.shapes[shape]
         # q = k - 2|S| + w is kept iff 2 (|S_t| - |S_s|) = k_t - k_s + 1
         shift = sh.n_target - len(sh.correspondence) + 1
         by_degrees: dict[tuple, list] = {}
-        m = edge_map(sh, None if ms is None else (ms, mt))
+        m = edge_map(sh, (0, 0) if reduced else None)
         for i, row in enumerate(m.rows):
             if not row:
                 continue
@@ -370,16 +363,15 @@ def _edge_block(cube: CubeComplex, shape: int, ms, mt) -> list:
     return block
 
 
-def _place(cube: CubeComplex, vertices, mark, cell_of, dims: dict,
+def _place(cube: CubeComplex, vertices, reduced: bool, cell_of, dims: dict,
            cells: list, offsets: list) -> None:
     """Each vertex's slots: entry j of cells[bits] and offsets[bits] is the
     cell and offset of the vertex's generators of exterior degree j (the
-    marked circle not counted), which share the quantum grading q and so
-    the cell cell_of(w, q).  offsets[bits] is one tuple per vertex, and
-    cells[bits] one tuple shared by every vertex of its (circle count, cube
-    weight).  Vertices take their slots in the given order, extending
+    marked circle 0 not counted when reduced), which share the quantum
+    grading q and so the cell cell_of(w, q).  offsets[bits] is one tuple
+    per vertex, and cells[bits] one tuple shared by every vertex of its
+    (circle count, cube weight).  Vertices take their slots in the given order, extending
     `dims`, the size of each cell."""
-    reduced = mark is not None
     sizes: dict = {}            # (k, w) -> (cells, (cell, size) of each degree j)
     for bits in vertices:
         k, w = cube.states[bits].n_circles, bits.bit_count()
@@ -397,37 +389,33 @@ def _place(cube: CubeComplex, vertices, mark, cell_of, dims: dict,
         offsets[bits] = tuple(out)
 
 
-def _d_h(cube: CubeComplex, mark, dims: dict, cells: list, offsets: list) -> dict:
+def _d_h(cube: CubeComplex, reduced: bool, dims: dict, cells: list,
+         offsets: list) -> dict:
     """The rows of the differential of the cells `_place` laid out, one list
     per cell, into the next cell (w, r) -> (w + 1, r), or t -> t + 1 for
-    total degrees: each edge XORs its (shape, marked pair)'s block
-    (`_edge_block`) into its source cell's rows, shifted to the offsets of
-    its source and target slots.  The edges are walked as `cube.edges`
-    lists them, vertex by vertex and then by ascending unset crossing,
-    reading each edge's shape beside the walk."""
+    total degrees: each edge XORs its shape's block (`_edge_block`, taken
+    from a list indexed by shape) into its source cell's rows, shifted to
+    the offsets of its source and target slots.  The edges are walked as
+    `cube.edges` lists them, vertex by vertex and then by ascending unset
+    crossing, reading each edge's shape beside the walk."""
     rows = {cell: [0] * dims.get(_shift(cell, 1), 0) for cell in dims}
-    marks = ([None] * len(cube.states) if mark is None
-             else [mark(st) for st in cube.states])
-    blocks, shapes = cube.blocks, cube.edges
+    blocks = [_edge_block(cube, shape, reduced) for shape in range(len(cube.shapes))]
+    shapes = cube.edges
     crossing_bits = [1 << t for t in range(cube.diagram.n)]
     # a cells tuple is shared by the vertices of one (k, w), so its row
     # lists are looked up once for all of them
     rows_of: dict = {}
     e = 0
     for s in cube.vertices:
-        ms, src = marks[s], offsets[s]
+        src = offsets[s]
         src_rows = rows_of.get(cells[s])
         if src_rows is None:
             src_rows = rows_of[cells[s]] = [rows[cell] for cell in cells[s]]
         for bit in crossing_bits:
             if s & bit:
                 continue
-            t, shape = s | bit, shapes[e]
+            t, block = s | bit, blocks[shapes[e]]
             e += 1
-            mt = marks[t]
-            block = blocks.get((shape, ms, mt))
-            if block is None:
-                block = _edge_block(cube, shape, ms, mt)
             tgt = offsets[t]
             for (js, jt), entries in block:
                 so, to, out = src[js], tgt[jt], src_rows[js]
@@ -447,23 +435,22 @@ def _matrices(dims: dict, rows: dict) -> dict:
 
 def kh_complex(d: Diagram, max_crossings: int | None = None) -> GradedComplexF2:
     """Unreduced cube complex graded by (cube weight, quantum grading)."""
-    return _assemble(build_cube(d, max_crossings=max_crossings), None)
+    return _assemble(build_cube(d, max_crossings=max_crossings), False)
 
 
 def khr_complex(d: Diagram, max_crossings: int | None = None) -> GradedComplexF2:
-    """Reduced cube complex marked at arc 1, graded by (cube weight, quantum
-    grading)."""
-    return _assemble(build_cube(d, max_crossings=max_crossings), 1)
+    """Reduced cube complex marked at circle 0, the circle through arc 1,
+    graded by (cube weight, quantum grading)."""
+    return _assemble(build_cube(d, max_crossings=max_crossings), True)
 
 
-def _assemble(cube: CubeComplex, basepoint: int | None) -> GradedComplexF2:
-    """The cube complex, reduced unless basepoint is None, in (w, q) cells."""
-    mark = _marked_circles(cube.diagram, basepoint)
+def _assemble(cube: CubeComplex, reduced: bool) -> GradedComplexF2:
+    """The cube complex, reduced at circle 0 or not, in (w, q) cells."""
     dims: dict[tuple, int] = {}
     cells: list = [None] * len(cube.states)
     offsets: list = [None] * len(cube.states)
-    _place(cube, cube.vertices, mark, lambda w, q: (w, q), dims, cells, offsets)
-    return GradedComplexF2(dims, _matrices(dims, _d_h(cube, mark, dims, cells, offsets)))
+    _place(cube, cube.vertices, reduced, lambda w, q: (w, q), dims, cells, offsets)
+    return GradedComplexF2(dims, _matrices(dims, _d_h(cube, reduced, dims, cells, offsets)))
 
 
 def weight_totals(ranks: dict[tuple, int]) -> dict[int, int]:
@@ -572,17 +559,16 @@ def twisted_complex(d: Diagram, marking: ArcMarking,
 
     The bigrading is (cube weight, exterior degree normalized so both
     differentials shift by exactly one); the total degree is their sum.
-    The one entry of every twisted job: `_twisted` on d's cube, marked at
-    arc 1, built only once the marking passes its check against d alone
-    (`ArcMarking.fault`).
+    The one entry of every twisted job: `_twisted` on d's cube, built only
+    once the marking passes its check against d alone (`ArcMarking.fault`).
     """
     fault = marking.fault(d)
     if fault:
         raise IncompatibleMarking(fault)
-    return _twisted(build_cube(d, max_crossings=max_crossings), marking, 1)
+    return _twisted(build_cube(d, max_crossings=max_crossings), marking)
 
 
-def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedComplex:
+def _twisted(cube: CubeComplex, marking: ArcMarking) -> TwistedComplex:
     """The twisted complex of a compatible marking, placed in total degree
     (see the module docstring).  D^2 = 0 holds exactly when d_h^2, d_v^2
     and d_h d_v + d_v d_h vanish, so it is the bicomplex check (NotBicomplex
@@ -590,7 +576,6 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
     The generators are the reduced complex's, so their counts by (w, q),
     q = par - 2v, are checked against the graded Euler characteristic
     (`_check_euler`), as in `khr_ranks`, before any differential is built."""
-    mark = _marked_circles(cube.diagram, basepoint)
     parities = _marking_parities(cube, marking)
     odd = [any(p) for p in parities]
     par = _vertical_degree_offset(cube)
@@ -613,7 +598,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
     order = sorted(cube.vertices, key=group)
     for (minus_w, has_odd), vertices in groupby(order, key=group):
         w, start = -minus_w, dict(dims)
-        _place(cube, vertices, mark, total_of, dims, slot_cells, offsets)
+        _place(cube, vertices, True, total_of, dims, slot_cells, offsets)
         for t, end in dims.items():
             n = end - start.get(t, 0)
             if n:
@@ -625,13 +610,12 @@ def _twisted(cube: CubeComplex, marking: ArcMarking, basepoint: int) -> TwistedC
     # ascending degrees, so a failed D^2 = 0 names the lowest one first
     dims = dict(sorted(dims.items()))
 
-    rows = _d_h(cube, mark, dims, slot_cells, offsets)
+    rows = _d_h(cube, True, dims, slot_cells, offsets)
     pos = cube.positions
     for index in (ix for ix in order if odd[ix]):
-        mc, cell, off = mark(cube.states[index]), slot_cells[index], offsets[index]
-        # wedging an odd circle c sets its bit in the reduced position
-        wedges = [1 << (c - (c > mc)) for c, p in enumerate(parities[index])
-                  if p and c != mc]
+        cell, off = slot_cells[index], offsets[index]
+        # wedging an odd circle c >= 1 sets bit c - 1, its reduced position
+        wedges = [1 << (c - 1) for c, p in enumerate(parities[index]) if p and c]
         for x in range(1 << (len(off) - 1)):
             j = x.bit_count()
             out, bit = rows[cell[j]], 1 << (off[j] + pos[x])

@@ -5,7 +5,8 @@ Each one is the straightforward form the fast code replaced: circles by a
 dict-based union-find, edges classified by mapping every arc of every
 source circle, edge maps built mask by mask on the full exterior-algebra
 basis, the reduced map obtained by restricting the full one to the
-subsets that contain the marked circle, read off `arc_to_circle`, circle
+subsets that contain the marked circle, read off `arc_to_circle` at the
+given arc (`marked_circle`) where the library takes circle 0, circle
 parities of a marking summed arc by arc, dotted-diagram homology from the
 edge maps between all-even vertices, ranked by the plain elimination, and
 the kh, Khr and twisted differentials placed edge by edge from one
@@ -17,7 +18,7 @@ lists a reduced basis in the order every map here uses.
 from cubekh.complexes import DoubleComplexF2, GradedComplexF2
 from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
 from cubekh.errors import BadCircleMap, IncompatibleMarking, InternalInconsistency
-from cubekh.khovanov import _marked_circles, _vertical_degree_offset, edge_map
+from cubekh.khovanov import _vertical_degree_offset, edge_map
 from cubekh.linalg import MatF2
 from linalg_helpers import plain_homology_ranks
 
@@ -29,6 +30,16 @@ def induce_marking(d, m, s) -> tuple[int, ...]:
         raise IncompatibleMarking(
             f"marking has {len(m.bits)} bits for {d.arc_count} arcs")
     return tuple(sum(m.bits[a - 1] for a in circ) % 2 for circ in s.circles)
+
+
+def marked_circle(d, basepoint):
+    """state -> its circle through the basepoint arc (circle 0 in a diagram
+    without arcs); None for the unreduced theory."""
+    if basepoint is None:
+        return None
+    if not d.arc_count:
+        return lambda state: 0
+    return lambda state: state.arc_to_circle[basepoint]
 
 
 def marking_parities(cube, marking) -> list[tuple]:
@@ -200,7 +211,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
     vertical degree, and the reduced edge maps between even vertices, one
     complex per vertical degree v graded by cube weight, keyed by (w, v).
     Entries of an edge map that change the vertical degree are dropped."""
-    mark = _marked_circles(cube.diagram, basepoint)
+    mark = marked_circle(cube.diagram, basepoint)
     parities = marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
     even = [index for index in cube.vertices if not any(parities[index])]
@@ -261,7 +272,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
 def assemble_per_edge(cube, basepoint):
     """The cube complex, reduced unless basepoint is None, with one
     `edge_map` call and one placement pass per edge."""
-    mark = _marked_circles(cube.diagram, basepoint)
+    mark = marked_circle(cube.diagram, basepoint)
     offsets: dict[tuple, int] = {}
     dims: dict[int, int] = {}
     for index in cube.vertices:
@@ -321,7 +332,7 @@ def split_by_quantum_grading(cube, basepoint, cx):
 def twisted_per_edge(cube, marking, basepoint):
     """The twisted double complex and its all-even counts per cell, with one
     `edge_map` call per edge."""
-    mark = _marked_circles(cube.diagram, basepoint)
+    mark = marked_circle(cube.diagram, basepoint)
     parities = marking_parities(cube, marking)
     par = _vertical_degree_offset(cube)
 

@@ -1,8 +1,10 @@
 """Diagram builders that only tests use: the connected sum of two
 diagrams, which the determinant, branched-cover and diagram tests use to
-build composite knots and to add Reidemeister-1 kinks."""
+build composite knots and to add Reidemeister-1 kinks; the mirror image,
+the oracle for rankcheck's mirror duality; and an arc marking carried to
+the relabelling `acceptance._relabelled` makes."""
 
-from cubekh.diagram import Diagram
+from cubekh.diagram import ArcMarking, Diagram
 from cubekh.errors import MalformedPD
 
 
@@ -25,3 +27,31 @@ def connect_sum(d1: Diagram, d2: Diagram, arc1: int = 1, arc2: int = 1) -> Diagr
     out = [tuple(relabel[a] for a in labels[x:x + 4])
            for x in range(0, len(labels), 4)]
     return Diagram(out, free_loops=d1.free_loops + d2.free_loops)
+
+
+def mirror(d: Diagram) -> Diagram:
+    """Swap over/under at every crossing, preserving component orientations."""
+    new_crossings = []
+    shift = []  # old slot s sits at new slot (s + shift) % 4
+    for ci, c in enumerate(d.crossings):
+        if d.arc_head[c[1]] == (ci, 1):
+            # over-strand runs slot1 -> slot3; it becomes the incoming under
+            new_crossings.append((c[1], c[2], c[3], c[0]))
+            shift.append(3)
+        else:
+            new_crossings.append((c[3], c[0], c[1], c[2]))
+            shift.append(1)
+    m = Diagram(new_crossings, free_loops=d.free_loops)
+    flags = []
+    for comp in m.components:
+        a = min(comp)
+        ci, s = d.arc_head[a]
+        flags.append(1 if m.arc_head[a] == (ci, (s + shift[ci]) % 4) else -1)
+    return Diagram(new_crossings, free_loops=d.free_loops, orientation=flags)
+
+
+def relabelled_marking(m: ArcMarking, a: int) -> ArcMarking:
+    """m on the relabelling that sends arc a to arc 1 (`acceptance._relabelled`):
+    new arc y is old arc ((y + a - 2) mod 2n) + 1, so new bit y - 1 is old
+    bit (y + a - 2) mod 2n."""
+    return ArcMarking(m.bits[a - 1:] + m.bits[:a - 1])

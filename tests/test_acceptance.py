@@ -23,11 +23,19 @@ def test_criterion(number, name, fn, capsys):
 @pytest.mark.parametrize("criterion", ["criterion_2_complex_validity",
                                        "criterion_3_twisted_consistency"])
 def test_one_cube_per_corpus_diagram(criterion, monkeypatch):
-    # kh, the twisted complexes, every basepoint class's Khr and the
-    # even-vertex dotted homology all come from one basepoint-free cube
+    # kh, the twisted complexes, Khr at arc 1 and the even-vertex dotted
+    # homology all come from one basepoint-free cube per diagram; criterion
+    # 2 builds one more cube per other basepoint class, on the relabelling
+    # that makes the class's arc arc 1
     import cubekh.acceptance as acceptance
     import cubekh.khovanov as kh
     head = acceptance.corpus()[:5]
+    want = list(head)
+    if criterion == "criterion_2_complex_validity":
+        want = [x for d in head for x in [d] + [
+            acceptance._relabelled(d, arc)
+            for arc in acceptance._basepoint_classes(kh.build_cube(d))[1:]]]
+        assert len(want) > len(head)
     monkeypatch.setattr(acceptance, "corpus", lambda: head)
     built = []
     real_init = kh.CubeComplex.__init__
@@ -39,7 +47,25 @@ def test_one_cube_per_corpus_diagram(criterion, monkeypatch):
     monkeypatch.setattr(kh.CubeComplex, "__init__", counting_init)
     passed, detail = getattr(acceptance, criterion)()
     assert passed, detail
-    assert built == head
+    assert built == want
+
+
+def test_basepoint_dependence_fails_criterion_2(monkeypatch):
+    # a relabelling that changed the link, here to its mirror image at every
+    # arc but arc 1, is reported as a failed criterion, not raised.  The
+    # mirror sends cube weight w to n - w, so the first head diagram whose
+    # Khr table is not symmetric under that, corpus[1], fails; the head also
+    # holds a trefoil, corpus[4], chiral in any grading.
+    import cubekh.acceptance as acceptance
+    from diagram_helpers import mirror
+    head = acceptance.corpus()[:5]
+    monkeypatch.setattr(acceptance, "corpus", lambda: head)
+    real = acceptance._relabelled
+    monkeypatch.setattr(acceptance, "_relabelled",
+                        lambda d, a: real(d, a) if a == 1 else mirror(d))
+    passed, detail = acceptance.criterion_2_complex_validity()
+    assert not passed
+    assert detail == f"basepoint dependence on {head[1]!r}"
 
 
 def test_dotted_disagreement_fails_criterion_3(monkeypatch):

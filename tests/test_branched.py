@@ -21,13 +21,12 @@ from cubekh.corpus import braid_closure, random_braid_diagram, small_knot
 from cubekh.diagram import (
     Diagram,
     canonical_key,
-    mirror,
     parse_pd,
     simplify_greedy,
     smooth_crossing,
 )
 from cubekh.khovanov import khr_ranks, state_sum_det
-from diagram_helpers import connect_sum
+from diagram_helpers import connect_sum, mirror
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF = [[1, 3, 2, 4], [3, 1, 4, 2]]

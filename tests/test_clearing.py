@@ -48,9 +48,9 @@ def check_clearing(d, marking, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(kh, "homology_ranks", ranks)
         mp.setattr(kh, "spectral_pages", pages)
-        kh.homology_ranks(kh._assemble(cube, None))
-        kh.homology_ranks(kh._assemble(cube, 1))
-        tw = kh._twisted(cube, marking, 1)
+        kh.homology_ranks(kh._assemble(cube, False))
+        kh.homology_ranks(kh._assemble(cube, True))
+        tw = kh._twisted(cube, marking)
         kh.homology_ranks(tw.total)
         kh._checked_e2(tw)
     # kh, Khr, the total complex and hd; the pages once

@@ -383,8 +383,9 @@ def _braid6_marked():
                          ids=["trefoil", "braid6_marked"])
 def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
     # the E^2 page and the even-vertex subcomplex come from one twisted
-    # complex, which builds the map of each (shape, marked pair) once: no two
-    # calls share a key, and every key of the cube gets its call
+    # complex, which builds the map of each shape once at the marked pair
+    # of arc 1's circles: no two calls share a key, and every key of the
+    # cube gets its call
     import cubekh.khovanov as kh
     from cube_oracle import edge_triples
     from cubekh.diagram import parse_pd
@@ -400,11 +401,11 @@ def test_one_edge_map_pass_per_job(capsys, monkeypatch, cmd, payload):
     assert code == 0
     assert len(set(calls)) == len(calls)
     d = parse_pd(payload["pd"])
-    cube, mark = kh.build_cube(d), kh._marked_circles(d, 1)
+    cube = kh.build_cube(d)
     keys = set()
     for source, target, shape in edge_triples(cube):
         s, t = cube.states[source], cube.states[target]
-        keys.add((cube.shapes[shape], (mark(s), mark(t))))
+        keys.add((cube.shapes[shape], (s.arc_to_circle[1], t.arc_to_circle[1])))
     assert set(calls) == keys
     assert len(calls) < len(cube.edges)
 

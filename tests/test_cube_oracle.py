@@ -5,11 +5,13 @@ every edge's shape against the least-arc rule that keys it, the
 even-vertex dotted homology read off the twisted complex against
 its own pass over the cube, and the kh, Khr and twisted differentials
 built from one edge map per shape against the per-edge assembly (kh and
-Khr block by block in (w, q) cells), on the first acceptance-corpus
-diagrams and on random braid closures, some with kinks and free loops."""
+Khr block by block in (w, q) cells, Khr at arc 1 of each basepoint class's
+relabelling), on the first acceptance-corpus diagrams and on random braid
+closures, some with kinks and free loops."""
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,12 @@ from hypothesis import strategies as st
 
 import cube_oracle as oracle
 import cubekh.khovanov as kh
-from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
+from cubekh.acceptance import (
+    CORPUS_MAX_CROSSINGS,
+    CORPUS_SEED,
+    _basepoint_classes,
+    _relabelled,
+)
 from cubekh.complexes import total_complex
 from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatible_marking
 from cubekh.diagram import ArcMarking, Diagram, ResolvedState, resolve
@@ -25,10 +32,10 @@ from cubekh.errors import BadCircleMap
 from cubekh.khovanov import (
     _assemble,
     _hd_even,
-    _marked_circles,
     _twisted,
     build_cube,
     edge_map,
+    khr_complex,
 )
 from test_det_oracle import add_kinks
 
@@ -56,7 +63,7 @@ def check_state_against_oracle(d, state, index):
 def check_cube_against_oracle(d):
     cube = build_cube(d)
     n = d.n
-    marks = {arc: _marked_circles(d, arc) for arc in _basepoint_classes(cube)}
+    marks = {arc: oracle.marked_circle(d, arc) for arc in _basepoint_classes(cube)}
     assert len(cube.states) == 1 << n
     for bits, state in enumerate(cube.states):
         check_state_against_oracle(d, state, bit_vector(bits, n))
@@ -168,15 +175,20 @@ def test_free_loops_come_last_with_no_arcs(free_loops):
         check_state_against_oracle(hopf, state, bit_vector(bits, 2))
         assert state.n_circles == len(state.least_arcs) + free_loops
         assert state.circles[-free_loops:] == ((),) * free_loops
-    # with no arcs at all, every circle is a free loop and the marked
-    # circle is circle 0
+    # with no arcs at all, every circle is a free loop, and the reduced
+    # complex marks circle 0, the first free loop: its generators are the
+    # subsets holding loop 0, so C(free_loops - 1, j) at q = free_loops - 2(j + 1)
     d = Diagram([], free_loops=free_loops)
     state = resolve(d, ())
     assert state == ([-1], [], free_loops)
     check_state_against_oracle(d, state, ())
-    assert _marked_circles(d, 1)(state) == 0
     cube = build_cube(d)
     assert (cube.states, cube.vertices, cube.edges) == ([state], [0], [])
+    dims = {(0, free_loops - 2 * (j + 1)): comb(free_loops - 1, j)
+            for j in range(free_loops)}
+    assert khr_complex(d).dims == dims
+    assert oracle.split_by_quantum_grading(
+        cube, 1, oracle.assemble_per_edge(cube, 1))[0] == dims
 
 
 def check_hd_even_against_oracle(d, rng):
@@ -184,7 +196,7 @@ def check_hd_even_against_oracle(d, rng):
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
         assert ([tuple(p) for p in kh._marking_parities(cube, m)]
                 == oracle.marking_parities(cube, m))
-        assert _hd_even(_twisted(cube, m, 1)) == oracle.hd_even_oracle(cube, m, 1)
+        assert _hd_even(_twisted(cube, m)) == oracle.hd_even_oracle(cube, m, 1)
 
 
 HD_CORPUS_HEAD = diagram_corpus(CORPUS_SEED, 100, CORPUS_MAX_CROSSINGS)
@@ -205,15 +217,17 @@ def test_random_braid_hd_even_matches_oracle(seed, free_loops):
 
 
 def check_complexes_against_oracle(d, rng):
+    # kh on the cube, and Khr at arc 1 of each basepoint class's relabelling
     cube = build_cube(d)
-    for basepoint in [None] + _basepoint_classes(cube):
-        new = _assemble(cube, basepoint)
+    relabelled = [build_cube(_relabelled(d, arc)) for arc in _basepoint_classes(cube)[1:]]
+    for c, basepoint in [(cube, None), (cube, 1)] + [(c, 1) for c in relabelled]:
+        new = _assemble(c, basepoint is not None)
         dims, blocks = oracle.split_by_quantum_grading(
-            cube, basepoint, oracle.assemble_per_edge(cube, basepoint))
+            c, basepoint, oracle.assemble_per_edge(c, basepoint))
         assert new.dims == dims
         assert {cell: new.d(cell) for cell in dims} == blocks
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
-        tw = _twisted(cube, m, 1)
+        tw = _twisted(cube, m)
         odc, oeven = oracle.twisted_per_edge(cube, m, 1)
         total, positions = total_complex(odc)
         assert (tw.total.dims, tw.total.differentials) == (total.dims, total.differentials)
@@ -248,7 +262,7 @@ def test_equal_shapes_have_equal_edge_maps(seed, free_loops):
     d = random_braid_diagram(rng, max_crossings=7)
     d = Diagram(d.crossings, free_loops=d.free_loops + free_loops)
     cube = build_cube(d)
-    marks = [(None, None)] + [(arc, _marked_circles(d, arc))
+    marks = [(None, None)] + [(arc, oracle.marked_circle(d, arc))
                               for arc in _basepoint_classes(cube)]
     maps = {}
     for source, target, shape in oracle.edge_triples(cube):

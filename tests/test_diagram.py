@@ -7,12 +7,15 @@ walks arc identifications one at a time instead of using union-find.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubekh.acceptance import corpus
+from cubekh.corpus import random_braid_diagram
 from cubekh.diagram import (
     ArcMarking,
     Diagram,
     canonical_key,
-    mirror,
     parse_pd,
     planar_map,
     resolve,
@@ -20,7 +23,7 @@ from cubekh.diagram import (
     smooth_crossing,
 )
 from cube_oracle import induce_marking
-from diagram_helpers import connect_sum
+from diagram_helpers import connect_sum, mirror
 from cubekh.errors import (
     DisconnectedTrace,
     LengthMismatch,
@@ -185,15 +188,27 @@ def test_resolve_refuses_bits_that_are_not_0_or_1(bad):
         resolve(d, (0, bad, 1))
 
 
+def check_arc_1_on_circle_0(d):
+    # every reduced complex marks circle 0 as the circle through arc 1
+    for bits in range(1 << d.n):
+        s = resolve(d, tuple((bits >> t) & 1 for t in range(d.n)))
+        assert (s.arc_to_circle[1], s.least_arcs[0]) == (0, 1), (d, bits)
+
+
 def test_resolve_marks_basepoint_circle():
-    # states carry no marked circle; the reduced theory reads it off
-    # arc_to_circle
-    from cubekh.khovanov import _marked_circles
+    # states carry no marked circle; resolve numbers circles by least arc,
+    # so arc 1 lies on circle 0 in every state of every corpus diagram
     d = parse_pd(TREFOIL)
-    s = resolve(d, (0, 0, 0))
-    assert not hasattr(s, "marked_circle")
-    assert _marked_circles(d, 1)(s) == s.arc_to_circle[1]
-    assert _marked_circles(d, None) is None
+    assert not hasattr(resolve(d, (0, 0, 0)), "marked_circle")
+    for d in corpus():
+        check_arc_1_on_circle_0(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_resolve_puts_arc_1_on_circle_0_random_braids(seed, free_loops):
+    d = random_braid_diagram(random.Random(seed), max_crossings=7)
+    check_arc_1_on_circle_0(Diagram(d.crossings, free_loops=d.free_loops + free_loops))
 
 
 def test_resolve_against_oracle_random():

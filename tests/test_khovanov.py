@@ -15,7 +15,13 @@ import cubekh.khovanov as kh
 import spectral_oracle
 from cube_oracle import edge_triples, hd_even_oracle, induce_marking, twisted_per_edge
 from det_oracle import continued_fraction_numerator
-from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED, _basepoint_classes
+from diagram_helpers import relabelled_marking
+from cubekh.acceptance import (
+    CORPUS_MAX_CROSSINGS,
+    CORPUS_SEED,
+    _basepoint_classes,
+    _relabelled,
+)
 from cubekh.complexes import FilteredComplexF2, homology_ranks, spectral_pages
 from cubekh.corpus import (
     braid_closure,
@@ -25,7 +31,7 @@ from cubekh.corpus import (
     rational_link,
     small_knot,
 )
-from cubekh.diagram import ArcMarking, Diagram, mirror, parse_pd, resolve
+from cubekh.diagram import ArcMarking, Diagram, parse_pd, resolve
 from cubekh.errors import (
     IncompatibleMarking,
     InternalInconsistency,
@@ -194,10 +200,9 @@ def test_edge_kinds_change_k_by_one():
 
 
 def test_flat_cube_of_twelve_crossings(monkeypatch):
-    # one resolve call per state, one edge_map call per (shape, marked pair)
-    # over kh and Khr at every basepoint class, and none when assembling again
+    # one resolve call per state, one edge_map call per (shape, None) and
+    # per (shape, (0, 0)) over kh and Khr, and none when assembling again
     from collections import Counter
-    from cubekh.acceptance import _basepoint_classes
     d = braid_closure([1, -2] * 6, 3)
     resolved, real_resolve = [], kh.resolve
     monkeypatch.setattr(kh, "resolve",
@@ -212,19 +217,18 @@ def test_flat_cube_of_twelve_crossings(monkeypatch):
         return real_edge_map(shape, marked)
 
     monkeypatch.setattr(kh, "edge_map", counted)
-    basepoints = [None] + _basepoint_classes(cube)
-    keys = set()
-    for basepoint in basepoints:
-        kh._assemble(cube, basepoint)
-        mark = kh._marked_circles(d, basepoint)
-        for s, t, shape in edge_triples(cube):
-            marked = None if mark is None else (mark(cube.states[s]),
-                                                mark(cube.states[t]))
-            keys.add((cube.shapes[shape], marked))
+    for reduced in (False, True):
+        kh._assemble(cube, reduced)
+    # Khr's marked pair, the circles through arc 1, is (0, 0) on every edge
+    marked = {(cube.shapes[shape], (cube.states[s].arc_to_circle[1],
+                                    cube.states[t].arc_to_circle[1]))
+              for s, t, shape in edge_triples(cube)}
+    assert marked == {(sh, (0, 0)) for sh in cube.shapes}
+    keys = marked | {(sh, None) for sh in cube.shapes}
     assert set(calls) == keys and set(calls.values()) == {1}
-    for basepoint in basepoints:
-        kh._assemble(cube, basepoint)
-    assert sum(calls.values()) == len(keys)
+    for reduced in (False, True):
+        kh._assemble(cube, reduced)
+    assert sum(calls.values()) == len(keys) == 2 * 86
 
 
 def test_lean_cube_of_twelve_crossings():
@@ -386,12 +390,12 @@ def test_kh_ranks_without_crossings(free_loops, kh, khr):
 
 
 def test_basepoint_independence():
-    # the public entries mark arc 1; bigraded Khr is the same at every arc
+    # the public entries mark arc 1; bigraded Khr is the same at every arc,
+    # marked as arc 1 of the relabelling that sends it there
     rng = random.Random(55)
     for _ in range(15):
         d = random_braid_diagram(rng, max_crossings=6)
-        cube = build_cube(d)
-        tables = {tuple(sorted(homology_ranks(kh._assemble(cube, arc)).items()))
+        tables = {tuple(sorted(homology_ranks(khr_complex(_relabelled(d, arc))).items()))
                   for arc in range(1, d.arc_count + 1)}
         assert len(tables) == 1
 
@@ -421,11 +425,11 @@ def test_trivial_marking_equals_khr():
 
 def check_twisted_basepoint_classes(d, m):
     # twisted totals, hd and every ss page are the same at every basepoint
-    # class, so the public entries may mark arc 1 alone
-    cube = build_cube(d)
+    # class, each marked as arc 1 of its relabelling with the marking
+    # carried along, so the public entries may mark arc 1 alone
     seen = set()
-    for arc in _basepoint_classes(cube):
-        tw = kh._twisted(cube, m, arc)
+    for arc in _basepoint_classes(build_cube(d)):
+        tw = kh._twisted(build_cube(_relabelled(d, arc)), relabelled_marking(m, arc))
         pages = spectral_pages(FilteredComplexF2(tw.total, tw.weights)).pages
         seen.add((tuple(sorted(homology_ranks(tw.total).items())),
                   tuple(sorted(kh._hd_even(tw).items())),

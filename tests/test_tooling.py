@@ -3,7 +3,8 @@ or deleted target would make its layer metrics read as missing, and a
 renamed or deleted name the bench scripts import would break the bench.  The bench
 oracles must accept true outputs of every command and reject corrupted ones.
 Both are loaded from their sources without writing anything next to them.
-The README's flag list must match what `cubekh --help` prints."""
+The README's flag list must match what `cubekh --help` prints, and no
+function under src/cubekh takes a basepoint."""
 
 import ast
 import importlib
@@ -111,3 +112,20 @@ def test_retired_basepoint_flag_is_refused(capsys):
         main(["--command", "khr", "--basepoint", "1"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --basepoint 1" in capsys.readouterr().err
+
+
+def test_no_internal_basepoint():
+    # every reduced complex marks circle 0, so no function under src/cubekh
+    # takes a basepoint, and khovanov keeps no mark callback
+    paths = sorted((PERFBENCH.parent / "src" / "cubekh").glob("*.py"))
+    assert any(path.name == "khovanov.py" for path in paths)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                assert "basepoint" not in names, (path.name, getattr(node, "name", "lambda"))
+        if path.name == "khovanov.py":
+            assert "_marked_circles" not in {
+                node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}

@@ -26,7 +26,7 @@ from .corpus import (
     small_knot,
 )
 from .diagram import ArcMarking, Diagram, parse_pd
-from .errors import InternalInconsistency
+from .errors import CubekhError, InternalInconsistency
 from .khovanov import (
     _assemble,
     _twisted,
@@ -304,8 +304,13 @@ class CriterionResult(NamedTuple):
 
 
 def run_all() -> list[CriterionResult]:
+    """Every criterion's result; one whose check raises a library error
+    fails with the error's type and message, and the others still run."""
     results = []
     for number, name, fn in CRITERIA:
-        passed, detail = fn()
+        try:
+            passed, detail = fn()
+        except CubekhError as e:
+            passed, detail = False, f"{type(e).__name__}: {e}"
         results.append(CriterionResult(number, name, passed, detail))
     return results

@@ -97,7 +97,7 @@ def goeritz(d: Diagram) -> GoeritzData:
     colors = _face_parities(d, pm, lambda arc: 1,
                             "projection is not checkerboard colorable")
     piece_of = {ci: k for k, piece in enumerate(pieces) for ci in piece}
-    face_piece = [piece_of[orbit[0][0]] for orbit in pm.faces]
+    face_piece = [piece_of[orbit[0] >> 2] for orbit in pm.faces]
     tally = Counter(zip(face_piece, colors))
     white = [int(tally[k, 1] > tally[k, 0]) for k in range(len(pieces))]
     # the white faces piece by piece, the ones to delete included
@@ -107,13 +107,14 @@ def goeritz(d: Diagram) -> GoeritzData:
     size = len(white_faces)
     pre = [[0] * size for _ in range(size)]
     for ci in range(d.n):
-        corners = [pm.face_of_corner(ci, s) for s in range(4)]
+        # corners[s]: the face at the corner between slots s-1 and s
+        corners = pm.face_of[4 * ci:4 * ci + 4]
         whites = [s for s in range(4) if corners[s] in w_index]
         if len(whites) != 2 or (whites[1] - whites[0]) != 2:
             raise NonPlanarTrace("crossing does not see two opposite white corners")
-        # corners (1,2)&(3,0) are the pair the under-strand sweeps toward the
+        # corners (3,0)&(1,2) are the pair the under-strand sweeps toward the
         # over-strand; sign convention is global-flip safe for |det|
-        eta = 1 if whites == [1, 3] else -1
+        eta = 1 if whites == [0, 2] else -1
         fi, fj = corners[whites[0]], corners[whites[1]]
         if fi != fj:
             i, j = w_index[fi], w_index[fj]
@@ -214,18 +215,26 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
     greedy-only, so the certifier is sound but not complete: None means
     unknown, never a disproof.  When it is None and `reason` is a list,
     "budget" is appended if the node budget cut the search short, else
-    "exhausted".  Results are memoized on a relabeling key, failures only
-    when no budget stop happened below the node.
+    "exhausted".  Each smoothing it forms is simplified and keyed on a
+    relabeling key once; verdicts are memoized by that key, failures only
+    when no budget stop happened below the node, and each key's determinant
+    is walked at most once, the root's only after its memo and budget checks.
     """
     memo: dict = {}
+    dets: dict = {}
     spent = [0]
     stops = [0]
 
-    def search(diag: Diagram, det: int | None = None) -> QACertificate | None:
-        # det, when given, is the determinant of diag's link, which greedy
-        # simplification keeps
+    def simplified(diag: Diagram) -> tuple[Diagram, tuple]:
         diag = simplify_greedy(diag)
-        key = canonical_key(diag)
+        return diag, canonical_key(diag)
+
+    def det_of(diag: Diagram, key: tuple) -> int:
+        if key not in dets:
+            dets[key] = state_sum_det(diag, max_crossings=max_crossings)
+        return dets[key]
+
+    def search(diag: Diagram, key: tuple) -> QACertificate | None:
         if key in memo:
             return memo[key]
         if spent[0] >= budget:
@@ -236,17 +245,19 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
         if diag.n == 0:
             cert = QACertificate(diag, 1) if diag.free_loops == 1 else None
         else:
-            if det is None:
-                det = state_sum_det(diag, max_crossings=max_crossings)
+            det = det_of(diag, key)
             for ci in range(diag.n if det else 0):
-                d0 = smooth_crossing(diag, ci, 0)
-                d1 = smooth_crossing(diag, ci, 1)
-                det0 = state_sum_det(d0, max_crossings=max_crossings)
-                det1 = state_sum_det(d1, max_crossings=max_crossings)
-                if det0 == 0 or det1 == 0 or det0 + det1 != det:
+                # the triple is additive with nonzero parts only when
+                # 0 < det0 < det and det1 = det - det0
+                k0 = simplified(smooth_crossing(diag, ci, 0))
+                det0 = det_of(*k0)
+                if not 0 < det0 < det:
                     continue
-                c0 = search(d0, det0)
-                c1 = None if c0 is None else search(d1, det1)
+                k1 = simplified(smooth_crossing(diag, ci, 1))
+                if det_of(*k1) != det - det0:
+                    continue
+                c0 = search(*k0)
+                c1 = None if c0 is None else search(*k1)
                 if c1 is not None:
                     cert = QACertificate(diag, det, ci, (c0, c1))
                     break
@@ -254,7 +265,7 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
             memo[key] = cert
         return cert
 
-    cert = search(d)
+    cert = search(*simplified(d))
     if cert is None and reason is not None:
         reason.append("budget" if stops[0] else "exhausted")
     return cert
@@ -316,8 +327,7 @@ def oriented_resolution_filling(d: Diagram) -> FillingReport:
 
     filled = []
     for c, arc in enumerate(state.least_arcs):
-        ci, s = d.arc_head[arc]
-        inside = (parity[pm.face_of[(ci, s)]] >> c) & 1
+        inside = (parity[pm.face_of[d.arc_head[arc]]] >> c) & 1
         f1, _f2 = pm.arc_faces(d, arc)
         even = int.bit_count(parity[f1] & ~(1 << c)) % 2 == 0
         filled.append(bool(inside) == even)

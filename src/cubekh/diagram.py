@@ -19,8 +19,8 @@ Conventions fixed here and used everywhere else:
   next one at other[x ^ 2]; a face continues from x at the slot after
   other[x], counterclockwise at that crossing.  A resolved circle entering
   a crossing at x leaves it at x ^ 1 under the 0-smoothing and at x ^ 3
-  under the 1-smoothing (`resolve`).  Public results name darts as
-  (crossing, slot) pairs.
+  under the 1-smoothing (`resolve`).  Public results (`Diagram.arc_head`,
+  `PlanarMap.faces` and `PlanarMap.face_of`) name darts the same way.
 * The projection's pieces (`Diagram.pd_components`), planar map
   (`planar_map`) and graded Euler characteristic (`_euler_state_sum`) are
   found once per diagram and kept on it, and
@@ -115,7 +115,8 @@ class Diagram:
         components: tuple of tuples of arcs, one per link component, ordered
             by smallest arc.
         orientation: per-component +1/-1 flags relative to natural direction.
-        arc_head: arc -> (crossing, slot) incidence the arc points into.
+        arc_head: arc_head[a] is the dart that arc a points into (entry 0
+            is unused, as in `ResolvedState.arc_to_circle`).
         signs: per-crossing +1/-1.
     """
 
@@ -141,7 +142,7 @@ class Diagram:
         self._pieces: list[tuple] | None = None     # see pd_components
         self._map: PlanarMap | None = None          # see planar_map
         self._chi: dict[int, int] | None = None     # see _euler_state_sum
-        self.components, natural_head = self._trace_components()
+        self.components, self.arc_head = self._trace_components()
         if orientation is None:
             orientation = [1] * len(self.components)
         orientation = tuple(int(x) for x in orientation)
@@ -151,12 +152,10 @@ class Diagram:
         if any(x not in (1, -1) for x in orientation):
             raise MalformedPD("orientation flags must be +1 or -1")
         self.orientation = orientation
-
-        self.arc_head: dict[int, tuple[int, int]] = {}
         for comp, flag in zip(self.components, self.orientation):
-            for a in comp:
-                head, tail = natural_head[a]
-                self.arc_head[a] = head if flag == 1 else tail
+            if flag == -1:
+                for a in comp:
+                    self.arc_head[a] = self._other[self.arc_head[a]]
 
         self.signs = tuple(self._crossing_sign(ci) for ci in range(n))
         self.n_plus = sum(1 for s in self.signs if s == 1)
@@ -165,27 +164,24 @@ class Diagram:
     # -- construction helpers -------------------------------------------------
 
     def _trace_components(self):
-        """Walk strands, returning components and natural (head, tail) per arc."""
-        labels = self._labels
+        """Walk strands, returning components and each arc's natural head dart."""
+        other, labels = self._other, self._labels
         components: list[tuple[int, ...]] = []
-        natural: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-        for walk in _strands(self._other, self._first):
+        natural = [-1] * (self.arc_count + 1)
+        for walk in _strands(other, self._first):
             slots = {x & 3 for x in walk}
             if 0 in slots and 2 in slots:
                 raise DisconnectedTrace(
                     "under-strand directions are inconsistent along a component")
             for h in walk:
-                t = self._other[h]
-                if 2 in slots:
-                    h, t = t, h
-                natural[labels[h]] = (divmod(h, 4), divmod(t, 4))
+                natural[labels[h]] = other[h] if 2 in slots else h
             components.append(tuple(sorted(labels[h] for h in walk)))
         return tuple(components), natural
 
     def _crossing_sign(self, ci: int) -> int:
         c = self.crossings[ci]
-        u = 1 if self.arc_head[c[0]] == (ci, 0) else -1
-        o = 1 if self.arc_head[c[1]] == (ci, 1) else -1
+        u = 1 if self.arc_head[c[0]] == 4 * ci else -1
+        o = 1 if self.arc_head[c[1]] == 4 * ci + 1 else -1
         return u * o
 
     # -- basic queries ---------------------------------------------------------
@@ -489,25 +485,21 @@ class PlanarMap:
     """Faces of the 4-valent projection, from the rotation system the PD
     tuples define (slots listed counterclockwise).
 
-    Darts are (crossing, slot) pairs.  faces[i] is a tuple of darts;
-    face_of[(c, s)] gives the face containing the corner between slots s-1
-    and s at crossing c, which is also the face to the left of a strand
-    entering the crossing at slot s.
+    Darts are ints, as in the dart table.  faces[i] is a tuple of darts;
+    face_of[x], for dart x = 4 * c + s, is the face containing the corner
+    between slots s-1 and s at crossing c, which is also the face to the
+    left of a strand entering the crossing at slot s.
     """
 
     __slots__ = ("faces", "face_of")
 
-    def __init__(self, faces: tuple, face_of: dict):
+    def __init__(self, faces: tuple, face_of: list):
         self.faces, self.face_of = faces, face_of
-
-    def face_of_corner(self, ci: int, s: int) -> int:
-        """Face at the corner between slots s and s+1 of crossing ci."""
-        return self.face_of[(ci, (s + 1) % 4)]
 
     def arc_faces(self, d: Diagram, arc: int) -> tuple[int, int]:
         """The two faces flanking an arc (equal for nugatory situations)."""
-        ci, s = divmod(d._first[arc], 4)
-        return (self.face_of[(ci, s)], self.face_of[(ci, (s + 1) % 4)])
+        x = d._first[arc]
+        return (self.face_of[x], self.face_of[(x & ~3) | ((x + 1) & 3)])
 
 
 def planar_map(d: Diagram) -> PlanarMap:
@@ -520,20 +512,19 @@ def planar_map(d: Diagram) -> PlanarMap:
     """
     if d._map is not None:
         return d._map
-    face = [-1] * (4 * d.n)
+    face_of = [-1] * (4 * d.n)
     faces = []
     for start in range(4 * d.n):
-        if face[start] >= 0:
+        if face_of[start] >= 0:
             continue
         orbit = []
         x = start
-        while face[x] < 0:
-            face[x] = len(faces)
-            orbit.append(divmod(x, 4))
+        while face_of[x] < 0:
+            face_of[x] = len(faces)
+            orbit.append(x)
             y = d._other[x]
             x = (y & ~3) | ((y + 1) & 3)
         faces.append(tuple(orbit))
-    face_of = {dart: f for f, orbit in enumerate(faces) for dart in orbit}
     if d.n:
         # each connected piece of the projection is traced on its own sphere
         expected = d.n + 2 * len(d.pd_components())

@@ -51,9 +51,6 @@ class MatF2(NamedTuple("MatF2", [("nrows", int), ("ncols", int), ("rows", tuple)
     def __matmul__(self, other: "MatF2") -> "MatF2":
         return MatF2(self.nrows, other.ncols, tuple(_product_rows(self, other)))
 
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
 
 def _product_rows(a: MatF2, b: MatF2):
     """The rows of a @ b, one at a time: each row of a XORs the rows of b

@@ -16,8 +16,7 @@ def connect_sum(d1: Diagram, d2: Diagram, arc1: int = 1, arc2: int = 1) -> Diagr
     labels = ([a for c in d1.crossings for a in c]
               + [a + shift for c in d2.crossings for a in c])
     # splice: tail(arc1) -> head(arc2') and tail(arc2') -> head(arc1)
-    (c1, s1), (c2, s2) = d1.arc_head[arc1], d2.arc_head[arc2]
-    h1, h2, off = 4 * c1 + s1, 4 * c2 + s2, 4 * d1.n
+    h1, h2, off = d1.arc_head[arc1], d2.arc_head[arc2], 4 * d1.n
     labels[h2 + off] = arc1                     # tail of arc1 .. head of arc2'
     labels[d2._other[h2] + off] = arc2 + shift  # tail of arc2' .. head of arc1
     labels[h1] = arc2 + shift
@@ -34,7 +33,7 @@ def mirror(d: Diagram) -> Diagram:
     new_crossings = []
     shift = []  # old slot s sits at new slot (s + shift) % 4
     for ci, c in enumerate(d.crossings):
-        if d.arc_head[c[1]] == (ci, 1):
+        if d.arc_head[c[1]] == 4 * ci + 1:
             # over-strand runs slot1 -> slot3; it becomes the incoming under
             new_crossings.append((c[1], c[2], c[3], c[0]))
             shift.append(3)
@@ -45,8 +44,9 @@ def mirror(d: Diagram) -> Diagram:
     flags = []
     for comp in m.components:
         a = min(comp)
-        ci, s = d.arc_head[a]
-        flags.append(1 if m.arc_head[a] == (ci, (s + shift[ci]) % 4) else -1)
+        x = d.arc_head[a]
+        ci = x >> 2
+        flags.append(1 if m.arc_head[a] == 4 * ci + (x + shift[ci]) % 4 else -1)
     return Diagram(new_crossings, free_loops=d.free_loops, orientation=flags)
 
 

@@ -263,6 +263,8 @@ def test_failure_memo_keeps_verdicts_and_saves_determinants(monkeypatch):
         monkeypatch.setattr(br, "state_sum_det", counted)
         assert qa_certify(d, budget=budget) == old
         monkeypatch.setattr(br, "state_sum_det", state_sum_det)
+        # one determinant per canonical key within the call
+        assert len({canonical_key(diag) for diag in calls}) == len(calls)
         return old_calls, len(calls)
 
     # certified verdicts and certificates on the corpus are unchanged
@@ -277,13 +279,14 @@ def test_failure_memo_keeps_verdicts_and_saves_determinants(monkeypatch):
     d = parse_pd([[3, 5, 4, 2], [5, 7, 6, 4], [1, 6, 9, 8], [9, 7, 11, 10],
                   [8, 10, 13, 12], [12, 13, 15, 14], [14, 15, 17, 16],
                   [16, 17, 18, 1], [11, 3, 2, 18]])
-    assert det_calls(d, 20000) == (87, 35)
+    assert det_calls(d, 20000) == (87, 10)
 
 
-@pytest.mark.parametrize("name, det_evals", [("5_2", 9), ("6_3", 11)])
+@pytest.mark.parametrize("name, det_evals", [("5_2", 5), ("6_3", 6)])
 def test_qa_search_evaluates_one_determinant_per_node(monkeypatch, name, det_evals):
-    # a child's determinant is taken on its raw smoothing, before the child
-    # is simplified and searched, and is not evaluated again there
+    # a child is simplified and keyed once, and its determinant is taken on
+    # the simplified diagram, once per canonical key: a child met again, or
+    # searched after its determinant was taken, is not evaluated again
     import cubekh.branched as br
     calls = []
 
@@ -294,6 +297,7 @@ def test_qa_search_evaluates_one_determinant_per_node(monkeypatch, name, det_eva
     monkeypatch.setattr(br, "state_sum_det", counted)
     cert = qa_certify(small_knot(name))
     assert len(calls) == det_evals
+    assert len({canonical_key(diag) for diag in calls}) == det_evals
     assert verify_certificate(cert)
 
 

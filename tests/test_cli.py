@@ -483,10 +483,12 @@ def test_det_job_walks_the_diagram_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("cmd, walks", [
     ("det", 1), ("kh", 1), ("khr", 1), ("twisted", 1), ("hd", 1), ("ss", 1),
-    ("rankcheck", 1), ("qa", 5)])
+    ("rankcheck", 1), ("qa", 2)])
 def test_frontier_walks_per_job(capsys, monkeypatch, cmd, walks):
     # a diagram keeps its Euler sum, so a job that checks it twice (rankcheck:
-    # det, then the Khr cells) walks it once; qa walks each diagram it meets
+    # det, then the Khr cells) walks it once; qa walks each simplified
+    # diagram it meets once (the trefoil and its Hopf link child; the
+    # unknots need no walk)
     import cubekh.diagram as diagram
     real_steps = diagram._frontier_steps
     calls = []
@@ -814,6 +816,27 @@ def test_qa_unknown_says_why(capsys, monkeypatch, payload, reason):
     assert code == 0 and sorted(json.loads(out)) == ["certificate", "verdict"]
 
 
+def _alternating_16():
+    from cubekh.corpus import braid_closure
+    return {"pd": [list(c) for c in braid_closure([1, -2] * 8, 3).crossings]}
+
+
+@pytest.mark.parametrize("budget, code, blob", [
+    (0, 0, {"verdict": "unknown", "reason": "budget"}),
+    (1, 3, {"error": {"kind": "budget",
+                      "detail": "16 crossings exceeds the cube budget of 14"}}),
+])
+def test_qa_root_is_walked_after_the_node_budget_check(capsys, monkeypatch, budget,
+                                                        code, blob):
+    # the root's determinant is walked only once the node budget lets the
+    # search visit the root: budget 0 answers on a diagram over the cube
+    # budget, and budget 1 walks the root and is refused
+    got, out = run_cli(capsys, monkeypatch, ["--command", "qa"],
+                       dict(_alternating_16(), budget=budget))
+    assert got == code
+    assert json.loads(out) == blob
+
+
 @pytest.mark.parametrize("cmd, payload, target, fake, detail", [
     # every order is 5, so the lens seed (order 2) contradicts its triad
     ("plumbing", {"plumbing": {"mult": [2, 2], "edges": [[0, 1]]}},
@@ -906,6 +929,26 @@ def test_selftest_writes_one_json_document(capsys, monkeypatch, passed, code):
     assert blob["passed"] is passed
     assert [c["number"] for c in blob["criteria"]] == ["1"]
     assert blob["criteria"][0]["passed"] is passed
+
+
+def test_selftest_reports_a_criterion_that_raises(capsys, monkeypatch):
+    # a library error out of one check fails that criterion and keeps the
+    # report: the criteria after it still run
+    import cubekh.acceptance as acceptance
+    from cubekh.errors import InternalInconsistency
+
+    def raises():
+        raise InternalInconsistency("stand-in check failed")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (("1", "raises", raises),
+                                                 ("2", "passes", lambda: (True, "ok"))))
+    got, out = run_cli(capsys, monkeypatch, ["--command", "selftest"])
+    assert got == 1
+    blob = json.loads(out)                  # the whole of stdout, one document
+    assert blob == {"passed": False, "criteria": [
+        {"number": "1", "name": "raises", "passed": False,
+         "detail": "InternalInconsistency: stand-in check failed"},
+        {"number": "2", "name": "passes", "passed": True, "detail": "ok"}]}
 
 
 def test_cli_import_loads_what_jobs_reach_and_nothing_else():

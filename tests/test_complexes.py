@@ -290,7 +290,7 @@ def random_filtered(rng, max_dim=4, levels=3):
                     v &= ~(1 << j)
             rows.append(v)
         d1 = MatF2(dims[2], dims[1], tuple(rows))
-        if (d1 @ d0).is_zero():
+        if not any((d1 @ d0).rows):
             try:
                 c = GradedComplexF2(dims, {0: d0, 1: d1})
                 return FilteredComplexF2(c, lev)

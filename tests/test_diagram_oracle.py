@@ -3,7 +3,9 @@ diagram_oracle: components, arc heads, crossing signs, under-slot
 normalisation, canonical keys and planar faces, on the acceptance corpus,
 every smoothing of its diagrams and the greedy simplification of each, and
 on random braid closures with free loops; and canonical keys under
-relabelling."""
+relabelling.  The oracle names darts as (crossing, slot) pairs; its heads
+and faces are converted to the dart ints x = 4 * crossing + slot that
+`Diagram.arc_head` and `PlanarMap` hold before they are compared."""
 
 import random
 
@@ -24,14 +26,25 @@ from cubekh.diagram import (
 )
 
 
+def dart(pair):
+    ci, s = pair
+    return 4 * ci + s
+
+
 def check_against_oracle(d):
     comps, heads, signs = oracle.arc_heads_and_signs(d.crossings, d.orientation)
     assert d.components == comps
-    assert d.arc_head == heads
+    assert sorted(heads) == list(range(1, d.arc_count + 1))
+    assert d.arc_head == [-1] + [dart(heads[a]) for a in sorted(heads)]
     assert d.signs == signs
     assert canonical_key(d) == oracle.canonical_key(d)
     pm = planar_map(d)
-    assert (pm.faces, pm.face_of) == oracle.planar_faces(d)
+    faces, face_of = oracle.planar_faces(d)
+    assert pm.faces == tuple(tuple(map(dart, f)) for f in faces)
+    oracle_face_of = [-1] * (4 * d.n)
+    for pair, f in face_of.items():
+        oracle_face_of[dart(pair)] = f
+    assert pm.face_of == oracle_face_of
     # every other crossing turned by two slots, as surgery on tuples leaves it
     turned = [(c[2], c[3], c[0], c[1]) if ci % 2 else c
               for ci, c in enumerate(d.crossings)]

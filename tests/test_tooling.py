@@ -3,8 +3,9 @@ or deleted target would make its layer metrics read as missing, and a
 renamed or deleted name the bench scripts import would break the bench.  The bench
 oracles must accept true outputs of every command and reject corrupted ones.
 Both are loaded from their sources without writing anything next to them.
-The README's flag list must match what `cubekh --help` prints, and no
-function under src/cubekh takes a basepoint."""
+The README's flag list must match what `cubekh --help` prints, no
+function under src/cubekh takes a basepoint, and the diagram layer splits
+no dart into a (crossing, slot) pair."""
 
 import ast
 import importlib
@@ -129,3 +130,20 @@ def test_no_internal_basepoint():
         if path.name == "khovanov.py":
             assert "_marked_circles" not in {
                 node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_diagram_layer_names_darts_as_ints():
+    # the diagram layer and the Goeritz/filling code name every dart as the
+    # int 4 * crossing + slot, so no dart is split into a (crossing, slot)
+    # pair, and the planar map keeps no corner lookup beside face_of
+    src = PERFBENCH.parent / "src" / "cubekh"
+    for name in ("diagram.py", "branched.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        calls = {node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "divmod" not in calls, name
+        if name == "diagram.py":
+            (planar_map,) = [node for node in tree.body
+                             if isinstance(node, ast.ClassDef) and node.name == "PlanarMap"]
+            assert "face_of_corner" not in {
+                node.name for node in planar_map.body if isinstance(node, ast.FunctionDef)}

@@ -22,8 +22,8 @@ from .diagram import (
     canonical_key,
     planar_map,
     resolve,
+    simplified_smoothing,
     simplify_greedy,
-    smooth_crossing,
 )
 from .errors import InternalInconsistency, NonPlanarTrace
 from .khovanov import khr_ranks, state_sum_det
@@ -196,13 +196,24 @@ class QACertificate(NamedTuple):
         return self.crossing is None
 
     def to_json(self) -> dict:
-        out = {"pd": [list(c) for c in self.diagram.crossings],
-               "free_loops": self.diagram.free_loops,
-               "det": self.det}
-        if not self.is_leaf:
-            out["crossing"] = self.crossing
-            out["children"] = [c.to_json() for c in self.children]
-        return out
+        """The certificate as JSON-ready dicts: each distinct node (one
+        object, however many parents the search shared it among) is
+        rendered once, and its dict is listed at every occurrence."""
+        rendered: dict = {}
+
+        def render(node: QACertificate) -> dict:
+            out = rendered.get(id(node))
+            if out is None:
+                out = rendered[id(node)] = {
+                    "pd": [list(c) for c in node.diagram.crossings],
+                    "free_loops": node.diagram.free_loops,
+                    "det": node.det}
+                if not node.is_leaf:
+                    out["crossing"] = node.crossing
+                    out["children"] = [render(c) for c in node.children]
+            return out
+
+        return render(self)
 
 
 def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None,
@@ -215,18 +226,18 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
     greedy-only, so the certifier is sound but not complete: None means
     unknown, never a disproof.  When it is None and `reason` is a list,
     "budget" is appended if the node budget cut the search short, else
-    "exhausted".  Each smoothing it forms is simplified and keyed on a
-    relabeling key once; verdicts are memoized by that key, failures only
-    when no budget stop happened below the node, and each key's determinant
-    is walked at most once, the root's only after its memo and budget checks.
+    "exhausted".  Each child it forms is one `simplified_smoothing`, keyed
+    on a relabeling key once; verdicts are memoized by that key, failures
+    only when no budget stop happened below the node, and each key's
+    determinant is walked at most once, the root's only after its memo and
+    budget checks.
     """
     memo: dict = {}
     dets: dict = {}
     spent = [0]
     stops = [0]
 
-    def simplified(diag: Diagram) -> tuple[Diagram, tuple]:
-        diag = simplify_greedy(diag)
+    def keyed(diag: Diagram) -> tuple[Diagram, tuple]:
         return diag, canonical_key(diag)
 
     def det_of(diag: Diagram, key: tuple) -> int:
@@ -249,11 +260,11 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
             for ci in range(diag.n if det else 0):
                 # the triple is additive with nonzero parts only when
                 # 0 < det0 < det and det1 = det - det0
-                k0 = simplified(smooth_crossing(diag, ci, 0))
+                k0 = keyed(simplified_smoothing(diag, ci, 0))
                 det0 = det_of(*k0)
                 if not 0 < det0 < det:
                     continue
-                k1 = simplified(smooth_crossing(diag, ci, 1))
+                k1 = keyed(simplified_smoothing(diag, ci, 1))
                 if det_of(*k1) != det - det0:
                     continue
                 c0 = search(*k0)
@@ -265,10 +276,28 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
             memo[key] = cert
         return cert
 
-    cert = search(*simplified(d))
+    cert = search(*keyed(simplify_greedy(d)))
     if cert is None and reason is not None:
         reason.append("budget" if stops[0] else "exhausted")
     return cert
+
+
+def _node_holds(cert: QACertificate) -> bool:
+    """One node's own checks: its det by state sum against the recorded
+    one, and for an inner node its children against fresh smoothings of
+    it and their additivity, or for a leaf the unknot."""
+    det = state_sum_det(cert.diagram)
+    if det != cert.det:
+        return False
+    if cert.is_leaf:
+        return cert.diagram.n == 0 and cert.diagram.free_loops == 1 and det == 1
+    c0, c1 = cert.children
+    d0 = simplified_smoothing(cert.diagram, cert.crossing, 0)
+    d1 = simplified_smoothing(cert.diagram, cert.crossing, 1)
+    if {canonical_key(d0), canonical_key(d1)} != {canonical_key(c0.diagram),
+                                                  canonical_key(c1.diagram)}:
+        return False
+    return c0.det != 0 and c1.det != 0 and c0.det + c1.det == det
 
 
 def verify_certificate(cert: QACertificate) -> bool:
@@ -277,21 +306,32 @@ def verify_certificate(cert: QACertificate) -> bool:
     additivity, and the unknot leaves.  A node whose diagram the search
     already walked reads its state sum off the diagram's kept Euler sum,
     the same walk; the recorded det is only compared with that sum, so a
-    tampered `cert.det` is refused."""
-    det = state_sum_det(cert.diagram)
-    if det != cert.det:
-        return False
-    if cert.is_leaf:
-        return cert.diagram.n == 0 and cert.diagram.free_loops == 1 and det == 1
-    c0, c1 = cert.children
-    d0 = simplify_greedy(smooth_crossing(cert.diagram, cert.crossing, 0))
-    d1 = simplify_greedy(smooth_crossing(cert.diagram, cert.crossing, 1))
-    if {canonical_key(d0), canonical_key(d1)} != {canonical_key(c0.diagram),
-                                                  canonical_key(c1.diagram)}:
-        return False
-    if c0.det == 0 or c1.det == 0 or c0.det + c1.det != det:
-        return False
-    return verify_certificate(c0) and verify_certificate(c1)
+    tampered `cert.det` is refused.
+
+    Each distinct subtree is checked once per call: a node is numbered by
+    its diagram, det and crossing and its children's numbers, so the
+    repeats of a node that the search shared among its parents, or that a
+    JSON round trip copied, share one verdict, while a node whose subtree
+    differs anywhere below gets its own."""
+    numbers: dict = {}      # (diagram, det, crossing, child numbers) -> number
+    met: dict = {}          # id(node) -> number, for a node met again
+    verdicts: dict = {}     # number -> verdict
+
+    def number(node: QACertificate) -> int:
+        if id(node) not in met:
+            kids = tuple(map(number, node.children))
+            met[id(node)] = numbers.setdefault(
+                (node.diagram, node.det, node.crossing, kids), len(numbers))
+        return met[id(node)]
+
+    def holds(node: QACertificate) -> bool:
+        i = number(node)
+        if i not in verdicts:
+            verdicts[i] = _node_holds(node) and (
+                node.is_leaf or all(map(holds, node.children)))
+        return verdicts[i]
+
+    return holds(cert)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,9 @@ def run_job(command: str, payload: dict, max_crossings: int | None = None) -> di
         cert = qa_certify(d, budget=budget, max_crossings=max_crossings, reason=reason)
         if cert is None:
             return {"verdict": "unknown", "reason": reason[0]}
+        # the root's det, read off the Euler sum the search kept, against
+        # the Goeritz determinant
+        checked_det(cert.diagram, max_crossings=max_crossings)
         return {"verdict": "certified", "certificate": cert.to_json()}
     if command == "rankcheck":
         d = _diagram_from(payload)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .diagram import ArcMarking, Diagram, _fuse_and_relabel
+from .diagram import ArcMarking, Diagram, _glued, normalize_under_slots
 from .errors import MalformedPD
 
 
@@ -44,7 +44,7 @@ def braid_closure(word: Sequence[int], strands: int) -> Diagram:
         cur[i], cur[i + 1] = c, dd
     labels = range(1, nxt)
     unions = [(cur[j], init[j]) for j in range(strands)]
-    return _fuse_and_relabel(crossings, labels, unions)
+    return normalize_under_slots(*_glued(crossings, labels, unions))
 
 
 class _Tangle:
@@ -77,8 +77,8 @@ class _Tangle:
 
     def numerator_closure(self) -> Diagram:
         unions = [(self.nw, self.ne), (self.sw, self.se)]
-        return _fuse_and_relabel(self.crossings, range(1, self.next),
-                                 unions)
+        return normalize_under_slots(*_glued(self.crossings, range(1, self.next),
+                                             unions))
 
 
 def rational_link(coeffs: Sequence[int]) -> Diagram:

@@ -30,6 +30,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -347,15 +348,18 @@ def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
 # ---------------------------------------------------------------------------
 
 def normalize_under_slots(crossings, free_loops: int = 0) -> Diagram:
-    """Build a Diagram from raw tuples, rotating any tuple by two slots so
-    each under-strand is entered at slot 0 along one consistent direction
-    per component.  Needed after surgery on tuples (smoothings, fusions,
-    tangle constructions) which can reverse strand directions.
+    """Build a Diagram from raw tuples: number their labels 1, 2, ... in
+    order, and turn any tuple by two slots so each under-strand is entered
+    at slot 0 along one consistent direction per component.  Needed after
+    surgery on tuples (smoothings, fusions, tangle constructions), which
+    leaves gaps in the labels and can reverse strand directions.
     """
-    crossings = [tuple(c) for c in crossings]
-    for a, k in Counter(a for c in crossings for a in c).items():
+    counts = Counter(a for c in crossings for a in c)
+    for a, k in counts.items():
         if k != 2:
             raise MalformedPD(f"arc {a} appears {k} times")
+    number = {a: i for i, a in enumerate(sorted(counts), 1)}
+    crossings = [tuple([number[a] for a in c]) for c in crossings]
     rotate = {x >> 2 for walk in _strands(*_dart_table(crossings))
               for x in walk if x & 3 == 2}
     fixed = [((c[2], c[3], c[0], c[1]) if ci in rotate else c)
@@ -363,118 +367,161 @@ def normalize_under_slots(crossings, free_loops: int = 0) -> Diagram:
     return Diagram(fixed, free_loops=free_loops)
 
 
-def _fuse_and_relabel(crossings, labels, unions, free_loops: int = 0) -> Diagram:
-    """Glue arc labels along the union pairs and relabel the crossings.
-
-    Glued classes with no incidence at a crossing are closed and become
-    free loops; the live classes are numbered 1, 2, ... in the order of
-    their least label.
-    """
+def _glued(crossings, labels, unions, free_loops: int = 0):
+    """The crossings with each label replaced by the least label the union
+    pairs glue it to, and free_loops plus the glued classes of `labels`
+    that no crossing meets, which close into free loops."""
     uf = _UnionFind(labels)
     for a, b in unions:
         uf.union(a, b)
-    live = {uf.find(a) for c in crossings for a in c}
-    loops = len({uf.find(a) for a in labels}) - len(live)
-    relabel = {r: i + 1 for i, r in enumerate(sorted(live))}
-    out = [tuple(relabel[uf.find(a)] for a in c) for c in crossings]
-    return normalize_under_slots(out, free_loops + loops)
+    root = {a: uf.find(a) for a in uf.parent}
+    out = [tuple([root.get(a, a) for a in c]) for c in crossings]
+    live = {a for c in out for a in c}
+    return out, free_loops + len(set(root.values()) - live)
 
 
-def _rebuild(d: Diagram, victims: dict[int, tuple[tuple[int, int], ...]]) -> Diagram:
-    """Delete the victim crossings, fusing arcs along the given slot pairings.
+def _delete(crossings, victims: dict[int, tuple[tuple[int, int], ...]],
+            free_loops: int):
+    """Delete the victim crossings from raw tuples, fusing arcs along the
+    given slot pairings: victims maps crossing index -> pairs of slots
+    whose arcs join up when the crossing is removed (`_glued`).
 
-    victims maps crossing index -> pairs of slots whose arcs join up when the
-    crossing is removed.  Arc classes with no incidence at a surviving
-    crossing become free loops.
-    """
-    unions = [(d.crossings[ci][s], d.crossings[ci][t])
+    Smoothings and Reidemeister moves run here, on raw tuples.  A glued
+    class keeps its least label, so labels keep the order that numbering
+    them after each move gives, and the move finders see a tuple turned by
+    two slots as the same crossing.  So one `normalize_under_slots` after
+    the moves gives the Diagram that one after each move gives: it turns a
+    component by the first dart of its least arc, which no turn moves
+    unless both ends of that arc lie at one crossing, as in no simplified
+    planar diagram."""
+    unions = [(crossings[ci][s], crossings[ci][t])
               for ci, pairs in victims.items() for s, t in pairs]
-    survivors = [c for ci, c in enumerate(d.crossings) if ci not in victims]
-    return _fuse_and_relabel(survivors, range(1, d.arc_count + 1), unions,
-                             d.free_loops)
+    survivors = [c for ci, c in enumerate(crossings) if ci not in victims]
+    return _glued(survivors, [a for ci in victims for a in crossings[ci]], unions,
+                  free_loops)
+
+
+def _smoothing(d: Diagram, ci: int, bit: int):
+    return _delete(d.crossings, {ci: RES0_PAIRS if bit == 0 else RES1_PAIRS},
+                   d.free_loops)
 
 
 def smooth_crossing(d: Diagram, ci: int, bit: int) -> Diagram:
     """Replace one crossing by its 0- or 1-resolution."""
-    pairs = RES0_PAIRS if bit == 0 else RES1_PAIRS
-    return _rebuild(d, {ci: pairs})
+    return normalize_under_slots(*_smoothing(d, ci, bit))
 
 
-def _find_r1(d: Diagram):
-    for ci, c in enumerate(d.crossings):
+def _find_r1(crossings):
+    for ci, c in enumerate(crossings):
         for s in range(4):
             if c[s] == c[(s + 1) % 4]:
                 # loop arc occupies slots s, s+1; strand passes through the rest
-                return ci, (((s + 3) % 4, s), ((s + 1) % 4, (s + 2) % 4))
+                return {ci: (((s + 3) % 4, s), ((s + 1) % 4, (s + 2) % 4))}
     return None
 
 
-def _find_r2(d: Diagram):
+def _find_r2(crossings):
+    other, first = _dart_table(crossings)
     # arcs joining two crossings c1 < c2, as their slots there, in label order
     by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a in range(1, d.arc_count + 1):
-        x = d._first[a]
-        y = d._other[x]
+    for a in sorted(first):
+        x = first[a]
+        y = other[x]
         if x >> 2 != y >> 2:
             by_pair.setdefault((x >> 2, y >> 2), []).append((x & 3, y & 3))
     for (c1, c2), slots in sorted(by_pair.items()):
-        for i in range(len(slots)):
-            for j in range(i + 1, len(slots)):
-                (sx1, sx2), (sy1, sy2) = slots[i], slots[j]
-                if (sx1 - sy1) % 4 not in (1, 3) or (sx2 - sy2) % 4 not in (1, 3):
-                    continue
-                if sx1 % 2 != sx2 % 2:
-                    continue  # clasp, not a Reidemeister-2 bigon
-                pairs1 = ((sx1, sx1 ^ 2), (sy1, sy1 ^ 2))
-                pairs2 = ((sx2, sx2 ^ 2), (sy2, sy2 ^ 2))
-                return {c1: pairs1, c2: pairs2}
+        for (x1, x2), (y1, y2) in combinations(slots, 2):
+            # adjacent at both crossings and both under or both over there:
+            # a Reidemeister-2 bigon, not a clasp
+            if (x1 - y1) % 2 and (x2 - y2) % 2 and x1 % 2 == x2 % 2:
+                return {c1: ((x1, x1 ^ 2), (y1, y1 ^ 2)),
+                        c2: ((x2, x2 ^ 2), (y2, y2 ^ 2))}
     return None
+
+
+def _simplified(crossings, free_loops: int):
+    while True:
+        victims = _find_r1(crossings) or _find_r2(crossings)
+        if victims is None:
+            return crossings, free_loops
+        crossings, free_loops = _delete(crossings, victims, free_loops)
 
 
 def simplify_greedy(d: Diagram) -> Diagram:
     """Apply Reidemeister-1 kink and Reidemeister-2 bigon removals until none
-    applies.  Link type is preserved; the result carries natural orientation."""
-    while True:
-        r1 = _find_r1(d)
-        if r1 is not None:
-            ci, pairs = r1
-            d = _rebuild(d, {ci: pairs})
-            continue
-        r2 = _find_r2(d)
-        if r2 is not None:
-            d = _rebuild(d, r2)
-            continue
+    applies.  Link type is preserved; the result carries natural orientation
+    (d itself when no move applies)."""
+    crossings, free_loops = _simplified(d.crossings, d.free_loops)
+    if crossings is d.crossings:
         return d
+    return normalize_under_slots(crossings, free_loops)
+
+
+def simplified_smoothing(d: Diagram, ci: int, bit: int) -> Diagram:
+    """`simplify_greedy(smooth_crossing(d, ci, bit))`, a child of a QA node,
+    formed on raw tuples into one Diagram."""
+    return normalize_under_slots(*_simplified(*_smoothing(d, ci, bit)))
 
 
 def canonical_key(d: Diagram):
     """Deterministic key of the unoriented diagram, the same for any order
     of its crossings and, for knots, any relabeling of its arcs; used for
-    memoization (collisions impossible, misses cheap)."""
+    memoization (collisions impossible, misses cheap).
+
+    The key is the least, over a strand walk from each of the 4n darts, of
+    the sorted crossing tuples relabelled by rank (the walked arcs in walk
+    order, the others after them by label), each tuple or its turn by two
+    slots, whichever is smaller.  Each strand cycle is walked once and a
+    start's ranks are offsets along it.  A start's least tuple begins with
+    1 exactly when its first arc sits at slot 0 or 2 of a crossing (as at
+    every start at slot 0); only starts that tie on that tuple are ranked
+    in full."""
     if d.n == 0:
         return (d.free_loops,)
-    labels = d._labels
-    best = None
-    # a walk from each dart: both directions along every arc; the walked
-    # arcs are numbered in walk order, the others after them by label
-    for x in range(4 * d.n):
-        walk = _strand(d._other, x)
-        rank = [0] * (d.arc_count + 1)
+    other, labels, crossings = d._other, d._labels, d.crossings
+    seen = bytearray(4 * d.n)
+    least, ties = None, []
+    for s in range(4 * d.n):
+        if seen[s]:
+            continue
+        walk = _strand(other, s)
+        m = len(walk)
+        # ranks from the start at s; the arcs off the walk follow it by label
+        rank0 = [0] * (d.arc_count + 1)
+        for i, y in enumerate(walk, 1):
+            seen[y] = 1
+            rank0[labels[y]] = i
+        off = [a for a in range(1, d.arc_count + 1) if not rank0[a]]
+        for i, a in enumerate(off, m + 1):
+            rank0[a] = i
+        for p, x in enumerate(walk):
+            # the start's least tuple after its leading 1, if it has one
+            top = None
+            for z in (x, other[x]):
+                if not z & 1:
+                    c, k = crossings[z >> 2], z & 3
+                    t = [(r - 1 - p) % m + 1 if r <= m else r
+                         for r in (rank0[c[k + 1]], rank0[c[k ^ 2]], rank0[c[k ^ 3]])]
+                    if top is None or t < top:
+                        top = t
+            if top is None or (ties and top > least):
+                continue
+            if not ties or top < least:
+                least, ties = top, []
+            ties.append((walk[p:] + walk[:p], rank0))
+    keys = []
+    for walk, rank in ties:
+        rank = rank[:]
         for i, y in enumerate(walk, 1):
             rank[labels[y]] = i
-        rest = [a for a in range(1, d.arc_count + 1) if not rank[a]]
-        for i, a in enumerate(rest, len(walk) + 1):
-            rank[a] = i
         tuples = []
-        for c0, c1, c2, c3 in d.crossings:
-            t = (rank[c0], rank[c1], rank[c2], rank[c3])
-            r = (t[2], t[3], t[0], t[1])
+        for a, b, c, e in crossings:
+            t = (rank[a], rank[b], rank[c], rank[e])
+            r = (rank[c], rank[e], rank[a], rank[b])
             tuples.append(t if t < r else r)
         tuples.sort()
-        key = (tuple(tuples), d.free_loops)
-        if best is None or key < best:
-            best = key
-    return best
+        keys.append(tuple(tuples))
+    return (min(keys), d.free_loops)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ each arc to its two (crossing, slot) pairs, in the order they appear in
 the PD code, and strands and faces walked one incidence at a time.
 `trace_components`, `normalize_under_slots`, `canonical_key` and
 `planar_faces` read only the crossing tuples (and the free loop count).
+
+`smooth_crossing` and `simplify_greedy` are the per-move path that forming
+a child on raw tuples replaced: every smoothing and every Reidemeister
+move relabels its arcs 1, 2, ... and builds a normalized Diagram.
 """
 
 from cubekh.diagram import Diagram
@@ -189,3 +193,73 @@ def planar_faces(d):
                 break
         faces.append(tuple(orbit))
     return tuple(faces), face_of
+
+
+def fuse_and_relabel(crossings, labels, unions, free_loops: int = 0) -> Diagram:
+    """Glue arc labels along the union pairs, close the glued classes that
+    no crossing meets into free loops, and number the others 1, 2, ... by
+    least label."""
+    root = {a: a for a in labels}
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in unions:
+        ra, rb = sorted((find(a), find(b)))
+        root[rb] = ra
+    live = sorted({find(a) for c in crossings for a in c})
+    loops = len({find(a) for a in labels}) - len(live)
+    number = {r: i for i, r in enumerate(live, 1)}
+    out = [tuple(number[find(a)] for a in c) for c in crossings]
+    return normalize_under_slots(out, free_loops + loops)
+
+
+def rebuild(d, victims) -> Diagram:
+    """Delete the victim crossings (index -> slot pairs whose arcs join)."""
+    unions = [(d.crossings[ci][s], d.crossings[ci][t])
+              for ci, pairs in victims.items() for s, t in pairs]
+    survivors = [c for ci, c in enumerate(d.crossings) if ci not in victims]
+    return fuse_and_relabel(survivors, range(1, d.arc_count + 1), unions,
+                            d.free_loops)
+
+
+def smooth_crossing(d, ci: int, bit: int) -> Diagram:
+    return rebuild(d, {ci: ((0, 1), (2, 3)) if bit == 0 else ((0, 3), (1, 2))})
+
+
+def find_r1(d):
+    for ci, c in enumerate(d.crossings):
+        for s in range(4):
+            if c[s] == c[(s + 1) % 4]:
+                return {ci: (((s + 3) % 4, s), ((s + 1) % 4, (s + 2) % 4))}
+    return None
+
+
+def find_r2(d):
+    by_pair: dict = {}
+    for a, ((c1, s1), (c2, s2)) in incidences(d.crossings).items():
+        if c1 != c2:
+            by_pair.setdefault((c1, c2), []).append((s1, s2))
+    for (c1, c2), slots in sorted(by_pair.items()):
+        for i in range(len(slots)):
+            for j in range(i + 1, len(slots)):
+                (sx1, sx2), (sy1, sy2) = slots[i], slots[j]
+                if (sx1 - sy1) % 4 not in (1, 3) or (sx2 - sy2) % 4 not in (1, 3):
+                    continue
+                if sx1 % 2 != sx2 % 2:
+                    continue
+                return {c1: ((sx1, sx1 ^ 2), (sy1, sy1 ^ 2)),
+                        c2: ((sx2, sx2 ^ 2), (sy2, sy2 ^ 2))}
+    return None
+
+
+def simplify_greedy(d) -> Diagram:
+    """Reidemeister-1 kinks first, then Reidemeister-2 bigons, one rebuilt
+    Diagram per move."""
+    while True:
+        victims = find_r1(d) or find_r2(d)
+        if victims is None:
+            return d
+        d = rebuild(d, victims)

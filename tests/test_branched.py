@@ -1,6 +1,7 @@
 """Branched double cover arithmetic: two determinant oracles, H1 groups,
 rank inequality, QA certificates, oriented-resolution filling."""
 
+import json
 import random
 
 import pytest
@@ -284,21 +285,136 @@ def test_failure_memo_keeps_verdicts_and_saves_determinants(monkeypatch):
 
 @pytest.mark.parametrize("name, det_evals", [("5_2", 5), ("6_3", 6)])
 def test_qa_search_evaluates_one_determinant_per_node(monkeypatch, name, det_evals):
-    # a child is simplified and keyed once, and its determinant is taken on
-    # the simplified diagram, once per canonical key: a child met again, or
-    # searched after its determinant was taken, is not evaluated again
+    # a child is formed on raw tuples into one Diagram and keyed once, and
+    # its determinant is taken on it, once per canonical key: a child met
+    # again, or searched after its determinant was taken, is not evaluated
+    # again; with the parsed root, one Diagram is built per key taken
     import cubekh.branched as br
-    calls = []
+    calls, keyed, built = [], [], []
 
     def counted(diag, max_crossings=None):
         calls.append(diag)
         return state_sum_det(diag, max_crossings=max_crossings)
 
+    def counted_key(diag):
+        keyed.append(diag)
+        return canonical_key(diag)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    init = Diagram.__init__
+    pd = [list(c) for c in small_knot(name).crossings]
     monkeypatch.setattr(br, "state_sum_det", counted)
-    cert = qa_certify(small_knot(name))
-    assert len(calls) == det_evals
+    monkeypatch.setattr(br, "canonical_key", counted_key)
+    monkeypatch.setattr(Diagram, "__init__", counted_init)
+    cert = qa_certify(parse_pd(pd))
+    keys = {"5_2": 9, "6_3": 11}[name]
+    assert (len(calls), len(keyed), len(built)) == (det_evals, keys, keys)
     assert len({canonical_key(diag) for diag in calls}) == det_evals
     assert verify_certificate(cert)
+
+
+def occurrences(cert, path=()):
+    """The path of child indices to every occurrence of every node."""
+    yield path
+    for i, child in enumerate(cert.children):
+        yield from occurrences(child, path + (i,))
+
+
+def node_at(cert, path):
+    """The node at path, in a certificate or in its JSON."""
+    for i in path:
+        cert = cert["children"][i] if isinstance(cert, dict) else cert.children[i]
+    return cert
+
+
+def replaced(cert, path, node):
+    """cert with the one occurrence at path replaced by node; the nodes off
+    the path stay shared."""
+    if not path:
+        return node
+    kids = list(cert.children)
+    kids[path[0]] = replaced(kids[path[0]], path[1:], node)
+    return cert._replace(children=tuple(kids))
+
+
+def from_json(node):
+    return QACertificate(parse_pd(node["pd"], free_loops=node["free_loops"]),
+                         node["det"], node.get("crossing"),
+                         tuple(map(from_json, node.get("children", ()))))
+
+
+def verify_every_occurrence(cert) -> bool:
+    """verify_certificate as it was before equal subtrees shared a verdict."""
+    if state_sum_det(cert.diagram) != cert.det:
+        return False
+    if cert.is_leaf:
+        return cert.diagram.n == 0 and cert.diagram.free_loops == 1 and cert.det == 1
+    c0, c1 = cert.children
+    d0 = simplify_greedy(smooth_crossing(cert.diagram, cert.crossing, 0))
+    d1 = simplify_greedy(smooth_crossing(cert.diagram, cert.crossing, 1))
+    if {canonical_key(d0), canonical_key(d1)} != {canonical_key(c0.diagram),
+                                                  canonical_key(c1.diagram)}:
+        return False
+    if c0.det == 0 or c1.det == 0 or c0.det + c1.det != cert.det:
+        return False
+    return verify_every_occurrence(c0) and verify_every_occurrence(c1)
+
+
+def test_certificate_json_renders_each_distinct_node_once():
+    cert = qa_certify(small_knot("6_3"))
+
+    def expanded(node):
+        out = {"pd": [list(c) for c in node.diagram.crossings],
+               "free_loops": node.diagram.free_loops, "det": node.det}
+        if not node.is_leaf:
+            out["crossing"] = node.crossing
+            out["children"] = [expanded(c) for c in node.children]
+        return out
+
+    blob = cert.to_json()
+    assert json.dumps(blob, sort_keys=True) == json.dumps(expanded(cert), sort_keys=True)
+    dicts = [node_at(blob, path) for path in occurrences(cert)]
+    assert (len(dicts), len({id(x) for x in dicts})) == (25, 6)
+
+
+def test_verify_checks_each_distinct_subtree_once(monkeypatch):
+    # 6_3's certificate has 25 occurrences of 6 distinct nodes, shared as
+    # one object each by the search and copied apart by a JSON round trip
+    import cubekh.branched as br
+    checked = []
+
+    def counted(node):
+        checked.append(node)
+        return holds(node)
+
+    holds = br._node_holds
+    monkeypatch.setattr(br, "_node_holds", counted)
+    cert = qa_certify(small_knot("6_3"))
+    for c in (cert, from_json(cert.to_json())):
+        checked.clear()
+        assert verify_certificate(c)
+        assert len(checked) == 6
+
+
+@pytest.mark.parametrize("json_copy", [False, True], ids=["shared", "json"])
+def test_one_tampered_occurrence_of_a_shared_node_is_refused(json_copy):
+    # a node that is shared elsewhere, or equal to a node elsewhere, gets
+    # its own verdict once its subtree differs anywhere below
+    cert = qa_certify(small_knot("6_3"))
+    if json_copy:
+        cert = from_json(cert.to_json())
+    for path in occurrences(cert):
+        node = node_at(cert, path)
+        bad = replaced(cert, path, node._replace(det=node.det + 1))
+        assert not verify_certificate(bad)
+        assert not verify_every_occurrence(bad)
+        if not node.is_leaf:
+            other = node._replace(crossing=(node.crossing + 1) % node.diagram.n)
+            moved = replaced(cert, path, other)
+            assert verify_certificate(moved) == verify_every_occurrence(moved)
 
 
 def test_qa_certified_implies_thin_equality():

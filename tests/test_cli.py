@@ -66,6 +66,17 @@ def test_qa_command(capsys, monkeypatch):
     assert blob["certificate"]["det"] == 3
 
 
+def test_qa_root_det_is_checked_against_goeritz(capsys, monkeypatch):
+    # a certified verdict is printed only once the root's det agrees with
+    # the Goeritz determinant
+    from cubekh.branched import link_det
+    monkeypatch.setattr("cubekh.branched.link_det", lambda d: link_det(d) + 1)
+    code, out = run_cli(capsys, monkeypatch, ["--command", "qa"], TREFOIL)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "internal", "detail": "det oracles disagree: 4 vs 3"}
+
+
 def test_rankcheck_command(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, ["--command", "rankcheck"], TREFOIL)
     assert code == 0

@@ -1,9 +1,11 @@
 """Diagram generators: braid closures, rational links, corpus determinism."""
 
+import hashlib
 import random
 
 import pytest
 
+from cubekh.acceptance import CORPUS_MAX_CROSSINGS, CORPUS_SEED
 from cubekh.corpus import (
     braid_closure,
     diagram_corpus,
@@ -69,6 +71,16 @@ def test_corpus_deterministic_and_distinct():
     assert [d.crossings for d in a] == [d.crossings for d in b]
     assert len({(d.crossings, d.free_loops) for d in a}) == 40
     assert all(d.n <= 6 and len(d.pd_components()) <= 1 for d in a)
+
+
+def test_acceptance_corpus_is_pinned():
+    # braid closures and rational diagrams glue and number their arcs with
+    # the same helpers that form smoothings, so the corpus pins them too
+    h = hashlib.sha256()
+    for d in diagram_corpus(CORPUS_SEED, 500, CORPUS_MAX_CROSSINGS):
+        h.update(repr((d.crossings, d.free_loops)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "f2eda63e0ebb5b41ebae9a1dc3413f8eec1b7060f5980ba54cdee523011e04ff")
 
 
 def test_random_marking_compatibility():

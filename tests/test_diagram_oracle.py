@@ -5,7 +5,9 @@ every smoothing of its diagrams and the greedy simplification of each, and
 on random braid closures with free loops; and canonical keys under
 relabelling.  The oracle names darts as (crossing, slot) pairs; its heads
 and faces are converted to the dart ints x = 4 * crossing + slot that
-`Diagram.arc_head` and `PlanarMap` hold before they are compared."""
+`Diagram.arc_head` and `PlanarMap` hold before they are compared.  Every
+child a QA node forms (`simplified_smoothing`, on raw tuples) is checked
+against the oracle's per-move path, one rebuilt Diagram per move."""
 
 import random
 
@@ -15,12 +17,13 @@ from hypothesis import strategies as st
 
 import diagram_oracle as oracle
 from cubekh.acceptance import corpus
-from cubekh.corpus import random_braid_diagram
+from cubekh.corpus import braid_closure, random_braid_diagram
 from cubekh.diagram import (
     Diagram,
     canonical_key,
     normalize_under_slots,
     planar_map,
+    simplified_smoothing,
     simplify_greedy,
     smooth_crossing,
 )
@@ -79,6 +82,45 @@ def test_random_braid_diagram_layer_matches_oracle(seed, free_loops):
     flags = [rng.choice((1, -1)) for _ in d.components]
     check_against_oracle(Diagram(d.crossings, free_loops=free_loops,
                                  orientation=flags))
+
+
+def same(got, want):
+    return (got.crossings, got.free_loops) == (want.crossings, want.free_loops)
+
+
+def check_children_against_oracle(d):
+    """d's simplification and every child of d, each crossing and both
+    bits, against the per-move oracle, and their canonical keys."""
+    assert same(simplify_greedy(d), oracle.simplify_greedy(d))
+    assert canonical_key(d) == oracle.canonical_key(d)
+    for ci in range(d.n):
+        for bit in (0, 1):
+            smoothed = oracle.smooth_crossing(d, ci, bit)
+            assert same(smooth_crossing(d, ci, bit), smoothed)
+            child = simplified_smoothing(d, ci, bit)
+            assert same(child, oracle.simplify_greedy(smoothed))
+            assert canonical_key(child) == oracle.canonical_key(child)
+
+
+def test_first_corpus_children_match_per_move_oracle():
+    for d in corpus()[:100]:
+        check_children_against_oracle(d)
+
+
+@given(seed=st.integers(0, 2**32 - 1), free_loops=st.integers(0, 2))
+def test_random_link_children_match_per_move_oracle(seed, free_loops):
+    rng = random.Random(seed)
+    d = random_braid_diagram(rng, max_crossings=9)
+    while len(d.components) < 2:
+        d = random_braid_diagram(rng, max_crossings=9)
+    check_children_against_oracle(Diagram(d.crossings, free_loops=free_loops))
+
+
+@pytest.mark.parametrize("word", [[1, -2] * 7, [1, 2] * 5],
+                         ids=["s1_s2inv_7", "s1_s2_5"])
+def test_tie_heavy_closure_keys_match_oracle(word):
+    # symmetric closures, where many walk starts tie on their least tuple
+    check_children_against_oracle(braid_closure(word, 3))
 
 
 def relabelled(d, rng):

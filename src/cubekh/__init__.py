@@ -19,7 +19,6 @@ from .branched import (
     verify_certificate,
 )
 from .complexes import (
-    DoubleComplexF2,
     FilteredComplexF2,
     GradedComplexF2,
     SpectralPages,

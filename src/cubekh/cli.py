@@ -18,6 +18,7 @@ from .errors import (
     FiltrationViolation,
     IncompatibleMarking,
     InternalInconsistency,
+    InvalidRange,
     NotAComplex,
     NotBicomplex,
     SizeBudgetExceeded,
@@ -50,6 +51,10 @@ MAX_QA_BUDGET = 100_000
 
 # the most free loops, each a Z summand of the result, an h1 job may ask for
 MAX_H1_FREE_LOOPS = 10_000
+
+# the most crossings of an h1 job: its Goeritz matrix, of at least n/2 rows
+# and columns, is built and brought to Smith normal form
+MAX_H1_CROSSINGS = 500
 
 COMMANDS = ("kh", "khr", "twisted", "hd", "ss", "det", "h1", "qa",
             "rankcheck", "surgery", "plumbing", "lspace", "selftest")
@@ -185,6 +190,9 @@ def run_job(command: str, payload: dict, max_crossings: int | None = None) -> di
         if d.free_loops > MAX_H1_FREE_LOOPS:
             raise SizeBudgetExceeded(f"{d.free_loops} free loops exceed the h1 limit "
                                      f"of {MAX_H1_FREE_LOOPS}")
+        if d.n > MAX_H1_CROSSINGS:
+            raise SizeBudgetExceeded(f"{d.n} crossings exceed the h1 limit "
+                                     f"of {MAX_H1_CROSSINGS}")
         return {"h1": _group_json(h1_sigma(d))}
     if command == "qa":
         d = _diagram_from(payload)
@@ -275,11 +283,15 @@ def main(argv=None) -> int:
     ap.add_argument("--max-crossings", type=int, default=None)
     ap.add_argument("--json-indent", type=int, default=None)
     args = ap.parse_args(argv)
+    indent = args.json_indent
 
     def emit(obj) -> None:
-        print(json.dumps(obj, sort_keys=True, indent=args.json_indent))
+        print(json.dumps(obj, sort_keys=True, indent=indent))
 
     try:
+        if indent is not None and indent < 0:
+            indent = None           # the asked-for indent is invalid: print compactly
+            raise InvalidRange(f"json_indent must be non-negative, got {args.json_indent}")
         try:
             if args.command == "selftest":
                 raw = ""            # the acceptance suite reads no payload

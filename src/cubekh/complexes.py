@@ -1,11 +1,13 @@
-"""Finite chain complexes over GF(2): graded, double, filtered; homology,
-mapping cones, and the spectral sequence of a filtered complex.
+"""Finite chain complexes over GF(2): graded and filtered; total complexes
+of double complexes, homology, mapping cones, and the spectral sequence of
+a filtered complex.
 
 The internal homological degree convention is that differentials raise
 degree by one (cube weight in the Khovanov application).  Every complex is
-checked when it is built: d^2 = 0, and for a double complex that d_h and
-d_v commute.  A mapping cone is the total complex of a two-column double
-complex, so that check is also the one that a map is a chain map.
+checked when it is built: d^2 = 0, and for a double complex, given to
+`total_complex` as its blocks, that d_h and d_v commute.  A mapping cone is
+the total complex of a two-column double complex, so that check is also
+the one that a map is a chain map.
 Homology and the spectral sequence pages share one cleared row elimination
 (`_cleared_pivots`), valid because d^2 = 0 was checked when the complex
 was built; the pages are read off the persistence pairing it gives, which
@@ -132,32 +134,18 @@ def homology_ranks(c: GradedComplexF2) -> dict:
     return out
 
 
-class DoubleComplexF2:
-    """Bigraded complex with d_h : (p,q) -> (p+1,q), d_v : (p,q) -> (p,q+1).
+def total_complex(dims: Mapping[tuple, int], d_h: Mapping[tuple, MatF2],
+                  d_v: Mapping[tuple, MatF2]) -> tuple[GradedComplexF2, dict]:
+    """Total complex of the double complex with cells dims[(p, q)] and
+    blocks d_h : (p, q) -> (p + 1, q), d_v : (p, q) -> (p, q + 1): degree
+    p + q and differential D = d_h + d_v, each degree holding its summands
+    by descending p, so that p read as a filtration level never rises
+    within a degree (`FilteredComplexF2`).
 
     Over GF(2) the bicomplex condition is d_h^2 = 0, d_v^2 = 0 and that d_h
-    and d_v commute.  Out of each cell, D = d_h + d_v has D^2 made of exactly
-    those three blocks, so the condition is checked once, as D^2 = 0 on the
-    total complex, which is built at construction and kept as `total` (with
-    `positions`, see `total_complex`).  The blocks d_h and d_v are kept as
-    given; building the total complex refuses one of the wrong shape, also
-    at an empty cell.
-    """
-
-    def __init__(self, dims: Mapping[tuple, int], d_h: Mapping[tuple, MatF2],
-                 d_v: Mapping[tuple, MatF2]):
-        self.dims = {pq: int(v) for pq, v in dims.items() if v}
-        self.d_h, self.d_v = d_h, d_v
-        try:
-            self.total, self.positions = total_complex(self)
-        except NotAComplex as e:
-            raise NotBicomplex(f"total differential d_h + d_v: {e}") from None
-
-
-def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
-    """Total complex with degree p + q and differential d_h + d_v, each
-    degree holding its summands by descending p, so that p read as a
-    filtration level never rises within a degree (`FilteredComplexF2`).
+    and d_v commute.  Out of each cell, D^2 is made of exactly those three
+    blocks, so the condition is checked once, as D^2 = 0 when the total
+    complex is built (NotBicomplex if not).
 
     Returns (complex, positions) where positions maps (p, q) to the
     coordinate offset of that summand inside its total degree.  One loop
@@ -166,16 +154,17 @@ def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
     DimensionMismatch naming the block if not), then its rows are ORed in
     at the two cells' offsets.
     """
-    dims: dict = {}
+    cells = {pq: int(v) for pq, v in dims.items() if v}
+    totals: dict = {}
     positions = {}
-    for p, q in sorted(dc.dims, reverse=True):
-        positions[(p, q)] = dims.get(p + q, 0)
-        dims[p + q] = positions[(p, q)] + dc.dims[(p, q)]
-    rows = {t: [0] * dims[t + 1] for t in sorted(dims) if t + 1 in dims}
-    for name, blocks, (dp, dq) in (("d_h", dc.d_h, (1, 0)), ("d_v", dc.d_v, (0, 1))):
+    for p, q in sorted(cells, reverse=True):
+        positions[(p, q)] = totals.get(p + q, 0)
+        totals[p + q] = positions[(p, q)] + cells[(p, q)]
+    rows = {t: [0] * totals[t + 1] for t in sorted(totals) if t + 1 in totals}
+    for name, blocks, (dp, dq) in (("d_h", d_h, (1, 0)), ("d_v", d_v, (0, 1))):
         for (p, q), m in blocks.items():
             tgt = (p + dp, q + dq)
-            shape = (dc.dims.get(tgt, 0), dc.dims.get((p, q), 0))
+            shape = (cells.get(tgt, 0), cells.get((p, q), 0))
             if (m.nrows, m.ncols) != shape:
                 raise DimensionMismatch(f"{name} at {(p, q)} is {m.nrows}x{m.ncols}, "
                                         f"expected {shape[0]}x{shape[1]}")
@@ -183,8 +172,11 @@ def total_complex(dc: DoubleComplexF2) -> tuple[GradedComplexF2, dict]:
                 out, r0, c0 = rows[p + q], positions[tgt], positions[(p, q)]
                 for i, r in enumerate(m.rows, r0):
                     out[i] |= r << c0
-    diffs = {t: MatF2(dims[t + 1], dims[t], tuple(r)) for t, r in rows.items()}
-    return GradedComplexF2(dims, diffs), positions
+    diffs = {t: MatF2(totals[t + 1], totals[t], tuple(r)) for t, r in rows.items()}
+    try:
+        return GradedComplexF2(totals, diffs), positions
+    except NotAComplex as e:
+        raise NotBicomplex(f"total differential d_h + d_v: {e}") from None
 
 
 def mapping_cone(source: GradedComplexF2, target: GradedComplexF2,
@@ -200,7 +192,7 @@ def mapping_cone(source: GradedComplexF2, target: GradedComplexF2,
     d_v = {(-1, k): m for k, m in source.differentials.items()}
     d_v.update(((0, k), m) for k, m in target.differentials.items())
     try:
-        return DoubleComplexF2(dims, {(-1, k): m for k, m in blocks.items()}, d_v).total
+        return total_complex(dims, {(-1, k): m for k, m in blocks.items()}, d_v)[0]
     except NotBicomplex as e:
         raise NotChainMap(f"Cone(f): {e}") from None
 

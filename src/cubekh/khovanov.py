@@ -69,10 +69,10 @@ stays one, and then p1 = p2 gives a key of its own, refused on its first
 edge.
 
 The 2^(n-1)·n edges of a cube have few shapes (86 for the 24 576 edges of
-a 12-crossing 3-braid closure), so a cube builds the full and the reduced
-map of each shape once, rewritten into the slot basis (`_edge_block`),
-and every complex built on the cube places that block at each edge of the
-shape (`_d_h`).
+a 12-crossing 3-braid closure), so each complex builds the map of each
+shape once, rewritten into the slot basis (`_edge_block`), and places that
+block at each edge of the shape (`_d_h`).  The cube is read-only: every job
+builds one complex on its own cube, so blocks are built once per complex.
 
 Every twisted job goes through one entry, `twisted_complex`, which refuses
 a bad marking before any state is resolved and returns a `TwistedComplex`;
@@ -176,8 +176,9 @@ class CubeComplex:
     the k-th edge out of `bits` is bits -> bits | 1 << t for the k-th t
     with bit t of `bits` unset (`_d_h` walks them so).  Its
     complexes share one slot basis: positions[x] is the position of basis
-    index x among the indices of its bit count, ascending, and `blocks`
-    holds each (shape, reduced)'s map in those positions (`_edge_block`)."""
+    index x among the indices of its bit count, ascending.  The cube is
+    read-only; each complex built on it rewrites each shape's map into
+    those positions once (`_edge_block`)."""
 
     def __init__(self, d: Diagram, max_crossings: int | None = None):
         _check_budget(d, max_crossings, d.free_loops)
@@ -198,7 +199,6 @@ class CubeComplex:
         for x in range(1 << size):
             self.positions.append(seen[x.bit_count()])
             seen[x.bit_count()] += 1
-        self.blocks: dict = {}
         self.shapes: list[EdgeShape] = []
         self.edges: list[int] = []
         self._classify()
@@ -273,8 +273,8 @@ def edge_map(shape: EdgeShape, marked: tuple[int, int] | None = None) -> MatF2:
     circle, in ascending order.
 
     The matrix is a function of the shape and the marked pair alone.  The
-    cube complexes mark circle 0 in every state, so a cube builds it once
-    per shape and per marked pair None or (0, 0) through `_edge_block`.
+    cube complexes mark circle 0 in every state, so a complex builds it
+    once per shape, at the marked pair None or (0, 0), through `_edge_block`.
 
     The image of each source subset is the image of the subset without its
     highest circle plus that circle's image, so the work grows with the
@@ -330,37 +330,28 @@ def edge_map(shape: EdgeShape, marked: tuple[int, int] | None = None) -> MatF2:
     return MatF2(len(rows), len(out), tuple(rows))
 
 
-def _edge_block(cube: CubeComplex, shape: int, reduced: bool) -> list:
-    """`edge_map(cube.shapes[shape])`, or its reduced map at the marked
-    circles (0, 0), in the slot basis of `_place`, as ((source degree,
-    target degree), [(i, bits)]) pairs, with i and the bits of bits
-    positions within the two slots.  The map is built once per (shape,
-    reduced) and kept in `cube.blocks`, which every complex built on the
-    cube shares; a cube has far fewer shapes than edges.  An entry whose
-    source and target have different quantum gradings raises
-    InternalInconsistency."""
-    key = (shape, reduced)
-    block = cube.blocks.get(key)
-    if block is None:
-        pos, sh = cube.positions, cube.shapes[shape]
-        # q = k - 2|S| + w is kept iff 2 (|S_t| - |S_s|) = k_t - k_s + 1
-        shift = sh.n_target - len(sh.correspondence) + 1
-        by_degrees: dict[tuple, list] = {}
-        m = edge_map(sh, (0, 0) if reduced else None)
-        for i, row in enumerate(m.rows):
-            if not row:
-                continue
-            bits, degree = 0, i.bit_count()
-            while row:
-                low = row & -row
-                row ^= low
-                col = low.bit_length() - 1
-                if 2 * (degree - col.bit_count()) != shift:
-                    raise InternalInconsistency("d_h must preserve the quantum grading")
-                bits |= 1 << pos[col]
-            by_degrees.setdefault((degree - shift // 2, degree), []).append((pos[i], bits))
-        block = cube.blocks[key] = list(by_degrees.items())
-    return block
+def _edge_block(shape: EdgeShape, positions: list, reduced: bool) -> list:
+    """`edge_map(shape)`, or its reduced map at the marked circles (0, 0),
+    in the slot basis of `_place` (`CubeComplex.positions`), as ((source
+    degree, target degree), [(i, bits)]) pairs, with i and the bits of bits
+    positions within the two slots.  An entry whose source and target have
+    different quantum gradings raises InternalInconsistency."""
+    # q = k - 2|S| + w is kept iff 2 (|S_t| - |S_s|) = k_t - k_s + 1
+    shift = shape.n_target - len(shape.correspondence) + 1
+    by_degrees: dict[tuple, list] = {}
+    for i, row in enumerate(edge_map(shape, (0, 0) if reduced else None).rows):
+        if not row:
+            continue
+        bits, degree = 0, i.bit_count()
+        while row:
+            low = row & -row
+            row ^= low
+            col = low.bit_length() - 1
+            if 2 * (degree - col.bit_count()) != shift:
+                raise InternalInconsistency("d_h must preserve the quantum grading")
+            bits |= 1 << positions[col]
+        by_degrees.setdefault((degree - shift // 2, degree), []).append((positions[i], bits))
+    return list(by_degrees.items())
 
 
 def _place(cube: CubeComplex, vertices, reduced: bool, cell_of, dims: dict,
@@ -393,13 +384,13 @@ def _d_h(cube: CubeComplex, reduced: bool, dims: dict, cells: list,
          offsets: list) -> dict:
     """The rows of the differential of the cells `_place` laid out, one list
     per cell, into the next cell (w, r) -> (w + 1, r), or t -> t + 1 for
-    total degrees: each edge XORs its shape's block (`_edge_block`, taken
-    from a list indexed by shape) into its source cell's rows, shifted to
-    the offsets of its source and target slots.  The edges are walked as
-    `cube.edges` lists them, vertex by vertex and then by ascending unset
-    crossing, reading each edge's shape beside the walk."""
+    total degrees: each edge XORs its shape's block (`_edge_block`, built
+    once per shape into a list indexed by shape) into its source cell's
+    rows, shifted to the offsets of its source and target slots.  The edges
+    are walked as `cube.edges` lists them, vertex by vertex and then by
+    ascending unset crossing, reading each edge's shape beside the walk."""
     rows = {cell: [0] * dims.get(_shift(cell, 1), 0) for cell in dims}
-    blocks = [_edge_block(cube, shape, reduced) for shape in range(len(cube.shapes))]
+    blocks = [_edge_block(shape, cube.positions, reduced) for shape in cube.shapes]
     shapes = cube.edges
     crossing_bits = [1 << t for t in range(cube.diagram.n)]
     # a cells tuple is shared by the vertices of one (k, w), so its row
@@ -536,10 +527,6 @@ def _marking_parities(cube: CubeComplex, marking: ArcMarking) -> list[list]:
     return out
 
 
-def _vertical_degree_offset(cube: CubeComplex) -> int:
-    return cube.states[0].n_circles % 2
-
-
 class TwistedComplex(NamedTuple):
     """The twisted complex in total degree t = w + v: `total` has the
     differential D = d_h + d_v, `weights[t]` lists the cube weight of each
@@ -578,7 +565,7 @@ def _twisted(cube: CubeComplex, marking: ArcMarking) -> TwistedComplex:
     (`_check_euler`), as in `khr_ranks`, before any differential is built."""
     parities = _marking_parities(cube, marking)
     odd = [any(p) for p in parities]
-    par = _vertical_degree_offset(cube)
+    par = cube.states[0].n_circles % 2     # v = (par - q)/2 at every generator
 
     def total_of(w, q):
         if (par - q) % 2:

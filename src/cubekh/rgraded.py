@@ -177,11 +177,8 @@ def _matrix(nrows: int, ncols: int, entries) -> MatF2:
 
 def _positions(src_grades, tgt_grades, eps) -> list:
     """Entries (i, j), row by row, that a map of shifts >= 2*eps may use."""
-    ones = MatF2(len(tgt_grades), len(src_grades),
-                 ((1 << len(src_grades)) - 1,) * len(tgt_grades))
-    kept = _keep(ones, src_grades, tgt_grades, lambda s: s >= 2 * eps)
-    return [(i, j) for i, r in enumerate(kept.rows)
-            for j in range(len(src_grades)) if (r >> j) & 1]
+    return [(i, j) for i, t in enumerate(tgt_grades)
+            for j, s in enumerate(src_grades) if t - s >= 2 * eps]
 
 
 def _random_solution(rng, positions: list, image) -> list:

@@ -33,6 +33,9 @@ MAX_PLUMBING_DEPTH = 500
 # multiplicity-3 vertices takes about 2.6 times more steps per added vertex,
 # so the depth budget alone lets the step list outgrow memory
 MAX_PLUMBING_STEPS = 200_000
+# vertices of one plumbing graph: its n x n linking matrix is built and its
+# Bareiss determinant taken, O(n^3), before any other check
+MAX_PLUMBING_VERTICES = 500
 
 
 def _norm_framing(v) -> int | str:
@@ -126,28 +129,21 @@ def triad_additivity_check(p: FramedLinkPresentation, k: int) -> TriadReport:
 # Plumbing graphs
 # ---------------------------------------------------------------------------
 
-class PlumbingGraph:
+class PlumbingGraph(NamedTuple("PlumbingGraph", [("multiplicities", tuple),
+                                                 ("edges", tuple)])):
     """Vertices carry integer multiplicities; edges are index pairs.  Equal
     and hashed by value: the leaf induction keys its plan on graphs."""
 
-    __slots__ = ("multiplicities", "edges")
+    __slots__ = ()
 
-    def __init__(self, multiplicities: tuple, edges: tuple):
+    def __new__(cls, multiplicities: tuple, edges: tuple):
         n = len(multiplicities)
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise DimensionMismatch(f"edge ({a},{b}) out of range")
             if a == b:
                 raise DimensionMismatch("plumbing graphs here have no self-loops")
-        self.multiplicities, self.edges = multiplicities, edges
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.multiplicities == other.multiplicities and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.multiplicities, self.edges))
+        return tuple.__new__(cls, (multiplicities, edges))
 
     @staticmethod
     def from_lists(mult: Sequence[int], edges: Sequence[Sequence[int]]) -> "PlumbingGraph":
@@ -201,12 +197,21 @@ def plumbing_h1_order(g: PlumbingGraph) -> int:
 
 
 class DerivationStep:
-    __slots__ = ("kind", "description", "orders")
+    """One step of a derivation: its kind ("lens-seed", "contract-leaf",
+    "triad" or "connected-sum"), description and orders, (|H1|,) or the
+    additive triple (parent, child1, child2).  A leaf-induction step is made
+    while its derivation is counted (`_step_count`), with its children's
+    steps, last first (as a preorder walk pushes them), and the number of
+    steps the induction writes for it; its orders are filled in once the
+    count is within budget.  Hashed by identity: all the occurrences of a
+    distinct graph share its one step."""
 
-    def __init__(self, kind: str, description: str, orders: tuple):
-        self.kind = kind                 # "lens-seed", "contract-leaf", "triad", "connected-sum"
-        self.description = description
-        self.orders = orders             # (|H1|,) or the additive triple (parent, child1, child2)
+    __slots__ = ("kind", "description", "orders", "children", "count")
+
+    def __init__(self, kind: str, description: str, orders: tuple,
+                 children: Sequence = (), count: int = 1):
+        self.kind, self.description, self.orders = kind, description, orders
+        self.children, self.count = children, count
 
 
 class LSpaceVerdict:
@@ -275,41 +280,33 @@ def _induction_step(g: PlumbingGraph) -> tuple[str, str, tuple]:
              g.with_multiplicity(leaf, g.multiplicities[leaf] - 1)))
 
 
-class _PlanEntry:
-    """A distinct graph of a leaf induction: its step's kind and description,
-    its children's entries, last first (as a preorder walk pushes them), and
-    the number of steps the induction writes for it.  Its step is built once
-    the derivation is within budget, and all its occurrences share it."""
-
-    __slots__ = ("kind", "description", "children", "count", "step")
-
-    def __init__(self, kind: str, description: str, children: list, count: int):
-        self.kind, self.description, self.children, self.count = kind, description, children, count
-        self.step: DerivationStep | None = None
-
-
 def _step_count(g: PlumbingGraph, plan: dict) -> int:
     """The number of steps the leaf induction writes for g, 1 plus its
-    children's.  `plan` maps every graph met so far to its entry, inserted
-    after its children's, so each distinct graph is looked at once."""
-    entry = plan.get(g)
-    if entry is None:
+    children's.  `plan` maps every graph met so far to its step, orders not
+    yet filled in, inserted after its children's, so each distinct graph is
+    looked at once."""
+    step = plan.get(g)
+    if step is None:
         kind, description, children = _induction_step(g)
         count = 1
         for child in children:
             count += _step_count(child, plan)
-        entry = plan[g] = _PlanEntry(kind, description,
-                                     [plan[child] for child in reversed(children)],
-                                     count)
-    return entry.count
+        step = plan[g] = DerivationStep(kind, description, (),
+                                        [plan[child] for child in reversed(children)],
+                                        count)
+    return step.count
 
 
 def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
     """Certify Y(G, m) as an L-space by the leaf induction, recording the
-    derivation chain with |H1| values at every step.  The steps are counted
-    before any is written, so a derivation over the step budget is refused
-    at the cost of its distinct graphs, not of its steps, and each distinct
-    graph gets one step, shared by all its occurrences in the derivation."""
+    derivation chain with |H1| values at every step.  Each distinct graph
+    gets one step, made while the steps are counted and shared by all its
+    occurrences, so a derivation over the step budget is refused at the
+    cost of its distinct graphs and g's order, not of its steps."""
+    if g.vertices > MAX_PLUMBING_VERTICES:
+        raise SizeBudgetExceeded(
+            f"plumbing graph of {g.vertices} vertices exceeds the budget of "
+            f"{MAX_PLUMBING_VERTICES} vertices")
     order = plumbing_h1_order(g)
     comps = g.component_vertices()
     if not _plumbing_hypotheses_hold(g, comps):
@@ -325,29 +322,28 @@ def plumbing_lspace_check(g: PlumbingGraph) -> LSpaceVerdict:
         raise SizeBudgetExceeded(
             f"plumbing derivation exceeds the budget of {MAX_PLUMBING_STEPS} "
             f"leaf-induction steps")
-    # each distinct graph's step, children before parents (g's order is known)
+    # each distinct graph's orders, children before parents (g's is known)
     root = plan.get(g)
-    for graph, entry in plan.items():
-        if entry.kind == "lens-seed":
-            orders = (graph.multiplicities[0],)
-        else:
-            o = order if entry is root else plumbing_h1_order(graph)
-            orders = (o, *(child.step.orders[0] for child in entry.children))
-            if entry.kind == "triad" and o != orders[1] + orders[2]:
-                raise InternalInconsistency("plumbing derivation became inconsistent")
-        entry.step = DerivationStep(entry.kind, entry.description, orders)
+    for graph, step in plan.items():
+        if step.kind == "lens-seed":
+            step.orders = (graph.multiplicities[0],)
+            continue
+        o = order if step is root else plumbing_h1_order(graph)
+        step.orders = (o, *(child.orders[0] for child in step.children))
+        if step.kind == "triad" and o != step.orders[1] + step.orders[2]:
+            raise InternalInconsistency("plumbing derivation became inconsistent")
     # each component's steps in preorder: a step, its first child's, its second's
     roots = [plan[sub] for sub in subs]
     steps: list[DerivationStep] = []
     stack = roots[::-1]
     while stack:
-        entry = stack.pop()
-        steps.append(entry.step)
-        stack += entry.children
+        step = stack.pop()
+        steps.append(step)
+        stack += step.children
     if len(comps) > 1:
         steps.append(DerivationStep("connected-sum",
                                     f"connected sum of {len(comps)} plumbed pieces",
-                                    (order, *(e.step.orders[0] for e in roots))))
+                                    (order, *(r.orders[0] for r in roots))))
     verdict = LSpaceVerdict("certified", order, tuple(steps))
     if not verdict.reverify():
         raise InternalInconsistency("derivation chain failed re-verification")

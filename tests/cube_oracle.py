@@ -15,10 +15,12 @@ the kh, Khr and twisted differentials placed edge by edge from one
 lists a reduced basis in the order every map here uses.
 """
 
-from cubekh.complexes import DoubleComplexF2, GradedComplexF2
+from typing import NamedTuple
+
+from cubekh.complexes import GradedComplexF2
 from cubekh.diagram import RES0_PAIRS, RES1_PAIRS
 from cubekh.errors import BadCircleMap, IncompatibleMarking, InternalInconsistency
-from cubekh.khovanov import _vertical_degree_offset, edge_map
+from cubekh.khovanov import edge_map
 from cubekh.linalg import MatF2
 from linalg_helpers import plain_homology_ranks
 
@@ -213,7 +215,7 @@ def hd_even_oracle(cube, marking, basepoint) -> dict[tuple, int]:
     Entries of an edge map that change the vertical degree are dropped."""
     mark = marked_circle(cube.diagram, basepoint)
     parities = marking_parities(cube, marking)
-    par = _vertical_degree_offset(cube)
+    par = cube.states[0].n_circles % 2
     even = [index for index in cube.vertices if not any(parities[index])]
 
     # per even vertex: (vertical degree, position among that degree's
@@ -329,12 +331,21 @@ def split_by_quantum_grading(cube, basepoint, cx):
     return dims, {cell: MatF2(len(r), dims[cell], tuple(r)) for cell, r in blocks.items()}
 
 
+class DoubleBlocks(NamedTuple):
+    """A double complex as its cells and blocks, the arguments of
+    `total_complex`: d_h : (p, q) -> (p + 1, q), d_v : (p, q) -> (p, q + 1)."""
+    dims: dict
+    d_h: dict
+    d_v: dict
+
+
 def twisted_per_edge(cube, marking, basepoint):
-    """The twisted double complex and its all-even counts per cell, with one
-    `edge_map` call per edge."""
+    """The twisted double complex's blocks (`DoubleBlocks`, unchecked until
+    `total_complex(*blocks)` builds its total) and its all-even counts per
+    cell, with one `edge_map` call per edge."""
     mark = marked_circle(cube.diagram, basepoint)
     parities = marking_parities(cube, marking)
-    par = _vertical_degree_offset(cube)
+    par = cube.states[0].n_circles % 2
 
     dims: dict[tuple, int] = {}
     even: dict[tuple, int] = {}
@@ -396,4 +407,4 @@ def twisted_per_edge(cube, marking, basepoint):
                            tuple(rows)) for cell, rows in d_h.items()}
     dv_mats = {cell: MatF2(dims.get((cell[0], cell[1] + 1), 0), dims[cell],
                            tuple(rows)) for cell, rows in d_v.items()}
-    return DoubleComplexF2(dims, dh_mats, dv_mats), even
+    return DoubleBlocks(dims, dh_mats, dv_mats), even

@@ -124,6 +124,22 @@ def test_negative_cube_budget_is_invalid_range(capsys, monkeypatch, command):
         "kind": "InvalidRange", "detail": "max_crossings must be non-negative, got -1"}
 
 
+@pytest.mark.parametrize("command", ["det", "selftest"])
+def test_negative_json_indent_is_invalid_range(capsys, monkeypatch, command):
+    # refused before any work, on one line since the asked-for indent is
+    # invalid; an indent of 0 still prints one key per line
+    code, out = run_cli(capsys, monkeypatch,
+                        ["--command", command, "--json-indent", "-3"], TREFOIL)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": {
+        "kind": "InvalidRange", "detail": "json_indent must be non-negative, got -3"}}
+    code, out = run_cli(capsys, monkeypatch,
+                        ["--command", "det", "--json-indent", "0"], TREFOIL)
+    assert code == 0 and json.loads(out)["det"] == 3
+    assert out.count("\n") == 7
+
+
 def _count_diagram_facts(monkeypatch) -> dict:
     """Lists that grow by one per Diagram built, per union-find pass over
     the projection's pieces and per planar map traced."""
@@ -190,6 +206,59 @@ def test_h1_free_loops_limit(capsys, monkeypatch):
     assert json.loads(out)["error"] == {
         "kind": "budget", "detail": f"{MAX_H1_FREE_LOOPS + 1} free loops exceed "
                                     f"the h1 limit of {MAX_H1_FREE_LOOPS}"}
+
+
+def _over_and_at_limit(capsys, monkeypatch, command, over, at):
+    """The refusal's detail for `command` on the payload `over`, one over
+    its size limit, which must be refused within 0.1 s and a 1 MB
+    tracemalloc peak, and the exit code and output on `at`, at the limit."""
+    import time
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, monkeypatch, ["--command", command], over)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and json.loads(out)["error"]["kind"] == "budget"
+    assert elapsed < 0.1 and peak < 1 << 20
+    return json.loads(out)["error"]["detail"], run_cli(capsys, monkeypatch,
+                                                       ["--command", command], at)
+
+
+def test_h1_crossings_limit(capsys, monkeypatch):
+    # the Goeritz matrix grows with the crossings: one crossing over the
+    # limit is refused before the diagram's matrix is built
+    from cubekh.cli import MAX_H1_CROSSINGS
+    from cubekh.corpus import braid_closure
+
+    def closure(n):
+        d = braid_closure(([1, -2] * n)[:n], 3)
+        return {"pd": [list(c) for c in d.crossings]}
+
+    detail, (code, out) = _over_and_at_limit(
+        capsys, monkeypatch, "h1", closure(MAX_H1_CROSSINGS + 1), closure(MAX_H1_CROSSINGS))
+    assert detail == (f"{MAX_H1_CROSSINGS + 1} crossings exceed the h1 limit "
+                      f"of {MAX_H1_CROSSINGS}")
+    assert code == 0 and "h1" in json.loads(out)
+
+
+def test_plumbing_vertices_limit(capsys, monkeypatch):
+    # the linking matrix and its determinant grow with the vertices: one
+    # vertex over the limit is refused before the matrix is built
+    from cubekh.surgery import MAX_PLUMBING_VERTICES
+
+    def graph(n):
+        return {"plumbing": {"mult": [-2] * n}}
+
+    detail, (code, out) = _over_and_at_limit(
+        capsys, monkeypatch, "plumbing", graph(MAX_PLUMBING_VERTICES + 1),
+        graph(MAX_PLUMBING_VERTICES))
+    assert detail == (f"plumbing graph of {MAX_PLUMBING_VERTICES + 1} vertices exceeds "
+                      f"the budget of {MAX_PLUMBING_VERTICES} vertices")
+    assert code == 0 and json.loads(out)["h1"] == 2 ** MAX_PLUMBING_VERTICES
 
 
 def test_env_budget(capsys, monkeypatch):
@@ -628,13 +697,18 @@ from cubekh.corpus import small_knot
 from cubekh.diagram import ArcMarking
 from cubekh.errors import InternalInconsistency
 d = small_knot("3_1")
-real_offset = kh._vertical_degree_offset
-kh._vertical_degree_offset = lambda cube: 1 - real_offset(cube)
+real_build = kh.build_cube
+def odd_cube(d, max_crossings=None):
+    # a circle more in the all-0 state flips the vertical degree's parity
+    cube = real_build(d, max_crossings)
+    cube.states[0] = cube.states[0]._replace(n_circles=cube.states[0].n_circles + 1)
+    return cube
+kh.build_cube = odd_cube
 try:
     kh.twisted_complex(d, ArcMarking.zero(d))
 except InternalInconsistency:
     print("twisted")
-kh._vertical_degree_offset = real_offset
+kh.build_cube = real_build
 import psi_oracle
 real_psi = psi_oracle.psi_identification
 def reversed_psi(state, marked):
@@ -1079,20 +1153,24 @@ def test_plumbing_reaches_step_budget_before_outgrowing_it(capsys, monkeypatch):
 
 def test_over_budget_derivation_refused_before_any_step(capsys, monkeypatch):
     # the 13-vertex chain needs more than MAX_PLUMBING_STEPS steps; counting
-    # them over its few distinct graphs refuses it before a step is built
+    # them over its few distinct graphs refuses it before any step's order
+    # is computed or any step is listed
     import time
     import tracemalloc
 
-    def no_step(*args):
-        raise AssertionError("wrote a derivation step past the budget")
-
-    monkeypatch.setattr("cubekh.surgery.DerivationStep", no_step)
+    import cubekh.surgery as surgery
+    orders = []
+    real_order = surgery.plumbing_h1_order
+    monkeypatch.setattr(surgery, "plumbing_h1_order",
+                        lambda g: orders.append(g) or real_order(g))
     chain = {"plumbing": {"mult": [3] * 13, "edges": [[i, i + 1] for i in range(12)]}}
     t0 = time.perf_counter()
     code, _ = run_cli(capsys, monkeypatch, ["--command", "plumbing"], chain)
     elapsed = time.perf_counter() - t0
     assert code == 3
     assert elapsed < 0.1
+    # the refused derivation computed the root's order and no step's
+    assert len(orders) == 1 and orders[0].vertices == 13
     tracemalloc.start()
     try:
         code, out = run_cli(capsys, monkeypatch, ["--command", "plumbing"], chain)

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from cubekh.complexes import (
-    DoubleComplexF2,
     FilteredComplexF2,
     GradedComplexF2,
     block_matrix,
@@ -177,18 +176,16 @@ def test_chain_map_validation():
 def test_total_of_horizontal_only():
     rng = random.Random(6)
     d0 = rand_mat(rng, 3, 2)
-    dc = DoubleComplexF2({(0, 0): 2, (1, 0): 3}, {(0, 0): d0}, {})
-    total, _ = total_complex(dc)
+    total, _ = total_complex({(0, 0): 2, (1, 0): 3}, {(0, 0): d0}, {})
     assert total.dims == {0: 2, 1: 3}
     assert total.d(0).rows == d0.rows
 
 
 def test_acyclic_square():
     one = f2_identity(1)
-    dc = DoubleComplexF2({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-                         {(0, 0): one, (0, 1): one},
-                         {(0, 0): one, (1, 0): one})
-    total, _ = total_complex(dc)
+    total, _ = total_complex({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+                             {(0, 0): one, (0, 1): one},
+                             {(0, 0): one, (1, 0): one})
     assert homology_ranks(total) == {}
 
 
@@ -196,32 +193,32 @@ def test_bicomplex_commutation_enforced():
     one = f2_identity(1)
     zero = MatF2.zero(1, 1)
     with pytest.raises(NotBicomplex):
-        DoubleComplexF2({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-                        {(0, 0): one, (0, 1): one},
-                        {(0, 0): one, (1, 0): zero})
+        total_complex({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+                      {(0, 0): one, (0, 1): one},
+                      {(0, 0): one, (1, 0): zero})
 
 
 def test_bicomplex_squares_enforced():
     one = f2_identity(1)
     line = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
     with pytest.raises(NotBicomplex, match="d_1 d_0 != 0"):
-        DoubleComplexF2(line, {(0, 0): one, (1, 0): one}, {})
+        total_complex(line, {(0, 0): one, (1, 0): one}, {})
     column = {(0, 0): 1, (0, 1): 1, (0, 2): 1}
     with pytest.raises(NotBicomplex, match="d_1 d_0 != 0"):
-        DoubleComplexF2(column, {}, {(0, 0): one, (0, 1): one})
+        total_complex(column, {}, {(0, 0): one, (0, 1): one})
 
 
 def test_wrongly_shaped_blocks_refused():
-    # every stored block is checked against its two cells when the total is
+    # every given block is checked against its two cells when the total is
     # built, an absent cell counting as dimension 0
     square = {(0, 0): 1, (1, 0): 2, (0, 1): 1, (1, 1): 2}
     with pytest.raises(DimensionMismatch, match=r"^d_h at \(0, 0\) is 1x1, expected 2x1$"):
-        DoubleComplexF2(square, {(0, 0): f2_identity(1)}, {})
+        total_complex(square, {(0, 0): f2_identity(1)}, {})
     with pytest.raises(DimensionMismatch, match=r"^d_v at \(1, 0\) is 1x2, expected 2x2$"):
-        DoubleComplexF2(square, {}, {(1, 0): MatF2.zero(1, 2)})
+        total_complex(square, {}, {(1, 0): MatF2.zero(1, 2)})
     # a block into an empty cell
     with pytest.raises(DimensionMismatch, match=r"^d_h at \(1, 0\) is 1x2, expected 0x2$"):
-        DoubleComplexF2(square, {(1, 0): MatF2.zero(1, 2)}, {})
+        total_complex(square, {(1, 0): MatF2.zero(1, 2)}, {})
     # a cone block at a degree where both complexes are empty
     point = GradedComplexF2({0: 1}, {})
     with pytest.raises(DimensionMismatch, match=r"^d_h at \(-1, 5\) is 1x1, expected 0x0$"):

@@ -229,7 +229,7 @@ def check_complexes_against_oracle(d, rng):
     for m in (ArcMarking.zero(d), random_compatible_marking(d, rng)):
         tw = _twisted(cube, m)
         odc, oeven = oracle.twisted_per_edge(cube, m, 1)
-        total, positions = total_complex(odc)
+        total, positions = total_complex(*odc)
         assert (tw.total.dims, tw.total.differentials) == (total.dims, total.differentials)
         weights = {t: [] for t in total.dims}
         for (p, q), off in sorted(positions.items(), key=lambda cell: cell[1]):

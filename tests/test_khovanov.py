@@ -200,8 +200,9 @@ def test_edge_kinds_change_k_by_one():
 
 
 def test_flat_cube_of_twelve_crossings(monkeypatch):
-    # one resolve call per state, one edge_map call per (shape, None) and
-    # per (shape, (0, 0)) over kh and Khr, and none when assembling again
+    # one resolve call per state, and one edge_map call per shape per
+    # complex, (shape, None) for kh and (shape, (0, 0)) for Khr: the cube
+    # keeps no blocks, so assembling again calls it once more per shape
     from collections import Counter
     d = braid_closure([1, -2] * 6, 3)
     resolved, real_resolve = [], kh.resolve
@@ -228,7 +229,8 @@ def test_flat_cube_of_twelve_crossings(monkeypatch):
     assert set(calls) == keys and set(calls.values()) == {1}
     for reduced in (False, True):
         kh._assemble(cube, reduced)
-    assert sum(calls.values()) == len(keys) == 2 * 86
+    assert sum(calls.values()) == 2 * len(keys) == 4 * 86
+    assert set(calls.values()) == {2}
 
 
 def test_lean_cube_of_twelve_crossings():
@@ -255,6 +257,28 @@ def test_lean_cube_of_twelve_crossings():
         if started:
             tracemalloc.stop()
     assert peak < 6.5e6
+
+
+def test_cube_is_read_only():
+    # kh, Khr and two twisted complexes built on one cube leave it as it
+    # was, and each equals the complex built on a fresh cube of its own
+    import copy
+    rng = random.Random(34)
+    d = random_braid_diagram(rng, max_crossings=6)
+    markings = (ArcMarking.zero(d), random_compatible_marking(d, rng))
+    cube = build_cube(d)
+    before = copy.deepcopy(vars(cube))
+    builds = ([lambda c, r=r: kh._assemble(c, r) for r in (False, True)]
+              + [lambda c, m=m: kh._twisted(c, m) for m in markings])
+
+    def form(c):
+        if isinstance(c, kh.TwistedComplex):
+            return form(c.total), c.weights, c.cells
+        return c.dims, c.differentials
+
+    shared = [form(build(cube)) for build in builds]
+    assert vars(cube) == before
+    assert shared == [form(build(build_cube(d))) for build in builds]
 
 
 def test_split_then_merge_composition_vanishes():

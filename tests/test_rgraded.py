@@ -176,27 +176,27 @@ def test_chain_map_of_nonzero_degree_refused(which):
 
 
 def test_positive_check_builds_each_cone_once(monkeypatch):
-    # Cone(f), Cone(g) and Cone((h, g)), one double complex each; the
+    # Cone(f), Cone(g) and Cone((h, g)), one total complex each; the
     # conclusion is the homology of the last, the cone whose build checked
     # the nullhomotopy
     built, ranked = [], []
+    real_total, real_ranks = complexes.total_complex, rgraded.homology_ranks
 
-    class Counted(complexes.DoubleComplexF2):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    def counted(dims, d_h, d_v):
+        out = real_total(dims, d_h, d_v)
+        built.append((dims, out[0]))
+        return out
 
-    real_ranks = rgraded.homology_ranks
-    monkeypatch.setattr(complexes, "DoubleComplexF2", Counted)
+    monkeypatch.setattr(complexes, "total_complex", counted)
     monkeypatch.setattr(rgraded, "homology_ranks",
                         lambda c: ranked.append(c) or real_ranks(c))
     e0, e1, e2, f, g, h = random_lemma_instance(random.Random(2024), 1)
     v = check_double_mapping_cone(e0, e1, e2, f, g, h, 1)
     assert v == (None, True)
-    cone_f = built[0].total
-    assert [dc.dims for dc in built] == [
+    cone_f = built[0][1]
+    assert [dims for dims, _ in built] == [
         _cone_cells(src, tgt) for src, tgt in ((e0, e1), (e1, e2), (cone_f, e2))]
-    assert ranked == [built[2].total]
+    assert ranked == [built[2][1]]
 
 
 def test_nullhomotopy_failures_detected():
@@ -226,7 +226,8 @@ def test_exactness_failures_detected():
     assert _check(empty, point, point, f, g, h) == "(3) exactness (g0 not surjective)"
 
 
-def _digest(build) -> str:
+def _instance_bytes(instance) -> bytes:
+    """The grades and matrices of an instance (E0, E1, E2, f, g, h)."""
     def cx(c):
         return (sorted((k, tuple(map(str, v))) for k, v in c.grades.items()),
                 sorted((k, m.nrows, m.ncols, m.rows) for k, m in c.differentials.items()))
@@ -234,13 +235,17 @@ def _digest(build) -> str:
     def mp(m):
         return m.hdeg, sorted((k, b.nrows, b.ncols, b.rows) for k, b in m.blocks.items())
 
+    e0, e1, e2, f, g, h = instance
+    return repr((cx(e0), cx(e1), cx(e2), mp(f), mp(g), mp(h))).encode()
+
+
+def _digest(build) -> str:
     out = hashlib.sha256()
     for seed in (2024, 2025):
         for eps in (1, Fraction(1, 3)):
             rng = random.Random(seed)
             for _ in range(20):
-                e0, e1, e2, f, g, h = build(rng, eps)
-                out.update(repr((cx(e0), cx(e1), cx(e2), mp(f), mp(g), mp(h))).encode())
+                out.update(_instance_bytes(build(rng, eps)))
     return out.hexdigest()
 
 
@@ -254,3 +259,16 @@ def test_random_instances_are_pinned(build, digest):
     # the first 20 instances at seeds 2024 and 2025, eps 1 and 1/3: the
     # builders keep drawing the population the acceptance gate checks
     assert _digest(build) == digest
+
+
+def test_criterion_9_instances_are_pinned():
+    # the 250 instances acceptance criterion 9 draws at CORPUS_SEED + 9, 200
+    # lemma instances and then 50 negative controls, all at eps 1
+    from cubekh.acceptance import CORPUS_SEED
+    out = hashlib.sha256()
+    rng = random.Random(CORPUS_SEED + 9)
+    for build, count in ((random_lemma_instance, 200), (random_violating_instance, 50)):
+        for _ in range(count):
+            out.update(_instance_bytes(build(rng, 1)))
+    assert out.hexdigest() == (
+        "d100fd06c9e3f540e08512ba3ef9e84bcdd069370203ff735bacba459b427552")

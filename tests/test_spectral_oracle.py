@@ -72,7 +72,7 @@ def test_corpus_weight_filtration_pages_match_oracle(i):
     d = CORPUS_HEAD[i]
     m = random_compatible_marking(d, random.Random(CORPUS_SEED + i))
     dc, _ = cube_oracle.twisted_per_edge(build_cube(d), m, 1)
-    total, positions = total_complex(dc)
+    total, positions = total_complex(*dc)
     # filtered by cube weight: cell (p, q) sits at its offset in degree p + q
     levels = {t: [None] * n for t, n in total.dims.items()}
     for (p, q), off in positions.items():

@@ -230,7 +230,7 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
     on a relabeling key once; verdicts are memoized by that key, failures
     only when no budget stop happened below the node, and each key's
     determinant is walked at most once, the root's only after its memo and
-    budget checks.
+    budget checks.  A node of det 0 or 1 forms no child.
     """
     memo: dict = {}
     dets: dict = {}
@@ -257,9 +257,9 @@ def qa_certify(d: Diagram, budget: int = 20000, max_crossings: int | None = None
             cert = QACertificate(diag, 1) if diag.free_loops == 1 else None
         else:
             det = det_of(diag, key)
-            for ci in range(diag.n if det else 0):
-                # the triple is additive with nonzero parts only when
-                # 0 < det0 < det and det1 = det - det0
+            # the triple is additive with nonzero parts only when
+            # 0 < det0 < det and det1 = det - det0: never when det <= 1
+            for ci in range(diag.n if det > 1 else 0):
                 k0 = keyed(simplified_smoothing(diag, ci, 0))
                 det0 = det_of(*k0)
                 if not 0 < det0 < det:

@@ -56,6 +56,10 @@ MAX_H1_FREE_LOOPS = 10_000
 # and columns, is built and brought to Smith normal form
 MAX_H1_CROSSINGS = 500
 
+# the most components of a surgery job: its filled linking matrix is brought
+# to Smith normal form and checked against Bareiss
+MAX_SURGERY_COMPONENTS = 128
+
 COMMANDS = ("kh", "khr", "twisted", "hd", "ss", "det", "h1", "qa",
             "rankcheck", "surgery", "plumbing", "lspace", "selftest")
 
@@ -113,6 +117,9 @@ def _int_rows(x, what: str) -> list:
 
 def _presentation_from(payload: dict) -> FramedLinkPresentation:
     linking = _int_rows(_require(payload, "linking"), "'linking'")
+    if len(linking) > MAX_SURGERY_COMPONENTS:
+        raise SizeBudgetExceeded(f"{len(linking)} components exceed the surgery "
+                                 f"limit of {MAX_SURGERY_COMPONENTS}")
     frames = payload.get("frames")
     if frames is not None:
         return FramedLinkPresentation.from_linking_and_frames(

@@ -19,8 +19,9 @@ Conventions fixed here and used everywhere else:
   next one at other[x ^ 2]; a face continues from x at the slot after
   other[x], counterclockwise at that crossing.  A resolved circle entering
   a crossing at x leaves it at x ^ 1 under the 0-smoothing and at x ^ 3
-  under the 1-smoothing (`resolve`).  Public results (`Diagram.arc_head`,
-  `PlanarMap.faces` and `PlanarMap.face_of`) name darts the same way.
+  under the 1-smoothing (`resolve`, kept in `resolution`).  Public results
+  (`Diagram.arc_head`, `PlanarMap.faces` and `PlanarMap.face_of`) name
+  darts the same way.
 * The projection's pieces (`Diagram.pd_components`), planar map
   (`planar_map`) and graded Euler characteristic (`_euler_state_sum`) are
   found once per diagram and kept on it, and
@@ -36,10 +37,10 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     DisconnectedTrace,
     IncompatibleMarking,
-    LengthMismatch,
     MalformedPD,
     NonPlanarTrace,
 )
+from .resolution import ResolvedState, resolve  # noqa: F401  (re-exported)
 
 RES0_PAIRS = ((0, 1), (2, 3))
 RES1_PAIRS = ((0, 3), (1, 2))
@@ -116,8 +117,8 @@ class Diagram:
         components: tuple of tuples of arcs, one per link component, ordered
             by smallest arc.
         orientation: per-component +1/-1 flags relative to natural direction.
-        arc_head: arc_head[a] is the dart that arc a points into (entry 0
-            is unused, as in `ResolvedState.arc_to_circle`).
+        arc_head: a list, arc_head[a] the dart that arc a points into
+            (entry 0, -1, is unused).
         signs: per-crossing +1/-1.
     """
 
@@ -217,26 +218,6 @@ class Diagram:
                 f"free_loops={self.free_loops})")
 
 
-class ResolvedState(NamedTuple):
-    """A full resolution of a diagram, flat: `arc_to_circle[a]` is the
-    circle of arc a (entry 0 is unused), `least_arcs[c]` the least arc of
-    circle c, and `n_circles` counts the free loops too, numbered after the
-    circles with arcs."""
-
-    arc_to_circle: list
-    least_arcs: list
-    n_circles: int
-
-    @property
-    def circles(self) -> tuple[tuple[int, ...], ...]:
-        """Each circle's arcs, ascending, and () for each free loop."""
-        arcs: list = [[] for _ in self.least_arcs]
-        for a in range(1, len(self.arc_to_circle)):
-            arcs[self.arc_to_circle[a]].append(a)
-        loops = self.n_circles - len(arcs)
-        return tuple(map(tuple, arcs)) + ((),) * loops
-
-
 class ArcMarking(NamedTuple("ArcMarking", [("bits", tuple)])):
     """Per-arc parity bits; on a diagram they define a two-fold marking
     datum, the parities of its components, unless `fault` says why not."""
@@ -294,53 +275,6 @@ def parse_pd(data, free_loops: int = 0,
     d = Diagram(data, free_loops=free_loops, orientation=orientation)
     planar_map(d)
     return d
-
-
-# the dart a resolved circle leaves by, as x ^ turn, when it enters a
-# crossing at dart x: the 0-smoothing joins slots (0,1) and (2,3), the
-# 1-smoothing (0,3) and (1,2); any other bit turns by 0, which is refused
-_TURNS = bytes([1, 3]) + bytes(254)
-
-
-def resolve(d: Diagram, index: Sequence[int]) -> ResolvedState:
-    """Resolve every crossing of d according to the bit-vector index.
-
-    Each circle is one walk over the dart table: along an arc from dart x to
-    other[x] = y, then across y's crossing to the dart y ^ 1 (0-smoothing)
-    or y ^ 3 (1-smoothing), until the walk is back at x.  Walks start at
-    the least arc not yet on a circle, so circles come out numbered by
-    their least arc; free loops count as extra circles, numbered last.  The
-    state is flat (`ResolvedState`): the circle of each arc and the least
-    arc of each circle, with no per-circle arc lists.  A bit that is not 0
-    or 1 raises LengthMismatch.  No circle is marked here, but the first
-    walk starts at arc 1, so circle 0 is the circle through arc 1 (the
-    first free loop when d has no arcs) in every state: the circle that
-    every reduced complex marks.
-    """
-    if len(index) != d.n:
-        raise LengthMismatch(f"expected {d.n} bits, got {len(index)}")
-    try:
-        turn = bytes(index).translate(_TURNS)
-        if 0 in turn:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise LengthMismatch("resolution bits must be 0 or 1") from None
-    other, labels, first = d._other, d._labels, d._first
-    arc_to_circle = [-1] * (d.arc_count + 1)
-    least: list = []
-    for a in range(1, d.arc_count + 1):
-        if arc_to_circle[a] >= 0:
-            continue
-        k = len(least)
-        least.append(a)
-        x = start = first[a]
-        while True:
-            arc_to_circle[labels[x]] = k
-            y = other[x]
-            x = y ^ turn[y >> 2]
-            if x == start:
-                break
-    return ResolvedState(arc_to_circle, least, len(least) + d.free_loops)
 
 
 # ---------------------------------------------------------------------------

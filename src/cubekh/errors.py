@@ -71,5 +71,6 @@ class InternalInconsistency(CubekhError):
 
 class SizeBudgetExceeded(CubekhError):
     """Input exceeds a size budget: crossings and free loops against the
-    cube budget, or the length of a large-surgery derivation."""
+    cube budget, the length of a large-surgery derivation, or a job's own
+    size limit; a resolved state holds at most 127 crossings."""
 

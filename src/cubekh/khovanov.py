@@ -11,13 +11,16 @@ two pieces.  The internal homological grading is cube weight; callers can
 translate with `grading_tables`.
 
 The cube is flat: `states[bits]` is the state resolving crossing t by bit
-(bits >> t) & 1, one `diagram.resolve` call each, and `edges` holds one
-int per edge, its shape, where `shapes[shape]` is the edge's `EdgeShape`,
-interned and checked once per cube.  The edges come in vertex order and
-then by ascending unset crossing, so an edge's source and target follow
-from its place in the list and are not stored.  A state is flat too: it
-holds the circle of each arc in a list indexed by arc label, the least arc
-of each circle and the circle count, and no per-circle arc lists.
+(bits >> t) & 1.  One `resolve` call makes state 0, and each other state
+is derived from its lower neighbour, the state at bits & (bits - 1), by
+the one merge or split at its lowest set bit (`resolve_from`).
+`edges` holds one int per edge, its shape, where `shapes[shape]` is the
+edge's `EdgeShape`, interned and checked once per cube.  The edges come in
+vertex order and then by ascending unset crossing, so an edge's source and
+target follow from its place in the list and are not stored.  A state is
+flat too: it holds the circle of each arc in bytes indexed by arc label,
+the least arc of each circle in bytes and the circle count, and no
+per-circle arc lists.
 
 The cube is basepoint-free, so one cube serves kh and Khr: every reduced
 complex marks circle 0 in each state.  `resolve` numbers circles by their
@@ -84,7 +87,7 @@ one entry is `hd_even_subcomplex`, which reads dotted homology through
 from __future__ import annotations
 
 import math
-from itertools import groupby, product
+from itertools import groupby
 from typing import NamedTuple
 
 from .complexes import (
@@ -95,12 +98,7 @@ from .complexes import (
     homology_ranks,
     spectral_pages,
 )
-from .diagram import (
-    ArcMarking,
-    Diagram,
-    _euler_state_sum,
-    resolve,
-)
+from .diagram import ArcMarking, Diagram, _euler_state_sum
 from .errors import (
     BadCircleMap,
     IncompatibleMarking,
@@ -111,6 +109,7 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .linalg import MatF2
+from .resolution import resolve, resolve_from
 
 DEFAULT_MAX_CROSSINGS = 14
 
@@ -169,12 +168,13 @@ class CubeComplex:
     """All 2^n resolved states of a diagram and its classified edges, flat.
 
     `states[bits]` is the state whose crossing t has resolution bit
-    (bits >> t) & 1, and `vertices` lists the bit masks by cube weight, then
-    by bit-reversed mask, which orders them as their bit vectors.  `edges`
-    holds the shape of each edge, an int with `shapes[shape]` its
-    `EdgeShape`, in vertex order and then by ascending unset crossing t, so
-    the k-th edge out of `bits` is bits -> bits | 1 << t for the k-th t
-    with bit t of `bits` unset (`_d_h` walks them so).  Its
+    (bits >> t) & 1: state 0 from `resolve`, each other from the state at
+    bits & (bits - 1) by `resolve_from`.  `vertices` lists the bit masks
+    by cube weight, then by bit-reversed mask, which orders them as their
+    bit vectors.  `edges` holds the shape of each edge, an int with
+    `shapes[shape]` its `EdgeShape`, in vertex order and then by ascending
+    unset crossing t, so the k-th edge out of `bits` is bits -> bits | 1 << t
+    for the k-th t with bit t of `bits` unset (`_d_h` walks them so).  Its
     complexes share one slot basis: positions[x] is the position of basis
     index x among the indices of its bit count, ascending.  The cube is
     read-only; each complex built on it rewrites each shape's map into
@@ -184,14 +184,14 @@ class CubeComplex:
         _check_budget(d, max_crossings, d.free_loops)
         self.diagram = d
         n = d.n
-        # rev[bits] is bits reversed over n bits, and rev[k] the state of the
-        # k-th bit vector `product` yields, which varies crossing 0 slowest
+        # rev[bits] is bits reversed over n bits: the vertices sort by weight
+        # and then as bit vectors, crossing 0 first
         rev = [0]
         for _ in range(n):
             rev = [r << 1 for r in rev] + [(r << 1) | 1 for r in rev]
-        self.states = [None] * (1 << n)
-        for k, index in enumerate(product((0, 1), repeat=n)):
-            self.states[rev[k]] = resolve(d, index)
+        self.states = states = [resolve(d, (0,) * n)]
+        for bits in range(1, 1 << n):
+            states.append(resolve_from(d, states[bits & (bits - 1)], bits))
         self.vertices = sorted(range(1 << n),
                                key=lambda bits: (bits.bit_count() << n) | rev[bits])
         size = max(state.n_circles for state in self.states)

@@ -212,6 +212,22 @@ def test_qa_budget_exhaustion():
     assert qa_certify(small_knot("6_3"), budget=2) is None
 
 
+def test_qa_search_stops_at_det_1(monkeypatch):
+    # no crossing of a det-1 node has 0 < det0 < 1: the closure of
+    # (s1 s2)^5, of det 1, forms no child and is exhausted at its root
+    import cubekh.branched as br
+    formed, real = [], br.simplified_smoothing
+    monkeypatch.setattr(br, "simplified_smoothing",
+                        lambda *args: formed.append(args) or real(*args))
+    d = braid_closure([1, 2] * 5, 3)
+    assert state_sum_det(d) == 1
+    reason = []
+    assert qa_certify(d, reason=reason) is None
+    assert reason == ["exhausted"] and formed == []
+    # a det-3 root forms its children through the same name
+    assert qa_certify(small_knot("3_1")) is not None and formed
+
+
 def qa_certify_without_failure_memo(d, budget, det_of):
     """The search as it was before failed nodes were memoized: only nodes
     with det 0, unknot leaves and certified nodes are kept."""
@@ -276,11 +292,12 @@ def test_failure_memo_keeps_verdicts_and_saves_determinants(monkeypatch):
     for k in (4, 5):
         old_calls, new_calls = det_calls(braid_closure([1, 2] * k, 3), 20000)
         assert new_calls <= old_calls
-    # a 9-crossing closure whose failed nodes the search meets again
+    # a 9-crossing closure whose failed nodes the search meets again; a
+    # det-1 node forms no child, so their determinants are not taken
     d = parse_pd([[3, 5, 4, 2], [5, 7, 6, 4], [1, 6, 9, 8], [9, 7, 11, 10],
                   [8, 10, 13, 12], [12, 13, 15, 14], [14, 15, 17, 16],
                   [16, 17, 18, 1], [11, 3, 2, 18]])
-    assert det_calls(d, 20000) == (87, 10)
+    assert det_calls(d, 20000) == (87, 6)
 
 
 @pytest.mark.parametrize("name, det_evals", [("5_2", 5), ("6_3", 6)])

@@ -261,6 +261,33 @@ def test_plumbing_vertices_limit(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["h1"] == 2 ** MAX_PLUMBING_VERTICES
 
 
+def test_surgery_components_limit(capsys, monkeypatch):
+    # the filled linking matrix is brought to Smith normal form: one
+    # component over the limit is refused before surgered_h1 builds it
+    import cubekh.cli as cli
+    from cubekh.cli import MAX_SURGERY_COMPONENTS
+    calls, real = [], cli.surgered_h1
+    monkeypatch.setattr(cli, "surgered_h1",
+                        lambda *args: calls.append(args) or real(*args))
+
+    def chain(n):
+        # the linear plumbing of -2 spheres: H1 = Z/(n + 1)
+        linking = [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)]
+                   for i in range(n)]
+        return {"linking": linking, "v": [0] * n}
+
+    code, out = run_cli(capsys, monkeypatch, ["--command", "surgery"],
+                        chain(MAX_SURGERY_COMPONENTS + 1))
+    err = json.loads(out)["error"]
+    assert code == 3 and err["kind"] == "budget" and calls == []
+    assert err["detail"] == (f"{MAX_SURGERY_COMPONENTS + 1} components exceed the "
+                             f"surgery limit of {MAX_SURGERY_COMPONENTS}")
+    code, out = run_cli(capsys, monkeypatch, ["--command", "surgery"],
+                        chain(MAX_SURGERY_COMPONENTS))
+    assert code == 0 and json.loads(out)["euler"] == MAX_SURGERY_COMPONENTS + 1
+    assert len(calls) == 1 and len(calls[0][1]) == MAX_SURGERY_COMPONENTS
+
+
 def test_env_budget(capsys, monkeypatch):
     # the cube budget is set by --max-crossings alone; the environment
     # variable of that name is not read
@@ -794,6 +821,11 @@ def test_bad_marking_rejected_before_resolving(capsys, monkeypatch):
         assert details == {"marking has 5 bits for 6 arcs",
                            "arc marking must have even total parity to define "
                            "a two-fold datum"}, cmd
+        # a compatible marking builds the one cube, which resolves state 0
+        code, _ = run_cli(capsys, monkeypatch, ["--command", cmd],
+                          dict(TREFOIL, marking={"arcs": [1, 1, 0, 0, 0, 0]}))
+        assert code == 0 and resolved == [(0, 0, 0)], cmd
+        resolved.clear()
 
 
 @pytest.mark.parametrize("cmd", ["kh", "khr", "twisted", "hd", "ss", "det",

@@ -27,7 +27,7 @@ from cubekh.acceptance import (
 )
 from cubekh.complexes import total_complex
 from cubekh.corpus import diagram_corpus, random_braid_diagram, random_compatible_marking
-from cubekh.diagram import ArcMarking, Diagram, ResolvedState, resolve
+from cubekh.diagram import ArcMarking, Diagram, normalize_under_slots
 from cubekh.errors import BadCircleMap
 from cubekh.khovanov import (
     _assemble,
@@ -37,6 +37,7 @@ from cubekh.khovanov import (
     edge_map,
     khr_complex,
 )
+from cubekh.resolution import UNSET, ResolvedState, resolve, resolve_from
 from test_det_oracle import add_kinks
 
 
@@ -52,10 +53,12 @@ def check_state_against_oracle(d, state, index):
     # the flat arc table, least arcs and circle count, and the circles
     # derived from them, arc by arc against the union-find
     circles, arc_to_circle = oracle.resolve_circles(d, index)
+    assert type(state.arc_to_circle) is type(state.least_arcs) is bytes
     assert len(state.arc_to_circle) == d.arc_count + 1
+    assert state.arc_to_circle[0] == UNSET
     for a in range(1, d.arc_count + 1):
         assert state.arc_to_circle[a] == arc_to_circle[a]
-    assert state.least_arcs == [circ[0] for circ in circles if circ]
+    assert list(state.least_arcs) == [circ[0] for circ in circles if circ]
     assert state.n_circles == len(circles)
     assert state.circles == circles
 
@@ -124,15 +127,15 @@ def test_kinked_cube_matches_oracle(seed, kinks, free_loops):
 def test_edge_breaking_least_arc_rule_refused(monkeypatch):
     # circles numbered by descending least arc: the first edge whose shape
     # breaks the rule is the first edge of its key, and is refused there
-    def renumbered(d, index):
-        s = resolve(d, index)
+    def renumbered(s):
+        # circle c -> k - 1 - c, its own inverse
         k = len(s.least_arcs)
-        return ResolvedState([-1] + [k - 1 - c for c in s.arc_to_circle[1:]],
+        return ResolvedState(bytes([UNSET] + [k - 1 - c for c in s.arc_to_circle[1:]]),
                              s.least_arcs[::-1], s.n_circles)
 
     d = Diagram([[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]])
     n = d.n
-    states = [renumbered(d, bit_vector(bits, n)) for bits in range(1 << n)]
+    states = [renumbered(resolve(d, bit_vector(bits, n))) for bits in range(1 << n)]
     vertices = sorted(range(1 << n), key=lambda bits: (bits.bit_count(),
                                                        bit_vector(bits, n)))
     breaking = []
@@ -145,11 +148,22 @@ def test_edge_breaking_least_arc_rule_refused(monkeypatch):
                                                   tgt.n_circles):
                     breaking.append((bits, bits | 1 << t))
     assert breaking and breaking[0] != (0, 1)
-    monkeypatch.setattr(kh, "resolve", renumbered)
+    # the cube resolves state 0 and derives each other state from its lower
+    # neighbour: both are wrapped, the derivation undoing its neighbour's
+    # renumbering first
+    derived = []
+
+    def renumbered_from(d, parent, bits):
+        derived.append(bits)
+        return renumbered(resolve_from(d, renumbered(parent), bits))
+
+    monkeypatch.setattr(kh, "resolve", lambda d, index: renumbered(resolve(d, index)))
+    monkeypatch.setattr(kh, "resolve_from", renumbered_from)
     source, target = breaking[0]
     with pytest.raises(BadCircleMap, match=f"edge {source} -> {target} breaks "
                                            "the least-arc circle numbering"):
         build_cube(d)
+    assert derived == list(range(1, 1 << n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +194,7 @@ def test_free_loops_come_last_with_no_arcs(free_loops):
     # subsets holding loop 0, so C(free_loops - 1, j) at q = free_loops - 2(j + 1)
     d = Diagram([], free_loops=free_loops)
     state = resolve(d, ())
-    assert state == ([-1], [], free_loops)
+    assert state == (bytes([UNSET]), b"", free_loops)
     check_state_against_oracle(d, state, ())
     cube = build_cube(d)
     assert (cube.states, cube.vertices, cube.edges) == ([state], [0], [])
@@ -275,6 +289,30 @@ def test_equal_shapes_have_equal_edge_maps(seed, free_loops):
 
 
 def test_nonplanar_edge_still_rejected():
-    # one crossing whose resolutions both give a single circle
+    # one crossing whose resolutions both give a single circle: the derived
+    # state is its lower neighbour itself
+    d = Diagram([[1, 2, 1, 2]])
+    s0 = resolve(d, (0,))
+    assert resolve_from(d, s0, 1) is s0 and s0 == resolve(d, (1,))
     with pytest.raises(BadCircleMap, match="circle count by 0"):
-        build_cube(Diagram([[1, 2, 1, 2]]))
+        build_cube(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_derived_states_match_oracle_on_random_codes(seed):
+    # random label pairings, mostly non-planar, where a crossing may keep
+    # one circle in both smoothings: every state derived from its lower
+    # neighbour is the state resolve makes, and the union-find oracle's
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    labels = list(range(1, 2 * n + 1)) * 2
+    rng.shuffle(labels)
+    d = normalize_under_slots([labels[4 * i:4 * i + 4] for i in range(n)],
+                              rng.randint(0, 1))
+    states = [resolve(d, (0,) * n)]
+    for bits in range(1, 1 << n):
+        state = resolve_from(d, states[bits & (bits - 1)], bits)
+        assert state == resolve(d, bit_vector(bits, n))
+        check_state_against_oracle(d, state, bit_vector(bits, n))
+        states.append(state)

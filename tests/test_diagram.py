@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubekh.acceptance import corpus
-from cubekh.corpus import random_braid_diagram
+from cubekh.corpus import braid_closure, random_braid_diagram
 from cubekh.diagram import (
     ArcMarking,
     Diagram,
@@ -22,6 +22,7 @@ from cubekh.diagram import (
     simplify_greedy,
     smooth_crossing,
 )
+from cubekh.resolution import MAX_RESOLVE_CROSSINGS, resolve_from
 from cube_oracle import induce_marking
 from diagram_helpers import connect_sum, mirror
 from cubekh.errors import (
@@ -29,6 +30,7 @@ from cubekh.errors import (
     LengthMismatch,
     MalformedPD,
     NonPlanarTrace,
+    SizeBudgetExceeded,
 )
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -186,6 +188,22 @@ def test_resolve_refuses_bits_that_are_not_0_or_1(bad):
     d = parse_pd(TREFOIL)
     with pytest.raises(LengthMismatch, match="resolution bits must be 0 or 1"):
         resolve(d, (0, bad, 1))
+
+
+def test_resolve_refuses_more_than_127_crossings():
+    # circle numbers and arc labels are bytes: 127 crossings have 254 arcs
+    # on at most 254 circles, numbered below the unset entry 255
+    assert MAX_RESOLVE_CROSSINGS == 127
+    d = braid_closure([1] * 127, 2)
+    for bits in ((0,) * 127, (1,) * 127, (1,) + (0,) * 126):
+        s = resolve(d, bits)
+        assert s.n_circles == circle_count_oracle(d.crossings, bits)
+    assert {resolve(d, (b,) * 127).n_circles for b in (0, 1)} == {2, 127}
+    assert resolve_from(d, resolve(d, (0,) * 127), 1) == resolve(d, (1,) + (0,) * 126)
+    over = braid_closure([1] * 128, 2)
+    with pytest.raises(SizeBudgetExceeded, match="128 crossings exceed the limit "
+                                                 "of 127 for a resolved state"):
+        resolve(over, (0,) * 128)
 
 
 def check_arc_1_on_circle_0(d):

@@ -54,6 +54,7 @@ from cubekh.khovanov import (
     weight_ss,
     weight_totals,
 )
+from cubekh.resolution import UNSET
 from psi_oracle import check_psi_naturality, model_edge_map, psi_identification
 
 TREFOIL = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -169,7 +170,7 @@ def oracle_kh_ranks(pd, free_loops=0, reduced=False, basepoint=1):
 def test_cube_unknot():
     cube = build_cube(parse_pd([], free_loops=1))
     assert cube.vertices == [0]
-    assert cube.states[0] == ([-1], [], 1)
+    assert cube.states[0] == (bytes([UNSET]), b"", 1)
 
 
 def test_cube_hopf_circle_counts():
@@ -200,7 +201,8 @@ def test_edge_kinds_change_k_by_one():
 
 
 def test_flat_cube_of_twelve_crossings(monkeypatch):
-    # one resolve call per state, and one edge_map call per shape per
+    # one resolve call per cube, for state 0, and one derivation from its
+    # lower neighbour per other state; one edge_map call per shape per
     # complex, (shape, None) for kh and (shape, (0, 0)) for Khr: the cube
     # keeps no blocks, so assembling again calls it once more per shape
     from collections import Counter
@@ -208,9 +210,14 @@ def test_flat_cube_of_twelve_crossings(monkeypatch):
     resolved, real_resolve = [], kh.resolve
     monkeypatch.setattr(kh, "resolve",
                         lambda d, ix: resolved.append(ix) or real_resolve(d, ix))
+    derived, real_resolve_from = [], kh.resolve_from
+    monkeypatch.setattr(kh, "resolve_from", lambda d, parent, bits: derived.append(
+        (parent, bits)) or real_resolve_from(d, parent, bits))
     cube = build_cube(d)
     assert (len(cube.states), len(cube.edges), len(cube.shapes)) == (4096, 24576, 86)
-    assert len(resolved) == len(set(resolved)) == 4096
+    assert resolved == [(0,) * 12]
+    assert [bits for _, bits in derived] == list(range(1, 4096))
+    assert all(parent is cube.states[bits & (bits - 1)] for parent, bits in derived)
     calls, real_edge_map = Counter(), kh.edge_map
 
     def counted(shape, marked=None):

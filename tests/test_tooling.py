@@ -137,7 +137,7 @@ def test_diagram_layer_names_darts_as_ints():
     # int 4 * crossing + slot, so no dart is split into a (crossing, slot)
     # pair, and the planar map keeps no corner lookup beside face_of
     src = PERFBENCH.parent / "src" / "cubekh"
-    for name in ("diagram.py", "branched.py"):
+    for name in ("diagram.py", "resolution.py", "branched.py"):
         tree = ast.parse((src / name).read_text(encoding="utf-8"))
         calls = {node.func.id for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
